@@ -360,7 +360,7 @@ def criterion_9() -> CriterionResult:
 # Criterion 10: shooting at the pinned desk-scale parameters
 # ---------------------------------------------------------------------------
 
-def criterion_10(budget: int = 64, workers: int = 4) -> CriterionResult:
+def criterion_10(budget: int = 64) -> CriterionResult:
     """Trap search at d=4, s0=50, A=20, horizon 20: passes when the best probe
     stays inside every shrinking-set bound, sup|v - Q| decreases to below 0.9
     of its start, and every exit is transversal.
@@ -376,7 +376,7 @@ def criterion_10(budget: int = 64, workers: int = 4) -> CriterionResult:
     t0 = time.time()
     cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1,
                         A=20.0, K=10.0)
-    result = shooting.trap_search(cfg, budget=budget, workers=workers)
+    result = shooting.trap_search(cfg, budget=budget)
     elapsed = time.time() - t0
 
     exits = [h for h in result.history if h["exit_mode"] is not None]

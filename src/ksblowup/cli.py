@@ -259,7 +259,7 @@ def cmd_shoot(args) -> int:
     config = _config_from_args(args, overrides={
         "d": args.d, "s0": args.s0, "A": args.A, "horizon": args.horizon,
     })
-    result = shooting.trap_search(config, args.budget, workers=args.workers)
+    result = shooting.trap_search(config, args.budget)
     print(f"verdict: {result.verdict}  d*: {result.parameters}  s_exit: {result.s_exit:.4g}")
     if args.output_dir:
         outdir = Path(args.output_dir)
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=float, default=20.0)
     p.add_argument("--horizon", type=float, default=20.0)
     p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_shoot)
 

@@ -4,10 +4,18 @@ The profile Q(xi) is defined implicitly by
 
     c * xi**(2*ell) * Q**ell + d*Q - 1 = 0,      Q in (0, 1/d],
 
-with the exact rational constant c from the eigenbasis module.  Small-xi
-evaluation goes through the deficit delta = 1/d - Q solved multiplicatively,
-so quantities like (1/d - Q)/xi**(2*ell) keep full relative accuracy where a
-plain subtraction would cancel to noise.
+with the exact rational constant c from the eigenbasis module.  Both
+supported dimensions solve it in closed form with t = c xi^(2 ell):
+
+    d=4 (ell=2):  Q = 1 / (2 + sqrt(4 + t)),
+    d=3 (ell=3):  Q = 2 sinh(arsinh(sqrt(t)/2) / 3) / sqrt(t),
+
+free of cancellation for every t > 0, with Q = 1/d at t = 0.  The deficit
+delta = 1/d - Q is taken from the equation itself, delta = t Q^ell / d, so
+quantities like (1/d - Q)/xi**(2*ell) keep full relative accuracy where a
+plain subtraction would cancel to noise.  Q', Q'' and the radial Laplacian
+follow from the first-order profile equation in one operator-only helper,
+shared by the double-precision and the decimal ansatz.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from . import eigenbasis as eb
 
 
 class ConvergenceError(RuntimeError):
-    """Root finder failed to meet its residual contract."""
+    """Decimal refinement of the profile deficit failed to converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +96,6 @@ class ProfileParams:
     c: float
     B_exact: Fraction
     c_exact: Fraction
-    root_tol: float = 1e-13
-    max_iter: int = 200
     # float coefficient tables (ascending powers of y^2) used by the ansatz
     phi_coeffs: tuple = field(default=())        # phi_{2 ell}
     phit_coeffs: tuple = field(default=())       # phi_tilde
@@ -98,11 +104,9 @@ class ProfileParams:
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("profile constant must be positive")
-        if not 0 < self.root_tol <= 1e-10:
-            raise ValueError("root tolerance must lie in (0, 1e-10]")
 
 
-def make_profile_params(d: int, root_tol: float = 1e-13, max_iter: int = 200) -> ProfileParams:
+def make_profile_params(d: int) -> ProfileParams:
     eb.check_dimension(d)
     ell = eb.ell_of(d)
     b_exact = eb.compute_B(d)
@@ -117,8 +121,6 @@ def make_profile_params(d: int, root_tol: float = 1e-13, max_iter: int = 200) ->
         c=float(c_exact),
         B_exact=b_exact,
         c_exact=c_exact,
-        root_tol=root_tol,
-        max_iter=max_iter,
         phi_coeffs=tuple(phi.float_coeffs()),
         phit_coeffs=tuple(phit.float_coeffs()),
         phit_lap_coeffs=tuple(phit.laplacian(d + 2).float_coeffs()),
@@ -148,45 +150,40 @@ def _even_eval_deriv(coeffs, y):
 # Profile Q and its derivatives
 # ---------------------------------------------------------------------------
 
-_SMALL_T = 1e-2
-
-
 def _solve_profile(params: ProfileParams, t):
-    """Return (Q, deficit) solving t*Q^ell + d*Q = 1 elementwise.
-
-    For t <= _SMALL_T the deficit 1/d - Q is iterated directly (no
-    cancellation); elsewhere Newton from a seed with nonnegative residual
-    descends monotonically (the residual is convex and increasing in Q).
-    """
-    d, ell = params.d, params.ell
+    """Return (Q, deficit) solving t*Q^ell + d*Q = 1 elementwise, in closed form."""
     t = np.asarray(t, float)
-    if not np.all(np.isfinite(t)) or np.any(t < 0):
+    if not np.isfinite(t).all() or (t < 0).any():
         raise ValueError("similarity coordinate out of range (t not finite/positive)")
-
-    small = t <= _SMALL_T
-    ts = np.where(small, t, 0.0)
-    delta = np.zeros_like(t)
-    for _ in range(10):
-        delta = ts / d * (1.0 / d - delta) ** ell
-
-    with np.errstate(divide="ignore"):
-        seed = np.where(t > 0, t ** (-1.0 / ell), np.inf)
-    q = np.minimum(1.0 / d, seed)
-    for _ in range(params.max_iter):
-        g = t * q**ell + d * q - 1.0
-        g = np.where(small, 0.0, g)
-        if np.all(np.abs(g) <= params.root_tol):
-            break
-        gp = ell * t * q ** (ell - 1) + d
-        q = q - g / gp
+    if params.ell == 2:
+        q = 1.0 / (2.0 + np.sqrt(4.0 + t))
     else:
-        raise ConvergenceError(
-            f"profile root finder exceeded {params.max_iter} iterations "
-            f"(worst residual {np.max(np.abs(g)):.3e})"
-        )
-    q = np.where(small, 1.0 / d - delta, q)
-    delta = np.where(small, delta, 1.0 / d - q)
-    return q, delta
+        r = np.sqrt(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(t > 0, 2.0 * np.sinh(np.arcsinh(0.5 * r) / 3.0) / r, 1.0 / params.d)
+    return q, t * q**params.ell / params.d
+
+
+def _profile_jet(c, d: int, ell: int, xi, q):
+    """(Q', Q'', Lap_{d+2} Q) at xi from the value Q there.
+
+    The first-order profile equation d Q (1/d - Q) = (Q - 1/2) xi Q' with the
+    deficit d (1/d - Q) = c xi^(2 ell) Q^ell gives Q' with its factor
+    xi^(2 ell - 1) explicit, so nothing divides by xi.  Only arithmetic
+    operators are used, so the same code runs on floats, arrays and Decimal.
+    """
+    one_m_2q = 1 - 2 * q
+    qp_xi = -2 * c * xi ** (2 * ell - 2) * q ** (ell + 1) / one_m_2q
+    qp = xi * qp_xi
+    lap = qp_xi * (2 * (2 * d * q - 1 + xi * qp) / one_m_2q + d)
+    return qp, lap - (d + 1) * qp_xi, lap
+
+
+def _profile(params: ProfileParams, xi):
+    """(Q, 1/d - Q, Q', Q'', Lap_{d+2} Q) at xi."""
+    xi = _as_xi(xi)
+    q, delta = _solve_profile(params, params.c * xi ** (2 * params.ell))
+    return (q, delta) + _profile_jet(params.c, params.d, params.ell, xi, q)
 
 
 def _as_xi(xi):
@@ -221,21 +218,13 @@ def q_residual(params: ProfileParams, xi, q=None):
 
 def q_prime(params: ProfileParams, xi):
     """dQ/dxi = -d*Q*(1/d - Q) / (xi*(1/2 - Q)); zero at the origin."""
-    xi = _as_xi(xi)
-    q, delta = _solve_profile(params, params.c * xi ** (2 * params.ell))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(xi > 0, -params.d * q * delta / (xi * (0.5 - q)), 0.0)
+    out = _profile(params, xi)[2]
     return out if out.ndim else float(out)
 
 
 def q_second(params: ProfileParams, xi):
     """d^2 Q/dxi^2 from differentiating the first-order profile equation."""
-    xi = _as_xi(xi)
-    q, delta = _solve_profile(params, params.c * xi ** (2 * params.ell))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qp = np.where(xi > 0, -params.d * q * delta / (xi * (0.5 - q)), 0.0)
-        num = (2.0 * params.d * q - 1.0) * qp + xi * qp * qp + (q - 0.5) * qp
-        out = np.where(xi > 0, -num / ((q - 0.5) * xi), 0.0)
+    out = _profile(params, xi)[3]
     return out if out.ndim else float(out)
 
 
@@ -247,11 +236,8 @@ def f_of_xi(params: ProfileParams, xi):
 
 def f_deficit(params: ProfileParams, xi):
     """1 - F(xi), accurate near the origin."""
-    xi = _as_xi(xi)
-    q, delta = _solve_profile(params, params.c * xi ** (2 * params.ell))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xiqp = np.where(xi > 0, -params.d * q * delta / (0.5 - q), 0.0)
-    out = params.d * delta - xiqp
+    _, delta, qp, _, _ = _profile(params, xi)
+    out = params.d * delta - xi * qp
     return out if out.ndim else float(out)
 
 
@@ -282,18 +268,50 @@ def psi(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
     return out if np.ndim(out) else float(out)
 
 
-def ansatz_time_derivative(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
-    """Exact d(psi)/ds at fixed y."""
+def _ansatz_terms(d: int, ell: int, s, u, y, xi, over_y, sm, q_jet, p_jet, chi_jet):
+    """(d(psi)/ds, E_hat): the exact time derivative of psi at fixed y and the
+    generated error of `ansatz_residual`.
+
+    From the jets q_jet = (Q, Q', Lap_{d+2} Q) at xi = y*sm, p_jet =
+    (phi_tilde, phi_tilde', Lap_{d+2} phi_tilde) at y and chi_jet =
+    (chi, chi', chi'') at xi, with u = 1/(B s) and over_y = 1/y (0 at y=0).
+    Only arithmetic operators are used, so the same code runs on arrays and
+    on Decimal scalars.
+    """
+    q, qp, lap_q = q_jet
+    p, p1, lap_p = p_jet
+    chi, chi1, chi2 = chi_jet
+    ph = -u * p * chi
+    ph_y = -u * (p1 * chi + p * chi1 * sm)
+    lap_ph = -u * (lap_p * chi + 2 * p1 * chi1 * sm + p * chi2 * sm * sm
+                   + (d + 1) * over_y * p * chi1 * sm)
+    h_ph = lap_ph - (1 - 2 * q) * y * ph_y / 2 + (2 * d * q - 1 + xi * qp) * ph
+    nl = d * ph * ph + y * ph * ph_y
+    dpsi_ds = -xi * qp / (2 * ell * s) + (u / s) * (p * chi + p * chi1 * xi / (2 * ell))
+    return dpsi_ds, -dpsi_ds + sm * sm * lap_q + h_ph + nl
+
+
+def _ansatz(params: ProfileParams, y, s, cutoff: CutoffSpec):
+    """`_ansatz_terms` in double precision."""
     s = _check_s(s)
     y = np.asarray(y, float)
-    ell = params.ell
-    xi = y * s ** (-1.0 / (2 * ell))
-    qp = q_prime(params, xi)
-    p = _even_eval(params.phit_coeffs, y)
-    chi = cutoff_chi(cutoff, xi)
-    chi1 = cutoff_chi_d1(cutoff, xi)
-    u2 = 1.0 / (params.B * s * s)
-    return -xi * qp / (2 * ell * s) + u2 * (p * chi + p * chi1 * xi / (2 * ell))
+    sm = s ** (-1.0 / (2 * params.ell))
+    xi = y * sm
+    q, _, qp, _, lap_q = _profile(params, xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        over_y = np.where(y > 0, 1.0 / y, 0.0)
+    return _ansatz_terms(
+        params.d, params.ell, s, 1.0 / (params.B * s), y, xi, over_y, sm,
+        (q, qp, lap_q),
+        (_even_eval(params.phit_coeffs, y), _even_eval_deriv(params.phit_coeffs, y),
+         _even_eval(params.phit_lap_coeffs, y)),
+        (cutoff_chi(cutoff, xi), cutoff_chi_d1(cutoff, xi), cutoff_chi_d2(cutoff, xi)),
+    )
+
+
+def ansatz_time_derivative(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+    """Exact d(psi)/ds at fixed y."""
+    return _ansatz(params, y, s, cutoff)[0]
 
 
 def ansatz_residual(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
@@ -304,42 +322,7 @@ def ansatz_residual(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOF
     where H is the linearization of the self-similar flow at Q and
     NL(v) = d v^2 + y v v_y.  Evaluated analytically (no grid derivatives).
     """
-    s = _check_s(s)
-    y = np.asarray(y, float)
-    d, ell = params.d, params.ell
-    sm = s ** (-1.0 / (2 * ell))
-    xi = y * sm
-
-    q, delta = _solve_profile(params, params.c * xi ** (2 * ell))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qp = np.where(xi > 0, -d * q * delta / (xi * (0.5 - q)), 0.0)
-        num = (2.0 * d * q - 1.0) * qp + xi * qp * qp + (q - 0.5) * qp
-        qpp = np.where(xi > 0, -num / ((q - 0.5) * xi), 0.0)
-        lap_q = sm * sm * (qpp + np.where(xi > 0, (d + 1) * qp / xi, 0.0))
-
-    p = _even_eval(params.phit_coeffs, y)
-    p1 = _even_eval_deriv(params.phit_coeffs, y)
-    lap_p = _even_eval(params.phit_lap_coeffs, y)
-    chi = cutoff_chi(cutoff, xi)
-    chi1 = cutoff_chi_d1(cutoff, xi)
-    chi2 = cutoff_chi_d2(cutoff, xi)
-
-    u = 1.0 / (params.B * s)
-    ph = -u * p * chi
-    ph_y = -u * (p1 * chi + p * chi1 * sm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_y = np.where(y > 0, 1.0 / y, 0.0)
-    lap_ph = -u * (
-        lap_p * chi
-        + 2.0 * p1 * chi1 * sm
-        + p * chi2 * sm * sm
-        + (d + 1) * over_y * p * chi1 * sm
-    )
-
-    h_ph = lap_ph - (0.5 - q) * y * ph_y + (2.0 * d * q - 1.0 + xi * qp) * ph
-    nl = d * ph * ph + y * ph * ph_y
-    dpsi_ds = -xi * qp / (2 * ell * s) + (u / s) * (p * chi + p * chi1 * xi / (2 * ell))
-    return -dpsi_ds + lap_q + h_ph + nl
+    return _ansatz(params, y, s, cutoff)[1]
 
 
 def _to_decimal(x: Fraction) -> Decimal:
@@ -374,8 +357,8 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
     with localcontext() as ctx:
         ctx.prec = digits
         tol = Decimal(10) ** (5 - digits)
-        inv_d = Decimal(1) / d
-        half = Decimal("0.5")
+        zero, one = Decimal(0), Decimal(1)
+        inv_d = one / d
         s_ = Decimal(s)
         sm = s_ ** (Decimal(-1) / (2 * ell))
         c = _to_decimal(params.c_exact)
@@ -389,50 +372,40 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
             t = c * xi ** (2 * ell)
             delta = Decimal(delta_f)
             for _ in range(20):
-                step = ((d * delta - t * (inv_d - delta) ** ell)
-                        / (d + ell * t * (inv_d - delta) ** (ell - 1)))
+                tq = t * (inv_d - delta) ** (ell - 1)
+                step = (d * delta - tq * (inv_d - delta)) / (d + ell * tq)
                 delta -= step
                 if abs(step) <= tol:
                     break
             else:
                 raise ConvergenceError(f"decimal profile deficit did not converge at y={y_f}")
             q = inv_d - delta
+            qp, _, lap_q = _profile_jet(c, d, ell, xi, q)
 
             y2 = yv * yv
-            p = _even_eval_decimal(p_c, y2)
-            p1 = yv * _even_eval_decimal(p1_c, y2)
-            lap_p = _even_eval_decimal(lap_c, y2)
-            tc = min(max(xi - 1, Decimal(0)), Decimal(1))
-            chi = 1 - tc**3 * (10 - 15 * tc + 6 * tc * tc)
+            tc = min(max(xi - 1, zero), one)
+            chi = 1 - tc * tc * tc * (10 - 15 * tc + 6 * tc * tc)
             if 0 < tc < 1:
                 chi1 = -30 * tc * tc * (1 - tc) ** 2
                 chi2 = -60 * tc * (1 - tc) * (1 - 2 * tc)
             else:
-                chi1 = chi2 = Decimal(0)
+                chi1 = chi2 = zero
 
-            if yv > 0:
-                qp = -d * q * delta / (xi * (half - q))
-                num = (2 * d * q - 1) * qp + xi * qp * qp + (q - half) * qp
-                qpp = -num / ((q - half) * xi)
-                lap_q = sm * sm * (qpp + (d + 1) * qp / xi)
-                over_y = 1 / yv
-            else:
-                qp = lap_q = over_y = Decimal(0)
-
-            ph = -u * p * chi
-            ph_y = -u * (p1 * chi + p * chi1 * sm)
-            lap_ph = -u * (lap_p * chi + 2 * p1 * chi1 * sm + p * chi2 * sm * sm
-                           + (d + 1) * over_y * p * chi1 * sm)
-            h_ph = lap_ph - (half - q) * yv * ph_y + (2 * d * q - 1 + xi * qp) * ph
-            nl = d * ph * ph + yv * ph * ph_y
-            dpsi_ds = -xi * qp / (2 * ell * s_) + (u / s_) * (p * chi + p * chi1 * xi / (2 * ell))
-            out[i] = float(-dpsi_ds + lap_q + h_ph + nl)
+            _, residual = _ansatz_terms(
+                d, ell, s_, u, yv, xi, 1 / yv if yv > 0 else zero, sm,
+                (q, qp, lap_q),
+                (_even_eval_decimal(p_c, y2), yv * _even_eval_decimal(p1_c, y2),
+                 _even_eval_decimal(lap_c, y2)),
+                (chi, chi1, chi2),
+            )
+            out[i] = float(residual)
     return out
 
 
 def selfsimilar_rhs_of_ansatz(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
     """Analytic value of the self-similar flow applied to the ansatz field."""
-    return ansatz_residual(params, y, s, cutoff) + ansatz_time_derivative(params, y, s, cutoff)
+    dpsi_ds, residual = _ansatz(params, y, s, cutoff)
+    return residual + dpsi_ds
 
 
 # ---------------------------------------------------------------------------

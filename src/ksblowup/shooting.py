@@ -126,7 +126,7 @@ def _feasible_radii(minv: np.ndarray) -> np.ndarray:
     return 1.0 / (ell * np.maximum(col_max, 1e-300))
 
 
-def trap_search(config: sim.SimConfig, budget: int, workers: int = 1,
+def trap_search(config: sim.SimConfig, budget: int,
                 objective_fn=None, q_radii=None) -> ShootResult:
     """Exit-driven bisection of the unstable-mode coordinates.
 
@@ -136,8 +136,7 @@ def trap_search(config: sim.SimConfig, budget: int, workers: int = 1,
     time), with the complete probe history and final brackets.
 
     Each round consumes the previous round's verdict, so probes run
-    sequentially; `workers` is accepted for interface compatibility and
-    reserved for speculative probing.
+    sequentially.
     """
     if budget < 1:
         raise sim.ConfigError("budget must be at least 1")

@@ -471,6 +471,11 @@ def _diag_slice(state: RadialState, ctx, config: SimConfig) -> DiagnosticsRecord
     )
 
 
+# A step that lands this close to a record or end time reaches it; steps that
+# would stop short by no more than this are stretched to land on it exactly.
+_TIME_TOL = 1e-12
+
+
 def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResult:
     """Step from s0 over the horizon, recording diagnostics at the cadence.
 
@@ -495,6 +500,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     sup_w = []
     verdict = "completed"
     end_time = config.s0 + config.horizon
+    n_records = 0
     next_record = config.s0
     dt_fixed = config.dt
 
@@ -503,7 +509,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
 
     stopped = False
     while not stopped:
-        if state.time >= next_record - 1e-12:
+        if state.time >= next_record - _TIME_TOL:
             if track:
                 rec = _diag_slice(state, ctx, config)
                 records.append(rec)
@@ -522,15 +528,18 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
                 sup_w.append(float(np.max(w)))
                 if selfsim and np.max(np.abs(state.values)) > config.blowup_sup:
                     verdict, stopped = "blowup", True
-            next_record += config.cadence
+            n_records += 1
+            next_record = config.s0 + n_records * config.cadence
         if stopped:
             break
-        if state.time >= end_time - 1e-12:
+        if state.time >= end_time - _TIME_TOL:
             if track and records and all(r.max_ratio() < 1.0 for r in records):
                 verdict = "trapped"
             break
         dt = dt_fixed if dt_fixed is not None else stepper.cfl_dt(state, config.cfl)
-        dt = min(dt, end_time - state.time, next_record - state.time + 1e-15)
+        gap = min(end_time, next_record) - state.time
+        if dt >= gap - _TIME_TOL:
+            dt = gap
         try:
             state = stepper.step(state, dt)
         except StateCorruptionError:

@@ -88,7 +88,7 @@ def test_criterion_08_error_decomposition_slopes():
 
 def test_decimal_ansatz_error_matches_double_where_resolved():
     # same grid, so only the arithmetic differs; double precision agrees to
-    # ~3e-6 here (d=3 k=0 worst), so rtol=1e-4 leaves a 30x margin
+    # ~5e-6 here (d=4 k=2 worst, 5.3e-6), so rtol=1e-4 leaves a 19x margin
     for d in (3, 4):
         ell = eb.ell_of(d)
         window = _asymptotic_window(d)

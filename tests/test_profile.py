@@ -21,7 +21,7 @@ def test_q_at_origin(params):
 
 def test_q_residual_contract(params):
     xi = np.geomspace(1e-6, 1e6, 241)
-    assert np.max(np.abs(pr.q_residual(params, xi))) <= params.root_tol
+    assert np.max(np.abs(pr.q_residual(params, xi))) <= 1e-13
 
 
 def test_q_monotone_and_bounded(params):
@@ -37,17 +37,18 @@ def test_q_monotone_and_bounded(params):
 
 
 def test_q_large_xi_limit(params):
-    # xi^2 Q -> c^(-1/ell), oracle: bisection on the implicit equation at xi=1e3
-    xi = 1e3
+    # oracle: bisection on the implicit equation over twelve decades of xi
+    xi = np.geomspace(1e-6, 1e6, 241)
     t = params.c * xi ** (2 * params.ell)
-    lo, hi = 0.0, 1.0 / params.d
+    lo, hi = np.zeros_like(xi), np.full_like(xi, 1.0 / params.d)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if t * mid**params.ell + params.d * mid - 1.0 > 0:
-            hi = mid
-        else:
-            lo = mid
-    assert pr.q_of_xi(params, xi) == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+        above = t * mid**params.ell + params.d * mid - 1.0 > 0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    np.testing.assert_allclose(pr.q_of_xi(params, xi), 0.5 * (lo + hi), rtol=1e-14, atol=0)
+    # xi^2 Q -> c^(-1/ell)
+    xi = 1e3
     assert xi**2 * pr.q_of_xi(params, xi) == pytest.approx(
         params.c ** (-1.0 / params.ell), rel=5e-3)
 

@@ -348,6 +348,29 @@ def test_run_blowup_detection():
     assert res.verdict == "blowup"
 
 
+@pytest.mark.parametrize("t0", [100.0, 1000.0])
+def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
+    # a late start time makes the float sum of the steps drift from the
+    # record times by more than 1e-12 within a few thousand steps
+    dts = []
+    step = sim.Stepper.step
+
+    def counting_step(self, state, dt):
+        dts.append(dt)
+        return step(self, state, dt)
+
+    monkeypatch.setattr(sim.Stepper, "step", counting_step)
+    dt, horizon, cadence = 1e-3, 2.0, 0.01
+    cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=t0,
+                        horizon=horizon, cadence=cadence, dt=dt,
+                        init=np.full(33, 0.1), track_bounds=False)
+    res = sim.run(cfg)
+    assert res.verdict == "completed"
+    assert len(dts) == round(horizon / dt)
+    assert min(dts) > dt / 2
+    assert len(res.times) == round(horizon / cadence) + 1
+
+
 def test_run_deterministic_replay(tmp_path):
     cfg = sim.SimConfig(d=4, n=384, s0=50.0, horizon=1.0, cadence=0.25,
                         A=20.0, escape_factor=np.inf)
