@@ -31,6 +31,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# shoot's values for s0, A and horizon when neither a flag nor --config sets them
+SHOOT_DEFAULTS = {"s0": 50.0, "A": 20.0, "horizon": 20.0}
+
 
 def _digest(path: Path) -> str:
     h = hashlib.sha256()
@@ -73,15 +76,17 @@ def parse_config_file(path: Path) -> dict:
     return out
 
 
-def _config_from_args(args, overrides: dict | None = None) -> sim.SimConfig:
-    raw = {}
+def _config_from_args(args, overrides: dict | None = None,
+                      defaults: dict | None = None) -> sim.SimConfig:
+    """SimConfig from `defaults`, then the --config file, then `overrides`."""
+    raw = dict(defaults or {})
     if getattr(args, "config", None):
         raw.update(parse_config_file(Path(args.config)))
     if overrides:
         raw.update(overrides)
     kwargs = {}
     float_keys = {"y_max", "dt", "cfl", "s0", "horizon", "A", "K", "cadence",
-                  "escape_factor", "blowup_sup", "stretch"}
+                  "escape_factor", "blowup_sup", "stretch", "bump_K"}
     int_keys = {"d", "n"}
     str_keys = {"frame", "boundary", "scheme", "init"}
     for key, val in raw.items():
@@ -256,9 +261,10 @@ def cmd_shoot(args) -> int:
     if args.budget < 1:
         print("error: --budget must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    config = _config_from_args(args, overrides={
-        "d": args.d, "s0": args.s0, "A": args.A, "horizon": args.horizon,
-    })
+    flags = {"s0": args.s0, "A": args.A, "horizon": args.horizon}
+    config = _config_from_args(
+        args, defaults=SHOOT_DEFAULTS,
+        overrides={"d": args.d} | {k: v for k, v in flags.items() if v is not None})
     result = shooting.trap_search(config, args.budget)
     print(f"verdict: {result.verdict}  d*: {result.parameters}  s_exit: {result.s_exit:.4g}")
     if args.output_dir:
@@ -358,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shoot", help="unstable-mode trap search")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s0", type=float, default=50.0)
-    p.add_argument("--A", type=float, default=20.0)
-    p.add_argument("--horizon", type=float, default=20.0)
+    p.add_argument("--s0", type=float, default=None, help="default: config file, else 50")
+    p.add_argument("--A", type=float, default=None, help="default: config file, else 20")
+    p.add_argument("--horizon", type=float, default=None, help="default: config file, else 20")
     p.add_argument("--budget", type=int, default=64)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_shoot)

@@ -157,7 +157,8 @@ def inner_product(d: int, weight: str, p: ExactPoly, r: ExactPoly) -> Fraction:
 def conversion_matrices(d: int, n_max: int):
     """Lower-triangular D with rows = H_n coefficients, and its inverse.
 
-    The inverse is |D| entrywise; the product is checked to be the identity.
+    The inverse is |D| entrywise (`test_conversion_matrices_inverse` checks
+    that the product is the identity).
     """
     check_dimension(d)
     dmat = [
@@ -313,7 +314,7 @@ def build_residual_poly(d: int) -> ExactPoly:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Per-dimension bundle of eigenpolynomials, conversions and moments."""
+    """Per-dimension bundle of the eigenpolynomials H_n and phi_n."""
 
     d: int
     ell: int
@@ -321,10 +322,6 @@ class EigenSystem:
     max_degree: int
     H: tuple            # H_0..H_N, z tag
     phi: tuple          # partial-mass eigenpolynomials, y tag
-    D: tuple            # rows = H_n coefficients
-    Dinv: tuple         # entrywise |D|
-    moments_w: MomentTable
-    moments_rho: MomentTable
 
     def eigenpoly(self, n: int) -> ExactPoly:
         self._check_degree(n)
@@ -365,8 +362,6 @@ class EigenSystem:
 @lru_cache(maxsize=None)
 def build_eigensystem(d: int, max_degree: int = 12) -> EigenSystem:
     check_dimension(d)
-    dmat, dinv = conversion_matrices(d, max_degree)
-    count = 2 * max_degree + 2
     return EigenSystem(
         d=d,
         ell=ell_of(d),
@@ -374,8 +369,4 @@ def build_eigensystem(d: int, max_degree: int = 12) -> EigenSystem:
         max_degree=max_degree,
         H=tuple(kummer_eigenpoly(d, n) for n in range(max_degree + 1)),
         phi=tuple(partial_mass_eigen(d, n) for n in range(max_degree + 1)),
-        D=dmat,
-        Dinv=dinv,
-        moments_w=MomentTable.build(Fraction(d - 2, 2), count),
-        moments_rho=MomentTable.build(Fraction(d, 2), count),
     )

@@ -1,13 +1,13 @@
 """Search of the unstable-mode parameters for horizon-trapped trajectories.
 
-The initial-data family adds (A/s0^2) sum_i d_i phi_{2i} * chi0(xi) to the
-refined ansatz.  Because the cutoff sits inside the bulk of the weighted
-measure at moderate s0, the map from the raw parameters d to the initial
-mode coefficients is a strongly mixed linear map q = M d; the search
-therefore bisects in the decoupled q-coordinates and converts back through
-M^{-1}, clipping to the admissible parameter box.  Exits are driven by the
-first unstable-mode coefficient to reach its bound A/s^2; the exit signs
-steer an exit-driven coordinate bisection.
+The initial-data family adds (A/s0^2) sum_i d_i phi_{2i} * chi(xi / bump_K)
+to the refined ansatz (`sim.unstable_modes`).  Because the unit cutoff sits
+inside the bulk of the weighted measure at moderate s0, the map from the raw
+parameters d to the initial mode coefficients is a strongly mixed linear map
+q = M d; the search therefore bisects in the decoupled q-coordinates and
+converts back through M^{-1}, clipping to the admissible parameter box.
+Exits are driven by the first unstable-mode coefficient to reach its bound
+A/s^2; the exit signs steer an exit-driven coordinate bisection.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import eigenbasis as eb
-from . import profile as pr
 from . import sim
 
 
@@ -49,7 +48,7 @@ class ShootResult:
     mixing: np.ndarray            # the l x l initial-coefficient mixing block
 
 
-def mixing_matrix(config: sim.SimConfig, y=None, cutoff: pr.CutoffSpec = pr.UNIT_CUTOFF,
+def mixing_matrix(config: sim.SimConfig, y=None,
                   ctx: dg.DiagnosticsContext | None = None) -> np.ndarray:
     """Initial-coefficient response M[k,i] = d eps_k(s0) / d((A/s0^2) d_i)."""
     ell = eb.ell_of(config.d)
@@ -57,13 +56,8 @@ def mixing_matrix(config: sim.SimConfig, y=None, cutoff: pr.CutoffSpec = pr.UNIT
         y = config.build_grid().nodes
     if ctx is None:
         ctx = dg.DiagnosticsContext(d=config.d, y=y, K=config.K)
-    xi = y * config.s0 ** (-1.0 / (2 * ell))
-    chi = pr.cutoff_chi(cutoff, xi)
-    m = np.zeros((ell, ell))
-    for i in range(ell):
-        f = eb.partial_mass_eigen(config.d, i).evalf(y) * chi
-        m[:, i] = ctx.project_all(f)[:ell]
-    return m
+    modes = sim.unstable_modes(config.d, y, config.s0, config.bump_K)
+    return np.stack([ctx.project_all(f)[:ell] for f in modes], axis=1)
 
 
 def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecord:
@@ -94,24 +88,18 @@ def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecor
     )
 
 
-def objective(dvec, config: sim.SimConfig, ctx: dg.DiagnosticsContext | None = None,
-              init_base=None, init_modes=None) -> ExitRecord:
+def objective(dvec, config: sim.SimConfig,
+              ctx: dg.DiagnosticsContext | None = None) -> ExitRecord:
     """Run the evolution for one parameter vector and report the exit.
 
     The run stops at the first time any unstable-mode coefficient reaches
     A/s^2 (general bound escapes do not stop it; field blowup does).
+    `SimConfig` rejects a vector of the wrong length or outside [-1, 1].
     """
     ell = eb.ell_of(config.d)
     dvec = tuple(float(x) for x in dvec)
-    if len(dvec) != ell:
-        raise sim.ConfigError(f"need {ell} parameters for d={config.d}")
-    if max(abs(x) for x in dvec) > 1.0 + 1e-12:
-        raise sim.ConfigError("parameters must lie in [-1, 1]")
     cfg = replace(config, dvec=dvec, stop_on_unstable=True,
                   escape_factor=np.inf, track_bounds=True)
-    if init_base is not None:
-        bump = (config.A / config.s0**2) * (np.asarray(dvec) @ init_modes)
-        cfg = replace(cfg, init=init_base + bump, dvec=())
     try:
         result = sim.run(cfg, ctx=ctx)
     except sim.StateCorruptionError as exc:
@@ -143,21 +131,13 @@ def trap_search(config: sim.SimConfig, budget: int,
     ell = eb.ell_of(config.d)
 
     if objective_fn is None:
-        grid = config.build_grid()
-        ctx = dg.DiagnosticsContext(d=config.d, y=grid.nodes, K=config.K)
-        params = pr.make_profile_params(config.d)
-        base = pr.psi(params, grid.nodes, config.s0)
-        xi = grid.nodes * config.s0 ** (-1.0 / (2 * ell))
-        chi = pr.cutoff_chi(pr.UNIT_CUTOFF, xi)
-        modes = np.stack([
-            eb.partial_mass_eigen(config.d, i).evalf(grid.nodes) * chi
-            for i in range(ell)
-        ])
-        m = mixing_matrix(config, y=grid.nodes)
+        y = config.build_grid().nodes
+        ctx = dg.DiagnosticsContext(d=config.d, y=y, K=config.K)
+        m = mixing_matrix(config, y=y, ctx=ctx)
 
         def objective_fn(q):
             d = np.clip(np.linalg.solve(m, np.asarray(q, float)), -1.0, 1.0)
-            return objective(d, config, ctx=ctx, init_base=base, init_modes=modes)
+            return objective(d, config, ctx=ctx)
     else:
         m = np.eye(ell)
 

@@ -332,11 +332,14 @@ class SimConfig:
     blowup_sup: float = 10.0
     track_bounds: bool = True         # evaluate shrinking-set diagnostics
     stop_on_unstable: bool = False    # stop when an unstable-mode ratio >= 1
+    bump_K: float = 1.0               # scale of the bump's cutoff chi(xi / bump_K)
 
     def __post_init__(self):
         eb.check_dimension(self.d)
         if self.frame not in FRAMES:
             raise ConfigError(f"unknown frame {self.frame!r}")
+        if not self.bump_K > 0:
+            raise ConfigError("bump_K must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.horizon <= 0 or self.cadence <= 0:
@@ -359,9 +362,18 @@ class SimConfig:
         return Grid.uniform(self.n, self.y_max)
 
 
+def unstable_modes(d: int, y, s0: float, K: float) -> np.ndarray:
+    """The (l, n) stack phi_{2i}(y) chi(xi / K), i < l, with xi = y s0^(-1/(2l)):
+    the cut-off unstable modes the initial bump is built from."""
+    ell = eb.ell_of(d)
+    chi = pr.cutoff_chi(pr.CutoffSpec(K=K), y * s0 ** (-1.0 / (2 * ell)))
+    return np.stack([eb.partial_mass_eigen(d, i).evalf(y) * chi for i in range(ell)])
+
+
 def make_initial_data(config: SimConfig, grid: Grid | None = None,
                       params: pr.ProfileParams | None = None) -> RadialState:
-    """Initial field: refined ansatz plus the cut-off unstable-mode bump."""
+    """Initial field: refined ansatz plus the cut-off unstable-mode bump
+    (A/s0^2) sum_i d_i phi_{2i}(y) chi(xi / bump_K)."""
     if grid is None:
         grid = config.build_grid()
     d = config.d
@@ -378,20 +390,18 @@ def make_initial_data(config: SimConfig, grid: Grid | None = None,
     if config.frame != "selfsimilar":
         raise ConfigError("ansatz initial data lives in the self-similar frame")
     s0 = config.s0
-    if config.y_max < 2.0 * s0 ** (1.0 / (2 * ell)):
+    # both the ansatz's unit cutoff and the bump's cutoff must fit on the grid
+    support = 2.0 * max(1.0, config.bump_K) * s0 ** (1.0 / (2 * ell))
+    if config.y_max < support:
         raise ConfigError(
             f"y_max={config.y_max:.3g} does not cover the cutoff support "
-            f"2*s0^(1/(2 ell)) = {2 * s0 ** (1.0 / (2 * ell)):.3g}"
+            f"2*max(1, bump_K)*s0^(1/(2 ell)) = {support:.3g}"
         )
     params = params or pr.make_profile_params(d)
     v = pr.psi(params, y, s0)
     if config.dvec:
-        xi = y * s0 ** (-1.0 / (2 * ell))
-        bump = np.zeros_like(y)
-        for i, di in enumerate(config.dvec):
-            if di:
-                bump += float(di) * eb.partial_mass_eigen(d, i).evalf(y)
-        v = v + (config.A / s0**2) * bump * pr.cutoff_chi(pr.UNIT_CUTOFF, xi)
+        modes = unstable_modes(d, y, s0, config.bump_K)
+        v = v + (config.A / s0**2) * (np.asarray(config.dvec, float) @ modes)
     return RadialState("selfsimilar", s0, v, grid, d)
 
 

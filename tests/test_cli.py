@@ -136,6 +136,19 @@ def test_shoot_writes_search_log(tmp_path, capsys):
     assert (outdir / "best_timeseries.csv").exists()
 
 
+def test_shoot_config_file_sets_s0_A_horizon(tmp_path, capsys):
+    cfg = tmp_path / "shoot.cfg"
+    cfg.write_text("s0 = 60\nA = 2000\nhorizon = 0.5\nn = 256\nbump_K = 2\n")
+    for flags, horizon in (([], "0.5"), (["--horizon", "0.3"], "0.3")):
+        outdir = tmp_path / f"out{horizon}"
+        code, _, _ = run_cli(["--output-dir", str(outdir), "shoot", "--d", "4",
+                              "--config", str(cfg), "--budget", "1", *flags], capsys)
+        assert code == 0
+        resolved = json.loads((outdir / "manifest.json").read_text())["runs"][-1]["config"]["resolved"]
+        for item in ("s0=60.0,", "A=2000.0,", f"horizon={horizon},", "bump_K=2.0"):
+            assert item in resolved
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,9 +133,8 @@ def test_objective_transversality_at_exits(small_cfg):
 # ---------------------------------------------------------------------------
 
 def test_mixing_matrix_wide_cutoff_near_identity():
-    from ksblowup import profile as pr
     cfg = sim.SimConfig(d=4, n=1024, s0=11.5, horizon=2.0, A=15.0, K=10.0)
-    m = shooting.mixing_matrix(cfg, cutoff=pr.CutoffSpec(K=4.0))
+    m = shooting.mixing_matrix(replace(cfg, bump_K=4.0))
     assert np.allclose(np.diag(m), 1.0, atol=0.05)
     assert abs(m[0, 1]) < 0.1 and abs(m[1, 0]) < 0.1
 
@@ -175,37 +175,10 @@ def test_full_shrinking_set_trap_at_feasible_parameters():
     """At a starting time where the cutoff has left the bulk of the weighted
     measure (wide-cutoff family, s0=200) the search finds a trajectory with
     every shrinking-set ratio below one over the whole horizon."""
-    from dataclasses import replace
-
-    from ksblowup import diagnostics as dg
-    from ksblowup import eigenbasis as eb
-    from ksblowup import profile as pr
-
-    d, ell = 4, 2
-    p = pr.make_profile_params(d)
-    s0, amp, horizon = 200.0, 2.0e4, 8.0
-    cfg = sim.SimConfig(d=d, n=2048, s0=s0, horizon=horizon, cadence=0.1,
-                        A=amp, K=10.0)
-    grid = cfg.build_grid()
-    y = grid.nodes
-    ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0, params=p)
-    wide = pr.CutoffSpec(K=4.0)
-    chi = pr.cutoff_chi(wide, y * s0 ** (-1.0 / (2 * ell)))
-    base = pr.psi(p, y, s0)
-    modes = np.stack([eb.partial_mass_eigen(d, i).evalf(y) * chi for i in range(ell)])
-    m = shooting.mixing_matrix(cfg, y=y, cutoff=wide, ctx=ctx)
-    minv = np.linalg.inv(m)
-
-    def objective_fn(qv):
-        cvec = minv @ np.asarray(qv, float)
-        bump = (amp / s0**2) * (cvec @ modes)
-        cfg2 = replace(cfg, init=base + bump, stop_on_unstable=True,
-                       escape_factor=np.inf)
-        return shooting._exit_from_run(tuple(np.clip(cvec, -1, 1)),
-                                       sim.run(cfg2, ctx=ctx), amp, ell)
-
-    res = shooting.trap_search(cfg, budget=14, objective_fn=objective_fn,
-                               q_radii=np.array([0.3, 0.3]))
+    cfg = sim.SimConfig(d=4, n=2048, s0=200.0, horizon=8.0, cadence=0.1,
+                        A=2.0e4, K=10.0, bump_K=4.0)
+    res = shooting.trap_search(cfg, budget=14, q_radii=np.array([0.3, 0.3]))
+    assert np.array_equal(res.mixing, shooting.mixing_matrix(cfg))
     assert res.verdict == "trapped"
     ratios = [r.max_ratio() for r in res.trajectory]
     assert max(ratios) < 1.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ def test_config_validation():
         sim.SimConfig(d=4, dvec=(0.5, 1.5))            # outside the box
     with pytest.raises(sim.ConfigError):
         sim.SimConfig(d=4, frame="physical")           # y_max required
+    for bump_K in (0.0, -4.0):
+        with pytest.raises(sim.ConfigError):
+            sim.SimConfig(d=4, bump_K=bump_K)          # cutoff scale must be positive
     with pytest.raises(eb.DimensionError):
         sim.SimConfig(d=5)
     cfg = sim.SimConfig(d=4, s0=50.0, horizon=10.0, K=10.0)
@@ -264,6 +268,12 @@ def test_make_initial_data_cutoff_support_error():
     with pytest.raises(sim.ConfigError):
         cfg = sim.SimConfig(d=4, n=64, y_max=3.0, s0=50.0, horizon=1.0)
         sim.make_initial_data(cfg)
+    # 2 s0^(1/4) = 5.3 < y_max < 8 s0^(1/4) = 21.3: the unit cutoff fits, the
+    # bump_K = 4 cutoff does not
+    cfg = sim.SimConfig(d=4, n=64, y_max=10.0, s0=50.0, horizon=1.0, dvec=(0.1, 0.1))
+    sim.make_initial_data(cfg)
+    with pytest.raises(sim.ConfigError):
+        sim.make_initial_data(replace(cfg, bump_K=4.0))
 
 
 def test_make_initial_data_mode_projection_large_s0():
