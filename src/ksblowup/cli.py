@@ -86,9 +86,9 @@ def _config_from_args(args, overrides: dict | None = None,
         raw.update(overrides)
     kwargs = {}
     float_keys = {"y_max", "dt", "cfl", "s0", "horizon", "A", "K", "cadence",
-                  "escape_factor", "blowup_sup", "stretch", "bump_K"}
+                  "escape_factor", "blowup_sup", "bump_K"}
     int_keys = {"d", "n"}
-    str_keys = {"frame", "boundary", "scheme", "init"}
+    str_keys = {"frame", "boundary", "init"}
     for key, val in raw.items():
         if key == "N":
             key = "n"

@@ -43,17 +43,14 @@ class CutoffSpec:
     """Smooth transition from 1 on [0, K] to 0 on [2K, inf).
 
     The transition is the quintic smoothstep in (xi/K - 1), which is twice
-    continuously differentiable; `degree` records the polynomial choice.
+    continuously differentiable.
     """
 
     K: float = 1.0
-    degree: int = 5
 
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError("cutoff scale K must be positive")
-        if self.degree != 5:
-            raise ValueError("only the quintic (C^2) transition is implemented")
 
 
 def cutoff_chi(spec: CutoffSpec, xi):

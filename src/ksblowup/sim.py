@@ -1,17 +1,17 @@
 """Radial evolution of the partial-mass field in two frames.
 
-Self-similar frame (time s):
-    v_s = Lap_{d+2} v - (1/2) y v_y - v + d v^2 + y v v_y
-Physical frame (time t):
-    v_t = Lap_{d+2} v + d v^2 + r v v_r
+Both frames evolve by one flow,
+    v_t = Lap_{d+2} v + (v - sigma/2) y v_y + d v^2 - sigma v,
+with frame constant sigma = 1 in the self-similar frame (time s, radius y)
+and sigma = 0 in the physical frame (time t, radius r): the self-similar
+variables add only the linear terms -(1/2) y v_y - v.
 
 Diffusion is treated implicitly (Crank-Nicolson, tridiagonal solve); the
 drift and reaction terms explicitly (first order in time overall).  The
-drift a(y) = (v - 1/2) y  /  y v changes sign across the profile scale and
-grows linearly outward, so the advection stencil is chosen per node: the
-default "hybrid" uses second-order centered differences where the cell
-Peclet number |a| h / 2 stays below one and sign-adaptive first-order
-upwinding beyond; pure "centered" and "upwind" variants are available.
+drift a = (v - sigma/2) y changes sign across the profile scale and grows
+linearly outward, so the advection stencil is chosen per node: second-order
+centered differences where the cell Peclet number |a| h / 2 stays below one
+and sign-adaptive first-order upwinding beyond.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ class StateCorruptionError(RuntimeError):
     """Field values became non-finite."""
 
 
-FRAMES = ("selfsimilar", "physical")
+# the frame constant sigma of the flow (see the module docstring)
+FRAME_SIGMA = {"selfsimilar": 1.0, "physical": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ class Grid:
     def geometric(cls, n: int, y_max: float, ratio: float) -> "Grid":
         """Spacings grow by `ratio` per cell (ratio=1 reduces to uniform)."""
         if ratio <= 0:
-            raise ConfigError("stretch ratio must be positive")
+            raise ConfigError("spacing ratio must be positive")
         if abs(ratio - 1.0) < 1e-12:
             return cls.uniform(n, y_max)
         steps = ratio ** np.arange(n)
@@ -89,7 +90,7 @@ class RadialState:
     d: int
 
     def __post_init__(self):
-        if self.frame not in FRAMES:
+        if self.frame not in FRAME_SIGMA:
             raise ConfigError(f"unknown frame {self.frame!r}")
         self.values = np.asarray(self.values, float)
         if self.values.shape != self.grid.nodes.shape:
@@ -141,25 +142,13 @@ def _apply_tridiag(lo, di, up, v):
     return out
 
 
-def _drift_speed(state: RadialState):
-    y = state.grid.nodes
-    v = state.values
-    if state.frame == "selfsimilar":
-        return (v - 0.5) * y
-    return y * v
-
-
-def _advect(y, v, a, scheme: str):
-    """a * dv/dy with per-node stencil selection.
-
-    "centered" is second order but dispersive where the cell Peclet number
-    |a| h / 2 exceeds one; "upwind" is monotone but first order.  The default
-    "hybrid" picks centered nodes with Peclet <= 1 and upwinds the rest
-    (in practice: the quiescent far field, where the drift is strongest).
+def _advect(y, v, a):
+    """a * dv/dy with per-node stencil selection: second-order centered
+    differences (dispersive where the cell Peclet number |a| h / 2 exceeds
+    one) at nodes with Peclet <= 1, monotone first-order upwinding at the
+    rest (in practice: the quiescent far field, where the drift is strongest).
     """
     n = len(y)
-    if scheme not in ("upwind", "centered", "hybrid"):
-        raise ConfigError(f"unknown advection scheme {scheme!r}")
     fwd = np.zeros(n)
     bwd = np.zeros(n)
     fwd[:-1] = (v[1:] - v[:-1]) / (y[1:] - y[:-1])
@@ -167,8 +156,6 @@ def _advect(y, v, a, scheme: str):
     up = np.where(a > 0, fwd, bwd)
     up[-1] = bwd[-1]
     up[0] = 0.0
-    if scheme == "upwind":
-        return a * up
     cen = np.zeros(n)
     hm = y[1:-1] - y[:-2]
     hp = y[2:] - y[1:-1]
@@ -178,8 +165,6 @@ def _advect(y, v, a, scheme: str):
     ) / denom
     cen[-1] = bwd[-1]
     cen[0] = 0.0
-    if scheme == "centered":
-        return a * cen
     h = np.empty(n)
     h[1:] = y[1:] - y[:-1]
     h[0] = h[1]
@@ -187,14 +172,13 @@ def _advect(y, v, a, scheme: str):
     return a * np.where(peclet_ok, cen, up)
 
 
-def _reaction(state: RadialState):
-    v = state.values
-    if state.frame == "selfsimilar":
-        return -v + state.d * v * v
-    return state.d * v * v
+def _explicit_terms(y, v, d: int, sigma: float):
+    """The drift (v - sigma/2) y v_y and the reaction d v^2 - sigma v, apart:
+    `rhs` adds them to the diffusion term in turn, the step sums them first."""
+    return _advect(y, v, (v - 0.5 * sigma) * y), d * v * v - sigma * v
 
 
-def rhs(state: RadialState, scheme: str = "hybrid"):
+def rhs(state: RadialState):
     """Full semi-discrete right-hand side on the grid (one-sided at the end)."""
     state.check_finite()
     lo, di, up = _laplacian_tridiag(state.grid, state.d + 2)
@@ -207,19 +191,8 @@ def rhs(state: RadialState, scheme: str = "hybrid"):
     vp = (v[-1] - v[-2]) / h1
     vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
     lap[-1] = vpp + (state.d + 1) / y[-1] * vp
-    return lap + _advect(y, v, _drift_speed(state), scheme) + _reaction(state)
-
-
-def rhs_selfsimilar(state: RadialState, scheme: str = "hybrid"):
-    if state.frame != "selfsimilar":
-        raise ConfigError("state is not in the self-similar frame")
-    return rhs(state, scheme)
-
-
-def rhs_physical(state: RadialState, scheme: str = "hybrid"):
-    if state.frame != "physical":
-        raise ConfigError("state is not in the physical frame")
-    return rhs(state, scheme)
+    drift, reaction = _explicit_terms(y, v, state.d, FRAME_SIGMA[state.frame])
+    return lap + drift + reaction
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +203,9 @@ class Stepper:
     """IMEX stepper: Crank-Nicolson diffusion, explicit drift and reaction."""
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str,
-                 scheme: str = "hybrid", params: pr.ProfileParams | None = None):
+                 params: pr.ProfileParams | None = None):
+        if frame not in FRAME_SIGMA:
+            raise ConfigError(f"unknown frame {frame!r}")
         if boundary not in ("profile", "neumann"):
             raise ConfigError(f"unknown boundary condition {boundary!r}")
         if frame == "physical" and boundary == "profile":
@@ -238,9 +213,9 @@ class Stepper:
         self.grid = grid
         self.d = d
         self.frame = frame
+        self.sigma = FRAME_SIGMA[frame]
         self.boundary = boundary
-        self.scheme = scheme
-        self.params = params or pr.make_profile_params(d)
+        self.params = (params or pr.make_profile_params(d)) if boundary == "profile" else None
         self.lo, self.di, self.up = _laplacian_tridiag(grid, d + 2)
         self._cache_dt = None
         self._cache_ab = None
@@ -270,11 +245,14 @@ class Stepper:
     def step(self, state: RadialState, dt: float) -> RadialState:
         if dt <= 0:
             raise ConfigError("dt must be positive")
+        if state.frame != self.frame:
+            raise ConfigError(f"a {self.frame}-frame stepper got a {state.frame}-frame state")
         state.check_finite()
         v = state.values
         y = self.grid.nodes
         with np.errstate(over="ignore", invalid="ignore"):
-            expl = _advect(y, v, _drift_speed(state), self.scheme) + _reaction(state)
+            drift, reaction = _explicit_terms(y, v, self.d, self.sigma)
+            expl = drift + reaction
             b = v + 0.5 * dt * _apply_tridiag(self.lo, self.di, self.up, v) + dt * expl
         b[-1] = self.boundary_value(state.time + dt)
         if not np.all(np.isfinite(b)):
@@ -288,22 +266,15 @@ class Stepper:
 
     def cfl_dt(self, state: RadialState, cfl: float) -> float:
         """Advective + reactive step limit for the explicit terms."""
-        a = np.abs(_drift_speed(state))
-        h = np.diff(self.grid.nodes)
+        y = self.grid.nodes
+        a = np.abs((state.values - 0.5 * self.sigma) * y)
+        h = np.diff(y)
         amax = float(np.max(np.maximum(a[1:], a[:-1]) / h))
         dt = cfl / amax if amax > 0 else np.inf
-        react = float(np.max(np.abs(2 * self.d * state.values - (self.frame == "selfsimilar"))))
+        react = float(np.max(np.abs(2 * self.d * state.values - self.sigma)))
         if react > 0:
             dt = min(dt, 0.5 / react)
         return dt
-
-
-def step(state: RadialState, dt: float, boundary: str | None = None,
-         scheme: str = "hybrid") -> RadialState:
-    """One-shot convenience wrapper around Stepper."""
-    if boundary is None:
-        boundary = "profile" if state.frame == "selfsimilar" else "neumann"
-    return Stepper(state.grid, state.d, state.frame, boundary, scheme).step(state, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +287,11 @@ class SimConfig:
     frame: str = "selfsimilar"
     n: int = 1024
     y_max: float | None = None
-    stretch: float = 1.0
     dt: float | None = None
     cfl: float = 0.4
     s0: float = 50.0                  # start time in the active frame's clock
     horizon: float = 10.0
     boundary: str | None = None       # default: profile (selfsimilar) / neumann
-    scheme: str = "hybrid"
     A: float = 20.0
     K: float = 10.0
     dvec: tuple = ()
@@ -336,7 +305,7 @@ class SimConfig:
 
     def __post_init__(self):
         eb.check_dimension(self.d)
-        if self.frame not in FRAMES:
+        if self.frame not in FRAME_SIGMA:
             raise ConfigError(f"unknown frame {self.frame!r}")
         if not self.bump_K > 0:
             raise ConfigError("bump_K must be positive")
@@ -357,8 +326,6 @@ class SimConfig:
             raise ConfigError("perturbation coefficients must lie in [-1, 1]")
 
     def build_grid(self) -> Grid:
-        if self.stretch and abs(self.stretch - 1.0) > 1e-12:
-            return Grid.geometric(self.n, self.y_max, self.stretch)
         return Grid.uniform(self.n, self.y_max)
 
 
@@ -482,22 +449,21 @@ def _diag_slice(state: RadialState, ctx, config: SimConfig) -> DiagnosticsRecord
 
 
 # A step that lands this close to a record or end time reaches it; steps that
-# would stop short by no more than this are stretched to land on it exactly.
+# would stop short by no more than this are lengthened to land on it exactly.
 _TIME_TOL = 1e-12
 
 
 def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResult:
     """Step from s0 over the horizon, recording diagnostics at the cadence.
 
-    Stops early with a labeled verdict on field blowup, on a shrinking-set
-    bound exceeded by `escape_factor`, or (with stop_on_unstable) as soon as
-    an unstable-mode ratio reaches one.
+    Stops early with a labeled verdict on field blowup (in either frame: a
+    recorded sup |v| above blowup_sup * max(1, sup |v| at s0), or a non-finite
+    step), on a shrinking-set bound exceeded by `escape_factor`, or (with
+    stop_on_unstable) as soon as an unstable-mode ratio reaches one.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
-    stepper = Stepper(grid, config.d, config.frame, config.boundary,
-                      config.scheme, params=None if config.frame == "physical"
-                      else pr.make_profile_params(config.d))
+    stepper = Stepper(grid, config.d, config.frame, config.boundary)
     ell = eb.ell_of(config.d)
 
     selfsim = config.frame == "selfsimilar"
@@ -513,6 +479,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     n_records = 0
     next_record = config.s0
     dt_fixed = config.dt
+    blowup_limit = config.blowup_sup * max(1.0, float(np.max(np.abs(state.values))))
 
     if selfsim and dt_fixed is None:
         dt_fixed = stepper.cfl_dt(state, config.cfl)
@@ -523,7 +490,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
             if track:
                 rec = _diag_slice(state, ctx, config)
                 records.append(rec)
-                if rec.sup_v > config.blowup_sup:
+                if rec.sup_v > blowup_limit:
                     verdict, stopped = "blowup", True
                 elif config.stop_on_unstable and max(
                     rec.ratios[f"mode_{k}"] for k in range(ell)
@@ -536,7 +503,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
                 w = transform(state.values, grid.nodes, config.d, "w")
                 times.append(state.time)
                 sup_w.append(float(np.max(w)))
-                if selfsim and np.max(np.abs(state.values)) > config.blowup_sup:
+                if np.max(np.abs(state.values)) > blowup_limit:
                     verdict, stopped = "blowup", True
             n_records += 1
             next_record = config.s0 + n_records * config.cadence

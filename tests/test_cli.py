@@ -116,6 +116,16 @@ def test_simulate_unknown_key_rejected(tmp_path, capsys):
     assert "wavelength" in err
 
 
+@pytest.mark.parametrize("line", ["scheme = upwind", "stretch = 1.02"])
+def test_simulate_removed_keys_rejected(tmp_path, capsys, line):
+    # the advection stencil and the grid spacing are fixed: no key selects them
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"d = 4\n{line}\n")
+    code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "unknown config key" in err
+
+
 # ---------------------------------------------------------------------------
 # shoot
 # ---------------------------------------------------------------------------

@@ -138,8 +138,6 @@ def test_cutoff_monotone_and_c2():
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
         pr.CutoffSpec(K=0.0)
-    with pytest.raises(ValueError):
-        pr.CutoffSpec(K=1.0, degree=3)
 
 
 # ---------------------------------------------------------------------------

@@ -50,21 +50,21 @@ def test_config_validation():
 def test_rhs_steady_states():
     g = sim.Grid.uniform(64, 12.0)
     zero = sim.RadialState("selfsimilar", 50.0, np.zeros(65), g, 4)
-    assert np.max(np.abs(sim.rhs_selfsimilar(zero))) == 0.0
+    assert np.max(np.abs(sim.rhs(zero))) == 0.0
     steady = sim.RadialState("selfsimilar", 50.0, np.full(65, 0.25), g, 4)
-    assert np.max(np.abs(sim.rhs_selfsimilar(steady))) < 1e-14
+    assert np.max(np.abs(sim.rhs(steady))) < 1e-14
     phys_zero = sim.RadialState("physical", 0.0, np.zeros(65), g, 4)
-    assert np.max(np.abs(sim.rhs_physical(phys_zero))) == 0.0
+    assert np.max(np.abs(sim.rhs(phys_zero))) == 0.0
 
 
 def test_rhs_frame_guards():
     g = sim.Grid.uniform(32, 10.0)
-    st = sim.RadialState("physical", 0.0, np.zeros(33), g, 4)
+    st = sim.RadialState("selfsimilar", 1.0, np.zeros(33), g, 4)
     with pytest.raises(sim.ConfigError):
-        sim.rhs_selfsimilar(st)
+        sim.Stepper(g, 4, "physical", "neumann").step(st, 1e-3)
     bad = sim.RadialState("selfsimilar", 1.0, np.full(33, np.nan), g, 4)
     with pytest.raises(sim.StateCorruptionError):
-        sim.rhs_selfsimilar(bad)
+        sim.rhs(bad)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -79,7 +79,7 @@ def test_rhs_matches_analytic_on_smooth_profile(d):
         y = g.nodes
         xi = y * s ** (-1.0 / (2 * p.ell))
         state = sim.RadialState("selfsimilar", s, pr.q_of_xi(p, xi), g, d)
-        got = sim.rhs_selfsimilar(state)
+        got = sim.rhs(state)
         # analytic: the first-order profile equation kills everything but
         # the diffusion term
         sm = s ** (-1.0 / p.ell)
@@ -99,7 +99,7 @@ def test_rhs_of_ansatz_is_generated_error():
     g = sim.Grid.uniform(4000, 60.0)
     y = g.nodes
     state = sim.RadialState("selfsimilar", s, pr.psi(p, y, s), g, d)
-    got = sim.rhs_selfsimilar(state)
+    got = sim.rhs(state)
     want = pr.selfsimilar_rhs_of_ansatz(p, y, s)
     assert np.max(np.abs(got - want)[1:-2]) < 5e-6
     # sup scale of the generated error
@@ -111,7 +111,7 @@ def test_origin_regularity():
     p = pr.make_profile_params(d)
     g = sim.Grid.uniform(512, 30.0)
     state = sim.RadialState("selfsimilar", 50.0, pr.psi(p, g.nodes, 50.0), g, d)
-    r = sim.rhs_selfsimilar(state)
+    r = sim.rhs(state)
     assert np.all(np.isfinite(r))
     # even field: first interior derivative vanishes at the origin
     assert abs(state.values[1] - state.values[0]) < 1e-4
@@ -168,13 +168,13 @@ def test_step_guards():
     g = sim.Grid.uniform(32, 10.0)
     state = sim.RadialState("selfsimilar", 1.0, np.zeros(33), g, 4)
     with pytest.raises(sim.ConfigError):
-        sim.step(state, -1.0)
+        sim.Stepper(g, 4, "selfsimilar", "neumann").step(state, -1.0)
     with pytest.raises(sim.ConfigError):
         sim.Stepper(g, 4, "physical", "profile")
 
 
 def test_stretched_grid_stepper_and_rhs():
-    # geometric stretching: constants preserved and the nonuniform stencils
+    # geometric spacing: constants preserved and the nonuniform stencils
     # stay second order on the smooth profile
     g = sim.Grid.geometric(128, 30.0, 1.03)
     st = sim.RadialState("physical", 0.0, np.zeros(129), g, 4)
@@ -190,7 +190,7 @@ def test_stretched_grid_stepper_and_rhs():
         y = g2.nodes
         xi = y * s**-0.25
         state = sim.RadialState("selfsimilar", s, pr.q_of_xi(p, xi), g2, 4)
-        got = sim.rhs_selfsimilar(state)
+        got = sim.rhs(state)
         qp, qpp = pr.q_prime(p, xi), pr.q_second(p, xi)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = s**-0.5 * (qpp + np.where(xi > 0, 5 * qp / xi, 0.0))
@@ -356,6 +356,22 @@ def test_run_blowup_detection():
                         init=np.full(65, 2.0), track_bounds=False)
     res = sim.run(cfg)
     assert res.verdict == "blowup"
+
+
+def test_run_physical_blowup_guard():
+    # v' = 4 v^2 from v0 = 0.1 blows up at T = 2.5; the explicit terms lag the
+    # exact growth, so the discrete field first passes the limit 10 at the
+    # record t = 2.51 and would overflow (sup ~ 7e153) at t = 2.534
+    cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0,
+                        horizon=3.0, cadence=0.01, init=np.full(33, 0.1),
+                        track_bounds=False)
+    res = sim.run(cfg)
+    assert res.verdict == "blowup"
+    assert res.exit_time < 2.5 + 1.5 * cfg.cadence
+    sup = np.max(np.abs(res.final_state.values))
+    assert np.isfinite(sup) and 10.0 < sup < 100.0
+    # the guard fires at the first record past the limit (w = d v here)
+    assert res.sup_w[-2] / 4 <= 10.0 < res.sup_w[-1] / 4
 
 
 @pytest.mark.parametrize("t0", [100.0, 1000.0])
