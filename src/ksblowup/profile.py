@@ -190,8 +190,28 @@ def _as_xi(xi):
     return xi
 
 
+def _q_scalar(params: ProfileParams, xi: float) -> float:
+    """q_of_xi at one float without 0-d array overhead, equal to the array
+    path bit for bit: the power and, for ell=3, sinh and arsinh run through
+    the same numpy loops (Python's ** and the math module round differently),
+    and sqrt is correctly rounded in both."""
+    if xi < 0:
+        raise ValueError("similarity coordinate must be nonnegative")
+    t = params.c * float(np.power(xi, 2 * params.ell))
+    if not math.isfinite(t):
+        raise ValueError("similarity coordinate out of range (t not finite/positive)")
+    if params.ell == 2:
+        return 1.0 / (2.0 + math.sqrt(4.0 + t))
+    if t == 0.0:
+        return 1.0 / params.d
+    r = math.sqrt(t)
+    return float(2.0 * np.sinh(np.arcsinh(0.5 * r) / 3.0) / r)
+
+
 def q_of_xi(params: ProfileParams, xi):
     """Profile value Q(xi); Q(0) = 1/d exactly."""
+    if isinstance(xi, float):
+        return _q_scalar(params, xi)
     xi = _as_xi(xi)
     q, _ = _solve_profile(params, params.c * xi ** (2 * params.ell))
     return q if q.ndim else float(q)

@@ -12,6 +12,11 @@ drift a = (v - sigma/2) y changes sign across the profile scale and grows
 linearly outward, so the advection stencil is chosen per node: second-order
 centered differences where the cell Peclet number |a| h / 2 stays below one
 and sign-adaptive first-order upwinding beyond.
+
+Nothing that depends only on the grid or on dt is recomputed per step: the
+stencil spacings are fixed per grid (one `_Stencil` per `Stepper`), and the
+Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per dt and only
+back-substituted (gttrs) at each step.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import diagnostics as dg
 from . import eigenbasis as eb
@@ -97,7 +102,7 @@ class RadialState:
             raise ConfigError("field and grid sizes differ")
 
     def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise StateCorruptionError(f"non-finite field at time {self.time}")
 
 
@@ -105,31 +110,68 @@ class RadialState:
 # Spatial operators
 # ---------------------------------------------------------------------------
 
-def _laplacian_tridiag(grid: Grid, dim: int):
+class _Stencil:
+    """Spacings of the radial stencils on one grid: dy = y[i+1] - y[i] (kept
+    as a divisor, so one-sided slopes round as (v[i+1] - v[i]) / dy does),
+    hm and hp left and right of each interior node, the products of the
+    centered first derivative, and the Peclet spacing h."""
+
+    def __init__(self, y):
+        self.y = y
+        self.dy = y[1:] - y[:-1]
+        self.hm = hm = self.dy[:-1]
+        self.hp = hp = self.dy[1:]
+        self.hm2 = hm * hm
+        self.hp2 = hp * hp
+        self.hm2_hp2 = self.hm2 - self.hp2
+        self.denom = hm * hp * (hm + hp)
+        self.h = np.concatenate([self.dy[:1], self.dy])   # node 0 borrows cell 0
+
+    def advect(self, v, a):
+        """a * dv/dy with per-node stencil selection: second-order centered
+        differences (dispersive where the cell Peclet number |a| h / 2
+        exceeds one) at nodes with Peclet <= 1, monotone first-order
+        upwinding at the rest (in practice: the quiescent far field, where
+        the drift is strongest).
+        """
+        # slope[i] = (v[i] - v[i-1]) / dy[i-1], zero at both ends, so that
+        # slope[1:] is the forward and slope[:-1] the backward difference
+        slope = np.zeros(len(v) + 1)
+        np.divide(v[1:] - v[:-1], self.dy, out=slope[1:-1])
+        bwd = slope[:-1]
+        up = np.where(a > 0, slope[1:], bwd)
+        up[-1] = bwd[-1]
+        up[0] = 0.0
+        cen = np.empty(len(v))
+        cen[1:-1] = (self.hm2 * v[2:] - self.hm2_hp2 * v[1:-1] - self.hp2 * v[:-2]) / self.denom
+        cen[-1] = bwd[-1]
+        cen[0] = 0.0
+        return a * np.where(np.abs(a) * self.h <= 2.0, cen, up)
+
+
+def _laplacian_tridiag(st: _Stencil, dim: int):
     """Tridiagonal (lower, diag, upper) of the radial Laplacian in `dim`.
 
     Row 0 is the regularized origin value dim * v''(0) with a symmetry ghost;
     the last row is left zero (replaced by the boundary condition).
     """
-    y = grid.nodes
+    y = st.y
     n = len(y)
     lo = np.zeros(n)
     di = np.zeros(n)
     up = np.zeros(n)
-    hm = y[1:-1] - y[:-2]
-    hp = y[2:] - y[1:-1]
+    hm, hp = st.hm, st.hp
     # second derivative
     a2m = 2.0 / (hm * (hm + hp))
     a2p = 2.0 / (hp * (hm + hp))
     # first derivative (second-order, nonuniform central)
-    denom = hm * hp * (hm + hp)
-    a1m = -hp * hp / denom
-    a1p = hm * hm / denom
+    a1m = -st.hp2 / st.denom
+    a1p = st.hm2 / st.denom
     coef = (dim - 1) / y[1:-1]
     lo[1:-1] = a2m + coef * a1m
     up[1:-1] = a2p + coef * a1p
     di[1:-1] = -(a2m + a2p) + coef * (-a1m - a1p)
-    h0 = y[1] - y[0]
+    h0 = st.dy[0]
     di[0] = -2.0 * dim / h0**2
     up[0] = 2.0 * dim / h0**2
     return lo, di, up
@@ -142,46 +184,17 @@ def _apply_tridiag(lo, di, up, v):
     return out
 
 
-def _advect(y, v, a):
-    """a * dv/dy with per-node stencil selection: second-order centered
-    differences (dispersive where the cell Peclet number |a| h / 2 exceeds
-    one) at nodes with Peclet <= 1, monotone first-order upwinding at the
-    rest (in practice: the quiescent far field, where the drift is strongest).
-    """
-    n = len(y)
-    fwd = np.zeros(n)
-    bwd = np.zeros(n)
-    fwd[:-1] = (v[1:] - v[:-1]) / (y[1:] - y[:-1])
-    bwd[1:] = fwd[:-1]
-    up = np.where(a > 0, fwd, bwd)
-    up[-1] = bwd[-1]
-    up[0] = 0.0
-    cen = np.zeros(n)
-    hm = y[1:-1] - y[:-2]
-    hp = y[2:] - y[1:-1]
-    denom = hm * hp * (hm + hp)
-    cen[1:-1] = (
-        hm * hm * v[2:] - (hm * hm - hp * hp) * v[1:-1] - hp * hp * v[:-2]
-    ) / denom
-    cen[-1] = bwd[-1]
-    cen[0] = 0.0
-    h = np.empty(n)
-    h[1:] = y[1:] - y[:-1]
-    h[0] = h[1]
-    peclet_ok = np.abs(a) * h <= 2.0
-    return a * np.where(peclet_ok, cen, up)
-
-
-def _explicit_terms(y, v, d: int, sigma: float):
+def _explicit_terms(stencil: _Stencil, v, d: int, sigma: float):
     """The drift (v - sigma/2) y v_y and the reaction d v^2 - sigma v, apart:
     `rhs` adds them to the diffusion term in turn, the step sums them first."""
-    return _advect(y, v, (v - 0.5 * sigma) * y), d * v * v - sigma * v
+    return stencil.advect(v, (v - 0.5 * sigma) * stencil.y), d * v * v - sigma * v
 
 
 def rhs(state: RadialState):
     """Full semi-discrete right-hand side on the grid (one-sided at the end)."""
     state.check_finite()
-    lo, di, up = _laplacian_tridiag(state.grid, state.d + 2)
+    st = _Stencil(state.grid.nodes)
+    lo, di, up = _laplacian_tridiag(st, state.d + 2)
     lap = _apply_tridiag(lo, di, up, state.values)
     # one-sided second-order value at the outer node, for reporting only
     y = state.grid.nodes
@@ -191,7 +204,7 @@ def rhs(state: RadialState):
     vp = (v[-1] - v[-2]) / h1
     vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
     lap[-1] = vpp + (state.d + 1) / y[-1] * vp
-    drift, reaction = _explicit_terms(y, v, state.d, FRAME_SIGMA[state.frame])
+    drift, reaction = _explicit_terms(st, v, state.d, FRAME_SIGMA[state.frame])
     return lap + drift + reaction
 
 
@@ -200,7 +213,12 @@ def rhs(state: RadialState):
 # ---------------------------------------------------------------------------
 
 class Stepper:
-    """IMEX stepper: Crank-Nicolson diffusion, explicit drift and reaction."""
+    """IMEX stepper: Crank-Nicolson diffusion, explicit drift and reaction.
+
+    The stencil spacings are fixed per grid and the Crank-Nicolson matrix is
+    factored once per dt, so a step is the explicit terms plus one
+    back-substitution.
+    """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str,
                  params: pr.ProfileParams | None = None):
@@ -216,60 +234,61 @@ class Stepper:
         self.sigma = FRAME_SIGMA[frame]
         self.boundary = boundary
         self.params = (params or pr.make_profile_params(d)) if boundary == "profile" else None
-        self.lo, self.di, self.up = _laplacian_tridiag(grid, d + 2)
-        self._cache_dt = None
-        self._cache_ab = None
+        self.stencil = _Stencil(grid.nodes)
+        self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
+        self._factor_dt = self._factors = None
 
-    def _banded_matrix(self, dt: float):
-        if self._cache_dt == dt:
-            return self._cache_ab
-        n = len(self.grid.nodes)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -0.5 * dt * self.up[:-1]      # superdiagonal: A[i, i+1] at column i+1
-        ab[1, :] = 1.0 - 0.5 * dt * self.di       # diagonal
-        ab[2, :-1] = -0.5 * dt * self.lo[1:]      # subdiagonal: A[i+1, i] at column i
-        # boundary row N touches only A[N, N] and A[N, N-1]
-        ab[1, -1] = 1.0
-        ab[2, -2] = -1.0 if self.boundary == "neumann" else 0.0
-        self._cache_dt = dt
-        self._cache_ab = ab
-        return ab
+    def _factored(self, dt: float):
+        """gttrf factors of the matrix I - (dt/2) Lap, whose last row is the
+        boundary condition (v_N = value, or v_N - v_{N-1} = 0 for Neumann)."""
+        if self._factor_dt != dt:
+            dl = -0.5 * dt * self.lo[1:]
+            di = 1.0 - 0.5 * dt * self.di
+            du = -0.5 * dt * self.up[:-1]
+            di[-1] = 1.0
+            dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
+            *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
+                                    overwrite_du=True)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+            self._factor_dt, self._factors = dt, factors
+        return self._factors
 
     def boundary_value(self, time_next: float) -> float:
         if self.boundary == "neumann":
             return 0.0
         ell = self.params.ell
         xi_edge = self.grid.nodes[-1] * time_next ** (-1.0 / (2 * ell))
-        return float(pr.q_of_xi(self.params, xi_edge))
+        return pr.q_of_xi(self.params, xi_edge)
 
     def step(self, state: RadialState, dt: float) -> RadialState:
         if dt <= 0:
             raise ConfigError("dt must be positive")
         if state.frame != self.frame:
             raise ConfigError(f"a {self.frame}-frame stepper got a {state.frame}-frame state")
+        if state.grid is not self.grid and not np.array_equal(state.grid.nodes, self.grid.nodes):
+            raise ConfigError("the state's grid differs from the stepper's")
+        if state.d != self.d:
+            raise ConfigError(f"a d={self.d} stepper got a d={state.d} state")
         state.check_finite()
         v = state.values
-        y = self.grid.nodes
         with np.errstate(over="ignore", invalid="ignore"):
-            drift, reaction = _explicit_terms(y, v, self.d, self.sigma)
+            drift, reaction = _explicit_terms(self.stencil, v, self.d, self.sigma)
             expl = drift + reaction
             b = v + 0.5 * dt * _apply_tridiag(self.lo, self.di, self.up, v) + dt * expl
         b[-1] = self.boundary_value(state.time + dt)
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise StateCorruptionError(f"explicit terms overflowed at t={state.time}")
-        ab = self._banded_matrix(dt)
-        v_new = solve_banded((1, 1), ab, b, overwrite_b=True, check_finite=False)
-        if not np.all(np.isfinite(v_new)):
+        v_new, _ = dgttrs(*self._factored(dt), b, overwrite_b=True)
+        if not np.isfinite(v_new).all():
             raise StateCorruptionError(f"solver produced non-finite values at t={state.time}")
         return RadialState(frame=state.frame, time=state.time + dt,
                            values=v_new, grid=self.grid, d=state.d)
 
     def cfl_dt(self, state: RadialState, cfl: float) -> float:
         """Advective + reactive step limit for the explicit terms."""
-        y = self.grid.nodes
-        a = np.abs((state.values - 0.5 * self.sigma) * y)
-        h = np.diff(y)
-        amax = float(np.max(np.maximum(a[1:], a[:-1]) / h))
+        a = np.abs((state.values - 0.5 * self.sigma) * self.grid.nodes)
+        amax = float(np.max(np.maximum(a[1:], a[:-1]) / self.stencil.dy))
         dt = cfl / amax if amax > 0 else np.inf
         react = float(np.max(np.abs(2 * self.d * state.values - self.sigma)))
         if react > 0:

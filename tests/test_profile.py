@@ -90,6 +90,16 @@ def test_q_rejects_bad_input(params):
         pr.q_of_xi(params, np.inf)
 
 
+def test_q_scalar_path_equals_array_path(params):
+    xs = np.concatenate([np.linspace(0.0, 50.0, 20001), np.geomspace(1e-6, 1e4, 20001)])
+    want = pr.q_of_xi(params, xs)
+    got = np.array([pr.q_of_xi(params, float(x)) for x in xs])
+    assert np.array_equal(got, want)
+    for bad in (-1e-300, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            pr.q_of_xi(params, float(bad))
+
+
 # ---------------------------------------------------------------------------
 # F
 # ---------------------------------------------------------------------------
