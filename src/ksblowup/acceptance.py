@@ -265,23 +265,49 @@ def criterion_7() -> CriterionResult:
 CRITERION_8_WINDOWS = {3: (50.0, 100.0, 200.0, 400.0), 4: (50.0, 100.0, 200.0, 400.0)}
 
 
-def ansatz_error_projections(d: int, svals, y_max=80.0, n=80001, digits=None):
+# domain and Gauss-Legendre nodes per piece of the criterion-8 projections
+PROJECTION_Y_MAX = 80.0
+GAUSS_NODES = 128
+
+
+def _kink_gauss_rule(a: float):
+    """Composite Gauss-Legendre nodes and weights on [0, a], [a, 2a] and
+    [2a, PROJECTION_Y_MAX], each clipped to [0, PROJECTION_Y_MAX]; pieces
+    that clip to nothing are dropped."""
+    x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    edges = np.unique(np.clip([0.0, a, 2.0 * a, PROJECTION_Y_MAX], 0.0, PROJECTION_Y_MAX))
+    half = 0.5 * np.diff(edges)
+    y = np.concatenate([lo + h * (x + 1.0) for lo, h in zip(edges[:-1], half)])
+    return y, np.concatenate([h * w for h in half])
+
+
+def ansatz_error_projections(d: int, svals, digits=None):
     """Normalized rho-projections of the analytic ansatz error at each s.
+
+    The error is smooth on [0, 80] except at the unit cutoff's C^2 kinks,
+    y = a and 2a with a = s^(1/(2l)), so each s gets its own composite
+    Gauss-Legendre rule: 128 nodes on each of [0, a], [a, 2a] and [2a, 80]
+    (clipped to [0, 80]), so 384 nodes, or 256 once 2a > 80.  The mode
+    samples and the exact norms `diagnostics.rho_norm_sq_true` do the
+    projection.
 
     With `digits` the error is evaluated in decimal arithmetic at that many
     significant digits (`profile.ansatz_residual_decimal`) before projecting.
     """
+    dg.check_coverage(d, PROJECTION_Y_MAX)
     p = pr.make_profile_params(d)
     ell = p.ell
-    y = np.linspace(0.0, y_max, n)
-    ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0, params=p)
+    modes = [eb.partial_mass_eigen(d, k) for k in range(2 * ell)]
+    norm_sq = np.array([dg.rho_norm_sq_true(d, k) for k in range(2 * ell)])
     out = np.empty((len(svals), 2 * ell))
     for i, s in enumerate(svals):
+        y, w = _kink_gauss_rule(float(s) ** (1.0 / (2 * ell)))
         if digits is None:
             err = pr.ansatz_residual(p, y, s)
         else:
             err = pr.ansatz_residual_decimal(p, y, s, digits=digits)
-        out[i] = ctx.project_all(err)
+        weighted = dg.rho_weight(d, y) * w * err
+        out[i] = [np.dot(m.evalf(y), weighted) for m in modes] / norm_sq
     return out
 
 
@@ -292,6 +318,9 @@ def criterion_8(windows=None, digits=None) -> CriterionResult:
     `windows` maps d to the self-similar times of the log-log fits (default
     CRITERION_8_WINDOWS); `digits` maps d to the decimal precision of the
     ansatz error behind the mode projections (unlisted: double precision).
+    The projections use composite Gauss-Legendre, 128 nodes on each of
+    [0, a], [a, 2a] and [2a, 80] with a = s^(1/(2l)) (see
+    `ansatz_error_projections`); the flat norm a trapezoid rule on [0, 200].
 
     The laws are asymptotic.  At the pinned s in [50, 400] the cutoff band
     y in [s^(1/(2l)), 2 s^(1/(2l))] lies inside the bulk of the rho weight

@@ -53,6 +53,18 @@ def rho_norm_sq_true(d: int, n: int) -> float:
     return scale * float(eb.build_eigensystem(d).rho_norm_sq(n))
 
 
+def check_coverage(d: int, y_end: float, tol: float = 1e-10):
+    """Raise CoverageError when a domain ending at `y_end` leaves a weighted
+    tail exp(-y^2/(4 ell)) y^(d+1+4 ell) above `tol` for mode projections."""
+    ell = eb.ell_of(d)
+    tail = math.exp(-y_end ** 2 / (4 * ell)) * y_end ** (d + 1 + 4 * ell)
+    if tail > tol:
+        raise CoverageError(
+            f"grid ends at y={y_end:.3g}; weighted tail {tail:.2e} exceeds "
+            f"tolerance {tol:.1e} for mode projections"
+        )
+
+
 @dataclass
 class DiagnosticsContext:
     """Precomputed tables for mode projections and bootstrap norms."""
@@ -70,12 +82,7 @@ class DiagnosticsContext:
             self.params = pr.make_profile_params(self.d)
         y = np.asarray(self.y, float)
         self.y = y
-        tail = math.exp(-y[-1] ** 2 / (4 * self.ell)) * y[-1] ** (self.d + 1 + 4 * self.ell)
-        if tail > self.coverage_tol:
-            raise CoverageError(
-                f"grid ends at y={y[-1]:.3g}; weighted tail {tail:.2e} exceeds "
-                f"tolerance {self.coverage_tol:.1e} for mode projections"
-            )
+        check_coverage(self.d, y[-1], self.coverage_tol)
         # trapezoid weights
         tw = np.zeros_like(y)
         tw[1:-1] = 0.5 * (y[2:] - y[:-2])
@@ -107,13 +114,6 @@ class DiagnosticsContext:
 
     def rho_norm(self, field_values) -> float:
         return float(np.sqrt(np.sum(self.quad_rho * field_values**2)))
-
-
-def mode_project(field_values, k: int, d: int, y, ctx: DiagnosticsContext | None = None) -> float:
-    """One-shot normalized projection onto the k-th partial-mass eigenmode."""
-    if ctx is None:
-        ctx = DiagnosticsContext(d=d, y=np.asarray(y, float))
-    return ctx.project(np.asarray(field_values, float), k)
 
 
 # ---------------------------------------------------------------------------

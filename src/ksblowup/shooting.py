@@ -172,7 +172,7 @@ def trap_search(config: sim.SimConfig, budget: int,
         if better(rec, best):
             best = rec
         if rec.exit_mode is None:
-            break                  # survived the horizon; nothing to steer on
+            break                  # survived the horizon or blew up; no exit mode to steer on
         k = rec.exit_mode
         sign = float(np.sign(rec.exit_vector[k])) or 1.0
         if sign > 0:

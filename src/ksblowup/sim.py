@@ -15,8 +15,8 @@ and sign-adaptive first-order upwinding beyond.
 
 Nothing that depends only on the grid or on dt is recomputed per step: the
 stencil spacings are fixed per grid (one `_Stencil` per `Stepper`), and the
-Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per dt and only
-back-substituted (gttrs) at each step.
+Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per dt, the factors
+of the last two dts kept, and only back-substituted (gttrs) at each step.
 """
 
 from __future__ import annotations
@@ -236,23 +236,30 @@ class Stepper:
         self.params = (params or pr.make_profile_params(d)) if boundary == "profile" else None
         self.stencil = _Stencil(grid.nodes)
         self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
-        self._factor_dt = self._factors = None
+        self._recent = []             # (dt, factors), most recently used first
 
     def _factored(self, dt: float):
         """gttrf factors of the matrix I - (dt/2) Lap, whose last row is the
-        boundary condition (v_N = value, or v_N - v_{N-1} = 0 for Neumann)."""
-        if self._factor_dt != dt:
-            dl = -0.5 * dt * self.lo[1:]
-            di = 1.0 - 0.5 * dt * self.di
-            du = -0.5 * dt * self.up[:-1]
-            di[-1] = 1.0
-            dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
-            *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
-                                    overwrite_du=True)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-            self._factor_dt, self._factors = dt, factors
-        return self._factors
+        boundary condition (v_N = value, or v_N - v_{N-1} = 0 for Neumann).
+
+        The factors of the last two dts are kept: a fixed-dt run shortens the
+        step that lands on a record time and then returns to its fixed dt."""
+        for i, (cached_dt, factors) in enumerate(self._recent):
+            if cached_dt == dt:
+                if i:
+                    self._recent.reverse()
+                return factors
+        dl = -0.5 * dt * self.lo[1:]
+        di = 1.0 - 0.5 * dt * self.di
+        du = -0.5 * dt * self.up[:-1]
+        di[-1] = 1.0
+        dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
+        *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
+                                overwrite_du=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+        self._recent = [(dt, factors)] + self._recent[:1]
+        return factors
 
     def boundary_value(self, time_next: float) -> float:
         if self.boundary == "neumann":

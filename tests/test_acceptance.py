@@ -87,15 +87,39 @@ def test_criterion_08_error_decomposition_slopes():
 
 
 def test_decimal_ansatz_error_matches_double_where_resolved():
-    # same grid, so only the arithmetic differs; double precision agrees to
-    # ~5e-6 here (d=4 k=2 worst, 5.3e-6), so rtol=1e-4 leaves a 19x margin
+    # same nodes, so only the arithmetic differs; double precision agrees to
+    # 4.1e-5 here (d=4 null mode at 8 s1 worst), so rtol=1e-4 leaves a 2.4x
+    # margin.  This is rounding noise of the cancelling O(1/s) terms: with
+    # 64 to 256 nodes per Gauss piece it ranges over 1.1e-5 to 6.9e-5 with
+    # no trend in the node count.
     for d in (3, 4):
         ell = eb.ell_of(d)
         window = _asymptotic_window(d)
-        ext = ac.ansatz_error_projections(d, window, n=4001, digits=DIGITS)
-        dbl = ac.ansatz_error_projections(d, window, n=4001)
+        ext = ac.ansatz_error_projections(d, window, digits=DIGITS)
+        dbl = ac.ansatz_error_projections(d, window)
         resolved = [k for k in range(2 * ell) if d == 4 or k != ell]
         np.testing.assert_allclose(ext[:, resolved], dbl[:, resolved], rtol=1e-4)
+
+
+def test_gauss_projections_match_fine_trapezoid(monkeypatch):
+    """The kink-split Gauss rule against an 80001-node trapezoid on [0, 80]
+    at the pinned s (measured: 2.3e-5 relative for d=3, 9e-7 for d=4, the
+    trapezoid's own error), and converged in the node count on the d=3
+    decimal window."""
+    y = np.linspace(0.0, 80.0, 80001)
+    for d in (3, 4):
+        svals = ac.CRITERION_8_WINDOWS[d]
+        p = pr.make_profile_params(d)
+        ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0, params=p)
+        trapezoid = np.array([ctx.project_all(pr.ansatz_residual(p, y, s)) for s in svals])
+        gauss = ac.ansatz_error_projections(d, svals)
+        np.testing.assert_allclose(gauss, trapezoid, rtol=1e-4)
+
+    window = _asymptotic_window(3)
+    base = ac.ansatz_error_projections(3, window, digits=DIGITS)
+    monkeypatch.setattr(ac, "GAUSS_NODES", 2 * ac.GAUSS_NODES)
+    fine = ac.ansatz_error_projections(3, window, digits=DIGITS)
+    np.testing.assert_allclose(base, fine, rtol=1e-6)
 
 
 def test_criterion_09_null_mode_dynamics():

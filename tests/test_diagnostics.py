@@ -58,12 +58,6 @@ def test_coverage_error():
         dg.DiagnosticsContext(d=4, y=np.linspace(0.0, 8.0, 200))
 
 
-def test_mode_project_one_shot():
-    y = np.linspace(0.0, 40.0, 4001)
-    f = eb.partial_mass_eigen(3, 2).evalf(y)
-    assert dg.mode_project(f, 2, 3, y) == pytest.approx(1.0, abs=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # flat norm
 # ---------------------------------------------------------------------------

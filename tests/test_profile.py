@@ -249,7 +249,7 @@ def test_asymptotic_mode_projections_match_exact_constants():
     from ksblowup.acceptance import ansatz_error_projections
     d = 4
     svals = np.array([2e4, 8e4])
-    proj = ansatz_error_projections(d, svals, y_max=60.0, n=60001)
+    proj = ansatz_error_projections(d, svals)
     p_poly = eb.build_residual_poly(d)
     b = float(eb.compute_B(d))
     for k in (0, 1, 3):

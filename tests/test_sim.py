@@ -253,7 +253,7 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
         stepper = sim.Stepper(grid, d, frame, boundary)
         for _ in range(5):
             state = sim.RadialState(frame, t0, 0.3 * rng.random(len(grid.nodes)), grid, d)
-            for dt in (1e-3, 2.5e-4, 1e-3):            # refactor, refactor back
+            for dt in (1e-3, 2.5e-4, 1e-3):            # factor, factor, cached
                 want = _reference_step(stepper, state, dt)
                 assert np.array_equal(stepper.step(state, dt).values, want)
 
@@ -480,6 +480,37 @@ def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     assert len(dts) == round(horizon / dt)
     assert min(dts) > dt / 2
     assert len(res.times) == round(horizon / cadence) + 1
+
+
+def test_factor_cache_keeps_the_fixed_dt(monkeypatch):
+    # a step landing on a record time uses dt = gap, a few ulps off the fixed
+    # dt; the cache keeps both, so each record costs one factorization, not two
+    cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, dt=1e-5, s0=0.0,
+                        horizon=0.2, cadence=0.01, init=np.full(33, 0.1))
+    calls = []
+    dgttrf = sim.dgttrf
+
+    def counting_dgttrf(*args, **kwargs):
+        calls.append(1)
+        return dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "dgttrf", counting_dgttrf)
+    cached = sim.run(cfg)
+    assert len(cached.times) == 21
+    assert len(calls) <= 21
+
+    factored = sim.Stepper._factored
+
+    def refactor_every_step(self, dt):
+        self._recent = []
+        return factored(self, dt)
+
+    monkeypatch.setattr(sim.Stepper, "_factored", refactor_every_step)
+    fresh = sim.run(cfg)
+    assert len(calls) > 20000
+    assert np.array_equal(cached.times, fresh.times)
+    assert np.array_equal(cached.sup_w, fresh.sup_w)
+    assert np.array_equal(cached.final_state.values, fresh.final_state.values)
 
 
 def test_run_deterministic_replay(tmp_path):
