@@ -199,7 +199,7 @@ def cmd_simulate(args) -> int:
     ell = eb.ell_of(config.d)
     if not args.quiet:
         print(f"verdict: {result.verdict}  exit_time: {result.exit_time:.6g}  "
-              f"slices: {len(result.records)}")
+              f"slices: {len(result.records)}  steps: {result.steps}")
     if args.output_dir:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -220,7 +220,9 @@ def cmd_simulate(args) -> int:
         if args.config:
             inputs[str(args.config)] = _digest(Path(args.config))
         write_manifest(outdir, "simulate", vars(args) | {"resolved": str(config)},
-                       {"verdict": result.verdict, "exit_time": result.exit_time},
+                       {"verdict": result.verdict, "exit_time": result.exit_time,
+                        "steps": result.steps, "dt_min": result.dt_min,
+                        "dt_max": result.dt_max, "message": result.message},
                        inputs=inputs, started=started)
     return EXIT_OK
 
@@ -278,6 +280,7 @@ def cmd_shoot(args) -> int:
             "verdict": h["verdict"],
             "exit_vector": list(map(float, h["exit_vector"])),
             "transverse_ok": h["transverse_ok"],
+            "steps": h["steps"],
         } for h in result.history]
         (outdir / "search_log.json").write_text(json.dumps({
             "verdict": result.verdict,

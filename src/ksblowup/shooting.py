@@ -34,6 +34,7 @@ class ExitRecord:
     transverse_ok: bool | None    # d/ds sum eps_k^2 > 0 at exit (None if no exit)
     records: list
     run_verdict: str
+    steps: int = 0                # time steps the probe's run took
 
 
 @dataclass
@@ -68,7 +69,7 @@ def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecor
     exit_mode = None
     if result.verdict.startswith("exit:mode_"):
         exit_mode = int(result.verdict.split("_")[-1])
-    survived = exit_mode is None and not result.verdict.startswith("blowup")
+    survived = exit_mode is None and result.verdict not in ("blowup", "unstable")
     trapped = result.verdict == "trapped"
     transverse = None
     if exit_mode is not None and len(records) >= 2:
@@ -85,6 +86,7 @@ def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecor
         transverse_ok=transverse,
         records=records,
         run_verdict=result.verdict,
+        steps=result.steps,
     )
 
 
@@ -167,12 +169,12 @@ def trap_search(config: sim.SimConfig, budget: int,
             "q": q.copy(), "d": rec.dvec, "s_exit": rec.s_exit,
             "exit_mode": rec.exit_mode, "verdict": rec.run_verdict,
             "exit_vector": np.array(rec.exit_vector),
-            "transverse_ok": rec.transverse_ok,
+            "transverse_ok": rec.transverse_ok, "steps": rec.steps,
         })
         if better(rec, best):
             best = rec
         if rec.exit_mode is None:
-            break                  # survived the horizon or blew up; no exit mode to steer on
+            break                  # survived, blew up or unstable: no exit mode to steer on
         k = rec.exit_mode
         sign = float(np.sign(rec.exit_vector[k])) or 1.0
         if sign > 0:

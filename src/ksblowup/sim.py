@@ -6,17 +6,25 @@ with frame constant sigma = 1 in the self-similar frame (time s, radius y)
 and sigma = 0 in the physical frame (time t, radius r): the self-similar
 variables add only the linear terms -(1/2) y v_y - v.
 
-Diffusion is treated implicitly (Crank-Nicolson, tridiagonal solve); the
-drift and reaction terms explicitly (first order in time overall).  The
-drift a = (v - sigma/2) y changes sign across the profile scale and grows
-linearly outward, so the advection stencil is chosen per node: second-order
-centered differences where the cell Peclet number |a| h / 2 stays below one
-and sign-adaptive first-order upwinding beyond.
+Diffusion is treated by Crank-Nicolson and the linear drift -(sigma/2) y v_y
+by backward Euler, both in one tridiagonal solve; the nonlinear drift
+v y v_y and the reaction d v^2 - sigma v explicitly (first order in time
+overall: IMEX splitting in the sense of Ascher, Ruuth & Wetton, SIAM J.
+Numer. Anal. 32, 1995).  Each drift has its own advection stencil per node:
+second-order centered differences where its cell Peclet number |a| h / 2
+stays at or below one and first-order upwinding beyond.  The linear drift
+a = -(sigma/2) y grows outward and is state-independent, so its choice is
+fixed per grid; the nonlinear drift a = v y is chosen from the state.
+
+The explicit step limit (`Stepper.cfl_dt`) covers only the explicit terms,
+so the far-field drift, |a| ~ y_max / 2, no longer sets dt.  A self-similar
+run without a fixed dt re-evaluates it from the state at every record.
 
 Nothing that depends only on the grid or on dt is recomputed per step: the
-stencil spacings are fixed per grid (one `_Stencil` per `Stepper`), and the
-Crank-Nicolson matrix is LU-factored (LAPACK gttrf) once per dt, the factors
-of the last two dts kept, and only back-substituted (gttrs) at each step.
+stencil spacings and the two tridiagonals (Laplacian, linear drift) are fixed
+per grid, and the matrix I - (dt/2) Lap - dt D_lin is LU-factored (LAPACK
+gttrf) once per dt, the factors of the last two dts kept, and only
+back-substituted (gttrs) at each step.
 """
 
 from __future__ import annotations
@@ -131,8 +139,7 @@ class _Stencil:
         """a * dv/dy with per-node stencil selection: second-order centered
         differences (dispersive where the cell Peclet number |a| h / 2
         exceeds one) at nodes with Peclet <= 1, monotone first-order
-        upwinding at the rest (in practice: the quiescent far field, where
-        the drift is strongest).
+        upwinding at the rest.
         """
         # slope[i] = (v[i] - v[i-1]) / dy[i-1], zero at both ends, so that
         # slope[1:] is the forward and slope[:-1] the backward difference
@@ -177,6 +184,24 @@ def _laplacian_tridiag(st: _Stencil, dim: int):
     return lo, di, up
 
 
+def _linear_drift_tridiag(st: _Stencil, sigma: float):
+    """Tridiagonal (lower, diag, upper) of the linear drift -(sigma/2) y d/dy.
+
+    Centered where its Peclet number (sigma/2) y h / 2 stays at or below one,
+    backward (upwind: the drift points inward) beyond and at the last node;
+    row 0 is zero (y = 0).  All zero at sigma = 0.
+    """
+    a = -0.5 * sigma * st.y
+    n = len(a)
+    lo, di, up = np.zeros(n), np.zeros(n), np.zeros(n)
+    cen = np.abs(a[1:-1]) * st.h[1:-1] <= 2.0
+    lo[1:-1] = np.where(cen, -st.hp2 / st.denom, -1.0 / st.hm)
+    di[1:-1] = np.where(cen, -st.hm2_hp2 / st.denom, 1.0 / st.hm)
+    up[1:-1] = np.where(cen, st.hm2 / st.denom, 0.0)
+    lo[-1], di[-1] = -1.0 / st.dy[-1], 1.0 / st.dy[-1]
+    return a * lo, a * di, a * up
+
+
 def _apply_tridiag(lo, di, up, v):
     out = di * v
     out[:-1] += up[:-1] * v[1:]
@@ -185,9 +210,9 @@ def _apply_tridiag(lo, di, up, v):
 
 
 def _explicit_terms(stencil: _Stencil, v, d: int, sigma: float):
-    """The drift (v - sigma/2) y v_y and the reaction d v^2 - sigma v, apart:
-    `rhs` adds them to the diffusion term in turn, the step sums them first."""
-    return stencil.advect(v, (v - 0.5 * sigma) * stencil.y), d * v * v - sigma * v
+    """The nonlinear drift v y v_y and the reaction d v^2 - sigma v, apart:
+    `rhs` adds them to the implicit terms in turn, the step sums them first."""
+    return stencil.advect(v, v * stencil.y), d * v * v - sigma * v
 
 
 def rhs(state: RadialState):
@@ -204,8 +229,10 @@ def rhs(state: RadialState):
     vp = (v[-1] - v[-2]) / h1
     vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
     lap[-1] = vpp + (state.d + 1) / y[-1] * vp
-    drift, reaction = _explicit_terms(st, v, state.d, FRAME_SIGMA[state.frame])
-    return lap + drift + reaction
+    sigma = FRAME_SIGMA[state.frame]
+    linear = _apply_tridiag(*_linear_drift_tridiag(st, sigma), v)
+    drift, reaction = _explicit_terms(st, v, state.d, sigma)
+    return lap + linear + drift + reaction
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +240,14 @@ def rhs(state: RadialState):
 # ---------------------------------------------------------------------------
 
 class Stepper:
-    """IMEX stepper: Crank-Nicolson diffusion, explicit drift and reaction.
+    """IMEX stepper: Crank-Nicolson diffusion and backward-Euler linear drift
+    -(sigma/2) y v_y in one tridiagonal solve; explicit nonlinear drift
+    v y v_y and reaction d v^2 - sigma v.
 
-    The stencil spacings are fixed per grid and the Crank-Nicolson matrix is
-    factored once per dt, so a step is the explicit terms plus one
-    back-substitution.
+    The stencil spacings and the Laplacian and linear-drift tridiagonals are
+    fixed per grid, and the matrix I - (dt/2) Lap - dt D_lin is factored once
+    per dt, so a step is the explicit terms plus one back-substitution.
+    `cfl_dt` bounds dt by the explicit terms alone.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str,
@@ -236,11 +266,13 @@ class Stepper:
         self.params = (params or pr.make_profile_params(d)) if boundary == "profile" else None
         self.stencil = _Stencil(grid.nodes)
         self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
+        self.linear_drift = _linear_drift_tridiag(self.stencil, self.sigma)
         self._recent = []             # (dt, factors), most recently used first
 
     def _factored(self, dt: float):
-        """gttrf factors of the matrix I - (dt/2) Lap, whose last row is the
-        boundary condition (v_N = value, or v_N - v_{N-1} = 0 for Neumann).
+        """gttrf factors of the matrix I - (dt/2) Lap - dt D_lin, whose last
+        row is the boundary condition (v_N = value, or v_N - v_{N-1} = 0 for
+        Neumann).
 
         The factors of the last two dts are kept: a fixed-dt run shortens the
         step that lands on a record time and then returns to its fixed dt."""
@@ -249,9 +281,10 @@ class Stepper:
                 if i:
                     self._recent.reverse()
                 return factors
-        dl = -0.5 * dt * self.lo[1:]
-        di = 1.0 - 0.5 * dt * self.di
-        du = -0.5 * dt * self.up[:-1]
+        dlo, ddi, dup = self.linear_drift
+        dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
+        di = 1.0 - 0.5 * dt * self.di - dt * ddi
+        du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
         di[-1] = 1.0
         dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
         *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
@@ -293,8 +326,9 @@ class Stepper:
                            values=v_new, grid=self.grid, d=state.d)
 
     def cfl_dt(self, state: RadialState, cfl: float) -> float:
-        """Advective + reactive step limit for the explicit terms."""
-        a = np.abs((state.values - 0.5 * self.sigma) * self.grid.nodes)
+        """Step limit of the explicit terms: cfl over the largest |v y| / dy
+        of the nonlinear drift, and at most 0.5 over the reaction's rate."""
+        a = np.abs(state.values * self.grid.nodes)
         amax = float(np.max(np.maximum(a[1:], a[:-1]) / self.stencil.dy))
         dt = cfl / amax if amax > 0 else np.inf
         react = float(np.max(np.abs(2 * self.d * state.values - self.sigma)))
@@ -436,11 +470,16 @@ def csv_header(ell: int) -> str:
 class RunResult:
     config: SimConfig
     records: list
-    verdict: str                # trapped / escaped:<bound> / blowup / exit:mode_k / completed
+    # trapped / escaped:<bound> / blowup / unstable / exit:mode_k / completed
+    verdict: str
     exit_time: float
     final_state: RadialState
     times: np.ndarray = field(default=None)
     sup_w: np.ndarray = field(default=None)
+    steps: int = 0              # steps taken
+    dt_min: float | None = None  # smallest and largest step taken (None without steps)
+    dt_max: float | None = None
+    message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
 
     def coefficient_table(self):
         s = np.array([r.s for r in self.records])
@@ -484,8 +523,13 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
 
     Stops early with a labeled verdict on field blowup (in either frame: a
     recorded sup |v| above blowup_sup * max(1, sup |v| at s0), or a non-finite
-    step), on a shrinking-set bound exceeded by `escape_factor`, or (with
+    step from a field already above that limit), on numerical instability
+    (`unstable`: a non-finite step from a field at or below the limit), on a
+    shrinking-set bound exceeded by `escape_factor`, or (with
     stop_on_unstable) as soon as an unstable-mode ratio reaches one.
+
+    Without a fixed `dt`, a self-similar run takes `Stepper.cfl_dt` of the
+    state at each record until the next one, and a physical run at each step.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
@@ -504,15 +548,16 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     end_time = config.s0 + config.horizon
     n_records = 0
     next_record = config.s0
-    dt_fixed = config.dt
+    dt_set = config.dt          # or the self-similar dt set at the last record
     blowup_limit = config.blowup_sup * max(1.0, float(np.max(np.abs(state.values))))
-
-    if selfsim and dt_fixed is None:
-        dt_fixed = stepper.cfl_dt(state, config.cfl)
+    steps, dt_min, dt_max = 0, math.inf, 0.0
+    message = ""
 
     stopped = False
     while not stopped:
         if state.time >= next_record - _TIME_TOL:
+            if selfsim and config.dt is None:
+                dt_set = stepper.cfl_dt(state, config.cfl)
             if track:
                 rec = _diag_slice(state, ctx, config)
                 records.append(rec)
@@ -539,15 +584,21 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
             if track and records and all(r.max_ratio() < 1.0 for r in records):
                 verdict = "trapped"
             break
-        dt = dt_fixed if dt_fixed is not None else stepper.cfl_dt(state, config.cfl)
+        dt = dt_set if dt_set is not None else stepper.cfl_dt(state, config.cfl)
         gap = min(end_time, next_record) - state.time
         if dt >= gap - _TIME_TOL:
             dt = gap
         try:
             state = stepper.step(state, dt)
-        except StateCorruptionError:
-            verdict = "blowup"
+        except StateCorruptionError as exc:
+            message = str(exc)
+            verdict = "blowup" if np.max(np.abs(state.values)) > blowup_limit else "unstable"
             break
+        steps += 1
+        if dt < dt_min:
+            dt_min = dt
+        if dt > dt_max:
+            dt_max = dt
 
     return RunResult(
         config=config,
@@ -557,6 +608,10 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         final_state=state,
         times=np.array(times) if times else None,
         sup_w=np.array(sup_w) if sup_w else None,
+        steps=steps,
+        dt_min=dt_min if steps else None,
+        dt_max=dt_max if steps else None,
+        message=message,
     )
 
 

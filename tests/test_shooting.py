@@ -161,6 +161,18 @@ def test_real_search_improves_exit_time():
     assert res.verdict in ("survived", "trapped") or res.s_exit > 52.0
 
 
+def test_unstable_probe_neither_survives_nor_traps():
+    # the probe's run goes non-finite from within the blowup limit (a fixed dt
+    # of 1e300): it has no exit mode to steer on and did not survive
+    cfg = sim.SimConfig(d=4, n=64, y_max=60.0, s0=50.0, horizon=1e300, cadence=1e300,
+                        dt=1e300)
+    res = shooting.trap_search(cfg, budget=3)
+    (probe,) = res.history
+    assert probe["verdict"] == "unstable" and probe["exit_mode"] is None
+    assert probe["steps"] == 0
+    assert res.verdict == "no-bracket"
+
+
 def test_d3_search_smoke():
     # the 3-parameter search path runs end to end
     cfg = sim.SimConfig(d=3, n=768, s0=50.0, horizon=2.0, cadence=0.25,

@@ -191,8 +191,9 @@ def test_step_rejects_other_grid_and_dimension():
 
 def _reference_step(stepper, state, dt):
     """The step written out from the nodes alone: the textbook nonuniform
-    Laplacian and advection stencils, the Crank-Nicolson matrix in
-    `solve_banded`'s (1, 1) band layout, and the array path of Q."""
+    Laplacian and advection stencils, the matrix of Crank-Nicolson diffusion
+    and backward-Euler linear drift in `solve_banded`'s (1, 1) band layout,
+    and the array path of Q."""
     y, v, d, sigma = state.grid.nodes, state.values, state.d, sim.FRAME_SIGMA[state.frame]
     n = len(y)
     hm, hp = y[1:-1] - y[:-2], y[2:] - y[1:-1]
@@ -210,7 +211,7 @@ def _reference_step(stepper, state, dt):
     lap[:-1] += up[:-1] * v[1:]
     lap[1:] += lo[1:] * v[:-1]
 
-    a = (v - 0.5 * sigma) * y
+    a = v * y                                      # the explicit, nonlinear drift
     fwd, bwd = np.zeros(n), np.zeros(n)
     fwd[:-1] = (v[1:] - v[:-1]) / (y[1:] - y[:-1])
     bwd[1:] = fwd[:-1]
@@ -224,6 +225,15 @@ def _reference_step(stepper, state, dt):
     h[0] = h[1]
     drift = a * np.where(np.abs(a) * h <= 2.0, cen, upw)
 
+    # the implicit linear drift -(sigma/2) y d/dy: centered where
+    # (sigma/2) y h <= 2, backward (upwind) beyond; zero at sigma = 0
+    al = -0.5 * sigma * y[1:-1]
+    lin_cen = np.abs(al) * hm <= 2.0
+    llo, ldi, lup = np.zeros(n), np.zeros(n), np.zeros(n)
+    llo[1:-1] = al * np.where(lin_cen, -hp * hp / denom, -1.0 / hm)
+    ldi[1:-1] = al * np.where(lin_cen, -(hm * hm - hp * hp) / denom, 1.0 / hm)
+    lup[1:-1] = al * np.where(lin_cen, hm * hm / denom, 0.0)
+
     b = v + 0.5 * dt * lap + dt * (drift + (d * v * v - sigma * v))
     if stepper.boundary == "neumann":
         b[-1] = 0.0
@@ -231,9 +241,9 @@ def _reference_step(stepper, state, dt):
         xi_edge = y[-1] * (state.time + dt) ** (-1.0 / (2 * stepper.params.ell))
         b[-1] = pr.q_of_xi(stepper.params, np.array([xi_edge]))[0]
     ab = np.zeros((3, n))
-    ab[0, 1:] = -0.5 * dt * up[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * di
-    ab[2, :-1] = -0.5 * dt * lo[1:]
+    ab[0, 1:] = -0.5 * dt * up[:-1] - dt * lup[:-1]
+    ab[1, :] = 1.0 - 0.5 * dt * di - dt * ldi
+    ab[2, :-1] = -0.5 * dt * lo[1:] - dt * llo[1:]
     ab[1, -1] = 1.0
     ab[2, -2] = -1.0 if stepper.boundary == "neumann" else 0.0
     return solve_banded((1, 1), ab, b)
@@ -246,7 +256,7 @@ def _reference_step(stepper, state, dt):
     (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile"),
 ])
 def test_step_equals_reference_kernel(grid, frame, boundary):
-    # the precomputed stencil and the once-per-dt factorization change no bit
+    # the precomputed stencils and the once-per-dt factorization change no bit
     rng = np.random.default_rng(7)
     t0 = 50.0 if frame == "selfsimilar" else 0.0
     for d in (3, 4):
@@ -457,6 +467,55 @@ def test_run_physical_blowup_guard():
     assert np.isfinite(sup) and 10.0 < sup < 100.0
     # the guard fires at the first record past the limit (w = d v here)
     assert res.sup_w[-2] / 4 <= 10.0 < res.sup_w[-1] / 4
+
+
+def test_run_nonfinite_step_labeled_by_the_field_before_it():
+    # from a field at or below the blowup limit a non-finite step is a
+    # numerical failure: a fixed dt of 1e300, far above the explicit limit
+    # (0.11 here), makes the first solve overflow from the ansatz (sup 0.25)
+    cfg = sim.SimConfig(d=4, n=64, y_max=60.0, s0=50.0, horizon=1e300, cadence=1e300,
+                        dt=1e300, track_bounds=False)
+    res = sim.run(cfg)
+    assert res.verdict == "unstable"
+    assert res.steps == 0 and res.exit_time == 50.0
+    assert "non-finite" in res.message
+    # from a field above it, a blowup: with no record to stop it, v' = 4 v^2
+    # from v0 = 2 passes the limit 20 and overflows at step 139 (T = 0.125)
+    cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=1.0,
+                        cadence=1.0, dt=1e-3, init=np.full(33, 2.0), track_bounds=False)
+    res = sim.run(cfg)
+    assert res.verdict == "blowup"
+    assert res.steps == 139 and "overflowed" in res.message
+
+
+def test_selfsimilar_dt_set_from_the_state_at_each_record(monkeypatch):
+    calls = []
+    cfl_dt = sim.Stepper.cfl_dt
+
+    def recording(self, state, cfl):
+        calls.append((state.time, cfl_dt(self, state, cfl)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sim.Stepper, "cfl_dt", recording)
+    cfg = sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25, escape_factor=np.inf)
+    res = sim.run(cfg)
+    assert [t for t, _ in calls] == [r.s for r in res.records]
+    assert len(set(dt for _, dt in calls)) == len(calls)
+    assert res.dt_max == max(dt for _, dt in calls[:-1])
+    assert res.dt_min < res.dt_max and res.steps >= cfg.horizon / res.dt_max
+
+
+def test_unstable_mode_ratios_converge_at_first_order_in_dt():
+    # a reduced criterion-9 run at fixed dt, dt/2 and dt/4: the last slice's
+    # unstable-mode ratios s^2 eps_k / A converge at first order in time
+    ratios = []
+    for dt in (0.02, 0.01, 0.005):
+        cfg = sim.SimConfig(d=4, n=512, s0=50.0, horizon=2.0, cadence=0.1, dt=dt, A=20.0,
+                            K=10.0, escape_factor=np.inf, blowup_sup=50.0)
+        last = sim.run(cfg).records[-1]
+        ratios.append(last.s**2 * last.coefficients[:2] / cfg.A)
+    e_coarse, e_fine = ratios[0] - ratios[1], ratios[1] - ratios[2]
+    assert np.all(np.abs(e_coarse / e_fine - 2.0) <= 0.5)
 
 
 @pytest.mark.parametrize("t0", [100.0, 1000.0])
