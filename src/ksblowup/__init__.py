@@ -4,7 +4,7 @@ Subpackages:
     eigenbasis   exact rational eigenpolynomial algebra and spectral constants
     profile      blowup profile, refined ansatz and cutoffs
     sim          radial PDE evolution in self-similar and physical frames
-    diagnostics  mode projections, bootstrap norms, spectra and kernels
+    diagnostics  mode projections, bootstrap norms and spectra
     shooting     unstable-mode parameter search
     cli          command-line entry point
 """
@@ -12,7 +12,6 @@ Subpackages:
 __version__ = "0.1.0"
 
 from .eigenbasis import (  # noqa: F401
-    build_eigensystem,
     compute_B,
     compute_c,
     kummer_eigenpoly,

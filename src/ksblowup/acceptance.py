@@ -481,16 +481,14 @@ def final_profile_experiment(d: int = 4, s0: float = 11.5, amp: float = 15.0,
     t_est, t_width = sim.estimate_blowup_time(np.array(times), np.array(sup_w), window=0.5)
 
     u = sim.transform(state.values, r, d, "w")
-    amp_pred = (d - 2) * (2.0 / p.c) ** (1.0 / ell)
     tau_last = 1.0 - state.time
     inner = math.sqrt(tau_last) * abs(math.log(tau_last)) ** (1.0 / (2 * ell))
     table = []
     for r1 in np.geomspace(5 * inner, r_max / 15.0, 24):
         rr = np.geomspace(r1, 10 * r1, 25)
-        ui = np.interp(rr, r, u)
-        g = ui * rr**2 / np.abs(np.log(rr)) ** (1.0 / ell)
-        flat = (np.max(g) - np.min(g)) / np.mean(g)
-        table.append((r1, float(np.min(g) / amp_pred), float(np.max(g) / amp_pred), float(flat)))
+        ratio = np.interp(rr, r, u) / pr.final_profile(p, rr)
+        flat = (np.max(ratio) - np.min(ratio)) / np.mean(ratio)
+        table.append((r1, float(np.min(ratio)), float(np.max(ratio)), float(flat)))
     return t_est, t_width, table, search, i
 
 

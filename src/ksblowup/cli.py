@@ -118,7 +118,6 @@ def cmd_constants(args) -> int:
     d = args.d
     eb.check_dimension(d)
     ell = eb.ell_of(d)
-    system = eb.build_eigensystem(d, max_degree=max(8, 2 * ell))
     b = eb.compute_B(d)
     c = eb.compute_c(d)
     p = eb.build_residual_poly(d)
@@ -132,8 +131,8 @@ def cmd_constants(args) -> int:
         "B_float": float(b),
         "c": rational_str(c),
         "c_float": float(c),
-        "H": [system.H[n].serialize() for n in range(2 * ell + 1)],
-        "phi": [system.phi[n].serialize() for n in range(2 * ell + 1)],
+        "H": [eb.kummer_eigenpoly(d, n).serialize() for n in range(2 * ell + 1)],
+        "phi": [eb.partial_mass_eigen(d, n).serialize() for n in range(2 * ell + 1)],
         "P_residual": p.serialize(),
         "projection_check": rational_str(proj),
     }

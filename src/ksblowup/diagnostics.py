@@ -1,4 +1,4 @@
-"""Mode projections, bootstrap norms, spectra and kernel formulas.
+"""Mode projections, bootstrap norms and the discrete spectrum.
 
 Measurements are pure functions of a field sampled on a grid; a
 :class:`DiagnosticsContext` precomputes the eigenfunction samples,
@@ -50,7 +50,8 @@ def rho_norm_sq_true(d: int, n: int) -> float:
     """Absolute value of integral phi_{2n}^2 rho dy (carries Gamma factors)."""
     ell = eb.ell_of(d)
     scale = ell ** ((d + 2) / 2.0) / 2.0 * math.gamma(d / 2.0 + 1.0) * 4.0 ** (d / 2.0 + 1.0)
-    return scale * float(eb.build_eigensystem(d).rho_norm_sq(n))
+    phi = eb.partial_mass_eigen(d, n)
+    return scale * float(eb.inner_product(d, "rho", phi, phi))
 
 
 def check_coverage(d: int, y_end: float, tol: float = 1e-10):
@@ -89,7 +90,6 @@ class DiagnosticsContext:
         tw[0] = 0.5 * (y[1] - y[0])
         tw[-1] = 0.5 * (y[-1] - y[-2])
         self.quad_rho = rho_weight(self.d, y) * tw
-        self.trapz = tw
         self.phi = np.stack(
             [eb.partial_mass_eigen(self.d, k).evalf(y) for k in range(2 * self.ell)]
         )
@@ -104,11 +104,8 @@ class DiagnosticsContext:
         self.cut_spec = spec
 
     # -- basic measurements ------------------------------------------------
-    def project(self, field_values, k: int) -> float:
-        """Normalized rho-projection <f, phi_{2k}> / ||phi_{2k}||^2."""
-        return float(np.sum(self.quad_rho * field_values * self.phi[k]) / self.phi_norm_sq[k])
-
     def project_all(self, field_values) -> np.ndarray:
+        """Normalized rho-projections <f, phi_{2k}> / ||phi_{2k}||^2, k < 2 ell."""
         num = self.quad_rho * field_values
         return np.array([np.sum(num * self.phi[k]) / self.phi_norm_sq[k] for k in range(2 * self.ell)])
 
@@ -125,10 +122,9 @@ def euler_derivative(y, f):
     return np.asarray(y, float) * np.gradient(np.asarray(f, float), np.asarray(y, float), edge_order=1)
 
 
-def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0, variant: str = "smooth") -> float:
+def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     """Intermediate-region norm ( int (1-chi_K(y)) |(y d/dy)^j f|^2 y^(-4l-3) dy )^(1/2).
 
-    `variant="sharp"` replaces the smooth cutoff with the indicator of y >= K.
     Raises NonIntegrableTailError when the integrand fails to decay.
     """
     if j not in (0, 1, 2):
@@ -146,15 +142,7 @@ def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0, variant: str = 
             )
     for _ in range(j):
         f = euler_derivative(y, f)
-    if variant == "sharp":
-        with np.errstate(divide="ignore"):
-            wy = np.where(y > 0, y ** (-4.0 * ctx.ell - 3.0), 0.0)
-        w = np.where(y >= ctx.K, wy, 0.0) * ctx.trapz
-    elif variant == "smooth":
-        w = ctx.flat_w
-    else:
-        raise ValueError(f"unknown cutoff variant {variant!r}")
-    integrand = w * f * f
+    integrand = ctx.flat_w * f * f
     _check_tail_decay(y, integrand)
     return float(np.sqrt(np.sum(integrand)))
 
@@ -208,6 +196,10 @@ def outer_norms(field_values, ctx: DiagnosticsContext, s: float):
 # Full decomposition against the bootstrap set
 # ---------------------------------------------------------------------------
 
+# half-width of the `boundary` verdict band around a bound ratio of one
+BOUNDARY_DELTA = 0.05
+
+
 @dataclass
 class ModeDecomposition:
     coefficients: np.ndarray     # eps_hat_0 .. eps_hat_{2l-1}
@@ -223,7 +215,6 @@ class ShrinkingReport:
     ratios: dict
     verdict: str                 # inside / boundary / outside
     worst: str                   # name of the largest-ratio bound
-    boundary_delta: float = 0.05
 
     @property
     def max_ratio(self) -> float:
@@ -246,14 +237,11 @@ def bound_values(d: int, ell: int, s: float, A: float) -> dict:
     return out
 
 
-def decompose(
-    v_values,
-    s: float,
-    ctx: DiagnosticsContext,
-    A: float,
-    boundary_delta: float = 0.05,
-):
+def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float):
     """Subtract the refined ansatz and evaluate every shrinking-set bound.
+
+    The verdict is `boundary` when the largest bound ratio lies within
+    BOUNDARY_DELTA of one, and `inside` or `outside` otherwise.
 
     Returns (ModeDecomposition, ShrinkingReport).
     """
@@ -283,23 +271,21 @@ def decompose(
     ratios = {name: measured[name] / bounds[name] for name in bounds}
     worst = max(ratios, key=ratios.get)
     top = ratios[worst]
-    if top > 1.0 + boundary_delta:
+    if top > 1.0 + BOUNDARY_DELTA:
         verdict = "outside"
-    elif top >= 1.0 - boundary_delta:
+    elif top >= 1.0 - BOUNDARY_DELTA:
         verdict = "boundary"
     else:
         verdict = "inside"
     return (
         ModeDecomposition(coefficients=coeffs, tilde=tilde, tilde_norm=tilde_norm),
-        ShrinkingReport(
-            s=float(s), A=float(A), measured=measured, ratios=ratios,
-            verdict=verdict, worst=worst, boundary_delta=boundary_delta,
-        ),
+        ShrinkingReport(s=float(s), A=float(A), measured=measured, ratios=ratios,
+                        verdict=verdict, worst=worst),
     )
 
 
 # ---------------------------------------------------------------------------
-# Mode-ODE residuals and energy monitors
+# Mode-ODE residuals
 # ---------------------------------------------------------------------------
 
 def _check_uniform(s_values):
@@ -345,57 +331,6 @@ def mode_ode_residuals(s_values, coefficients, ell: int):
     return sm, res, slopes
 
 
-@dataclass
-class EnergyMonitorReport:
-    s: np.ndarray
-    lhs: np.ndarray              # (n-2, 4): d/ds of squared norms
-    rhs: np.ndarray              # (n-2, 4): calibrated right-hand sides
-    violations: np.ndarray       # boolean mask where lhs > rhs
-    constants: np.ndarray        # calibrated C per inequality
-
-
-def energy_monitors(s_values, tilde_norms, flat_norms, ell: int, delta: float | None = None,
-                    safety: float = 2.0):
-    """Monitor the dissipation inequalities along a trajectory.
-
-    Row j=0 tracks d/ds ||tilde||_rho^2 <= -(1/2)||tilde||_rho^2 + C0 s^-6;
-    rows j=1..3 track the three intermediate-norm inequalities with decay
-    rate `delta` (default 1/(8 ell)) and forcing C_j s^(-2-3/ell) plus the
-    lower-order norms.  The constants are calibrated on the first interior
-    slice (times `safety`) and violations are flagged, not raised.
-    """
-    s, ds = _check_uniform(s_values)
-    tn = np.asarray(tilde_norms, float)
-    fn = np.asarray(flat_norms, float)
-    if fn.shape != (len(s), 3):
-        raise UnfitError("flat_norms must be (len(s), 3)")
-    if delta is None:
-        delta = 1.0 / (8 * ell)
-
-    sq = np.column_stack([tn**2, fn[:, 0] ** 2, fn[:, 1] ** 2, fn[:, 2] ** 2])
-    dsq = (sq[2:] - sq[:-2]) / (2 * ds)
-    mid = sq[1:-1]
-    sm = s[1:-1]
-    forcing = sm ** (-2.0 - 3.0 / ell)
-
-    base = np.column_stack([
-        -0.5 * mid[:, 0],
-        -delta * mid[:, 1],
-        -delta * mid[:, 2],
-        -delta * mid[:, 3],
-    ])
-    extra = np.column_stack([
-        sm ** (-6.0),
-        forcing,
-        mid[:, 1] + forcing,
-        mid[:, 2] + mid[:, 1] + forcing,
-    ])
-    consts = np.maximum((dsq[0] - base[0]) / extra[0], 0.0) * safety
-    rhs = base + consts[None, :] * extra
-    violations = dsq > rhs + 1e-300
-    return EnergyMonitorReport(s=sm, lhs=dsq, rhs=rhs, violations=violations, constants=consts)
-
-
 # ---------------------------------------------------------------------------
 # Discrete spectrum of the weighted radial operator
 # ---------------------------------------------------------------------------
@@ -430,40 +365,3 @@ def discrete_spectrum(d: int, n: int = 2000, y_max: float = 30.0, count: int = 6
     vals = eigh_tridiagonal(diag, off, select="i",
                             select_range=(n - count, n - 1), eigvals_only=True)
     return vals[::-1]       # descending: ~ {0, -1/ell, ...}
-
-
-# ---------------------------------------------------------------------------
-# Pointwise bound and semigroup kernel
-# ---------------------------------------------------------------------------
-
-def pointwise_bound_check(field_values, y, s: float, A: float, ell: int, C: float = 1.0):
-    """Check |f| + |y f'| <= C A^3 s^(-1-3/(2 ell)) <y>^(2 ell + 1) pointwise.
-
-    Returns (ok, worst_ratio).
-    """
-    y = np.asarray(y, float)
-    f = np.asarray(field_values, float)
-    lhs = np.abs(f) + np.abs(euler_derivative(y, f))
-    rhs = C * A**3 * float(s) ** (-1.0 - 3.0 / (2 * ell)) * (1.0 + y * y) ** (ell + 0.5)
-    ratio = float(np.max(lhs / rhs))
-    return ratio <= 1.0, ratio
-
-
-def semigroup_kernel(eta: float, s: float, z, xi):
-    """Transition kernel of the drift-diffusion semigroup exp(s (Lap - eta x.grad)).
-
-    Mean z*exp(-eta*s), variance (1 - exp(-2 eta s))/eta per coordinate; the
-    kernel integrates to 1 in xi.  Scalars are treated as one-dimensional
-    points, arrays of shape (dim,) as points of R^dim.
-    """
-    if s <= 0:
-        raise ValueError("semigroup time must be positive")
-    z = np.atleast_1d(np.asarray(z, float))
-    xi = np.atleast_1d(np.asarray(xi, float))
-    if z.shape != xi.shape:
-        raise ValueError("z and xi must have the same shape")
-    dim = z.shape[-1] if z.ndim else 1
-    var = (1.0 - math.exp(-2.0 * eta * s)) / eta
-    mean = z * math.exp(-eta * s)
-    quad = np.sum((mean - xi) ** 2, axis=-1)
-    return (2.0 * math.pi * var) ** (-dim / 2.0) * np.exp(-0.5 * quad / var)

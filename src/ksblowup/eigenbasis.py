@@ -31,10 +31,6 @@ class DimensionError(ValueError):
     """Raised for dimensions where the zero mode index is not an integer."""
 
 
-class DegreeCapError(ValueError):
-    """Polynomial degree exceeds the built table; rebuild with a larger cap."""
-
-
 class HalfPowerError(ArithmeticError):
     """The nonlocal product pipeline failed to clear its fractional power."""
 
@@ -154,21 +150,6 @@ def inner_product(d: int, weight: str, p: ExactPoly, r: ExactPoly) -> Fraction:
 # Basis conversion
 # ---------------------------------------------------------------------------
 
-def conversion_matrices(d: int, n_max: int):
-    """Lower-triangular D with rows = H_n coefficients, and its inverse.
-
-    The inverse is |D| entrywise (`test_conversion_matrices_inverse` checks
-    that the product is the identity).
-    """
-    check_dimension(d)
-    dmat = [
-        [recurrence_coefficient(d, n, k) if k <= n else Fraction(0) for k in range(n_max + 1)]
-        for n in range(n_max + 1)
-    ]
-    dinv = [[abs(e) for e in row] for row in dmat]
-    return tuple(map(tuple, dmat)), tuple(map(tuple, dinv))
-
-
 def monomial_to_eigen(d: int, p: ExactPoly) -> list[Fraction]:
     """Coefficients (g_0..g_deg) with p = sum_k g_k H_k, exactly."""
     two_alpha = 2 * alpha_of(d)
@@ -197,7 +178,7 @@ def eigen_to_monomial(d: int, coeffs) -> ExactPoly:
 
 
 # ---------------------------------------------------------------------------
-# Partial-mass eigenfunctions and differential operators
+# Partial-mass eigenfunctions
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -209,19 +190,6 @@ def partial_mass_eigen(d: int, n: int) -> ExactPoly:
     two_alpha = 2 * alpha_of(d)
     hy = kummer_eigenpoly(d, n).to_y(two_alpha)
     return ExactPoly([c / (2 * k + d) for k, c in enumerate(hy.coeffs)], "y")
-
-
-def radial_apply(p: ExactPoly, op: str, dim: int | None = None) -> ExactPoly:
-    """Apply y*d/dy ("euler") or the radial Laplacian ("laplacian", needs dim)."""
-    if p.var != "y":
-        raise ValueError("radial_apply expects an even polynomial in y")
-    if op == "euler":
-        return p.euler()
-    if op == "laplacian":
-        if dim is None:
-            raise ValueError("laplacian needs the ambient dimension")
-        return p.laplacian(dim)
-    raise ValueError(f"unknown operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,67 +274,3 @@ def build_residual_poly(d: int) -> ExactPoly:
     phit2 = phit * phit
     p = p + d * phit2 + Fraction(1, 2) * phit2.euler()
     return p
-
-
-# ---------------------------------------------------------------------------
-# Bundled per-dimension system
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Per-dimension bundle of the eigenpolynomials H_n and phi_n."""
-
-    d: int
-    ell: int
-    alpha: Fraction
-    max_degree: int
-    H: tuple            # H_0..H_N, z tag
-    phi: tuple          # partial-mass eigenpolynomials, y tag
-
-    def eigenpoly(self, n: int) -> ExactPoly:
-        self._check_degree(n)
-        return self.H[n]
-
-    def partial_mass(self, n: int) -> ExactPoly:
-        self._check_degree(n)
-        return self.phi[n]
-
-    def _check_degree(self, n: int):
-        if not 0 <= n <= self.max_degree:
-            raise DegreeCapError(
-                f"degree {n} exceeds cap {self.max_degree}; "
-                f"rebuild with build_eigensystem(d={self.d}, max_degree>={n})"
-            )
-
-    def inner(self, weight: str, p: ExactPoly, r: ExactPoly) -> Fraction:
-        return inner_product(self.d, weight, p, r)
-
-    def monomial_to_eigen(self, p: ExactPoly) -> list[Fraction]:
-        pz = p.to_z(2 * self.alpha)
-        if pz.degree > self.max_degree:
-            raise DegreeCapError(
-                f"degree {pz.degree} exceeds cap {self.max_degree}; "
-                f"rebuild with build_eigensystem(d={self.d}, max_degree>={pz.degree})"
-            )
-        return monomial_to_eigen(self.d, pz)
-
-    def eigen_to_monomial(self, coeffs) -> ExactPoly:
-        return eigen_to_monomial(self.d, coeffs)
-
-    def rho_norm_sq(self, n: int) -> Fraction:
-        """<phi_{2n}, phi_{2n}>_rho relative to the rho weight's M_0."""
-        p = self.partial_mass(n)
-        return inner_product(self.d, "rho", p, p)
-
-
-@lru_cache(maxsize=None)
-def build_eigensystem(d: int, max_degree: int = 12) -> EigenSystem:
-    check_dimension(d)
-    return EigenSystem(
-        d=d,
-        ell=ell_of(d),
-        alpha=alpha_of(d),
-        max_degree=max_degree,
-        H=tuple(kummer_eigenpoly(d, n) for n in range(max_degree + 1)),
-        phi=tuple(partial_mass_eigen(d, n) for n in range(max_degree + 1)),
-    )

@@ -437,28 +437,3 @@ def final_profile(params: ProfileParams, r):
     amp = (params.d - 2) * (2.0 / params.c) ** (1.0 / params.ell)
     out = amp * np.abs(np.log(r)) ** (1.0 / params.ell) / r**2
     return out if out.ndim else float(out)
-
-
-def final_profile_matched(params: ProfileParams, r, k0: float = 10.0):
-    """Final profile via the matching-time construction, for comparison.
-
-    For each r solve  r = k0 * sqrt(tau) * |log tau|^(1/(2 ell))  for the
-    matching time-to-blowup tau, then return F(k0)/tau.
-    """
-    r = np.asarray(r, float)
-    if np.any(r <= 0) or np.any(r >= 1):
-        raise ValueError("matched profile is defined on 0 < r < 1")
-    ell = params.ell
-    f_k0 = float(f_of_xi(params, k0))
-    out = np.empty_like(r)
-    for i, ri in np.ndenumerate(r):
-        lo, hi = 1e-300, 1.0 - 1e-12
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            val = k0 * math.sqrt(mid) * abs(math.log(mid)) ** (1.0 / (2 * ell))
-            if val > ri:
-                hi = mid
-            else:
-                lo = mid
-        out[i] = f_k0 / math.sqrt(lo * hi)
-    return out if out.ndim else float(out)

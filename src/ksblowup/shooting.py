@@ -41,7 +41,7 @@ class ExitRecord:
 class ShootResult:
     parameters: tuple             # best d found
     s_exit: float
-    verdict: str                  # trapped / survived / exit:mode_k / no-bracket
+    verdict: str                  # trapped / survived / exit:mode_k / blowup / unstable
     exit_vector: np.ndarray
     trajectory: list              # diagnostics records of the best probe
     history: list                 # probe log: dict per probe
@@ -102,11 +102,7 @@ def objective(dvec, config: sim.SimConfig,
     dvec = tuple(float(x) for x in dvec)
     cfg = replace(config, dvec=dvec, stop_on_unstable=True,
                   escape_factor=np.inf, track_bounds=True)
-    try:
-        result = sim.run(cfg, ctx=ctx)
-    except sim.StateCorruptionError as exc:
-        raise sim.StateCorruptionError(f"simulation failed at d={dvec}: {exc}") from exc
-    return _exit_from_run(dvec, result, config.A, ell)
+    return _exit_from_run(dvec, sim.run(cfg, ctx=ctx), config.A, ell)
 
 
 def _feasible_radii(minv: np.ndarray) -> np.ndarray:
@@ -200,7 +196,7 @@ def trap_search(config: sim.SimConfig, budget: int,
     elif best.exit_mode is not None:
         verdict = f"exit:mode_{best.exit_mode}"
     else:
-        verdict = "no-bracket"
+        verdict = best.run_verdict    # blowup or unstable: no exit mode
     return ShootResult(
         parameters=best.dvec,
         s_exit=best.s_exit,

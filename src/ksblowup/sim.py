@@ -89,10 +89,6 @@ class Grid:
     def n(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def h_min(self) -> float:
-        return float(np.min(np.diff(self.nodes)))
-
 
 @dataclass
 class RadialState:
@@ -272,7 +268,8 @@ class Stepper:
     def _factored(self, dt: float):
         """gttrf factors of the matrix I - (dt/2) Lap - dt D_lin, whose last
         row is the boundary condition (v_N = value, or v_N - v_{N-1} = 0 for
-        Neumann).
+        Neumann).  A dt so large that the entries overflow raises
+        StateCorruptionError, which `run` reads as a verdict.
 
         The factors of the last two dts are kept: a fixed-dt run shortens the
         step that lands on a record time and then returns to its fixed dt."""
@@ -282,11 +279,14 @@ class Stepper:
                     self._recent.reverse()
                 return factors
         dlo, ddi, dup = self.linear_drift
-        dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
-        di = 1.0 - 0.5 * dt * self.di - dt * ddi
-        du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
+            di = 1.0 - 0.5 * dt * self.di - dt * ddi
+            du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
         di[-1] = 1.0
         dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
+        if not (np.isfinite(dl).all() and np.isfinite(di).all() and np.isfinite(du).all()):
+            raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
         *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
                                 overwrite_du=True)
         if info > 0:

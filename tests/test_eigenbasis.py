@@ -141,27 +141,6 @@ def test_roundtrip_random_polys(d):
         assert back == p
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_conversion_matrices_inverse(d):
-    n = 8
-    dmat, dinv = eb.conversion_matrices(d, n)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            acc = sum(dmat[i][k] * dinv[k][j] for k in range(n + 1))
-            assert acc == (1 if i == j else 0)
-            assert dinv[i][j] == abs(dmat[i][j])
-
-
-def test_degree_cap_error():
-    system = eb.build_eigensystem(3, max_degree=4)
-    with pytest.raises(eb.DegreeCapError):
-        system.monomial_to_eigen(ExactPoly([0] * 6 + [1]))
-    with pytest.raises(eb.DegreeCapError):
-        system.eigenpoly(5)
-    big = eb.build_eigensystem(3, max_degree=6)
-    assert big.monomial_to_eigen(ExactPoly([0] * 6 + [1]))[6] == 1
-
-
 # ---------------------------------------------------------------------------
 # partial mass and radial operators
 # ---------------------------------------------------------------------------
@@ -177,15 +156,11 @@ def test_partial_mass_goldens():
 def test_radial_apply_basics():
     y2 = ExactPoly([0, 1], "y")
     for d in (3, 4):
-        assert eb.radial_apply(y2, "laplacian", dim=d + 2).coeffs == (2 * (d + 2),)
+        assert y2.laplacian(d + 2).coeffs == (2 * (d + 2),)
     y4 = ExactPoly([0, 0, 1], "y")
-    assert eb.radial_apply(y4, "euler").coeffs == (0, 0, 4)
+    assert y4.euler().coeffs == (0, 0, 4)
     with pytest.raises(ValueError):
-        eb.radial_apply(ExactPoly([1], "z"), "euler")
-    with pytest.raises(ValueError):
-        eb.radial_apply(y2, "laplacian")
-    with pytest.raises(ValueError):
-        eb.radial_apply(y2, "gradient")
+        ExactPoly([1], "z").laplacian(5)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -193,8 +168,8 @@ def test_radial_apply_basics():
 def test_partial_mass_eigenrelation(d, n):
     ell = eb.ell_of(d)
     ph = eb.partial_mass_eigen(d, n)
-    resid = (eb.radial_apply(ph, "laplacian", dim=d + 2)
-             - Fraction(1, 2 * ell) * eb.radial_apply(ph, "euler")
+    resid = (ph.laplacian(d + 2)
+             - Fraction(1, 2 * ell) * ph.euler()
              + Fraction(n, ell) * ph)
     assert resid.is_zero()
 

@@ -170,7 +170,21 @@ def test_unstable_probe_neither_survives_nor_traps():
     (probe,) = res.history
     assert probe["verdict"] == "unstable" and probe["exit_mode"] is None
     assert probe["steps"] == 0
-    assert res.verdict == "no-bracket"
+    assert res.verdict == "unstable"
+
+
+def test_overflowing_matrix_ends_run_and_search_in_a_verdict():
+    # at a fixed dt of 1e307 the entries of the Crank-Nicolson matrix
+    # overflow to inf; the run reads that as a verdict instead of raising
+    cfg = sim.SimConfig(d=4, n=64, y_max=60.0, s0=50.0, horizon=1e307, cadence=1e307,
+                        dt=1e307)
+    res = sim.run(cfg)
+    assert res.verdict == "unstable" and res.steps == 0
+    assert "overflowed" in res.message
+    search = shooting.trap_search(cfg, budget=3)
+    (probe,) = search.history
+    assert probe["verdict"] == "unstable" and probe["exit_mode"] is None
+    assert search.verdict == "unstable"
 
 
 def test_d3_search_smoke():
