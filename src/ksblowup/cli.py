@@ -221,7 +221,8 @@ def cmd_simulate(args) -> int:
         write_manifest(outdir, "simulate", vars(args) | {"resolved": str(config)},
                        {"verdict": result.verdict, "exit_time": result.exit_time,
                         "steps": result.steps, "dt_min": result.dt_min,
-                        "dt_max": result.dt_max, "message": result.message},
+                        "dt_max": result.dt_max, "message": result.message,
+                        "step_s": result.step_s, "diag_s": result.diag_s},
                        inputs=inputs, started=started)
     return EXIT_OK
 
@@ -280,6 +281,7 @@ def cmd_shoot(args) -> int:
             "exit_vector": list(map(float, h["exit_vector"])),
             "transverse_ok": h["transverse_ok"],
             "steps": h["steps"],
+            "wall_s": h["wall_s"],
         } for h in result.history]
         (outdir / "search_log.json").write_text(json.dumps({
             "verdict": result.verdict,

@@ -129,22 +129,32 @@ def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     """
     if j not in (0, 1, 2):
         raise ValueError("derivative order j must be 0, 1 or 2")
+    return _flat_norms(field_values, ctx, (j,))[0]
+
+
+def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
+    """flat_norm of each order in `orders` (ascending), from one chain of
+    Euler derivatives and one resolution check."""
     y = ctx.y
     f = np.asarray(field_values, float)
-    if j >= 1:
+    if orders[-1] >= 1:
         rel = np.max(np.abs(np.diff(f))) / (np.max(np.abs(f)) + 1e-300)
         if rel > 0.5:
             warnings.warn(
                 "field varies by >50% between neighbouring nodes; "
                 "(y d/dy)^j is unresolved, refine the grid",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    for _ in range(j):
-        f = euler_derivative(y, f)
-    integrand = ctx.flat_w * f * f
-    _check_tail_decay(y, integrand)
-    return float(np.sqrt(np.sum(integrand)))
+    norms = []
+    for j in range(orders[-1] + 1):
+        if j:
+            f = euler_derivative(y, f)
+        if j in orders:
+            integrand = ctx.flat_w * f * f
+            _check_tail_decay(y, integrand)
+            norms.append(float(np.sqrt(np.sum(integrand))))
+    return norms
 
 
 def _check_tail_decay(y, integrand):
@@ -205,6 +215,7 @@ class ModeDecomposition:
     coefficients: np.ndarray     # eps_hat_0 .. eps_hat_{2l-1}
     tilde: np.ndarray            # residual field on the grid
     tilde_norm: float            # || tilde ||_rho
+    profile: np.ndarray          # Q(y s^(-1/(2l))) on the grid
 
 
 @dataclass
@@ -248,9 +259,9 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float):
     p = ctx.params
     y = ctx.y
     v = np.asarray(v_values, float)
-    psi_arr = pr.psi(p, y, s)
-    eps_hat = v - psi_arr
-    eps = eps_hat + pr.psi_hat(p, y, s)        # v - Q, for the outer norms
+    q, ph = pr.psi_terms(p, y, s)
+    eps_hat = v - (q + ph)                     # v - psi
+    eps = eps_hat + ph                         # v - Q, for the outer norms
 
     coeffs = ctx.project_all(eps_hat)
     tilde = eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0)
@@ -262,8 +273,8 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float):
             measured[f"mode_{k}"] = abs(float(c))
     measured["null_mode"] = abs(float(coeffs[ctx.ell]))
     measured["l2rho"] = tilde_norm
-    for j in range(3):
-        measured[f"flat_{j}"] = flat_norm(eps_hat, ctx, j=j)
+    for j, norm in enumerate(_flat_norms(eps_hat, ctx, (0, 1, 2))):
+        measured[f"flat_{j}"] = norm
     o0, o1, o2 = outer_norms(eps, ctx, s)
     measured["out_sup"], measured["out_dysup"], measured["out_ysup"] = o0, o1, o2
 
@@ -278,7 +289,7 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float):
     else:
         verdict = "inside"
     return (
-        ModeDecomposition(coefficients=coeffs, tilde=tilde, tilde_norm=tilde_norm),
+        ModeDecomposition(coefficients=coeffs, tilde=tilde, tilde_norm=tilde_norm, profile=q),
         ShrinkingReport(s=float(s), A=float(A), measured=measured, ratios=ratios,
                         verdict=verdict, worst=worst),
     )

@@ -276,12 +276,18 @@ def psi_hat(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
     return -(1.0 / (params.B * s)) * _even_eval(params.phit_coeffs, y) * cutoff_chi(cutoff, xi)
 
 
-def psi(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
-    """Refined approximate solution Q(y s^(-1/(2 ell))) + psi_hat."""
+def psi_terms(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+    """The two terms of `psi`: (Q(y s^(-1/(2 ell))), psi_hat)."""
     s = _check_s(s)
     y = np.asarray(y, float)
     xi = y * s ** (-1.0 / (2 * params.ell))
-    out = q_of_xi(params, xi) + psi_hat(params, y, s, cutoff)
+    return q_of_xi(params, xi), psi_hat(params, y, s, cutoff)
+
+
+def psi(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+    """Refined approximate solution Q(y s^(-1/(2 ell))) + psi_hat."""
+    q, ph = psi_terms(params, y, s, cutoff)
+    out = q + ph
     return out if np.ndim(out) else float(out)
 
 

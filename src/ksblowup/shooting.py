@@ -13,6 +13,7 @@ A/s^2; the exit signs steer an exit-driven coordinate bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -159,13 +160,15 @@ def trap_search(config: sim.SimConfig, budget: int,
         return (a.trapped, a.survived, a.s_exit) > (b.trapped, b.survived, b.s_exit)
 
     while spent < budget:
+        started = perf_counter()
         rec = objective_fn(q.copy())
+        wall_s = perf_counter() - started
         spent += 1
         history.append({
             "q": q.copy(), "d": rec.dvec, "s_exit": rec.s_exit,
             "exit_mode": rec.exit_mode, "verdict": rec.run_verdict,
             "exit_vector": np.array(rec.exit_vector),
-            "transverse_ok": rec.transverse_ok, "steps": rec.steps,
+            "transverse_ok": rec.transverse_ok, "steps": rec.steps, "wall_s": wall_s,
         })
         if better(rec, best):
             best = rec

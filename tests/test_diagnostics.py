@@ -175,6 +175,26 @@ def test_decompose_idempotent_and_parseval():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def test_decompose_evaluates_q_and_the_flat_chain_once():
+    # Q is kept for the caller, psi is Q + psi_hat as pr.psi forms it, and the
+    # three flat norms from one derivative chain equal three flat_norm calls
+    d = 4
+    y = np.linspace(0.0, 60.0, 6001)
+    ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0)
+    s, A = 50.0, 20.0
+    v = pr.psi(ctx.params, y, s) + 1e-3 * np.exp(-0.2 * y**2) * (1 - y + 0.3 * y**2)
+    dec, rep = dg.decompose(v, s, ctx, A)
+    assert np.array_equal(dec.profile, pr.q_of_xi(ctx.params, y * s ** -0.25))
+    eps_hat = v - pr.psi(ctx.params, y, s)
+    assert np.array_equal(dec.coefficients, ctx.project_all(eps_hat))
+    for j in range(3):
+        assert rep.measured[f"flat_{j}"] == dg.flat_norm(eps_hat, ctx, j=j)
+    # an unresolved field still warns
+    rough = v + 1e-2 * np.sign(np.sin(50.0 * y)) * np.exp(-0.01 * y**2)
+    with pytest.warns(RuntimeWarning, match="unresolved"):
+        dg.decompose(rough, s, ctx, A)
+
+
 def test_shrinking_ratios_monotone_under_scaling():
     d = 4
     y = np.linspace(0.0, 60.0, 6001)

@@ -256,16 +256,96 @@ def _reference_step(stepper, state, dt):
     (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile"),
 ])
 def test_step_equals_reference_kernel(grid, frame, boundary):
-    # the precomputed stencils and the once-per-dt factorization change no bit
+    # the precomputed stencils, the Peclet-decided advection and the
+    # once-per-dt factorization change no bit.  Fields in [0, 0.3] are
+    # centered at every node of the uniform grids; fields in [-2, 6] mix
+    # upwind and centered nodes and drifts of both signs on every grid.
     rng = np.random.default_rng(7)
     t0 = 50.0 if frame == "selfsimilar" else 0.0
+    y = grid.nodes
+    h = np.concatenate([y[1:2] - y[:1], np.diff(y)])
+    n = len(y)
     for d in (3, 4):
         stepper = sim.Stepper(grid, d, frame, boundary)
-        for _ in range(5):
-            state = sim.RadialState(frame, t0, 0.3 * rng.random(len(grid.nodes)), grid, d)
+        fields = [0.3 * rng.random(n) for _ in range(5)]
+        fields += [rng.uniform(-2.0, 6.0, n) for _ in range(5)]
+        for k, v in enumerate(fields):
+            peclet = np.abs(v * y) * h
+            if k >= 5:
+                assert np.any(peclet > 2.0) and np.any(peclet[1:] <= 2.0)
+                assert np.any(v < 0) and np.any(v > 0)
+            elif grid.n in (32, 2048):
+                assert np.all(peclet <= 2.0)
+            state = sim.RadialState(frame, t0, v, grid, d)
             for dt in (1e-3, 2.5e-4, 1e-3):            # factor, factor, cached
                 want = _reference_step(stepper, state, dt)
                 assert np.array_equal(stepper.step(state, dt).values, want)
+
+
+def _advect_per_node(st, v, a):
+    """Reference advection: both stencils at every node, then one select per
+    node by its Peclet number."""
+    slope = np.zeros(len(v) + 1)
+    np.divide(v[1:] - v[:-1], st.dy, out=slope[1:-1])
+    bwd = slope[:-1]
+    up = np.where(a > 0, slope[1:], bwd)
+    up[-1] = bwd[-1]
+    up[0] = 0.0
+    cen = np.empty(len(v))
+    cen[1:-1] = (st.hm2 * v[2:] - st.hm2_hp2 * v[1:-1] - st.hp2 * v[:-2]) / st.denom
+    cen[-1] = bwd[-1]
+    cen[0] = 0.0
+    return a * np.where(np.abs(a) * st.h <= 2.0, cen, up)
+
+
+@pytest.mark.parametrize("grid", [sim.Grid.uniform(32, 10.0), sim.Grid.uniform(2048, 110.0),
+                                  sim.Grid.geometric(128, 30.0, 1.03)])
+def test_rhs_advection_bit_equal_to_per_node_selection(grid, monkeypatch):
+    # rhs shares the kernel's advection; it equals, bit for bit (signed zeros
+    # too), the rhs built on the per-node select, for all-centered and mixed fields
+    rng = np.random.default_rng(11)
+    n = len(grid.nodes)
+    fields = [0.3 * rng.random(n), rng.uniform(-2.0, 6.0, n), rng.uniform(-1e-3, 1e-3, n)]
+    fields[2][::4] = 0.0
+    fields[2][1::5] = -0.0
+    states = [sim.RadialState(frame, 50.0, v, grid, d)
+              for v in fields for frame in ("physical", "selfsimilar") for d in (3, 4)]
+    got = [sim.rhs(state) for state in states]
+    monkeypatch.setattr(sim._Stencil, "advect", _advect_per_node)
+    for state, g in zip(states, got):
+        assert g.tobytes() == sim.rhs(state).tobytes()
+
+
+def test_step_names_the_first_non_finite_stage():
+    # one check of the solution stands for three: the error still names the
+    # field, the explicit terms or the solver, in that order
+    g = sim.Grid.uniform(32, 10.0)
+    stepper = sim.Stepper(g, 4, "physical", "neumann")
+
+    def message(values, dt):
+        with pytest.raises(sim.StateCorruptionError) as err:
+            stepper.step(sim.RadialState("physical", 0.5, values, g, 4), dt)
+        return str(err.value)
+
+    v = np.full(33, 0.1)
+    for bad in (np.nan, np.inf):
+        for at in (0, 16, 32):
+            w = v.copy()
+            w[at] = bad
+            assert message(w, 1e-3) == "non-finite field at time 0.5"
+    # d v^2 overflows from a finite field
+    assert message(np.full(33, 1e160), 1e-3) == "explicit terms overflowed at t=0.5"
+    # a non-finite field or b is named before a matrix that cannot be factored
+    w = v.copy()
+    w[3] = np.nan
+    assert message(w, 1e307) == "non-finite field at time 0.5"
+    assert message(v, 1e307) == "Crank-Nicolson matrix overflowed at dt=1e+307"
+    alternating = np.where(np.arange(33) % 2, 1.0, -1.0)
+    assert message(1e5 * alternating, 1e300) == "explicit terms overflowed at t=0.5"
+    with pytest.raises(np.linalg.LinAlgError):
+        stepper.step(sim.RadialState("physical", 0.5, 0.1 * alternating, g, 4), 1e300)
+    # a finite b whose solve overflows
+    assert message(1e-10 * alternating, 1e305) == "solver produced non-finite values at t=0.5"
 
 
 def test_stretched_grid_stepper_and_rhs():
@@ -570,6 +650,28 @@ def test_factor_cache_keeps_the_fixed_dt(monkeypatch):
     assert np.array_equal(cached.times, fresh.times)
     assert np.array_equal(cached.sup_w, fresh.sup_w)
     assert np.array_equal(cached.final_state.values, fresh.final_state.values)
+
+
+def test_run_splits_its_wall_time_by_clock_reads_at_records(monkeypatch):
+    # two clock reads per record and one at each end, none per step
+    reads = []
+    clock = sim.perf_counter
+
+    def counting():
+        reads.append(1)
+        return clock()
+
+    monkeypatch.setattr(sim, "perf_counter", counting)
+    for cfg, slices in ((sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, dt=1e-3,
+                                       s0=0.0, horizon=0.5, cadence=0.1,
+                                       init=np.full(33, 0.1)), 6),
+                        (sim.SimConfig(d=4, n=256, s0=50.0, horizon=0.5, cadence=0.25,
+                                       escape_factor=np.inf), 3)):
+        reads.clear()
+        res = sim.run(cfg)
+        assert len(res.records if res.times is None else res.times) == slices
+        assert len(reads) == 2 * slices + 2 and res.steps > len(reads)
+        assert res.step_s > 0.0 and res.diag_s > 0.0
 
 
 def test_run_deterministic_replay(tmp_path):
