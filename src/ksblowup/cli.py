@@ -222,6 +222,7 @@ def cmd_simulate(args) -> int:
                        {"verdict": result.verdict, "exit_time": result.exit_time,
                         "steps": result.steps, "dt_min": result.dt_min,
                         "dt_max": result.dt_max, "message": result.message,
+                        "stop_reason": result.stop_reason,
                         "step_s": result.step_s, "diag_s": result.diag_s},
                        inputs=inputs, started=started)
     return EXIT_OK
@@ -281,6 +282,7 @@ def cmd_shoot(args) -> int:
             "exit_vector": list(map(float, h["exit_vector"])),
             "transverse_ok": h["transverse_ok"],
             "steps": h["steps"],
+            "stop_reason": h["stop_reason"],
             "wall_s": h["wall_s"],
         } for h in result.history]
         (outdir / "search_log.json").write_text(json.dumps({

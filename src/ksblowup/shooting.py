@@ -36,6 +36,7 @@ class ExitRecord:
     records: list
     run_verdict: str
     steps: int = 0                # time steps the probe's run took
+    stop_reason: str = ""         # the run's RunResult.stop_reason
 
 
 @dataclass
@@ -88,6 +89,7 @@ def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecor
         records=records,
         run_verdict=result.verdict,
         steps=result.steps,
+        stop_reason=result.stop_reason,
     )
 
 
@@ -168,7 +170,8 @@ def trap_search(config: sim.SimConfig, budget: int,
             "q": q.copy(), "d": rec.dvec, "s_exit": rec.s_exit,
             "exit_mode": rec.exit_mode, "verdict": rec.run_verdict,
             "exit_vector": np.array(rec.exit_vector),
-            "transverse_ok": rec.transverse_ok, "steps": rec.steps, "wall_s": wall_s,
+            "transverse_ok": rec.transverse_ok, "steps": rec.steps,
+            "stop_reason": rec.stop_reason, "wall_s": wall_s,
         })
         if better(rec, best):
             best = rec

@@ -26,14 +26,14 @@ per grid, and the matrix I - (dt/2) Lap - dt D_lin is LU-factored (LAPACK
 gttrf) once per dt, the factors of the last two dts kept, and only
 back-substituted (gttrs) at each step.
 
-A step on a small grid costs a fixed overhead per NumPy call, so the kernel
-makes few: the largest Peclet product decides whether the nonlinear drift
-needs upwinding at any node (while no node does, the upwind slopes and
-selects are skipped), the centered differences are one gather and one
-multiply, b is accumulated in place, and the one finiteness check is on the
-solution, which any non-finite field or b reaches; only then does the step
-look for the stage that failed.  Every result is bit-equal to the per-node
-select.
+A step on a small grid costs a fixed overhead per NumPy call, so the raw-array
+kernel `Stepper._advance` makes few: one gather serves the Laplacian and the
+centered advection, the largest Peclet product decides whether any node needs
+upwinding (if none does, the upwind slopes and selects are skipped), b is
+accumulated in place, and the one finiteness check, v @ 0, is on the solution,
+which any non-finite field or b reaches; only then does the step look for the
+stage that failed.  Between records `run` calls the kernel alone, under one
+np.errstate.  Every result is bit-equal to the per-node select.
 """
 
 from __future__ import annotations
@@ -130,13 +130,14 @@ class _Stencil:
     hm and hp left and right of each interior node, the products of the
     centered first derivative, and the Peclet spacing h.
 
-    The centered derivative at every node is (c0 v[j0] - c1 v[j1] - c2 v[j2])
-    / den, gathered in one index and one multiply by the stacks `cen_at` and
-    `cen_coef`: at an interior node (hm^2, hm^2 - hp^2, hp^2) at (i+1, i, i-1)
-    over hm hp (hm + hp); at the last node (1, 1, 0) at (N, N-1, N-1) over
-    dy[-1], the backward difference (the zero takes the sign of v[N-1], so
-    subtracting it changes no bit of v[N] - v[N-1], a signed zero included);
-    node 0 is zeroed after the division."""
+    The gather v[cen_at] holds (v[i+1], v[i], v[i-1]) at an interior node,
+    (v[1], v[0], v[0]) at node 0 and (v[N], v[N-1], v[N-1]) at the last; it
+    serves the tridiagonals (`_apply_gathered`) and the centered derivative
+    (c0 v[j0] - c1 v[j1] - c2 v[j2]) / den, one multiply by `cen_coef`: at an
+    interior node (hm^2, hm^2 - hp^2, hp^2) over hm hp (hm + hp); at the last
+    node (1, 1, 0) over dy[-1], the backward difference (the zero takes the
+    sign of v[N-1], so subtracting it changes no bit of v[N] - v[N-1], a
+    signed zero included); node 0 is zeroed after the division."""
 
     def __init__(self, y):
         self.y = y
@@ -151,24 +152,24 @@ class _Stencil:
         n = len(y)
         i = np.arange(n)
         self.cen_at = np.stack([i + 1, i, i - 1])
-        self.cen_at[:, 0] = 0
+        self.cen_at[:, 0] = (1, 0, 0)
         self.cen_at[:, -1] = (n - 1, n - 2, n - 2)
         self.cen_coef = np.zeros((3, n))
         self.cen_coef[:, 1:-1] = self.hm2, self.hm2_hp2, self.hp2
         self.cen_coef[:2, -1] = 1.0
         self.cen_den = np.concatenate([[1.0], self.denom, self.dy[-1:]])
 
-    def advect(self, v, a):
+    def advect(self, v, a, g):
         """a * dv/dy with per-node stencil selection: second-order centered
         differences (dispersive where the cell Peclet number |a| h / 2
         exceeds one) at nodes with Peclet <= 1, monotone first-order
-        upwinding at the rest.
+        upwinding at the rest.  `g` is the gather v[cen_at].
 
         The largest Peclet product decides first: when no node upwinds, the
         upwind slopes and the selects are skipped, since they would pick the
         centered stencil everywhere.
         """
-        g = v[self.cen_at] * self.cen_coef
+        g = g * self.cen_coef
         cen = g[0] - g[1]
         cen -= g[2]
         cen /= self.cen_den
@@ -236,14 +237,25 @@ def _linear_drift_tridiag(st: _Stencil, sigma: float):
     return a * lo, a * di, a * up
 
 
-def _apply_tridiag(lo, di, up, v):
-    out = di * v
-    out[:-1] += up[:-1] * v[1:]
-    out[1:] += lo[1:] * v[:-1]
+def _gathered(lo, di, up):
+    """A tridiagonal (lower, diag, upper) as a stack for the gather v[cen_at]:
+    (up, di, lo), and (di, lo, 0) on the last row, which gathers v[N] first."""
+    coef = np.stack([up, di, lo])
+    coef[:, -1] = di[-1], lo[-1], 0.0
+    return coef
+
+
+def _apply_gathered(coef, g):
+    """The tridiagonal `coef` times the field gathered in g, as (di v[i] +
+    up v[i+1]) + lo v[i-1]; the last row's added zero has the sign of v[N-1],
+    which changes no bit while lo[N] >= +0, as in both tridiagonals."""
+    q = g * coef
+    out = q[1] + q[0]
+    out[1:] += q[2, 1:]
     return out
 
 
-def _explicit_terms(stencil: _Stencil, v, d: int, sigma: float):
+def _explicit_terms(stencil: _Stencil, v, g, d: int, sigma: float):
     """The nonlinear drift v y v_y and the reaction d v^2 - sigma v, apart:
     `rhs` adds them to the implicit terms in turn, the step sums them first.
     At sigma 0 and 1 the reaction skips the product sigma v, which changes
@@ -252,26 +264,32 @@ def _explicit_terms(stencil: _Stencil, v, d: int, sigma: float):
     reaction *= v
     if sigma:
         reaction -= v if sigma == 1.0 else sigma * v
-    return stencil.advect(v, v * stencil.y), reaction
+    return stencil.advect(v, v * stencil.y, g), reaction
+
+
+def _finite(v, zeros) -> bool:
+    """Exact and cheaper than np.isfinite(v).all(): v @ 0 is NaN exactly when
+    an entry is +-inf or NaN (which signals `invalid`)."""
+    return not math.isnan(v @ zeros)
 
 
 def rhs(state: RadialState):
     """Full semi-discrete right-hand side on the grid (one-sided at the end)."""
     state.check_finite()
     st = _Stencil(state.grid.nodes)
-    lo, di, up = _laplacian_tridiag(st, state.d + 2)
-    lap = _apply_tridiag(lo, di, up, state.values)
-    # one-sided second-order value at the outer node, for reporting only
     y = state.grid.nodes
     v = state.values
+    g = v[st.cen_at]
+    lap = _apply_gathered(_gathered(*_laplacian_tridiag(st, state.d + 2)), g)
+    # one-sided second-order value at the outer node, for reporting only
     h1 = y[-1] - y[-2]
     h2 = y[-2] - y[-3]
     vp = (v[-1] - v[-2]) / h1
     vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
     lap[-1] = vpp + (state.d + 1) / y[-1] * vp
     sigma = FRAME_SIGMA[state.frame]
-    linear = _apply_tridiag(*_linear_drift_tridiag(st, sigma), v)
-    drift, reaction = _explicit_terms(st, v, state.d, sigma)
+    linear = _apply_gathered(_gathered(*_linear_drift_tridiag(st, sigma)), g)
+    drift, reaction = _explicit_terms(st, v, g, state.d, sigma)
     return lap + linear + drift + reaction
 
 
@@ -289,11 +307,12 @@ class Stepper:
     per dt, so a step is the explicit terms plus one back-substitution.
     `cfl_dt` bounds dt by the explicit terms alone.
 
-    The advection stencil is decided by the largest Peclet product (all
-    centered when it is at most 2, per node otherwise), and the step checks
-    finiteness once, on the solution; when that check fails it raises
-    StateCorruptionError naming the first non-finite stage: the field, the
-    explicit terms, or the solver.
+    `step` checks its state and wraps the raw-array kernel `_advance`: one
+    gather serves the Laplacian and the advection, whose stencil the largest
+    Peclet product decides (all centered when it is at most 2, per node
+    otherwise), and finiteness is checked once, on the solution (v @ 0); when
+    that fails it raises StateCorruptionError naming the first non-finite
+    stage: the field, the explicit terms, or the solver.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str,
@@ -312,6 +331,8 @@ class Stepper:
         self.params = (params or pr.make_profile_params(d)) if boundary == "profile" else None
         self.stencil = _Stencil(grid.nodes)
         self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
+        self.lap = _gathered(self.lo, self.di, self.up)
+        self._zeros = np.zeros(len(grid.nodes))
         self.linear_drift = _linear_drift_tridiag(self.stencil, self.sigma)
         self._recent = []             # (dt, factors), most recently used first
 
@@ -360,42 +381,44 @@ class Stepper:
             raise ConfigError("the state's grid differs from the stepper's")
         if state.d != self.d:
             raise ConfigError(f"a d={self.d} stepper got a d={state.d} state")
-        b = self._rhs_vector(state, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self._advance(state.values, state.time, dt)
+        return RadialState(frame=state.frame, time=state.time + dt,
+                           values=values, grid=self.grid, d=state.d)
+
+    def _advance(self, v, time: float, dt: float):
+        """The step kernel: v at `time` to the field at time + dt, solving
+        against b = v + (dt/2) Lap v + dt (drift + reaction), boundary value
+        last.  Callers vouch for v and dt and enter np.errstate."""
+        g = v[self.stencil.cen_at]
+        expl, reaction = _explicit_terms(self.stencil, v, g, self.d, self.sigma)
+        expl += reaction
+        expl *= dt
+        b = _apply_gathered(self.lap, g)
+        b *= 0.5 * dt
+        b += v
+        b += expl
+        b[-1] = self.boundary_value(time + dt)
         try:
             factors = self._factored(dt)
         except (StateCorruptionError, np.linalg.LinAlgError):
-            self._check_inputs(state, dt)
+            self._check_inputs(v, time, b)
             raise
-        v_new, _ = dgttrs(*factors, b, overwrite_b=True)
+        # b is kept (no overwrite_b) for the cold path
+        v_new, _ = dgttrs(*factors, b)
         # a non-finite field reaches b and a non-finite b the solution, so
         # one check here stands for all three; the cold path names the stage
-        if not np.isfinite(v_new).all():
-            self._check_inputs(state, dt)
-            raise StateCorruptionError(f"solver produced non-finite values at t={state.time}")
-        return RadialState(frame=state.frame, time=state.time + dt,
-                           values=v_new, grid=self.grid, d=state.d)
+        if not _finite(v_new, self._zeros):
+            self._check_inputs(v, time, b)
+            raise StateCorruptionError(f"solver produced non-finite values at t={time}")
+        return v_new
 
-    def _rhs_vector(self, state: RadialState, dt: float):
-        """b = v + (dt/2) Lap v + dt (drift + reaction), accumulated in place,
-        with the boundary value in its last entry."""
-        v = state.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            expl, reaction = _explicit_terms(self.stencil, v, self.d, self.sigma)
-            expl += reaction
-            expl *= dt
-            b = _apply_tridiag(self.lo, self.di, self.up, v)
-            b *= 0.5 * dt
-            b += v
-            b += expl
-        b[-1] = self.boundary_value(state.time + dt)
-        return b
-
-    def _check_inputs(self, state: RadialState, dt: float):
+    def _check_inputs(self, v, time: float, b):
         """Raise the error of the first non-finite stage before the solve:
         the field, then the right-hand side b."""
-        state.check_finite()
-        if not np.isfinite(self._rhs_vector(state, dt)).all():
-            raise StateCorruptionError(f"explicit terms overflowed at t={state.time}")
+        RadialState(self.frame, time, v, self.grid, self.d).check_finite()
+        if not np.isfinite(b).all():
+            raise StateCorruptionError(f"explicit terms overflowed at t={time}")
 
     def cfl_dt(self, state: RadialState, cfl: float) -> float:
         """Step limit of the explicit terms: cfl over the largest |v y| / dy
@@ -443,6 +466,8 @@ class SimConfig:
             raise ConfigError("bump_K must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if not self.cfl > 0:
+            raise ConfigError("cfl must be positive")
         if self.horizon <= 0 or self.cadence <= 0:
             raise ConfigError("horizon and cadence must be positive")
         ell = eb.ell_of(self.d)
@@ -555,6 +580,15 @@ class RunResult:
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
     diag_s: float = 0.0         # wall seconds in the records: diagnostics slices or sup w
 
+    @property
+    def stop_reason(self) -> str:
+        """Why the run ended: a non-finite step (a message is set), the record
+        guard (`blowup`), a mode exit, an escape, or the horizon."""
+        if self.message:
+            return "non-finite step"
+        return {"blowup": "record guard", "exit": "mode exit",
+                "escaped": "escape"}.get(self.verdict.split(":")[0], "horizon")
+
     def coefficient_table(self):
         s = np.array([r.s for r in self.records])
         c = np.stack([r.coefficients for r in self.records])
@@ -601,6 +635,9 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
 
     Without a fixed `dt`, a self-similar run takes `Stepper.cfl_dt` of the
     state at each record until the next one, and a physical run at each step.
+
+    Between records the loop calls only the step kernel on raw arrays, under
+    one np.errstate; states are built at records and at the end.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
@@ -623,13 +660,16 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     blowup_limit = config.blowup_sup * max(1.0, float(np.max(np.abs(state.values))))
     steps, dt_min, dt_max = 0, math.inf, 0.0
     message = ""
+    advance = stepper._advance
+    v, t = state.values, state.time
     # the clock is read twice per record and never per step
     step_s = diag_s = 0.0
     mark = perf_counter()
 
     stopped = False
     while not stopped:
-        if state.time >= next_record - _TIME_TOL:
+        if t >= next_record - _TIME_TOL:
+            state = RadialState(config.frame, t, v, grid, config.d)
             if selfsim and config.dt is None:
                 dt_set = stepper.cfl_dt(state, config.cfl)
             now = perf_counter()
@@ -647,44 +687,50 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
                 elif rec.ratios[rec_worst := max(rec.ratios, key=rec.ratios.get)] >= config.escape_factor:
                     verdict, stopped = f"escaped:{rec_worst}", True
             else:
-                w = transform(state.values, grid.nodes, config.d, "w")
-                times.append(state.time)
+                w = transform(v, grid.nodes, config.d, "w")
+                times.append(t)
                 sup_w.append(float(np.max(w)))
-                if np.max(np.abs(state.values)) > blowup_limit:
+                if np.max(np.abs(v)) > blowup_limit:
                     verdict, stopped = "blowup", True
             n_records += 1
             next_record = config.s0 + n_records * config.cadence
             mark = perf_counter()
             diag_s += mark - now
-        if stopped:
-            break
-        if state.time >= end_time - _TIME_TOL:
+            if stopped:
+                break
+        if t >= end_time - _TIME_TOL:
             if track and records and all(r.max_ratio() < 1.0 for r in records):
                 verdict = "trapped"
             break
-        dt = dt_set if dt_set is not None else stepper.cfl_dt(state, config.cfl)
-        gap = min(end_time, next_record) - state.time
-        if dt >= gap - _TIME_TOL:
-            dt = gap
+        # step to the next record or the end, landing on it exactly
+        target = min(end_time, next_record)
         try:
-            state = stepper.step(state, dt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                while t < target - _TIME_TOL:
+                    dt = dt_set if dt_set is not None else stepper.cfl_dt(
+                        RadialState(config.frame, t, v, grid, config.d), config.cfl)
+                    gap = target - t
+                    if dt >= gap - _TIME_TOL:
+                        dt = gap
+                    v = advance(v, t, dt)
+                    t += dt
+                    steps += 1
+                    if dt < dt_min:
+                        dt_min = dt
+                    if dt > dt_max:
+                        dt_max = dt
         except StateCorruptionError as exc:
             message = str(exc)
-            verdict = "blowup" if np.max(np.abs(state.values)) > blowup_limit else "unstable"
+            verdict = "blowup" if np.max(np.abs(v)) > blowup_limit else "unstable"
             break
-        steps += 1
-        if dt < dt_min:
-            dt_min = dt
-        if dt > dt_max:
-            dt_max = dt
     step_s += perf_counter() - mark
 
     return RunResult(
         config=config,
         records=records,
         verdict=verdict,
-        exit_time=state.time,
-        final_state=state,
+        exit_time=t,
+        final_state=RadialState(config.frame, t, v, grid, config.d),
         times=np.array(times) if times else None,
         sup_w=np.array(sup_w) if sup_w else None,
         steps=steps,

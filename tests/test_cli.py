@@ -101,6 +101,7 @@ def test_simulate_and_decompose_roundtrip(tmp_path, capsys):
     assert 0.0 < run["dt_min"] <= run["dt_max"] <= 0.1
     assert run["steps"] * run["dt_max"] >= 0.5 and run["message"] == ""
     assert run["step_s"] > 0.0 and run["diag_s"] > 0.0
+    assert run["stop_reason"] == "horizon"
 
     code2, out2, _ = run_cli(["--output-dir", str(outdir), "decompose",
                               "--snapshot", str(snap), "--s", "50.5",
@@ -150,6 +151,8 @@ def test_shoot_writes_search_log(tmp_path, capsys):
     assert len(log["probes"]) <= 3 and log["probes"]
     assert all(isinstance(p["steps"], int) and p["steps"] > 0 for p in log["probes"])
     assert all(p["wall_s"] > 0.0 for p in log["probes"])
+    assert all(p["stop_reason"] == ("horizon" if p["exit_mode"] is None else "mode exit")
+               for p in log["probes"])
     assert (outdir / "best_timeseries.csv").exists()
 
 

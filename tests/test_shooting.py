@@ -103,7 +103,7 @@ def test_objective_validates_parameters(small_cfg):
 
 def test_objective_large_d0_exits_early_mode0(small_cfg):
     rec = shooting.objective((0.9, 0.0), small_cfg)
-    assert rec.exit_mode == 0
+    assert rec.exit_mode == 0 and rec.stop_reason == "mode exit"
     assert rec.s_exit < 52.5
     assert abs(rec.exit_vector[0]) >= abs(rec.exit_vector[1])
     assert rec.transverse_ok
@@ -184,6 +184,7 @@ def test_overflowing_matrix_ends_run_and_search_in_a_verdict():
     search = shooting.trap_search(cfg, budget=3)
     (probe,) = search.history
     assert probe["verdict"] == "unstable" and probe["exit_mode"] is None
+    assert probe["stop_reason"] == res.stop_reason == "non-finite step"
     assert search.verdict == "unstable"
 
 

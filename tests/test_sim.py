@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,11 +37,15 @@ def test_config_validation():
     for bump_K in (0.0, -4.0):
         with pytest.raises(sim.ConfigError):
             sim.SimConfig(d=4, bump_K=bump_K)          # cutoff scale must be positive
+    for cfl in (0.0, -0.4, float("nan")):             # dt = 0 would never advance
+        with pytest.raises(sim.ConfigError, match="cfl"):
+            sim.SimConfig(d=4, frame="physical", y_max=8.0, cfl=cfl)
     with pytest.raises(eb.DimensionError):
         sim.SimConfig(d=5)
     cfg = sim.SimConfig(d=4, s0=50.0, horizon=10.0, K=10.0)
     assert cfg.y_max == pytest.approx(40.0 * 60.0**0.25)
     assert cfg.boundary == "profile"
+
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +286,9 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
                 assert np.array_equal(stepper.step(state, dt).values, want)
 
 
-def _advect_per_node(st, v, a):
+def _advect_per_node(st, v, a, g):
     """Reference advection: both stencils at every node, then one select per
-    node by its Peclet number."""
+    node by its Peclet number.  It reads v alone, not the kernel's gather g."""
     slope = np.zeros(len(v) + 1)
     np.divide(v[1:] - v[:-1], st.dy, out=slope[1:-1])
     bwd = slope[:-1]
@@ -346,6 +350,26 @@ def test_step_names_the_first_non_finite_stage():
         stepper.step(sim.RadialState("physical", 0.5, 0.1 * alternating, g, 4), 1e300)
     # a finite b whose solve overflows
     assert message(1e-10 * alternating, 1e305) == "solver produced non-finite values at t=0.5"
+
+
+@pytest.mark.parametrize("n", [33, 2049])
+def test_finiteness_check_is_exact(n):
+    # v @ 0 is NaN exactly when an entry is +-inf or NaN, wherever it sits;
+    # the extreme finite values pass
+    zeros = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in (0, n // 2, n - 1):
+                v = np.full(n, 0.1)
+                v[at] = bad
+                assert not sim._finite(v, zeros)
+        big = np.finfo(float).max
+        for good in (big, -big, 5e-324, -0.0):
+            assert sim._finite(np.full(n, good), zeros)
+            v = np.full(n, 0.1)
+            v[n // 2] = good
+            assert sim._finite(v, zeros)
+        assert sim._finite(np.zeros(n), zeros)
 
 
 def test_stretched_grid_stepper_and_rhs():
@@ -519,7 +543,7 @@ def test_run_unperturbed_growth_rates():
 def test_run_escape_verdict_labeled():
     cfg = sim.SimConfig(d=4, n=512, s0=50.0, horizon=5.0, cadence=0.25, A=20.0)
     res = sim.run(cfg)
-    assert res.verdict.startswith("escaped:")
+    assert res.verdict.startswith("escaped:") and res.stop_reason == "escape"
     assert res.exit_time < 55.0
 
 
@@ -530,7 +554,7 @@ def test_run_blowup_detection():
                         horizon=10.0, cadence=0.01, dt=1e-3,
                         init=np.full(65, 2.0), track_bounds=False)
     res = sim.run(cfg)
-    assert res.verdict == "blowup"
+    assert res.verdict == "blowup" and res.stop_reason == "record guard"
 
 
 def test_run_physical_blowup_guard():
@@ -556,7 +580,7 @@ def test_run_nonfinite_step_labeled_by_the_field_before_it():
     cfg = sim.SimConfig(d=4, n=64, y_max=60.0, s0=50.0, horizon=1e300, cadence=1e300,
                         dt=1e300, track_bounds=False)
     res = sim.run(cfg)
-    assert res.verdict == "unstable"
+    assert res.verdict == "unstable" and res.stop_reason == "non-finite step"
     assert res.steps == 0 and res.exit_time == 50.0
     assert "non-finite" in res.message
     # from a field above it, a blowup: with no record to stop it, v' = 4 v^2
@@ -564,7 +588,7 @@ def test_run_nonfinite_step_labeled_by_the_field_before_it():
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=1.0,
                         cadence=1.0, dt=1e-3, init=np.full(33, 2.0), track_bounds=False)
     res = sim.run(cfg)
-    assert res.verdict == "blowup"
+    assert res.verdict == "blowup" and res.stop_reason == "non-finite step"
     assert res.steps == 139 and "overflowed" in res.message
 
 
@@ -603,22 +627,109 @@ def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     # a late start time makes the float sum of the steps drift from the
     # record times by more than 1e-12 within a few thousand steps
     dts = []
-    step = sim.Stepper.step
+    advance = sim.Stepper._advance
 
-    def counting_step(self, state, dt):
+    def counting_advance(self, v, time, dt):
         dts.append(dt)
-        return step(self, state, dt)
+        return advance(self, v, time, dt)
 
-    monkeypatch.setattr(sim.Stepper, "step", counting_step)
+    monkeypatch.setattr(sim.Stepper, "_advance", counting_advance)
     dt, horizon, cadence = 1e-3, 2.0, 0.01
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=t0,
                         horizon=horizon, cadence=cadence, dt=dt,
                         init=np.full(33, 0.1), track_bounds=False)
     res = sim.run(cfg)
-    assert res.verdict == "completed"
+    assert res.verdict == "completed" and res.stop_reason == "horizon"
     assert len(dts) == round(horizon / dt)
     assert min(dts) > dt / 2
     assert len(res.times) == round(horizon / cadence) + 1
+
+
+def _step_loop(cfg):
+    """`sim.run` written over `Stepper.step`, one state per step: the same
+    records, dt rule, landing rule, blowup guard and non-finite verdicts."""
+    grid = cfg.build_grid()
+    state = sim.make_initial_data(cfg, grid)
+    stepper = sim.Stepper(grid, cfg.d, cfg.frame, cfg.boundary)
+    selfsim = cfg.frame == "selfsimilar"
+    ctx = dg.DiagnosticsContext(d=cfg.d, y=grid.nodes, K=cfg.K) if selfsim else None
+    limit = cfg.blowup_sup * max(1.0, float(np.max(np.abs(state.values))))
+    end = cfg.s0 + cfg.horizon
+    out = {"records": [], "times": [], "sup_w": [], "dts": [], "verdict": "completed",
+           "message": ""}
+    n, next_record, dt_set = 0, cfg.s0, cfg.dt
+    while True:
+        if state.time >= next_record - sim._TIME_TOL:
+            if selfsim:
+                if cfg.dt is None:
+                    dt_set = stepper.cfl_dt(state, cfg.cfl)
+                out["records"].append(sim._diag_slice(state, ctx, cfg))
+                sup = out["records"][-1].sup_v
+            else:
+                w = sim.transform(state.values, grid.nodes, cfg.d, "w")
+                out["times"].append(state.time)
+                out["sup_w"].append(float(np.max(w)))
+                sup = np.max(np.abs(state.values))
+            if sup > limit:
+                out["verdict"] = "blowup"
+                break
+            n += 1
+            next_record = cfg.s0 + n * cfg.cadence
+        if state.time >= end - sim._TIME_TOL:
+            if selfsim and all(r.max_ratio() < 1.0 for r in out["records"]):
+                out["verdict"] = "trapped"
+            break
+        dt = dt_set if dt_set is not None else stepper.cfl_dt(state, cfg.cfl)
+        gap = min(end, next_record) - state.time
+        if dt >= gap - sim._TIME_TOL:
+            dt = gap
+        try:
+            state = stepper.step(state, dt)
+        except sim.StateCorruptionError as exc:
+            out["verdict"] = "blowup" if np.max(np.abs(state.values)) > limit else "unstable"
+            out["message"] = str(exc)
+            break
+        out["dts"].append(dt)
+    return state, out
+
+
+@pytest.mark.parametrize("cfg", [
+    # physical, fixed dt, late start: every record is landed on
+    sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=1000.0, horizon=0.5,
+                  cadence=0.01, dt=1e-3, init=np.full(33, 0.1), track_bounds=False),
+    # physical, dt from the state at every step
+    sim.SimConfig(d=4, frame="physical", n=64, y_max=10.0, s0=0.0, horizon=2.4,
+                  cadence=0.2, init=np.full(65, 0.1), track_bounds=False),
+    # self-similar, profile boundary, dt from the state at every record
+    sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25, escape_factor=np.inf),
+    # a field above the guard whose step overflows between records
+    sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=1.0,
+                  cadence=1.0, dt=1e-3, init=np.full(33, 2.0), track_bounds=False),
+], ids=["physical-fixed-dt", "physical-cfl", "selfsimilar-profile", "nonfinite-step"])
+def test_run_inner_loop_equals_step_loop(cfg):
+    # the run drives the raw-array kernel through each record interval; a
+    # loop of Stepper.step with the same rules gives every bit of its result
+    res = sim.run(cfg)
+    state, ref = _step_loop(cfg)
+    assert res.final_state.values.tobytes() == state.values.tobytes()
+    assert res.final_state.time == res.exit_time == state.time
+    if cfg.frame == "physical":
+        assert res.records == [] and len(ref["times"]) >= 1
+        assert res.times.tobytes() == np.array(ref["times"]).tobytes()
+        assert res.sup_w.tobytes() == np.array(ref["sup_w"]).tobytes()
+    else:
+        assert res.times is None and len(res.records) == len(ref["records"]) > 1
+        for got, want in zip(res.records, ref["records"]):
+            for f in fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
+    assert res.steps == len(ref["dts"]) > 0
+    assert res.dt_min == min(ref["dts"]) and res.dt_max == max(ref["dts"])
+    assert res.verdict == ref["verdict"] and res.message == ref["message"]
+    assert (res.stop_reason == "non-finite step") == bool(ref["message"])
 
 
 def test_factor_cache_keeps_the_fixed_dt(monkeypatch):
