@@ -441,16 +441,15 @@ def criterion_10(budget: int = 64) -> CriterionResult:
 # Criterion 11: final-profile scaling from a near-trapped physical run
 # ---------------------------------------------------------------------------
 
-def final_profile_experiment(d: int = 4, s0: float = 11.5, amp: float = 15.0,
-                             tune_horizon: float = 8.0, tau_end: float = 3e-8,
-                             n_physical: int = 4096, r_max: float = 0.2,
-                             budget: int = 40):
+def final_profile_experiment():
     """Near-trapped physical run: returns (T_est, decade table, run stats).
 
     The unstable-mode amplitudes come from a trap search of the wide-cutoff
     family (bump_K = 4), whose initial-coefficient mixing is nearly diagonal,
     over the unit q-box; the physical run starts from its best probe.
     """
+    d, s0, amp, tune_horizon, budget = 4, 11.5, 15.0, 8.0, 40
+    tau_end, n_physical, r_max = 3e-8, 4096, 0.2
     ell = eb.ell_of(d)
     p = pr.make_profile_params(d)
     cfg = sim.SimConfig(d=d, n=1024, s0=s0, horizon=tune_horizon, cadence=0.1,

@@ -203,7 +203,7 @@ def cmd_simulate(args) -> int:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         if result.records:
-            result.write_timeseries(outdir / "timeseries.csv", ell)
+            dg.write_timeseries(outdir / "timeseries.csv", result.records, ell)
         if result.times is not None:
             with open(outdir / "sup_series.csv", "w") as fh:
                 fh.write("t,sup_w\n")
@@ -234,15 +234,15 @@ def cmd_decompose(args) -> int:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     y, v = data[:, 0], data[:, 1]
     ctx = dg.DiagnosticsContext(d=args.d, y=y, K=args.K)
-    dec, rep = dg.decompose(v, args.s, ctx, args.A)
+    rec = dg.decompose(v, args.s, ctx, args.A)
     doc = {
         "s": args.s, "d": args.d, "A": args.A, "K": args.K,
-        "coefficients": [float(c) for c in dec.coefficients],
-        "tilde_l2rho": dec.tilde_norm,
-        "measured": rep.measured,
-        "ratios": rep.ratios,
-        "verdict": rep.verdict,
-        "worst": rep.worst,
+        "coefficients": rec.coefficients.tolist(),
+        "tilde_l2rho": rec.tilde_norm,
+        "measured": rec.measured,
+        "ratios": rec.ratios,
+        "verdict": rec.verdict,
+        "worst": rec.worst,
     }
     text = json.dumps(doc, indent=2)
     if not args.quiet:
@@ -254,7 +254,7 @@ def cmd_decompose(args) -> int:
         write_manifest(outdir, "decompose",
                        {"snapshot": str(path), "s": args.s, "d": args.d,
                         "A": args.A, "K": args.K},
-                       {"verdict": rep.verdict, "worst": rep.worst},
+                       {"verdict": rec.verdict, "worst": rec.worst},
                        inputs={str(path): _digest(path)}, started=started)
     return EXIT_OK
 
@@ -273,29 +273,15 @@ def cmd_shoot(args) -> int:
     if args.output_dir:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        log = [{
-            "q": list(map(float, h["q"])),
-            "d": list(map(float, h["d"])),
-            "s_exit": h["s_exit"],
-            "exit_mode": h["exit_mode"],
-            "verdict": h["verdict"],
-            "exit_vector": list(map(float, h["exit_vector"])),
-            "transverse_ok": h["transverse_ok"],
-            "steps": h["steps"],
-            "stop_reason": h["stop_reason"],
-            "wall_s": h["wall_s"],
-        } for h in result.history]
         (outdir / "search_log.json").write_text(json.dumps({
             "verdict": result.verdict,
             "parameters": list(result.parameters),
             "s_exit": result.s_exit,
             "brackets": result.brackets,
-            "probes": log,
-        }, indent=2) + "\n")
-        ell = eb.ell_of(config.d)
-        rows = [sim.csv_header(ell)]
-        rows += [r.csv_row(ell) for r in result.trajectory]
-        (outdir / "best_timeseries.csv").write_text("\n".join(rows) + "\n")
+            "probes": result.history,
+        }, indent=2, default=np.ndarray.tolist) + "\n")
+        dg.write_timeseries(outdir / "best_timeseries.csv", result.trajectory,
+                            eb.ell_of(config.d))
         write_manifest(outdir, "shoot", vars(args) | {"resolved": str(config)},
                        {"verdict": result.verdict, "s_exit": result.s_exit},
                        started=started)

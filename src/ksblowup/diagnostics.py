@@ -4,6 +4,10 @@ Measurements are pure functions of a field sampled on a grid; a
 :class:`DiagnosticsContext` precomputes the eigenfunction samples,
 quadrature weights and exact normalizations for one (dimension, grid)
 pair so that per-slice diagnostics stay cheap inside evolution loops.
+
+`decompose` measures one time slice against the shrinking set and returns
+it as a :class:`Slice`, the one record that a run keeps, that `csv_row`
+writes under `csv_header` and that the CLI reports.
 """
 
 from __future__ import annotations
@@ -211,25 +215,51 @@ BOUNDARY_DELTA = 0.05
 
 
 @dataclass
-class ModeDecomposition:
-    coefficients: np.ndarray     # eps_hat_0 .. eps_hat_{2l-1}
-    tilde: np.ndarray            # residual field on the grid
-    tilde_norm: float            # || tilde ||_rho
-    profile: np.ndarray          # Q(y s^(-1/(2l))) on the grid
+class Slice:
+    """One diagnostics slice: the mode coefficients of eps_hat = v - psi, the
+    rho-norm of its remainder, every shrinking-set bound (measured value and
+    ratio to the bound), the verdict and the worst bound, sup |v| and
+    sup |v - Q(y s^(-1/(2l)))|.  It keeps no per-node array."""
 
-
-@dataclass
-class ShrinkingReport:
     s: float
-    A: float
+    coefficients: np.ndarray     # eps_hat_0 .. eps_hat_{2l-1}
+    tilde_norm: float            # || eps_hat - sum_k eps_hat_k phi_{2k} ||_rho
     measured: dict
     ratios: dict
     verdict: str                 # inside / boundary / outside
     worst: str                   # name of the largest-ratio bound
+    sup_v: float
+    sup_dev_profile: float
 
-    @property
     def max_ratio(self) -> float:
-        return max(self.ratios.values())
+        return self.ratios[self.worst]
+
+    def csv_row(self) -> str:
+        """The slice as a line under `csv_header`."""
+        cols = [f"{self.s:.10g}"]
+        cols += [f"{c:.12e}" for c in self.coefficients]
+        cols += [f"{self.tilde_norm:.12e}"]
+        cols += [f"{self.measured[name]:.12e}" for name in CSV_BOUNDS]
+        cols += [self.verdict]
+        return ",".join(cols)
+
+
+# the bounds a timeseries row carries, in column order; column flat<j> holds flat_<j>
+CSV_BOUNDS = ("flat_0", "flat_1", "flat_2", "out_sup", "out_ysup", "out_dysup")
+
+
+def csv_header(ell: int) -> str:
+    eps = ",".join(f"eps{k}" for k in range(2 * ell))
+    bounds = ",".join(name.replace("flat_", "flat") for name in CSV_BOUNDS)
+    return f"s,{eps},tilde_l2rho,{bounds},verdict"
+
+
+def write_timeseries(path, slices, ell: int):
+    """Write the slices as CSV rows under `csv_header(ell)`."""
+    with open(path, "w") as fh:
+        fh.write(csv_header(ell) + "\n")
+        for rec in slices:
+            fh.write(rec.csv_row() + "\n")
 
 
 def bound_values(d: int, ell: int, s: float, A: float) -> dict:
@@ -248,13 +278,13 @@ def bound_values(d: int, ell: int, s: float, A: float) -> dict:
     return out
 
 
-def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float):
+def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
     """Subtract the refined ansatz and evaluate every shrinking-set bound.
 
     The verdict is `boundary` when the largest bound ratio lies within
     BOUNDARY_DELTA of one, and `inside` or `outside` otherwise.
 
-    Returns (ModeDecomposition, ShrinkingReport).
+    Returns the `Slice` at time s.
     """
     p = ctx.params
     y = ctx.y
@@ -288,11 +318,10 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float):
         verdict = "boundary"
     else:
         verdict = "inside"
-    return (
-        ModeDecomposition(coefficients=coeffs, tilde=tilde, tilde_norm=tilde_norm, profile=q),
-        ShrinkingReport(s=float(s), A=float(A), measured=measured, ratios=ratios,
-                        verdict=verdict, worst=worst),
-    )
+    return Slice(s=float(s), coefficients=coeffs, tilde_norm=tilde_norm,
+                 measured=measured, ratios=ratios, verdict=verdict, worst=worst,
+                 sup_v=float(np.max(np.abs(v))),
+                 sup_dev_profile=float(np.max(np.abs(v - q))))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ def cutoff_chi_d2(spec: CutoffSpec, xi):
     return np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t), 0.0) / spec.K**2
 
 
+# the refined ansatz's cutoff, in xi = y s^(-1/(2 ell)); the decimal path hard-codes it
 UNIT_CUTOFF = CutoffSpec(K=1.0)
 
 
@@ -268,25 +269,25 @@ def _check_s(s: float):
     return float(s)
 
 
-def psi_hat(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+def psi_hat(params: ProfileParams, y, s):
     """Correction -(1/(B s)) * phi_tilde(y) * chi(y * s^(-1/(2 ell)))."""
     s = _check_s(s)
     y = np.asarray(y, float)
     xi = y * s ** (-1.0 / (2 * params.ell))
-    return -(1.0 / (params.B * s)) * _even_eval(params.phit_coeffs, y) * cutoff_chi(cutoff, xi)
+    return -(1.0 / (params.B * s)) * _even_eval(params.phit_coeffs, y) * cutoff_chi(UNIT_CUTOFF, xi)
 
 
-def psi_terms(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+def psi_terms(params: ProfileParams, y, s):
     """The two terms of `psi`: (Q(y s^(-1/(2 ell))), psi_hat)."""
     s = _check_s(s)
     y = np.asarray(y, float)
     xi = y * s ** (-1.0 / (2 * params.ell))
-    return q_of_xi(params, xi), psi_hat(params, y, s, cutoff)
+    return q_of_xi(params, xi), psi_hat(params, y, s)
 
 
-def psi(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+def psi(params: ProfileParams, y, s):
     """Refined approximate solution Q(y s^(-1/(2 ell))) + psi_hat."""
-    q, ph = psi_terms(params, y, s, cutoff)
+    q, ph = psi_terms(params, y, s)
     out = q + ph
     return out if np.ndim(out) else float(out)
 
@@ -314,7 +315,7 @@ def _ansatz_terms(d: int, ell: int, s, u, y, xi, over_y, sm, q_jet, p_jet, chi_j
     return dpsi_ds, -dpsi_ds + sm * sm * lap_q + h_ph + nl
 
 
-def _ansatz(params: ProfileParams, y, s, cutoff: CutoffSpec):
+def _ansatz(params: ProfileParams, y, s):
     """`_ansatz_terms` in double precision."""
     s = _check_s(s)
     y = np.asarray(y, float)
@@ -328,16 +329,17 @@ def _ansatz(params: ProfileParams, y, s, cutoff: CutoffSpec):
         (q, qp, lap_q),
         (_even_eval(params.phit_coeffs, y), _even_eval_deriv(params.phit_coeffs, y),
          _even_eval(params.phit_lap_coeffs, y)),
-        (cutoff_chi(cutoff, xi), cutoff_chi_d1(cutoff, xi), cutoff_chi_d2(cutoff, xi)),
+        (cutoff_chi(UNIT_CUTOFF, xi), cutoff_chi_d1(UNIT_CUTOFF, xi),
+         cutoff_chi_d2(UNIT_CUTOFF, xi)),
     )
 
 
-def ansatz_time_derivative(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+def ansatz_time_derivative(params: ProfileParams, y, s):
     """Exact d(psi)/ds at fixed y."""
-    return _ansatz(params, y, s, cutoff)[0]
+    return _ansatz(params, y, s)[0]
 
 
-def ansatz_residual(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+def ansatz_residual(params: ProfileParams, y, s):
     """Generated error of the refined ansatz:
 
         E_hat = -d(psi)/ds + Lap_{d+2} Q + H psi_hat + NL(psi_hat),
@@ -345,7 +347,7 @@ def ansatz_residual(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOF
     where H is the linearization of the self-similar flow at Q and
     NL(v) = d v^2 + y v v_y.  Evaluated analytically (no grid derivatives).
     """
-    return _ansatz(params, y, s, cutoff)[1]
+    return _ansatz(params, y, s)[1]
 
 
 def _to_decimal(x: Fraction) -> Decimal:
@@ -361,7 +363,7 @@ def _even_eval_decimal(coeffs, y2):
 
 
 def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
-    """`ansatz_residual` (unit cutoff, K=1) evaluated node by node in decimal arithmetic.
+    """`ansatz_residual` evaluated node by node in decimal arithmetic.
 
     The terms of the generated error are O(1/s) and cancel to O(1/s^2)
     pointwise; its null-mode content is O(1/s^3).  In double precision that
@@ -425,9 +427,9 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
     return out
 
 
-def selfsimilar_rhs_of_ansatz(params: ProfileParams, y, s, cutoff: CutoffSpec = UNIT_CUTOFF):
+def selfsimilar_rhs_of_ansatz(params: ProfileParams, y, s):
     """Analytic value of the self-similar flow applied to the ansatz field."""
-    dpsi_ds, residual = _ansatz(params, y, s, cutoff)
+    dpsi_ds, residual = _ansatz(params, y, s)
     return residual + dpsi_ds
 
 

@@ -315,8 +315,7 @@ class Stepper:
     stage: the field, the explicit terms, or the solver.
     """
 
-    def __init__(self, grid: Grid, d: int, frame: str, boundary: str,
-                 params: pr.ProfileParams | None = None):
+    def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
         if frame not in FRAME_SIGMA:
             raise ConfigError(f"unknown frame {frame!r}")
         if boundary not in ("profile", "neumann"):
@@ -328,7 +327,7 @@ class Stepper:
         self.frame = frame
         self.sigma = FRAME_SIGMA[frame]
         self.boundary = boundary
-        self.params = (params or pr.make_profile_params(d)) if boundary == "profile" else None
+        self.params = pr.make_profile_params(d) if boundary == "profile" else None
         self.stencil = _Stencil(grid.nodes)
         self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
         self.lap = _gathered(self.lo, self.di, self.up)
@@ -494,8 +493,7 @@ def unstable_modes(d: int, y, s0: float, K: float) -> np.ndarray:
     return np.stack([eb.partial_mass_eigen(d, i).evalf(y) * chi for i in range(ell)])
 
 
-def make_initial_data(config: SimConfig, grid: Grid | None = None,
-                      params: pr.ProfileParams | None = None) -> RadialState:
+def make_initial_data(config: SimConfig, grid: Grid | None = None) -> RadialState:
     """Initial field: refined ansatz plus the cut-off unstable-mode bump
     (A/s0^2) sum_i d_i phi_{2i}(y) chi(xi / bump_K)."""
     if grid is None:
@@ -521,8 +519,7 @@ def make_initial_data(config: SimConfig, grid: Grid | None = None,
             f"y_max={config.y_max:.3g} does not cover the cutoff support "
             f"2*max(1, bump_K)*s0^(1/(2 ell)) = {support:.3g}"
         )
-    params = params or pr.make_profile_params(d)
-    v = pr.psi(params, y, s0)
+    v = pr.psi(pr.make_profile_params(d), y, s0)
     if config.dvec:
         modes = unstable_modes(d, y, s0, config.bump_K)
         v = v + (config.A / s0**2) * (np.asarray(config.dvec, float) @ modes)
@@ -530,43 +527,9 @@ def make_initial_data(config: SimConfig, grid: Grid | None = None,
 
 
 @dataclass
-class DiagnosticsRecord:
-    """One time slice of the shrinking-set diagnostics."""
-
-    s: float
-    coefficients: np.ndarray
-    tilde_norm: float
-    flats: tuple
-    out_sup: float
-    out_dysup: float
-    out_ysup: float
-    ratios: dict
-    verdict: str
-    sup_v: float
-    sup_dev_profile: float      # sup_y |v - Q(y s^(-1/(2l)))|
-
-    def max_ratio(self) -> float:
-        return max(self.ratios.values())
-
-    def csv_row(self, ell: int) -> str:
-        cols = [f"{self.s:.10g}"]
-        cols += [f"{c:.12e}" for c in self.coefficients]
-        cols += [f"{self.tilde_norm:.12e}"]
-        cols += [f"{f:.12e}" for f in self.flats]
-        cols += [f"{self.out_sup:.12e}", f"{self.out_ysup:.12e}", f"{self.out_dysup:.12e}"]
-        cols += [self.verdict]
-        return ",".join(cols)
-
-
-def csv_header(ell: int) -> str:
-    eps = ",".join(f"eps{k}" for k in range(2 * ell))
-    return f"s,{eps},tilde_l2rho,flat0,flat1,flat2,out_sup,out_ysup,out_dysup,verdict"
-
-
-@dataclass
 class RunResult:
     config: SimConfig
-    records: list
+    records: list               # dg.Slice per record of a self-similar run tracking bounds
     # trapped / escaped:<bound> / blowup / unstable / exit:mode_k / completed
     verdict: str
     exit_time: float
@@ -594,29 +557,6 @@ class RunResult:
         c = np.stack([r.coefficients for r in self.records])
         return s, c
 
-    def write_timeseries(self, path, ell: int):
-        with open(path, "w") as fh:
-            fh.write(csv_header(ell) + "\n")
-            for r in self.records:
-                fh.write(r.csv_row(ell) + "\n")
-
-
-def _diag_slice(state: RadialState, ctx, config: SimConfig) -> DiagnosticsRecord:
-    dec, rep = dg.decompose(state.values, state.time, ctx, config.A)
-    return DiagnosticsRecord(
-        s=state.time,
-        coefficients=dec.coefficients,
-        tilde_norm=dec.tilde_norm,
-        flats=(rep.measured["flat_0"], rep.measured["flat_1"], rep.measured["flat_2"]),
-        out_sup=rep.measured["out_sup"],
-        out_dysup=rep.measured["out_dysup"],
-        out_ysup=rep.measured["out_ysup"],
-        ratios=rep.ratios,
-        verdict=rep.verdict,
-        sup_v=float(np.max(np.abs(state.values))),
-        sup_dev_profile=float(np.max(np.abs(state.values - dec.profile))),
-    )
-
 
 # A step that lands this close to a record or end time reaches it; steps that
 # would stop short by no more than this are lengthened to land on it exactly.
@@ -624,7 +564,8 @@ _TIME_TOL = 1e-12
 
 
 def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResult:
-    """Step from s0 over the horizon, recording diagnostics at the cadence.
+    """Step from s0 over the horizon, recording at the cadence: a self-similar
+    run keeps the `dg.decompose` slice of each record, a physical run sup w.
 
     Stops early with a labeled verdict on field blowup (in either frame: a
     recorded sup |v| above blowup_sup * max(1, sup |v| at s0), or a non-finite
@@ -675,7 +616,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
             now = perf_counter()
             step_s += now - mark
             if track:
-                rec = _diag_slice(state, ctx, config)
+                rec = dg.decompose(v, t, ctx, config.A)
                 records.append(rec)
                 if rec.sup_v > blowup_limit:
                     verdict, stopped = "blowup", True
@@ -684,8 +625,8 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
                 ) >= 1.0:
                     kworst = max(range(ell), key=lambda k: rec.ratios[f"mode_{k}"])
                     verdict, stopped = f"exit:mode_{kworst}", True
-                elif rec.ratios[rec_worst := max(rec.ratios, key=rec.ratios.get)] >= config.escape_factor:
-                    verdict, stopped = f"escaped:{rec_worst}", True
+                elif rec.max_ratio() >= config.escape_factor:
+                    verdict, stopped = f"escaped:{rec.worst}", True
             else:
                 w = transform(v, grid.nodes, config.d, "w")
                 times.append(t)

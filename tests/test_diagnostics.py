@@ -139,10 +139,10 @@ def test_decompose_of_pure_ansatz():
     ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0)
     s, A = 50.0, 20.0
     v = pr.psi(ctx.params, y, s)
-    dec, rep = dg.decompose(v, s, ctx, A)
-    assert np.max(np.abs(dec.coefficients)) < 1e-12
-    assert dec.tilde_norm < 1e-12
-    assert rep.verdict == "inside"
+    rec = dg.decompose(v, s, ctx, A)
+    assert np.max(np.abs(rec.coefficients)) < 1e-12
+    assert rec.tilde_norm < 1e-12
+    assert rec.verdict == "inside"
 
 
 def test_decompose_saturating_mode():
@@ -152,10 +152,10 @@ def test_decompose_saturating_mode():
     s, A = 50.0, 20.0
     bump = (A / s**2) * eb.partial_mass_eigen(d, 0).evalf(y)
     v = pr.psi(ctx.params, y, s) + bump
-    dec, rep = dg.decompose(v, s, ctx, A)
-    assert rep.ratios["mode_0"] == pytest.approx(1.0, abs=1e-6)
-    assert rep.verdict == "boundary"
-    assert rep.worst == "mode_0"
+    rec = dg.decompose(v, s, ctx, A)
+    assert rec.ratios["mode_0"] == pytest.approx(1.0, abs=1e-6)
+    assert rec.verdict == "boundary"
+    assert rec.worst == "mode_0"
 
 
 def test_decompose_idempotent_and_parseval():
@@ -164,31 +164,37 @@ def test_decompose_idempotent_and_parseval():
     ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0)
     s, A = 50.0, 20.0
     v = pr.psi(ctx.params, y, s) + 1e-3 * np.exp(-0.2 * y**2) * (1 - y + 0.3 * y**2)
-    dec, _ = dg.decompose(v, s, ctx, A)
+    rec = dg.decompose(v, s, ctx, A)
+    # the slice keeps no residual field: rebuild it from eps_hat = v - psi
+    nat = np.sum(rec.coefficients[:, None] * ctx.phi, axis=0)
+    tilde = (v - pr.psi(ctx.params, y, s)) - nat
+    assert rec.tilde_norm == ctx.rho_norm(tilde)
     # re-projecting the residual gives ~0 for all stored modes
-    reproj = ctx.project_all(dec.tilde)
+    reproj = ctx.project_all(tilde)
     assert np.max(np.abs(reproj)) < 1e-10
     # Parseval-type consistency for the natural part
-    nat = np.sum(dec.coefficients[:, None] * ctx.phi, axis=0)
     lhs = ctx.rho_norm(nat) ** 2
-    rhs = float(np.sum(dec.coefficients**2 * ctx.phi_norm_sq))
+    rhs = float(np.sum(rec.coefficients**2 * ctx.phi_norm_sq))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_decompose_evaluates_q_and_the_flat_chain_once():
-    # Q is kept for the caller, psi is Q + psi_hat as pr.psi forms it, and the
-    # three flat norms from one derivative chain equal three flat_norm calls
+    # sup |v - Q| is measured against Q itself, psi is Q + psi_hat as pr.psi
+    # forms it, and the three flat norms from one derivative chain equal three
+    # flat_norm calls
     d = 4
     y = np.linspace(0.0, 60.0, 6001)
     ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0)
     s, A = 50.0, 20.0
     v = pr.psi(ctx.params, y, s) + 1e-3 * np.exp(-0.2 * y**2) * (1 - y + 0.3 * y**2)
-    dec, rep = dg.decompose(v, s, ctx, A)
-    assert np.array_equal(dec.profile, pr.q_of_xi(ctx.params, y * s ** -0.25))
+    rec = dg.decompose(v, s, ctx, A)
+    q = pr.q_of_xi(ctx.params, y * s ** -0.25)
+    assert rec.sup_dev_profile == float(np.max(np.abs(v - q)))
+    assert rec.sup_v == float(np.max(np.abs(v)))
     eps_hat = v - pr.psi(ctx.params, y, s)
-    assert np.array_equal(dec.coefficients, ctx.project_all(eps_hat))
+    assert np.array_equal(rec.coefficients, ctx.project_all(eps_hat))
     for j in range(3):
-        assert rep.measured[f"flat_{j}"] == dg.flat_norm(eps_hat, ctx, j=j)
+        assert rec.measured[f"flat_{j}"] == dg.flat_norm(eps_hat, ctx, j=j)
     # an unresolved field still warns
     rough = v + 1e-2 * np.sign(np.sin(50.0 * y)) * np.exp(-0.01 * y**2)
     with pytest.warns(RuntimeWarning, match="unresolved"):
@@ -202,10 +208,34 @@ def test_shrinking_ratios_monotone_under_scaling():
     s, A = 50.0, 20.0
     base = pr.psi(ctx.params, y, s)
     noise = 1e-4 * np.exp(-0.1 * y**2) * np.cos(y)
-    _, rep1 = dg.decompose(base + noise, s, ctx, A)
-    _, rep2 = dg.decompose(base + 2.0 * noise, s, ctx, A)
+    rep1 = dg.decompose(base + noise, s, ctx, A)
+    rep2 = dg.decompose(base + 2.0 * noise, s, ctx, A)
     for name in rep1.ratios:
         assert rep2.ratios[name] >= rep1.ratios[name] - 1e-12
+
+
+def test_csv_row_matches_header_by_name():
+    # the header's order is fixed, and each named column holds its value;
+    # the row's outer-norm order (sup, ysup, dysup) is not the bounds' order
+    y = np.linspace(0.0, 60.0, 6001)
+    ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0)
+    s, A = 50.0, 20.0
+    # a bump near the origin and one past the outer cutoff xi = K
+    v = (pr.psi(ctx.params, y, s) + 1e-3 * np.exp(-0.2 * y**2) * (1 - y + 0.3 * y**2)
+         + 1e-3 * np.exp(-0.05 * (y - 40.0) ** 2))
+    rec = dg.decompose(v, s, ctx, A)
+    header = dg.csv_header(2).split(",")
+    assert header == ["s", "eps0", "eps1", "eps2", "eps3", "tilde_l2rho", "flat0", "flat1",
+                      "flat2", "out_sup", "out_ysup", "out_dysup", "verdict"]
+    row = dict(zip(header, rec.csv_row().split(","), strict=True))
+    bound_of = {"flat0": "flat_0", "flat1": "flat_1", "flat2": "flat_2",
+                "out_sup": "out_sup", "out_ysup": "out_ysup", "out_dysup": "out_dysup"}
+    # six distinct values, so that two swapped columns show
+    assert len({rec.measured[b] for b in bound_of.values()}) == 6
+    want = {"s": "50", "tilde_l2rho": f"{rec.tilde_norm:.12e}", "verdict": rec.verdict}
+    want |= {f"eps{k}": f"{c:.12e}" for k, c in enumerate(rec.coefficients)}
+    want |= {column: f"{rec.measured[b]:.12e}" for column, b in bound_of.items()}
+    assert row == want
 
 
 # ---------------------------------------------------------------------------

@@ -552,7 +552,7 @@ def test_run_blowup_detection():
     g = sim.Grid.uniform(64, 10.0)
     cfg = sim.SimConfig(d=4, frame="physical", n=64, y_max=10.0, s0=0.0,
                         horizon=10.0, cadence=0.01, dt=1e-3,
-                        init=np.full(65, 2.0), track_bounds=False)
+                        init=np.full(65, 2.0))
     res = sim.run(cfg)
     assert res.verdict == "blowup" and res.stop_reason == "record guard"
 
@@ -562,8 +562,7 @@ def test_run_physical_blowup_guard():
     # exact growth, so the discrete field first passes the limit 10 at the
     # record t = 2.51 and would overflow (sup ~ 7e153) at t = 2.534
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0,
-                        horizon=3.0, cadence=0.01, init=np.full(33, 0.1),
-                        track_bounds=False)
+                        horizon=3.0, cadence=0.01, init=np.full(33, 0.1))
     res = sim.run(cfg)
     assert res.verdict == "blowup"
     assert res.exit_time < 2.5 + 1.5 * cfg.cadence
@@ -586,7 +585,7 @@ def test_run_nonfinite_step_labeled_by_the_field_before_it():
     # from a field above it, a blowup: with no record to stop it, v' = 4 v^2
     # from v0 = 2 passes the limit 20 and overflows at step 139 (T = 0.125)
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=1.0,
-                        cadence=1.0, dt=1e-3, init=np.full(33, 2.0), track_bounds=False)
+                        cadence=1.0, dt=1e-3, init=np.full(33, 2.0))
     res = sim.run(cfg)
     assert res.verdict == "blowup" and res.stop_reason == "non-finite step"
     assert res.steps == 139 and "overflowed" in res.message
@@ -637,7 +636,7 @@ def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     dt, horizon, cadence = 1e-3, 2.0, 0.01
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=t0,
                         horizon=horizon, cadence=cadence, dt=dt,
-                        init=np.full(33, 0.1), track_bounds=False)
+                        init=np.full(33, 0.1))
     res = sim.run(cfg)
     assert res.verdict == "completed" and res.stop_reason == "horizon"
     assert len(dts) == round(horizon / dt)
@@ -663,7 +662,7 @@ def _step_loop(cfg):
             if selfsim:
                 if cfg.dt is None:
                     dt_set = stepper.cfl_dt(state, cfg.cfl)
-                out["records"].append(sim._diag_slice(state, ctx, cfg))
+                out["records"].append(dg.decompose(state.values, state.time, ctx, cfg.A))
                 sup = out["records"][-1].sup_v
             else:
                 w = sim.transform(state.values, grid.nodes, cfg.d, "w")
@@ -696,15 +695,15 @@ def _step_loop(cfg):
 @pytest.mark.parametrize("cfg", [
     # physical, fixed dt, late start: every record is landed on
     sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=1000.0, horizon=0.5,
-                  cadence=0.01, dt=1e-3, init=np.full(33, 0.1), track_bounds=False),
+                  cadence=0.01, dt=1e-3, init=np.full(33, 0.1)),
     # physical, dt from the state at every step
     sim.SimConfig(d=4, frame="physical", n=64, y_max=10.0, s0=0.0, horizon=2.4,
-                  cadence=0.2, init=np.full(65, 0.1), track_bounds=False),
+                  cadence=0.2, init=np.full(65, 0.1)),
     # self-similar, profile boundary, dt from the state at every record
     sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25, escape_factor=np.inf),
     # a field above the guard whose step overflows between records
     sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=1.0,
-                  cadence=1.0, dt=1e-3, init=np.full(33, 2.0), track_bounds=False),
+                  cadence=1.0, dt=1e-3, init=np.full(33, 2.0)),
 ], ids=["physical-fixed-dt", "physical-cfl", "selfsimilar-profile", "nonfinite-step"])
 def test_run_inner_loop_equals_step_loop(cfg):
     # the run drives the raw-array kernel through each record interval; a
@@ -791,14 +790,9 @@ def test_run_deterministic_replay(tmp_path):
     res1 = sim.run(cfg)
     res2 = sim.run(cfg)
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    res1.write_timeseries(f1, 2)
-    res2.write_timeseries(f2, 2)
+    dg.write_timeseries(f1, res1.records, 2)
+    dg.write_timeseries(f2, res2.records, 2)
     assert f1.read_bytes() == f2.read_bytes()
-
-
-def test_csv_header_shape():
-    assert sim.csv_header(2) == ("s,eps0,eps1,eps2,eps3,tilde_l2rho,"
-                                 "flat0,flat1,flat2,out_sup,out_ysup,out_dysup,verdict")
 
 
 # ---------------------------------------------------------------------------
