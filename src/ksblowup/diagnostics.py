@@ -4,6 +4,9 @@ Measurements are pure functions of a field sampled on a grid; a
 :class:`DiagnosticsContext` precomputes the eigenfunction samples,
 quadrature weights and exact normalizations for one (dimension, grid)
 pair so that per-slice diagnostics stay cheap inside evolution loops.
+Its Euler derivative y d/dy keeps the stencil of
+`np.gradient(f, y, edge_order=1)` per grid, built on first use, and gives
+the same bits.
 
 `decompose` measures one time slice against the shrinking set and returns
 it as a :class:`Slice`, the one record that a run keeps, that `csv_row`
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -116,15 +120,39 @@ class DiagnosticsContext:
     def rho_norm(self, field_values) -> float:
         return float(np.sqrt(np.sum(self.quad_rho * field_values**2)))
 
+    # -- Euler derivative --------------------------------------------------
+    @cached_property
+    def _gradient_stencil(self):
+        """(a, b, c, h_first, h_last) of np.gradient(f, y, edge_order=1):
+        interior weights a, b, c on f[:-2], f[1:-1], f[2:] (a is None when
+        every spacing is equal, and b is then the doubled spacing), and the
+        spacings of the one-sided end differences.  Built on first use: a
+        context that only takes flat_norm(j=0) never needs it."""
+        h = np.diff(self.y)
+        if (h == h[0]).all():
+            return None, 2.0 * h[0], None, h[0], h[-1]
+        h1, h2 = h[:-1], h[1:]
+        return (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)),
+                h[0], h[-1])
+
+    def _euler_derivative(self, f) -> np.ndarray:
+        """y df/dy, bit-equal to y * np.gradient(f, y, edge_order=1): centered
+        differences inside, one-sided at the ends, in numpy's own order of
+        operations."""
+        a, b, c, h_first, h_last = self._gradient_stencil
+        out = np.empty_like(f)
+        if a is None:
+            out[1:-1] = (f[2:] - f[:-2]) / b
+        else:
+            out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+        out[0] = (f[1] - f[0]) / h_first
+        out[-1] = (f[-1] - f[-2]) / h_last
+        return self.y * out
+
 
 # ---------------------------------------------------------------------------
-# Euler-derivative helper and norms
+# Norms
 # ---------------------------------------------------------------------------
-
-def euler_derivative(y, f):
-    """y * df/dy by centered differences (one-sided at the boundaries)."""
-    return np.asarray(y, float) * np.gradient(np.asarray(f, float), np.asarray(y, float), edge_order=1)
-
 
 def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     """Intermediate-region norm ( int (1-chi_K(y)) |(y d/dy)^j f|^2 y^(-4l-3) dy )^(1/2).
@@ -153,7 +181,7 @@ def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
     norms = []
     for j in range(orders[-1] + 1):
         if j:
-            f = euler_derivative(y, f)
+            f = ctx._euler_derivative(f)
         if j in orders:
             integrand = ctx.flat_w * f * f
             _check_tail_decay(y, integrand)
@@ -175,10 +203,11 @@ def _check_tail_decay(y, integrand):
     n = i1 - live[0] + 1
     if n < 32:
         return
+    # both windows are non-empty (n >= 32); sum / len is np.mean's own division
     last = integrand[i1 - n // 8: i1 + 1]
     prev = integrand[i1 - n // 4: i1 - n // 8]
-    peak = float(np.max(integrand))
-    if len(last) and len(prev) and np.mean(last) >= np.mean(prev) and np.mean(last) > 1e-6 * peak:
+    mean_last = last.sum() / len(last)
+    if mean_last >= prev.sum() / len(prev) and mean_last > 1e-6 * float(np.max(integrand)):
         raise NonIntegrableTailError(
             "weighted integrand does not decay at the domain end; "
             "the norm does not converge"
@@ -201,7 +230,7 @@ def outer_norms(field_values, ctx: DiagnosticsContext, s: float):
     ex = np.asarray(field_values, float) * (1.0 - pr.cutoff_chi(ctx.cut_spec, xi))
     return (
         float(np.max(np.abs(ex))),
-        float(np.max(np.abs(euler_derivative(y, ex)))),
+        float(np.max(np.abs(ctx._euler_derivative(ex)))),
         float(np.max(np.abs(y * ex))),
     )
 

@@ -16,6 +16,9 @@ quantities like (1/d - Q)/xi**(2*ell) keep full relative accuracy where a
 plain subtraction would cancel to noise.  Q', Q'' and the radial Laplacian
 follow from the first-order profile equation in one operator-only helper,
 shared by the double-precision and the decimal ansatz.
+
+`make_profile_params(d)` builds the float view of the exact constants once
+per dimension; every caller shares that frozen record.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,7 +108,10 @@ class ProfileParams:
             raise ValueError("profile constant must be positive")
 
 
+@lru_cache(maxsize=None)
 def make_profile_params(d: int) -> ProfileParams:
+    """The `ProfileParams` of dimension d, built once per d and shared: the
+    record is frozen and holds only floats, Fractions and tuples."""
     eb.check_dimension(d)
     ell = eb.ell_of(d)
     b_exact = eb.compute_B(d)
@@ -148,18 +155,22 @@ def _even_eval_deriv(coeffs, y):
 # Profile Q and its derivatives
 # ---------------------------------------------------------------------------
 
-def _solve_profile(params: ProfileParams, t):
-    """Return (Q, deficit) solving t*Q^ell + d*Q = 1 elementwise, in closed form."""
+def _solve_q(params: ProfileParams, t):
+    """Q solving t*Q^ell + d*Q = 1 elementwise, in closed form."""
     t = np.asarray(t, float)
     if not np.isfinite(t).all() or (t < 0).any():
         raise ValueError("similarity coordinate out of range (t not finite/positive)")
     if params.ell == 2:
-        q = 1.0 / (2.0 + np.sqrt(4.0 + t))
-    else:
-        r = np.sqrt(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(t > 0, 2.0 * np.sinh(np.arcsinh(0.5 * r) / 3.0) / r, 1.0 / params.d)
-    return q, t * q**params.ell / params.d
+        return 1.0 / (2.0 + np.sqrt(4.0 + t))
+    r = np.sqrt(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0, 2.0 * np.sinh(np.arcsinh(0.5 * r) / 3.0) / r, 1.0 / params.d)
+
+
+def _solve_profile(params: ProfileParams, t):
+    """Return (Q, deficit) solving t*Q^ell + d*Q = 1 elementwise, in closed form."""
+    q = _solve_q(params, t)
+    return q, np.asarray(t, float) * q**params.ell / params.d
 
 
 def _profile_jet(c, d: int, ell: int, xi, q):
@@ -214,7 +225,7 @@ def q_of_xi(params: ProfileParams, xi):
     if isinstance(xi, float):
         return _q_scalar(params, xi)
     xi = _as_xi(xi)
-    q, _ = _solve_profile(params, params.c * xi ** (2 * params.ell))
+    q = _solve_q(params, params.c * xi ** (2 * params.ell))
     return q if q.ndim else float(q)
 
 

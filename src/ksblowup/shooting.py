@@ -37,6 +37,8 @@ class ExitRecord:
     run_verdict: str
     steps: int = 0                # time steps the probe's run took
     stop_reason: str = ""         # the run's RunResult.stop_reason
+    step_s: float = 0.0           # the run's RunResult.step_s and diag_s
+    diag_s: float = 0.0
 
 
 @dataclass
@@ -90,6 +92,8 @@ def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecor
         run_verdict=result.verdict,
         steps=result.steps,
         stop_reason=result.stop_reason,
+        step_s=result.step_s,
+        diag_s=result.diag_s,
     )
 
 
@@ -172,6 +176,7 @@ def trap_search(config: sim.SimConfig, budget: int,
             "exit_vector": np.array(rec.exit_vector),
             "transverse_ok": rec.transverse_ok, "steps": rec.steps,
             "stop_reason": rec.stop_reason, "wall_s": wall_s,
+            "step_s": rec.step_s, "diag_s": rec.diag_s,
         })
         if better(rec, best):
             best = rec

@@ -4,6 +4,7 @@ import pytest
 
 from ksblowup import cli
 from ksblowup import eigenbasis as eb
+from ksblowup import profile as pr
 
 
 def run_cli(args, capsys):
@@ -151,6 +152,8 @@ def test_shoot_writes_search_log(tmp_path, capsys):
     assert len(log["probes"]) <= 3 and log["probes"]
     assert all(isinstance(p["steps"], int) and p["steps"] > 0 for p in log["probes"])
     assert all(p["wall_s"] > 0.0 for p in log["probes"])
+    assert all(0.0 < p["step_s"] and 0.0 < p["diag_s"]
+               and p["step_s"] + p["diag_s"] <= p["wall_s"] for p in log["probes"])
     assert all(p["stop_reason"] == ("horizon" if p["exit_mode"] is None else "mode exit")
                for p in log["probes"])
     assert (outdir / "best_timeseries.csv").exists()
@@ -186,7 +189,11 @@ def test_verify_fault_injection(capsys, monkeypatch):
     # corrupt the spectral-constant computation and check verify names it
     from fractions import Fraction
     monkeypatch.setattr(eb, "compute_B", lambda d: Fraction(7))
-    code, out, _ = run_cli(["verify", "--suite", "exact"], capsys)
+    try:
+        code, out, _ = run_cli(["verify", "--suite", "exact"], capsys)
+    finally:
+        # no ProfileParams built from the corrupted constant may stay cached
+        pr.make_profile_params.cache_clear()
     assert code == cli.EXIT_FAIL
     assert "FAIL  1 exact constants" in out
     assert "compute_B" in out

@@ -5,6 +5,7 @@ import pytest
 from ksblowup import diagnostics as dg
 from ksblowup import eigenbasis as eb
 from ksblowup import profile as pr
+from ksblowup import sim
 from ksblowup.exactpoly import ExactPoly
 
 
@@ -104,6 +105,47 @@ def test_flat_norm_bad_order(ctx4):
 
 
 # ---------------------------------------------------------------------------
+# Euler derivative
+# ---------------------------------------------------------------------------
+
+def _numpy_euler(y, f):
+    """The reference: y * np.gradient(f, y, edge_order=1)."""
+    return y * np.gradient(f, y, edge_order=1)
+
+
+# (grid, takes numpy's constant-spacing branch): the criterion-9 and
+# criterion-10 grids, a linspace whose spacing is exact, and a geometric grid
+EULER_GRIDS = {
+    "criterion 9": (sim.SimConfig(d=4, n=2048, s0=50.0, A=20.0, K=10.0).build_grid().nodes,
+                    False),
+    "criterion 10": (sim.SimConfig(d=4, n=1024, s0=50.0, A=20.0, K=10.0).build_grid().nodes,
+                     False),
+    "linspace 33": (np.linspace(0.0, 10.0, 33), True),
+    "geometric": (sim.Grid.geometric(400, 60.0, 1.01).nodes, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EULER_GRIDS))
+def test_euler_derivative_is_numpy_gradient_bit_for_bit(name):
+    y, constant = EULER_GRIDS[name]
+    ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0, coverage_tol=np.inf)
+    h = np.diff(y)
+    assert bool((h == h[0]).all()) is constant
+    smooth = np.exp(-0.05 * y**2) * (1.0 - y + 0.3 * y**2) + 1.0 / (4.0 + y)
+    with_inf = smooth.copy()
+    with_inf[len(y) // 3] = np.inf
+    ends = smooth.copy()
+    ends[0], ends[-1] = 1e300, -1e300
+    for f in (smooth, with_inf, ends, np.zeros_like(y)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = ctx._euler_derivative(f)
+            want = _numpy_euler(y, f)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan], want[~nan])
+
+
+# ---------------------------------------------------------------------------
 # outer norms
 # ---------------------------------------------------------------------------
 
@@ -199,6 +241,41 @@ def test_decompose_evaluates_q_and_the_flat_chain_once():
     rough = v + 1e-2 * np.sign(np.sin(50.0 * y)) * np.exp(-0.01 * y**2)
     with pytest.warns(RuntimeWarning, match="unresolved"):
         dg.decompose(rough, s, ctx, A)
+
+
+def test_decompose_pinned_on_a_perturbed_criterion_10_field():
+    # every coefficient and measured value equals the slice assembled here from
+    # np.gradient and the closed-form Q of pr._solve_profile, bit for bit
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0,
+                        K=10.0, dvec=(0.4, -0.25))
+    y = cfg.build_grid().nodes
+    ctx = dg.DiagnosticsContext(d=4, y=y, K=cfg.K)
+    p, ell, s, A = ctx.params, ctx.ell, cfg.s0, cfg.A
+    v = sim.make_initial_data(cfg).values
+    v = v + 1e-4 * np.exp(-0.02 * (y - 30.0) ** 2)       # reaches the outer region
+    rec = dg.decompose(v, s, ctx, A)
+
+    xi = y * s ** (-1.0 / (2 * ell))
+    q = pr._solve_profile(p, p.c * xi ** (2 * ell))[0]
+    ph = pr.psi_hat(p, y, s)
+    eps_hat = v - (q + ph)
+    coeffs = ctx.project_all(eps_hat)
+    assert rec.coefficients.tobytes() == coeffs.tobytes()
+    want = {f"mode_{k}": abs(float(c)) for k, c in enumerate(coeffs) if k != ell}
+    want["null_mode"] = abs(float(coeffs[ell]))
+    want["l2rho"] = ctx.rho_norm(eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0))
+    f = eps_hat
+    for j in range(3):
+        want[f"flat_{j}"] = float(np.sqrt(np.sum(ctx.flat_w * f * f)))
+        f = _numpy_euler(y, f)
+    ex = (eps_hat + ph) * (1.0 - pr.cutoff_chi(ctx.cut_spec, xi))
+    want["out_sup"] = float(np.max(np.abs(ex)))
+    want["out_dysup"] = float(np.max(np.abs(_numpy_euler(y, ex))))
+    want["out_ysup"] = float(np.max(np.abs(y * ex)))
+    assert rec.measured == want
+    assert rec.tilde_norm == want["l2rho"]
+    assert rec.sup_dev_profile == float(np.max(np.abs(v - q)))
+    assert min(want.values()) > 0.0
 
 
 def test_shrinking_ratios_monotone_under_scaling():

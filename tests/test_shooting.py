@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ksblowup import eigenbasis as eb
+from ksblowup import profile as pr
 from ksblowup import shooting
 from ksblowup import sim
 
@@ -186,6 +188,35 @@ def test_overflowing_matrix_ends_run_and_search_in_a_verdict():
     assert probe["verdict"] == "unstable" and probe["exit_mode"] is None
     assert probe["stop_reason"] == res.stop_reason == "non-finite step"
     assert search.verdict == "unstable"
+
+
+def test_profile_params_built_once_per_dimension_not_per_probe(monkeypatch):
+    for d in (3, 4):
+        p = pr.make_profile_params(d)
+        assert pr.make_profile_params(d) is p
+        assert p == pr.make_profile_params.__wrapped__(d)
+    # count the exact-algebra work of one uncached build, then of a search
+    calls = []
+    compute_b = eb.compute_B
+
+    def counting(d):
+        calls.append(d)
+        return compute_b(d)
+
+    monkeypatch.setattr(eb, "compute_B", counting)
+    pr.make_profile_params.__wrapped__(4)
+    per_build = len(calls)
+    assert per_build > 0
+    calls.clear()
+    pr.make_profile_params.cache_clear()
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)
+    res = shooting.trap_search(cfg, budget=3)
+    assert len(res.history) == 3
+    assert len(calls) == per_build
+    # each probe's split of its wall time is logged next to it
+    for h in res.history:
+        assert 0.0 < h["step_s"] and 0.0 < h["diag_s"]
+        assert h["step_s"] + h["diag_s"] <= h["wall_s"]
 
 
 def test_d3_search_smoke():
