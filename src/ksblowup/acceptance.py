@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +30,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+    runs: list = field(default_factory=list)   # one dict per simulation run behind it
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -37,12 +38,12 @@ class CriterionResult:
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
-                "detail": self.detail, "seconds": self.seconds}
+                "detail": self.detail, "seconds": self.seconds, "runs": self.runs}
 
 
-def _result(name, started, passed, detail) -> CriterionResult:
+def _result(name, started, passed, detail, runs=()) -> CriterionResult:
     return CriterionResult(name=name, passed=bool(passed), detail=detail,
-                           seconds=time.time() - started)
+                           seconds=time.time() - started, runs=list(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +226,22 @@ def criterion_6() -> CriterionResult:
 # Criterion 7: simulator correctness
 # ---------------------------------------------------------------------------
 
-def _constant_field_error(dt: float, v0=0.1, sigma=1.0, d=4) -> float:
+def _step_loop(state, dt: float, steps: int, runs: list):
+    """`steps` Neumann steps of `state` at a fixed dt; appends the run's d,
+    steps, dt and wall seconds to `runs`."""
+    started = time.perf_counter()
+    stepper = sim.Stepper(state.grid, state.d, state.frame, "neumann")
+    for _ in range(steps):
+        state = stepper.step(state, dt)
+    runs.append({"d": state.d, "steps": steps, "dt": dt,
+                 "seconds": time.perf_counter() - started})
+    return state
+
+
+def _constant_field_error(dt: float, runs: list, v0=0.1, sigma=1.0, d=4) -> float:
     grid = sim.Grid.uniform(32, 10.0)
     state = sim.RadialState("selfsimilar", 1.0, np.full(33, v0), grid, d)
-    stepper = sim.Stepper(grid, d, "selfsimilar", "neumann")
-    for _ in range(int(round(sigma / dt))):
-        state = stepper.step(state, dt)
+    state = _step_loop(state, dt, int(round(sigma / dt)), runs)
     exact = 1.0 / (d + (1.0 / v0 - d) * math.exp(sigma))
     return float(np.max(np.abs(state.values - exact)))
 
@@ -238,24 +249,24 @@ def _constant_field_error(dt: float, v0=0.1, sigma=1.0, d=4) -> float:
 def criterion_7() -> CriterionResult:
     t0 = time.time()
     parts = []
+    runs = []
     ok = True
     for d in (3, 4):
         grid = sim.Grid.uniform(64, 20.0)
         state = sim.RadialState("selfsimilar", 50.0, np.full(65, 1.0 / d), grid, d)
-        stepper = sim.Stepper(grid, d, "selfsimilar", "neumann")
-        for _ in range(10000):
-            state = stepper.step(state, 1e-3)
+        state = _step_loop(state, 1e-3, 10000, runs)
         drift = float(np.max(np.abs(state.values - 1.0 / d)))
         ok = ok and drift <= 1e-10
         parts.append(f"steady d={d}: drift={drift:.1e}")
-    e1 = _constant_field_error(1e-4)
-    e2 = _constant_field_error(5e-5)
+    e1 = _constant_field_error(1e-4, runs)
+    e2 = _constant_field_error(5e-5, runs)
     order_ratio = e1 / e2
     ok = ok and e1 <= 1e-6 and 1.6 <= order_ratio <= 2.4
     parts.append(f"ODE err(1e-4)={e1:.2e} halving ratio={order_ratio:.2f} (first order)")
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0
-    return _result("7 simulator correctness", t0, ok, "; ".join(parts) + f" ({elapsed:.1f} s)")
+    return _result("7 simulator correctness", t0, ok, "; ".join(parts) + f" ({elapsed:.1f} s)",
+                   runs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +381,13 @@ def criterion_9() -> CriterionResult:
     cfg = sim.SimConfig(d=4, n=2048, s0=50.0, horizon=10.0, cadence=0.1, A=20.0,
                         K=10.0, escape_factor=np.inf, blowup_sup=50.0)
     result = sim.run(cfg)
+    runs = [{"steps": result.steps, "dt_min": result.dt_min, "dt_max": result.dt_max,
+             "step_s": result.step_s, "diag_s": result.diag_s, "verdict": result.verdict,
+             "stop_reason": result.stop_reason}]
     s, c = result.coefficient_table()
     detail = f"run verdict {result.verdict}, {len(s)} slices"
     if len(s) < 5:
-        return _result("9 null-mode dynamics", t0, False, detail + "; series too short")
+        return _result("9 null-mode dynamics", t0, False, detail + "; series too short", runs)
     sm, res, slopes = dg.mode_ode_residuals(s, c, eb.ell_of(4))
     rl = np.abs(res[:, 2])
     x, yv = np.log(sm), np.log(rl)
@@ -382,7 +396,7 @@ def criterion_9() -> CriterionResult:
     ok = slope <= -2.5
     detail += (f"; |r_l| fit slope {slope:.2f} (need <= -2.5), R^2={r2:.2f}, "
                f"|r_l| range [{rl.min():.1e}, {rl.max():.1e}]")
-    return _result("9 null-mode dynamics", t0, ok, detail)
+    return _result("9 null-mode dynamics", t0, ok, detail, runs)
 
 
 # ---------------------------------------------------------------------------

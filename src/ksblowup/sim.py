@@ -27,13 +27,17 @@ gttrf) once per dt, the factors of the last two dts kept, and only
 back-substituted (gttrs) at each step.
 
 A step on a small grid costs a fixed overhead per NumPy call, so the raw-array
-kernel `Stepper._advance` makes few: one gather serves the Laplacian and the
-centered advection, the largest Peclet product decides whether any node needs
-upwinding (if none does, the upwind slopes and selects are skipped), b is
-accumulated in place, and the one finiteness check, v @ 0, is on the solution,
-which any non-finite field or b reaches; only then does the step look for the
-stage that failed.  Between records `run` calls the kernel alone, under one
-np.errstate.  Every result is bit-equal to the per-node select.
+kernel `Stepper._advance` makes few.  Every explicit term is a stencil over one
+gather v[cen_at]: a per-grid (2, 3, N) stack holds E = Lap/2 - sigma I and
+D = y (centered d/dy) + d I, and one multiply and one sum give E v and D v, so
+b = v + dt (E v + v D v) takes four in-place updates.  The largest Peclet
+product decides whether any node needs upwinding (if none does, the upwind
+slopes and the select are skipped).  The one finiteness check, v @ 0, is on
+the solution, which any non-finite field or b reaches; only then does the step
+look for the stage that failed.  Between records `run` calls the kernel alone,
+under one np.errstate.  `rhs` is built from the same stack, so the step and
+the semi-discrete operator stay one operator; both match the per-node select
+of the textbook stencils to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -131,13 +135,8 @@ class _Stencil:
     centered first derivative, and the Peclet spacing h.
 
     The gather v[cen_at] holds (v[i+1], v[i], v[i-1]) at an interior node,
-    (v[1], v[0], v[0]) at node 0 and (v[N], v[N-1], v[N-1]) at the last; it
-    serves the tridiagonals (`_apply_gathered`) and the centered derivative
-    (c0 v[j0] - c1 v[j1] - c2 v[j2]) / den, one multiply by `cen_coef`: at an
-    interior node (hm^2, hm^2 - hp^2, hp^2) over hm hp (hm + hp); at the last
-    node (1, 1, 0) over dy[-1], the backward difference (the zero takes the
-    sign of v[N-1], so subtracting it changes no bit of v[N] - v[N-1], a
-    signed zero included); node 0 is zeroed after the division."""
+    (v[1], v[0], v[0]) at node 0 and (v[N], v[N-1], v[N-1]) at the last; every
+    explicit stencil is a (3, N) block of weights over it (`_explicit_stack`)."""
 
     def __init__(self, y):
         self.y = y
@@ -154,41 +153,6 @@ class _Stencil:
         self.cen_at = np.stack([i + 1, i, i - 1])
         self.cen_at[:, 0] = (1, 0, 0)
         self.cen_at[:, -1] = (n - 1, n - 2, n - 2)
-        self.cen_coef = np.zeros((3, n))
-        self.cen_coef[:, 1:-1] = self.hm2, self.hm2_hp2, self.hp2
-        self.cen_coef[:2, -1] = 1.0
-        self.cen_den = np.concatenate([[1.0], self.denom, self.dy[-1:]])
-
-    def advect(self, v, a, g):
-        """a * dv/dy with per-node stencil selection: second-order centered
-        differences (dispersive where the cell Peclet number |a| h / 2
-        exceeds one) at nodes with Peclet <= 1, monotone first-order
-        upwinding at the rest.  `g` is the gather v[cen_at].
-
-        The largest Peclet product decides first: when no node upwinds, the
-        upwind slopes and the selects are skipped, since they would pick the
-        centered stencil everywhere.
-        """
-        g = g * self.cen_coef
-        cen = g[0] - g[1]
-        cen -= g[2]
-        cen /= self.cen_den
-        cen[0] = 0.0
-        pe = np.abs(a)
-        pe *= self.h
-        # argmax picks a NaN if there is one, and a NaN takes the per-node path
-        if pe[pe.argmax()] <= 2.0:
-            cen *= a
-            return cen
-        # slope[i] = (v[i] - v[i-1]) / dy[i-1], zero at both ends, so that
-        # slope[1:] is the forward and slope[:-1] the backward difference
-        slope = np.zeros(len(v) + 1)
-        np.divide(v[1:] - v[:-1], self.dy, out=slope[1:-1])
-        bwd = slope[:-1]
-        up = np.where(a > 0, slope[1:], bwd)
-        up[-1] = bwd[-1]
-        up[0] = 0.0
-        return a * np.where(pe <= 2.0, cen, up)
 
 
 def _laplacian_tridiag(st: _Stencil, dim: int):
@@ -237,34 +201,51 @@ def _linear_drift_tridiag(st: _Stencil, sigma: float):
     return a * lo, a * di, a * up
 
 
-def _gathered(lo, di, up):
-    """A tridiagonal (lower, diag, upper) as a stack for the gather v[cen_at]:
-    (up, di, lo), and (di, lo, 0) on the last row, which gathers v[N] first."""
-    coef = np.stack([up, di, lo])
-    coef[:, -1] = di[-1], lo[-1], 0.0
-    return coef
+def _explicit_stack(st: _Stencil, d: int, sigma: float, lo, di, up):
+    """The (2, 3, N) weights over the gather v[cen_at] of E = T - sigma I, T
+    the tridiagonal (lo, di, up), and D = y (centered d/dy) + d I: then
+    (v[cen_at] * stack).sum(axis=1) is (E v, D v), and v D v = v y v_y + d v^2.
+    A row is laid out (up, di, lo), or (di, lo, 0) on the last, which gathers
+    v[N] first.  D's derivative is centered, (-hp^2, hp^2 - hm^2, hm^2) over
+    hm hp (hm + hp) on (v[i-1], v[i], v[i+1]), backward at the last node and
+    absent at node 0 (y = 0)."""
+    y = st.y
+    w = y[1:-1] / st.denom
+    dlo, ddi, dup = np.zeros_like(y), np.full_like(y, d), np.zeros_like(y)
+    dlo[1:-1], ddi[1:-1], dup[1:-1] = -w * st.hp2, d - w * st.hm2_hp2, w * st.hm2
+    dlo[-1], ddi[-1] = -y[-1] / st.dy[-1], d + y[-1] / st.dy[-1]
+    stack = np.array([[up, di - sigma, lo], [dup, ddi, dlo]])
+    stack[:, :2, -1] = stack[:, 1:, -1]
+    stack[:, 2, -1] = 0.0
+    return stack
 
 
-def _apply_gathered(coef, g):
-    """The tridiagonal `coef` times the field gathered in g, as (di v[i] +
-    up v[i+1]) + lo v[i-1]; the last row's added zero has the sign of v[N-1],
-    which changes no bit while lo[N] >= +0, as in both tridiagonals."""
-    q = g * coef
-    out = q[1] + q[0]
-    out[1:] += q[2, 1:]
-    return out
-
-
-def _explicit_terms(stencil: _Stencil, v, g, d: int, sigma: float):
-    """The nonlinear drift v y v_y and the reaction d v^2 - sigma v, apart:
-    `rhs` adds them to the implicit terms in turn, the step sums them first.
-    At sigma 0 and 1 the reaction skips the product sigma v, which changes
-    no bit of a finite field."""
-    reaction = d * v
-    reaction *= v
-    if sigma:
-        reaction -= v if sigma == 1.0 else sigma * v
-    return stencil.advect(v, v * stencil.y, g), reaction
+def _explicit(st: _Stencil, stack, v, d: int):
+    """E v + v D v of `stack` (`_explicit_stack`) from one gather, with D v
+    upwinded at the nodes whose cell Peclet number |a| h / 2 of the nonlinear
+    drift a = v y exceeds one: there it is d v plus y times the forward slope
+    where a > 0, the backward one elsewhere and at the last node, zero at
+    node 0.  The largest Peclet product decides first: when no node upwinds,
+    the upwind slopes and the select are skipped."""
+    ev, dv = np.add.reduce(v[st.cen_at] * stack, axis=1)    # .sum, without its wrapper
+    pe = np.abs(v * st.y)
+    pe *= st.h
+    # argmax picks a NaN if there is one, and a NaN takes the per-node path
+    if not pe[pe.argmax()] <= 2.0:
+        # slope[i] = (v[i] - v[i-1]) / dy[i-1], zero at both ends, so that
+        # slope[1:] is the forward and slope[:-1] the backward difference
+        slope = np.zeros(len(v) + 1)
+        np.divide(v[1:] - v[:-1], st.dy, out=slope[1:-1])
+        bwd = slope[:-1]
+        up = np.where(v * st.y > 0, slope[1:], bwd)
+        up[-1] = bwd[-1]
+        up[0] = 0.0
+        up *= st.y
+        up += d * v
+        np.copyto(dv, up, where=~(pe <= 2.0))
+    dv *= v
+    ev += dv
+    return ev
 
 
 def _finite(v, zeros) -> bool:
@@ -276,21 +257,21 @@ def _finite(v, zeros) -> bool:
 def rhs(state: RadialState):
     """Full semi-discrete right-hand side on the grid (one-sided at the end)."""
     state.check_finite()
-    st = _Stencil(state.grid.nodes)
     y = state.grid.nodes
     v = state.values
-    g = v[st.cen_at]
-    lap = _apply_gathered(_gathered(*_laplacian_tridiag(st, state.d + 2)), g)
-    # one-sided second-order value at the outer node, for reporting only
+    st = _Stencil(y)
+    sigma = FRAME_SIGMA[state.frame]
+    lap = _laplacian_tridiag(st, state.d + 2)
+    implicit = [a + b for a, b in zip(lap, _linear_drift_tridiag(st, sigma))]
+    out = _explicit(st, _explicit_stack(st, state.d, sigma, *implicit), v, state.d)
+    # one-sided second-order Laplacian at the outer node (whose row of the
+    # tridiagonal is zero), for reporting only
     h1 = y[-1] - y[-2]
     h2 = y[-2] - y[-3]
     vp = (v[-1] - v[-2]) / h1
     vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
-    lap[-1] = vpp + (state.d + 1) / y[-1] * vp
-    sigma = FRAME_SIGMA[state.frame]
-    linear = _apply_gathered(_gathered(*_linear_drift_tridiag(st, sigma)), g)
-    drift, reaction = _explicit_terms(st, v, g, state.d, sigma)
-    return lap + linear + drift + reaction
+    out[-1] += vpp + (state.d + 1) / y[-1] * vp
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +283,18 @@ class Stepper:
     -(sigma/2) y v_y in one tridiagonal solve; explicit nonlinear drift
     v y v_y and reaction d v^2 - sigma v.
 
-    The stencil spacings and the Laplacian and linear-drift tridiagonals are
-    fixed per grid, and the matrix I - (dt/2) Lap - dt D_lin is factored once
-    per dt, so a step is the explicit terms plus one back-substitution.
-    `cfl_dt` bounds dt by the explicit terms alone.
+    The stencil spacings, the Laplacian and linear-drift tridiagonals and the
+    explicit stack (`_explicit_stack`) are fixed per grid, and the matrix
+    I - (dt/2) Lap - dt D_lin is factored once per dt, so a step is one pass
+    over the stack plus one back-substitution.  `cfl_dt` bounds dt by the
+    explicit terms alone.
 
     `step` checks its state and wraps the raw-array kernel `_advance`: one
-    gather serves the Laplacian and the advection, whose stencil the largest
-    Peclet product decides (all centered when it is at most 2, per node
-    otherwise), and finiteness is checked once, on the solution (v @ 0); when
-    that fails it raises StateCorruptionError naming the first non-finite
-    stage: the field, the explicit terms, or the solver.
+    gather and the stack give b, with D v upwinded where the largest Peclet
+    product says some node needs it (`_explicit`), and finiteness is checked
+    once, on the solution (v @ 0); when that fails it raises
+    StateCorruptionError naming the first non-finite stage: the field, the
+    explicit terms, or the solver.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
@@ -330,7 +312,8 @@ class Stepper:
         self.params = pr.make_profile_params(d) if boundary == "profile" else None
         self.stencil = _Stencil(grid.nodes)
         self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
-        self.lap = _gathered(self.lo, self.di, self.up)
+        self.stack = _explicit_stack(self.stencil, d, self.sigma,
+                                     0.5 * self.lo, 0.5 * self.di, 0.5 * self.up)
         self._zeros = np.zeros(len(grid.nodes))
         self.linear_drift = _linear_drift_tridiag(self.stencil, self.sigma)
         self._recent = []             # (dt, factors), most recently used first
@@ -387,16 +370,12 @@ class Stepper:
 
     def _advance(self, v, time: float, dt: float):
         """The step kernel: v at `time` to the field at time + dt, solving
-        against b = v + (dt/2) Lap v + dt (drift + reaction), boundary value
-        last.  Callers vouch for v and dt and enter np.errstate."""
-        g = v[self.stencil.cen_at]
-        expl, reaction = _explicit_terms(self.stencil, v, g, self.d, self.sigma)
-        expl += reaction
-        expl *= dt
-        b = _apply_gathered(self.lap, g)
-        b *= 0.5 * dt
+        against b = v + dt (E v + v D v) = v + (dt/2) Lap v + dt (v y v_y +
+        d v^2 - sigma v), boundary value last.  Callers vouch for v and dt and
+        enter np.errstate."""
+        b = _explicit(self.stencil, self.stack, v, self.d)
+        b *= dt
         b += v
-        b += expl
         b[-1] = self.boundary_value(time + dt)
         try:
             factors = self._factored(dt)

@@ -185,6 +185,25 @@ def test_verify_exact_suite(tmp_path, capsys):
     assert all(r["passed"] for r in report["results"])
 
 
+def test_verify_report_lists_the_runs_of_criteria_7_and_9(tmp_path, capsys):
+    report = {}
+    for suite in ("sim", "slopes"):
+        run_cli(["--output-dir", str(tmp_path), "verify", "--suite", suite], capsys)
+        for r in json.loads((tmp_path / "verify_report.json").read_text())["results"]:
+            report[r["name"].split()[0]] = r
+    assert report["6"]["runs"] == [] and report["8"]["runs"] == []
+    # criterion 7: the steady loops at d = 3 and 4, then the ODE at two dts
+    runs7 = report["7"]["runs"]
+    assert [(r["d"], r["steps"], r["dt"]) for r in runs7] == [
+        (3, 10000, 1e-3), (4, 10000, 1e-3), (4, 10000, 1e-4), (4, 20000, 5e-5)]
+    assert all(r["seconds"] > 0 for r in runs7)
+    # criterion 9: the one self-similar run's step count, dt range, time split
+    (run9,) = report["9"]["runs"]
+    assert run9["verdict"] == "completed" and run9["stop_reason"] == "horizon"
+    assert run9["steps"] >= 10.0 / run9["dt_max"] and 0 < run9["dt_min"] <= run9["dt_max"]
+    assert run9["step_s"] > 0 and run9["diag_s"] > 0
+
+
 def test_verify_fault_injection(capsys, monkeypatch):
     # corrupt the spectral-constant computation and check verify names it
     from fractions import Fraction

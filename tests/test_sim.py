@@ -193,12 +193,11 @@ def test_step_rejects_other_grid_and_dimension():
     assert np.array_equal(stepper.step(twin, 1e-3).values, np.zeros(33))
 
 
-def _reference_step(stepper, state, dt):
-    """The step written out from the nodes alone: the textbook nonuniform
-    Laplacian and advection stencils, the matrix of Crank-Nicolson diffusion
-    and backward-Euler linear drift in `solve_banded`'s (1, 1) band layout,
-    and the array path of Q."""
-    y, v, d, sigma = state.grid.nodes, state.values, state.d, sim.FRAME_SIGMA[state.frame]
+def _reference_operators(y, v, d, sigma):
+    """The flow's operators written out from the nodes alone: the textbook
+    nonuniform Laplacian tridiagonal (last row zero), the nonlinear drift
+    v y v_y with both advection stencils at every node and one select per
+    node by its Peclet number, and the tridiagonal of the linear drift."""
     n = len(y)
     hm, hp = y[1:-1] - y[:-2], y[2:] - y[1:-1]
     lo, di, up = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -211,9 +210,6 @@ def _reference_step(stepper, state, dt):
     di[1:-1] = -(a2m + a2p) + coef * (-a1m - a1p)
     di[0] = -2.0 * (d + 2) / (y[1] - y[0]) ** 2
     up[0] = 2.0 * (d + 2) / (y[1] - y[0]) ** 2
-    lap = di * v
-    lap[:-1] += up[:-1] * v[1:]
-    lap[1:] += lo[1:] * v[:-1]
 
     a = v * y                                      # the explicit, nonlinear drift
     fwd, bwd = np.zeros(n), np.zeros(n)
@@ -229,16 +225,34 @@ def _reference_step(stepper, state, dt):
     h[0] = h[1]
     drift = a * np.where(np.abs(a) * h <= 2.0, cen, upw)
 
-    # the implicit linear drift -(sigma/2) y d/dy: centered where
-    # (sigma/2) y h <= 2, backward (upwind) beyond; zero at sigma = 0
-    al = -0.5 * sigma * y[1:-1]
-    lin_cen = np.abs(al) * hm <= 2.0
+    # the linear drift -(sigma/2) y d/dy: centered where (sigma/2) y h <= 2,
+    # backward (upwind) beyond and at the last node; zero at sigma = 0
+    al = -0.5 * sigma * y
+    lin_cen = np.abs(al[1:-1]) * hm <= 2.0
     llo, ldi, lup = np.zeros(n), np.zeros(n), np.zeros(n)
-    llo[1:-1] = al * np.where(lin_cen, -hp * hp / denom, -1.0 / hm)
-    ldi[1:-1] = al * np.where(lin_cen, -(hm * hm - hp * hp) / denom, 1.0 / hm)
-    lup[1:-1] = al * np.where(lin_cen, hm * hm / denom, 0.0)
+    llo[1:-1] = al[1:-1] * np.where(lin_cen, -hp * hp / denom, -1.0 / hm)
+    ldi[1:-1] = al[1:-1] * np.where(lin_cen, -(hm * hm - hp * hp) / denom, 1.0 / hm)
+    lup[1:-1] = al[1:-1] * np.where(lin_cen, hm * hm / denom, 0.0)
+    llo[-1], ldi[-1] = -al[-1] / (y[-1] - y[-2]), al[-1] / (y[-1] - y[-2])
+    return (lo, di, up), drift, (llo, ldi, lup)
 
-    b = v + 0.5 * dt * lap + dt * (drift + (d * v * v - sigma * v))
+
+def _tridiag_times(tri, v):
+    lo, di, up = tri
+    out = di * v
+    out[:-1] += up[:-1] * v[1:]
+    out[1:] += lo[1:] * v[:-1]
+    return out
+
+
+def _reference_step(stepper, state, dt):
+    """The step written out from the nodes alone: `_reference_operators`,
+    the matrix of Crank-Nicolson diffusion and backward-Euler linear drift in
+    `solve_banded`'s (1, 1) band layout, and the array path of Q."""
+    y, v, d, sigma = state.grid.nodes, state.values, state.d, sim.FRAME_SIGMA[state.frame]
+    n = len(y)
+    (lo, di, up), drift, (llo, ldi, lup) = _reference_operators(y, v, d, sigma)
+    b = v + 0.5 * dt * _tridiag_times((lo, di, up), v) + dt * (drift + (d * v * v - sigma * v))
     if stepper.boundary == "neumann":
         b[-1] = 0.0
     else:
@@ -253,6 +267,26 @@ def _reference_step(stepper, state, dt):
     return solve_banded((1, 1), ab, b)
 
 
+def _reference_rhs(state):
+    """`sim.rhs` written out from the nodes alone: `_reference_operators`,
+    the reaction, and the one-sided second-order Laplacian at the last node."""
+    y, v, d, sigma = state.grid.nodes, state.values, state.d, sim.FRAME_SIGMA[state.frame]
+    lap, drift, linear = _reference_operators(y, v, d, sigma)
+    out = _tridiag_times(lap, v) + _tridiag_times(linear, v) + drift + (d * v * v - sigma * v)
+    h1, h2 = y[-1] - y[-2], y[-2] - y[-3]
+    vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
+    out[-1] += vpp + (d + 1) / y[-1] * (v[-1] - v[-2]) / h1
+    return out
+
+
+def _assert_close(got, want):
+    # the kernel re-associates the reference's sums and products, so the two
+    # differ by rounding alone; one wrong stencil weight at a single node
+    # moves the result by O(h), far above this bound
+    bound = 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= bound
+
+
 @pytest.mark.parametrize("grid, frame, boundary", [
     (sim.Grid.uniform(32, 10.0), "physical", "neumann"),
     (sim.Grid.uniform(2048, 110.0), "selfsimilar", "profile"),
@@ -260,10 +294,11 @@ def _reference_step(stepper, state, dt):
     (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile"),
 ])
 def test_step_equals_reference_kernel(grid, frame, boundary):
-    # the precomputed stencils, the Peclet-decided advection and the
-    # once-per-dt factorization change no bit.  Fields in [0, 0.3] are
-    # centered at every node of the uniform grids; fields in [-2, 6] mix
-    # upwind and centered nodes and drifts of both signs on every grid.
+    # the precomputed stencil stack, the Peclet-decided advection and the
+    # once-per-dt factorization match the textbook step to rounding.  Fields
+    # in [0, 0.3] are centered at every node of the uniform grids; fields in
+    # [-2, 6] mix upwind and centered nodes and drifts of both signs on
+    # every grid.
     rng = np.random.default_rng(7)
     t0 = 50.0 if frame == "selfsimilar" else 0.0
     y = grid.nodes
@@ -282,42 +317,49 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
                 assert np.all(peclet <= 2.0)
             state = sim.RadialState(frame, t0, v, grid, d)
             for dt in (1e-3, 2.5e-4, 1e-3):            # factor, factor, cached
-                want = _reference_step(stepper, state, dt)
-                assert np.array_equal(stepper.step(state, dt).values, want)
-
-
-def _advect_per_node(st, v, a, g):
-    """Reference advection: both stencils at every node, then one select per
-    node by its Peclet number.  It reads v alone, not the kernel's gather g."""
-    slope = np.zeros(len(v) + 1)
-    np.divide(v[1:] - v[:-1], st.dy, out=slope[1:-1])
-    bwd = slope[:-1]
-    up = np.where(a > 0, slope[1:], bwd)
-    up[-1] = bwd[-1]
-    up[0] = 0.0
-    cen = np.empty(len(v))
-    cen[1:-1] = (st.hm2 * v[2:] - st.hm2_hp2 * v[1:-1] - st.hp2 * v[:-2]) / st.denom
-    cen[-1] = bwd[-1]
-    cen[0] = 0.0
-    return a * np.where(np.abs(a) * st.h <= 2.0, cen, up)
+                _assert_close(stepper.step(state, dt).values, _reference_step(stepper, state, dt))
 
 
 @pytest.mark.parametrize("grid", [sim.Grid.uniform(32, 10.0), sim.Grid.uniform(2048, 110.0),
                                   sim.Grid.geometric(128, 30.0, 1.03)])
-def test_rhs_advection_bit_equal_to_per_node_selection(grid, monkeypatch):
-    # rhs shares the kernel's advection; it equals, bit for bit (signed zeros
-    # too), the rhs built on the per-node select, for all-centered and mixed fields
+def test_rhs_advection_matches_per_node_selection(grid):
+    # rhs shares the step's stencil stack and Peclet decision; it matches the
+    # per-node reference to rounding for all-centered and mixed fields, and
+    # for tiny fields with signed zeros
     rng = np.random.default_rng(11)
     n = len(grid.nodes)
     fields = [0.3 * rng.random(n), rng.uniform(-2.0, 6.0, n), rng.uniform(-1e-3, 1e-3, n)]
     fields[2][::4] = 0.0
     fields[2][1::5] = -0.0
-    states = [sim.RadialState(frame, 50.0, v, grid, d)
-              for v in fields for frame in ("physical", "selfsimilar") for d in (3, 4)]
-    got = [sim.rhs(state) for state in states]
-    monkeypatch.setattr(sim._Stencil, "advect", _advect_per_node)
-    for state, g in zip(states, got):
-        assert g.tobytes() == sim.rhs(state).tobytes()
+    for v in fields:
+        for frame in ("physical", "selfsimilar"):
+            for d in (3, 4):
+                state = sim.RadialState(frame, 50.0, v, grid, d)
+                _assert_close(sim.rhs(state), _reference_rhs(state))
+
+
+def test_explicit_stack_built_once_per_grid(monkeypatch):
+    # the stencil stack depends on the grid alone: not on the step, not on
+    # dt, and not on a record landing's shortened step
+    calls = []
+    build = sim._explicit_stack
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(sim, "_explicit_stack", counting)
+    grid = sim.Grid.uniform(32, 10.0)
+    stepper = sim.Stepper(grid, 4, "physical", "neumann")
+    state = sim.RadialState("physical", 0.0, np.full(33, 0.1), grid, 4)
+    for dt in (1e-3, 2.5e-4, 1e-3):
+        state = stepper.step(state, dt)
+    assert len(calls) == 1
+    cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=100.0, horizon=1.0,
+                        cadence=0.1, dt=1e-3, init=np.full(33, 0.1))
+    res = sim.run(cfg)
+    assert res.steps == 1000 and len(res.times) == 11 and res.dt_min < res.dt_max
+    assert len(calls) == 2
 
 
 def test_step_names_the_first_non_finite_stage():
