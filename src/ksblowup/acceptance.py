@@ -228,12 +228,12 @@ def criterion_6() -> CriterionResult:
 
 def _step_loop(state, dt: float, steps: int, runs: list):
     """`steps` Neumann steps of `state` at a fixed dt; appends the run's d,
-    steps, dt and wall seconds to `runs`."""
+    steps, dt, solve and wall seconds to `runs`."""
     started = time.perf_counter()
     stepper = sim.Stepper(state.grid, state.d, state.frame, "neumann")
     for _ in range(steps):
         state = stepper.step(state, dt)
-    runs.append({"d": state.d, "steps": steps, "dt": dt,
+    runs.append({"d": state.d, "steps": steps, "dt": dt, "solve": stepper.solve_label(dt, dt),
                  "seconds": time.perf_counter() - started})
     return state
 
@@ -382,8 +382,8 @@ def criterion_9() -> CriterionResult:
                         K=10.0, escape_factor=np.inf, blowup_sup=50.0)
     result = sim.run(cfg)
     runs = [{"steps": result.steps, "dt_min": result.dt_min, "dt_max": result.dt_max,
-             "step_s": result.step_s, "diag_s": result.diag_s, "verdict": result.verdict,
-             "stop_reason": result.stop_reason}]
+             "solve": result.solve, "step_s": result.step_s, "diag_s": result.diag_s,
+             "verdict": result.verdict, "stop_reason": result.stop_reason}]
     s, c = result.coefficient_table()
     detail = f"run verdict {result.verdict}, {len(s)} slices"
     if len(s) < 5:
@@ -456,7 +456,9 @@ def criterion_10(budget: int = 64) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def final_profile_experiment():
-    """Near-trapped physical run: returns (T_est, decade table, run stats).
+    """Near-trapped physical run: returns (T_est, its confidence width, the
+    decade table, the tuning search's `ShootResult`, the physical run's stats:
+    steps, dt_min, dt_max, solve and wall seconds).
 
     The unstable-mode amplitudes come from a trap search of the wide-cutoff
     family (bump_K = 4), whose initial-coefficient mixing is nearly diagonal,
@@ -477,20 +479,26 @@ def final_profile_experiment():
     modes = sim.unstable_modes(d, y_ph, s0, cfg.bump_K)
     v0 = pr.psi(p, y_ph, s0) + (amp / s0**2) * (np.asarray(search.parameters) @ modes)
     state = sim.RadialState("physical", 1.0 - tau0, v0 / tau0, grid, d)
+    started = time.perf_counter()
     stepper = sim.Stepper(grid, d, "physical", "neumann")
 
     times, sup_w = [], []
     t_end = 1.0 - tau_end
     i = 0
+    dt_min, dt_max = math.inf, 0.0
     while state.time < t_end:
         dt = min(stepper.cfl_dt(state, 0.4), 0.1 * (1.0 - state.time),
                  t_end - state.time + 1e-18)
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         state = stepper.step(state, dt)
         if i % 20 == 0:
             w = sim.transform(state.values, r, d, "w")
             times.append(state.time)
             sup_w.append(float(np.max(w)))
         i += 1
+    run = {"steps": i, "dt_min": dt_min, "dt_max": dt_max,
+           "solve": stepper.solve_label(dt_min, dt_max),
+           "seconds": time.perf_counter() - started}
     t_est, t_width = sim.estimate_blowup_time(np.array(times), np.array(sup_w), window=0.5)
 
     u = sim.transform(state.values, r, d, "w")
@@ -502,12 +510,12 @@ def final_profile_experiment():
         ratio = np.interp(rr, r, u) / pr.final_profile(p, rr)
         flat = (np.max(ratio) - np.min(ratio)) / np.mean(ratio)
         table.append((r1, float(np.min(ratio)), float(np.max(ratio)), float(flat)))
-    return t_est, t_width, table, search, i
+    return t_est, t_width, table, search, run
 
 
 def criterion_11() -> CriterionResult:
     t0 = time.time()
-    t_est, t_width, table, search, steps = final_profile_experiment()
+    t_est, t_width, table, search, run = final_profile_experiment()
     passing = [row for row in table
                if row[3] <= 0.5 and 0.5 <= row[1] and row[2] <= 2.0]
     best = min(table, key=lambda row: row[3])
@@ -516,9 +524,10 @@ def criterion_11() -> CriterionResult:
     detail = (f"T_est err={abs(t_est - 1.0):.1e} (+-{t_width:.1e}); "
               f"{len(passing)}/{len(table)} decades pass; best decade r1={best[0]:.2e} "
               f"band=[{best[1]:.2f},{best[2]:.2f}] flat={best[3]:.2f}; "
-              f"tuning verdict {search.verdict}; {steps} physical steps; "
+              f"tuning verdict {search.verdict}; {run['steps']} physical steps; "
               f"exploratory ({elapsed:.0f} s)")
-    return _result("11 final-profile scaling", t0, ok, detail)
+    tuning = {"search": "tuning", "probes": len(search.history), "verdict": search.verdict}
+    return _result("11 final-profile scaling", t0, ok, detail, [run, tuning])
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ look for the stage that failed.  Between records `run` calls the kernel alone,
 under one np.errstate.  `rhs` is built from the same stack, so the step and
 the semi-discrete operator stay one operator; both match the per-node select
 of the textbook stencils to rounding, not bit for bit.
+
+On a grid of at most DENSE_NODES nodes the step makes fewer calls still: the
+stack is scattered once into the dense (2N, N) matrix [E; D], so E v and D v
+are one matrix-vector product, and each dt's factors are solved once against
+the identity for the dense inverse of the matrix, so the solve is another
+product.  Larger grids, and dts at which the matrix's identity is lost to
+rounding, keep the gather and the banded back-substitution, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +71,12 @@ class StateCorruptionError(RuntimeError):
 
 # the frame constant sigma of the flow (see the module docstring)
 FRAME_SIGMA = {"selfsimilar": 1.0, "physical": 0.0}
+
+# Grids of at most this many nodes step with dense matrices (`Stepper`): there
+# a step costs NumPy's fixed overhead per call, and the dense step makes fewer
+# calls.  Its O(N^2) products catch up with the banded step between about 97
+# and 113 nodes (README, the dense-step bullet).
+DENSE_NODES = 96
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +233,24 @@ def _explicit_stack(st: _Stencil, d: int, sigma: float, lo, di, up):
     return stack
 
 
-def _explicit(st: _Stencil, stack, v, d: int):
-    """E v + v D v of `stack` (`_explicit_stack`) from one gather, with D v
+def _explicit_matrix(st: _Stencil, stack):
+    """The (2N, N) matrix [E; D] of `stack` (`_explicit_stack`), its weights
+    scattered from the gather's columns v[cen_at] (summed where a row gathers
+    one node twice): then [E; D] v is (E v, D v) with D centered."""
+    n = len(st.y)
+    rows = np.arange(2 * n).reshape(2, 1, n)
+    matrix = np.zeros((2 * n, n))
+    np.add.at(matrix, (rows, st.cen_at), stack)
+    return matrix
+
+
+def _explicit(st: _Stencil, v, ev, dv, d: int):
+    """E v + v D v from E v and the centered D v (in place), with D v
     upwinded at the nodes whose cell Peclet number |a| h / 2 of the nonlinear
     drift a = v y exceeds one: there it is d v plus y times the forward slope
     where a > 0, the backward one elsewhere and at the last node, zero at
     node 0.  The largest Peclet product decides first: when no node upwinds,
     the upwind slopes and the select are skipped."""
-    ev, dv = np.add.reduce(v[st.cen_at] * stack, axis=1)    # .sum, without its wrapper
     pe = np.abs(v * st.y)
     pe *= st.h
     # argmax picks a NaN if there is one, and a NaN takes the per-node path
@@ -251,7 +274,7 @@ def _explicit(st: _Stencil, stack, v, d: int):
 def _finite(v, zeros) -> bool:
     """Exact and cheaper than np.isfinite(v).all(): v @ 0 is NaN exactly when
     an entry is +-inf or NaN (which signals `invalid`)."""
-    return not math.isnan(v @ zeros)
+    return not math.isnan(v.dot(zeros))
 
 
 def rhs(state: RadialState):
@@ -263,7 +286,8 @@ def rhs(state: RadialState):
     sigma = FRAME_SIGMA[state.frame]
     lap = _laplacian_tridiag(st, state.d + 2)
     implicit = [a + b for a, b in zip(lap, _linear_drift_tridiag(st, sigma))]
-    out = _explicit(st, _explicit_stack(st, state.d, sigma, *implicit), v, state.d)
+    stack = _explicit_stack(st, state.d, sigma, *implicit)
+    out = _explicit(st, v, *np.add.reduce(v[st.cen_at] * stack, axis=1), state.d)
     # one-sided second-order Laplacian at the outer node (whose row of the
     # tridiagonal is zero), for reporting only
     h1 = y[-1] - y[-2]
@@ -286,15 +310,19 @@ class Stepper:
     The stencil spacings, the Laplacian and linear-drift tridiagonals and the
     explicit stack (`_explicit_stack`) are fixed per grid, and the matrix
     I - (dt/2) Lap - dt D_lin is factored once per dt, so a step is one pass
-    over the stack plus one back-substitution.  `cfl_dt` bounds dt by the
-    explicit terms alone.
+    over the stack plus one back-substitution.  On a grid of at most
+    DENSE_NODES nodes the stack is also kept as the dense matrix [E; D]
+    (`_explicit_matrix`), and each dt's factors as the matrix's dense
+    inverse, so a step is two matrix-vector products (`solve_label` names
+    the solve a run's steps took).  `cfl_dt` bounds dt by the explicit terms
+    alone.
 
     `step` checks its state and wraps the raw-array kernel `_advance`: one
-    gather and the stack give b, with D v upwinded where the largest Peclet
-    product says some node needs it (`_explicit`), and finiteness is checked
-    once, on the solution (v @ 0); when that fails it raises
-    StateCorruptionError naming the first non-finite stage: the field, the
-    explicit terms, or the solver.
+    gather and the stack, or one product with [E; D], give b, with D v
+    upwinded where the largest Peclet product says some node needs it
+    (`_explicit`), and finiteness is checked once, on the solution (v @ 0);
+    when that fails it raises StateCorruptionError naming the first
+    non-finite stage: the field, the explicit terms, or the solver.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
@@ -316,21 +344,29 @@ class Stepper:
                                      0.5 * self.lo, 0.5 * self.di, 0.5 * self.up)
         self._zeros = np.zeros(len(grid.nodes))
         self.linear_drift = _linear_drift_tridiag(self.stencil, self.sigma)
-        self._recent = []             # (dt, factors), most recently used first
+        self._recent = []             # (dt, factors, inverse), most recently used first
+        dense = len(grid.nodes) <= DENSE_NODES
+        self._matrix = _explicit_matrix(self.stencil, self.stack) if dense else None
+        # the dense solve's dts: from 1 / (eps max|diag Lap|) on, the identity
+        # of I - (dt/2) Lap - dt D_lin is lost to rounding, and an inverse
+        # would solve where the banded solve overflows
+        self._dense_dt = 1.0 / (np.finfo(float).eps * np.max(np.abs(self.di))) if dense else 0.0
 
     def _factored(self, dt: float):
-        """gttrf factors of the matrix I - (dt/2) Lap - dt D_lin, whose last
-        row is the boundary condition (v_N = value, or v_N - v_{N-1} = 0 for
-        Neumann).  A dt so large that the entries overflow raises
-        StateCorruptionError, which `run` reads as a verdict.
+        """(dt, factors, inverse): the gttrf factors of the matrix
+        I - (dt/2) Lap - dt D_lin, whose last row is the boundary condition
+        (v_N = value, or v_N - v_{N-1} = 0 for Neumann), and, where the dense
+        step solves (`solve_label`), its dense inverse, solved from the factors
+        column by column; None elsewhere.  A dt so large that the entries
+        overflow raises StateCorruptionError, which `run` reads as a verdict.
 
-        The factors of the last two dts are kept: a fixed-dt run shortens the
+        The entries of the last two dts are kept: a fixed-dt run shortens the
         step that lands on a record time and then returns to its fixed dt."""
-        for i, (cached_dt, factors) in enumerate(self._recent):
-            if cached_dt == dt:
+        for i, entry in enumerate(self._recent):
+            if entry[0] == dt:
                 if i:
                     self._recent.reverse()
-                return factors
+                return entry
         dlo, ddi, dup = self.linear_drift
         with np.errstate(over="ignore", invalid="ignore"):
             dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
@@ -344,8 +380,20 @@ class Stepper:
                                 overwrite_du=True)
         if info > 0:
             raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        self._recent = [(dt, factors)] + self._recent[:1]
-        return factors
+        inverse = None
+        if dt < self._dense_dt:
+            inverse, _ = dgttrs(*factors, np.eye(len(self._zeros)))
+        entry = (dt, factors, inverse)
+        self._recent = [entry] + self._recent[:1]
+        return entry
+
+    def solve_label(self, dt_min: float, dt_max: float) -> str:
+        """The solve of steps whose dts lie in [dt_min, dt_max]: "dense" (a
+        product with the cached inverse) on a grid of at most DENSE_NODES
+        nodes at a dt that keeps the matrix's identity, "banded" (gttrs)
+        otherwise, "dense+banded" for a range across that dt."""
+        return "+".join(dict.fromkeys("dense" if dt < self._dense_dt else "banded"
+                                      for dt in (dt_min, dt_max)))
 
     def boundary_value(self, time_next: float) -> float:
         if self.boundary == "neumann":
@@ -355,7 +403,7 @@ class Stepper:
         return pr.q_of_xi(self.params, xi_edge)
 
     def step(self, state: RadialState, dt: float) -> RadialState:
-        if dt <= 0:
+        if not dt > 0:
             raise ConfigError("dt must be positive")
         if state.frame != self.frame:
             raise ConfigError(f"a {self.frame}-frame stepper got a {state.frame}-frame state")
@@ -371,19 +419,33 @@ class Stepper:
     def _advance(self, v, time: float, dt: float):
         """The step kernel: v at `time` to the field at time + dt, solving
         against b = v + dt (E v + v D v) = v + (dt/2) Lap v + dt (v y v_y +
-        d v^2 - sigma v), boundary value last.  Callers vouch for v and dt and
-        enter np.errstate."""
-        b = _explicit(self.stencil, self.stack, v, self.d)
+        d v^2 - sigma v), boundary value last.  E v and D v come from the
+        gather and the stack, or on a dense grid from one product with
+        [E; D]; the solve is gttrs, or the product with the inverse that
+        `_factored` keeps for this dt.  Either way dt scales the increment
+        before v is added, so a steady state's cancellation stays inside the
+        O(dt) term.  Callers vouch for v and dt and enter np.errstate."""
+        st = self.stencil
+        if self._matrix is None:
+            ev, dv = np.add.reduce(v[st.cen_at] * self.stack, axis=1)   # .sum, without its wrapper
+        else:
+            edv = self._matrix.dot(v)
+            n = len(v)
+            ev, dv = edv[:n], edv[n:]
+        b = _explicit(st, v, ev, dv, self.d)
         b *= dt
         b += v
         b[-1] = self.boundary_value(time + dt)
         try:
-            factors = self._factored(dt)
+            _, factors, inverse = self._factored(dt)
         except (StateCorruptionError, np.linalg.LinAlgError):
             self._check_inputs(v, time, b)
             raise
         # b is kept (no overwrite_b) for the cold path
-        v_new, _ = dgttrs(*factors, b)
+        if inverse is None:
+            v_new, _ = dgttrs(*factors, b)
+        else:
+            v_new = inverse.dot(b)
         # a non-finite field reaches b and a non-finite b the solution, so
         # one check here stands for all three; the cold path names the stage
         if not _finite(v_new, self._zeros):
@@ -442,12 +504,16 @@ class SimConfig:
             raise ConfigError(f"unknown frame {self.frame!r}")
         if not self.bump_K > 0:
             raise ConfigError("bump_K must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
         if not self.cfl > 0:
             raise ConfigError("cfl must be positive")
-        if self.horizon <= 0 or self.cadence <= 0:
-            raise ConfigError("horizon and cadence must be positive")
+        # a NaN compares false both ways, and a non-finite time never lands
+        # on a record or the end: either would loop forever
+        for name in ("dt", "horizon", "cadence"):
+            x = getattr(self, name)
+            if x is not None and not (x > 0 and math.isfinite(x)):
+                raise ConfigError(f"{name} must be positive and finite")
+        if not math.isfinite(self.s0):
+            raise ConfigError("s0 must be finite")
         ell = eb.ell_of(self.d)
         if self.y_max is None:
             if self.frame == "physical":
@@ -518,6 +584,7 @@ class RunResult:
     steps: int = 0              # steps taken
     dt_min: float | None = None  # smallest and largest step taken (None without steps)
     dt_max: float | None = None
+    solve: str | None = None    # the steps' solve, `Stepper.solve_label` (None without steps)
     message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
     diag_s: float = 0.0         # wall seconds in the records: diagnostics slices or sup w
@@ -656,6 +723,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         steps=steps,
         dt_min=dt_min if steps else None,
         dt_max=dt_max if steps else None,
+        solve=stepper.solve_label(dt_min, dt_max) if steps else None,
         message=message,
         step_s=step_s,
         diag_s=diag_s,

@@ -40,6 +40,19 @@ def test_config_validation():
     for cfl in (0.0, -0.4, float("nan")):             # dt = 0 would never advance
         with pytest.raises(sim.ConfigError, match="cfl"):
             sim.SimConfig(d=4, frame="physical", y_max=8.0, cfl=cfl)
+    # a NaN passes `x <= 0`, and a non-finite time never reaches a record or
+    # the end: a run from either would loop forever
+    nan, inf = float("nan"), float("inf")
+    phys = dict(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, init=np.full(33, 0.1),
+                horizon=1.0, cadence=0.01, dt=1e-3)
+    for key, bad in (("dt", nan), ("dt", inf), ("dt", 0.0), ("horizon", nan), ("horizon", inf),
+                     ("horizon", -1.0), ("cadence", nan), ("cadence", inf), ("cadence", 0.0)):
+        with pytest.raises(sim.ConfigError, match=f"{key} must be positive and finite"):
+            sim.SimConfig(**(phys | {key: bad}))
+    for bad in (nan, inf, -inf):
+        with pytest.raises(sim.ConfigError, match="s0 must be finite"):
+            sim.SimConfig(**(phys | {"s0": bad}))
+    assert sim.SimConfig(d=4, escape_factor=inf).escape_factor == inf
     with pytest.raises(eb.DimensionError):
         sim.SimConfig(d=5)
     cfg = sim.SimConfig(d=4, s0=50.0, horizon=10.0, K=10.0)
@@ -172,8 +185,9 @@ def test_physical_constant_blowup_ode():
 def test_step_guards():
     g = sim.Grid.uniform(32, 10.0)
     state = sim.RadialState("selfsimilar", 1.0, np.zeros(33), g, 4)
-    with pytest.raises(sim.ConfigError):
-        sim.Stepper(g, 4, "selfsimilar", "neumann").step(state, -1.0)
+    for dt in (-1.0, 0.0, float("nan")):
+        with pytest.raises(sim.ConfigError):
+            sim.Stepper(g, 4, "selfsimilar", "neumann").step(state, dt)
     with pytest.raises(sim.ConfigError):
         sim.Stepper(g, 4, "physical", "profile")
 
@@ -292,20 +306,28 @@ def _assert_close(got, want):
     (sim.Grid.uniform(2048, 110.0), "selfsimilar", "profile"),
     (sim.Grid.geometric(128, 30.0, 1.03), "physical", "neumann"),
     (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile"),
+    # DENSE_NODES nodes, then one more: the last dense and the first banded grid
+    (sim.Grid.uniform(sim.DENSE_NODES - 1, 12.0), "selfsimilar", "profile"),
+    (sim.Grid.uniform(sim.DENSE_NODES, 12.0), "selfsimilar", "profile"),
 ])
 def test_step_equals_reference_kernel(grid, frame, boundary):
-    # the precomputed stencil stack, the Peclet-decided advection and the
-    # once-per-dt factorization match the textbook step to rounding.  Fields
-    # in [0, 0.3] are centered at every node of the uniform grids; fields in
-    # [-2, 6] mix upwind and centered nodes and drifts of both signs on
-    # every grid.
+    # the precomputed stencil stack (as a dense matrix on small grids), the
+    # Peclet-decided advection and the once-per-dt factorization (or its
+    # dense inverse) match the textbook step to rounding.  Fields in [0, 0.3]
+    # are centered at every node of the uniform grids; fields in [-2, 6] mix
+    # upwind and centered nodes and drifts of both signs on every grid.
     rng = np.random.default_rng(7)
     t0 = 50.0 if frame == "selfsimilar" else 0.0
     y = grid.nodes
     h = np.concatenate([y[1:2] - y[:1], np.diff(y)])
     n = len(y)
+    solve = "dense" if n <= sim.DENSE_NODES else "banded"
     for d in (3, 4):
         stepper = sim.Stepper(grid, d, frame, boundary)
+        assert (stepper._matrix is not None) == (solve == "dense")
+        assert stepper.solve_label(2.5e-4, 1e-3) == solve
+        # a dt that loses the matrix's identity to rounding solves banded
+        assert stepper.solve_label(1e300, 1e300) == "banded"
         fields = [0.3 * rng.random(n) for _ in range(5)]
         fields += [rng.uniform(-2.0, 6.0, n) for _ in range(5)]
         for k, v in enumerate(fields):
@@ -318,6 +340,7 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
             state = sim.RadialState(frame, t0, v, grid, d)
             for dt in (1e-3, 2.5e-4, 1e-3):            # factor, factor, cached
                 _assert_close(stepper.step(state, dt).values, _reference_step(stepper, state, dt))
+                assert (stepper._recent[0][2] is not None) == (solve == "dense")
 
 
 @pytest.mark.parametrize("grid", [sim.Grid.uniform(32, 10.0), sim.Grid.uniform(2048, 110.0),
@@ -360,6 +383,35 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
     res = sim.run(cfg)
     assert res.steps == 1000 and len(res.times) == 11 and res.dt_min < res.dt_max
     assert len(calls) == 2
+
+
+def test_only_small_grids_build_dense_matrices(monkeypatch):
+    # above DENSE_NODES the step gathers and solves banded: a 2049-node
+    # self-similar run scatters no explicit matrix and solves for no inverse
+    # (every gttrs call has one right-hand side); a 33-node run builds one
+    # explicit matrix and one inverse per factored dt
+    built, rhs_dims = [], []
+    matrix, solve = sim._explicit_matrix, sim.dgttrs
+
+    def counting_matrix(*args):
+        built.append(1)
+        return matrix(*args)
+
+    def counting_solve(*args, **kwargs):
+        rhs_dims.append(np.ndim(args[-1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_explicit_matrix", counting_matrix)
+    monkeypatch.setattr(sim, "dgttrs", counting_solve)
+    big = sim.run(sim.SimConfig(d=4, n=2048, s0=50.0, horizon=0.5, cadence=0.1, A=20.0,
+                                K=10.0, escape_factor=np.inf, blowup_sup=50.0))
+    assert big.steps > 10 and big.solve == "banded"
+    assert built == [] and rhs_dims == [1] * big.steps
+    rhs_dims.clear()
+    small = sim.run(sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=0.5,
+                                  cadence=0.1, dt=1e-3, init=np.full(33, 0.1)))
+    assert small.steps == 500 and small.solve == "dense"
+    assert built == [1] and 1 <= len(rhs_dims) == rhs_dims.count(2) <= 6
 
 
 def test_step_names_the_first_non_finite_stage():
