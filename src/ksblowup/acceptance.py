@@ -233,7 +233,7 @@ def _step_loop(state, dt: float, steps: int, runs: list):
     stepper = sim.Stepper(state.grid, state.d, state.frame, "neumann")
     for _ in range(steps):
         state = stepper.step(state, dt)
-    runs.append({"d": state.d, "steps": steps, "dt": dt, "solve": stepper.solve_label(dt, dt),
+    runs.append({"d": state.d, "steps": steps, "dt": dt, "solve": stepper.solve_label(steps),
                  "seconds": time.perf_counter() - started})
     return state
 
@@ -497,7 +497,7 @@ def final_profile_experiment():
             sup_w.append(float(np.max(w)))
         i += 1
     run = {"steps": i, "dt_min": dt_min, "dt_max": dt_max,
-           "solve": stepper.solve_label(dt_min, dt_max),
+           "solve": stepper.solve_label(i),
            "seconds": time.perf_counter() - started}
     t_est, t_width = sim.estimate_blowup_time(np.array(times), np.array(sup_w), window=0.5)
 

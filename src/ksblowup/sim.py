@@ -41,10 +41,12 @@ of the textbook stencils to rounding, not bit for bit.
 
 On a grid of at most DENSE_NODES nodes the step makes fewer calls still: the
 stack is scattered once into the dense (2N, N) matrix [E; D], so E v and D v
-are one matrix-vector product, and each dt's factors are solved once against
-the identity for the dense inverse of the matrix, so the solve is another
-product.  Larger grids, and dts at which the matrix's identity is lost to
-rounding, keep the gather and the banded back-substitution, bit for bit.
+are one matrix-vector product.  A step whose dt repeats the previous step's
+(a fixed-dt run) also solves with a product: its dt's factors are solved once
+against the identity for the dense inverse of the matrix.  A dt used once (an
+adaptive run's, a record landing's) keeps the banded back-substitution, as do
+larger grids, bit for bit, and dts at which the matrix's identity is lost to
+rounding.
 """
 
 from __future__ import annotations
@@ -312,10 +314,10 @@ class Stepper:
     I - (dt/2) Lap - dt D_lin is factored once per dt, so a step is one pass
     over the stack plus one back-substitution.  On a grid of at most
     DENSE_NODES nodes the stack is also kept as the dense matrix [E; D]
-    (`_explicit_matrix`), and each dt's factors as the matrix's dense
-    inverse, so a step is two matrix-vector products (`solve_label` names
-    the solve a run's steps took).  `cfl_dt` bounds dt by the explicit terms
-    alone.
+    (`_explicit_matrix`), and a repeated dt's factors as the matrix's dense
+    inverse, so a fixed-dt step is two matrix-vector products (`solve_label`
+    names the solve most of a run's steps took).  `cfl_dt` bounds dt by the
+    explicit terms alone.
 
     `step` checks its state and wraps the raw-array kernel `_advance`: one
     gather and the stack, or one product with [E; D], give b, with D v
@@ -344,7 +346,9 @@ class Stepper:
                                      0.5 * self.lo, 0.5 * self.di, 0.5 * self.up)
         self._zeros = np.zeros(len(grid.nodes))
         self.linear_drift = _linear_drift_tridiag(self.stencil, self.sigma)
-        self._recent = []             # (dt, factors, inverse), most recently used first
+        self._recent = []             # [dt, factors, inverse], most recently used first
+        self._last_dt = None          # the previous step's dt
+        self.dense_steps = 0          # steps solved with a dense inverse
         dense = len(grid.nodes) <= DENSE_NODES
         self._matrix = _explicit_matrix(self.stencil, self.stack) if dense else None
         # the dense solve's dts: from 1 / (eps max|diag Lap|) on, the identity
@@ -353,47 +357,57 @@ class Stepper:
         self._dense_dt = 1.0 / (np.finfo(float).eps * np.max(np.abs(self.di))) if dense else 0.0
 
     def _factored(self, dt: float):
-        """(dt, factors, inverse): the gttrf factors of the matrix
+        """(factors, inverse): the gttrf factors of the matrix
         I - (dt/2) Lap - dt D_lin, whose last row is the boundary condition
         (v_N = value, or v_N - v_{N-1} = 0 for Neumann), and, where the dense
-        step solves (`solve_label`), its dense inverse, solved from the factors
+        step solves, the matrix's dense inverse, solved from the factors
         column by column; None elsewhere.  A dt so large that the entries
         overflow raises StateCorruptionError, which `run` reads as a verdict.
 
+        The dense step solves on a grid of at most DENSE_NODES nodes when dt
+        repeats the previous step's dt (a fixed-dt stretch, where one inverse
+        serves many steps) and keeps the matrix's identity.  A dt used once,
+        as an adaptive run's or a record landing's is, solves banded and
+        builds no inverse.  The choice depends on the dts alone, not on what
+        the cache holds.
+
         The entries of the last two dts are kept: a fixed-dt run shortens the
         step that lands on a record time and then returns to its fixed dt."""
-        for i, entry in enumerate(self._recent):
-            if entry[0] == dt:
-                if i:
-                    self._recent.reverse()
-                return entry
-        dlo, ddi, dup = self.linear_drift
-        with np.errstate(over="ignore", invalid="ignore"):
-            dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
-            di = 1.0 - 0.5 * dt * self.di - dt * ddi
-            du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
-        di[-1] = 1.0
-        dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
-        if not (np.isfinite(dl).all() and np.isfinite(di).all() and np.isfinite(du).all()):
-            raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
-        *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
-                                overwrite_du=True)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        inverse = None
-        if dt < self._dense_dt:
-            inverse, _ = dgttrs(*factors, np.eye(len(self._zeros)))
-        entry = (dt, factors, inverse)
-        self._recent = [entry] + self._recent[:1]
-        return entry
+        repeat = dt == self._last_dt
+        self._last_dt = dt
+        recent = self._recent
+        if recent and recent[0][0] == dt:
+            entry = recent[0]
+        elif len(recent) > 1 and recent[1][0] == dt:
+            recent.reverse()
+            entry = recent[0]
+        else:
+            dlo, ddi, dup = self.linear_drift
+            with np.errstate(over="ignore", invalid="ignore"):
+                dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
+                di = 1.0 - 0.5 * dt * self.di - dt * ddi
+                du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
+            di[-1] = 1.0
+            dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
+            if not (np.isfinite(dl).all() and np.isfinite(di).all() and np.isfinite(du).all()):
+                raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
+            *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
+                                    overwrite_du=True)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+            entry = [dt, factors, None]
+            self._recent = [entry] + self._recent[:1]
+        if repeat and dt < self._dense_dt:
+            if entry[2] is None:
+                entry[2], _ = dgttrs(*entry[1], np.eye(len(self._zeros)))
+            self.dense_steps += 1
+            return entry[1], entry[2]
+        return entry[1], None
 
-    def solve_label(self, dt_min: float, dt_max: float) -> str:
-        """The solve of steps whose dts lie in [dt_min, dt_max]: "dense" (a
-        product with the cached inverse) on a grid of at most DENSE_NODES
-        nodes at a dt that keeps the matrix's identity, "banded" (gttrs)
-        otherwise, "dense+banded" for a range across that dt."""
-        return "+".join(dict.fromkeys("dense" if dt < self._dense_dt else "banded"
-                                      for dt in (dt_min, dt_max)))
+    def solve_label(self, steps: int) -> str:
+        """The solve that most of this stepper's `steps` steps took: "dense"
+        (a product with a cached inverse, `_factored`) or "banded" (gttrs)."""
+        return "dense" if 2 * self.dense_steps > steps else "banded"
 
     def boundary_value(self, time_next: float) -> float:
         if self.boundary == "neumann":
@@ -422,7 +436,7 @@ class Stepper:
         d v^2 - sigma v), boundary value last.  E v and D v come from the
         gather and the stack, or on a dense grid from one product with
         [E; D]; the solve is gttrs, or the product with the inverse that
-        `_factored` keeps for this dt.  Either way dt scales the increment
+        `_factored` keeps for a repeated dt.  Either way dt scales the increment
         before v is added, so a steady state's cancellation stays inside the
         O(dt) term.  Callers vouch for v and dt and enter np.errstate."""
         st = self.stencil
@@ -437,7 +451,7 @@ class Stepper:
         b += v
         b[-1] = self.boundary_value(time + dt)
         try:
-            _, factors, inverse = self._factored(dt)
+            factors, inverse = self._factored(dt)
         except (StateCorruptionError, np.linalg.LinAlgError):
             self._check_inputs(v, time, b)
             raise
@@ -584,7 +598,7 @@ class RunResult:
     steps: int = 0              # steps taken
     dt_min: float | None = None  # smallest and largest step taken (None without steps)
     dt_max: float | None = None
-    solve: str | None = None    # the steps' solve, `Stepper.solve_label` (None without steps)
+    solve: str | None = None    # most steps' solve, `Stepper.solve_label` (None without steps)
     message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
     diag_s: float = 0.0         # wall seconds in the records: diagnostics slices or sup w
@@ -723,7 +737,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         steps=steps,
         dt_min=dt_min if steps else None,
         dt_max=dt_max if steps else None,
-        solve=stepper.solve_label(dt_min, dt_max) if steps else None,
+        solve=stepper.solve_label(steps) if steps else None,
         message=message,
         step_s=step_s,
         diag_s=diag_s,

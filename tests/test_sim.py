@@ -312,10 +312,11 @@ def _assert_close(got, want):
 ])
 def test_step_equals_reference_kernel(grid, frame, boundary):
     # the precomputed stencil stack (as a dense matrix on small grids), the
-    # Peclet-decided advection and the once-per-dt factorization (or its
-    # dense inverse) match the textbook step to rounding.  Fields in [0, 0.3]
-    # are centered at every node of the uniform grids; fields in [-2, 6] mix
-    # upwind and centered nodes and drifts of both signs on every grid.
+    # Peclet-decided advection and the once-per-dt factorization (or, for a
+    # repeated dt on a small grid, its dense inverse) match the textbook step
+    # to rounding.  Fields in [0, 0.3] are centered at every node of the
+    # uniform grids; fields in [-2, 6] mix upwind and centered nodes and
+    # drifts of both signs on every grid.
     rng = np.random.default_rng(7)
     t0 = 50.0 if frame == "selfsimilar" else 0.0
     y = grid.nodes
@@ -325,9 +326,7 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
     for d in (3, 4):
         stepper = sim.Stepper(grid, d, frame, boundary)
         assert (stepper._matrix is not None) == (solve == "dense")
-        assert stepper.solve_label(2.5e-4, 1e-3) == solve
-        # a dt that loses the matrix's identity to rounding solves banded
-        assert stepper.solve_label(1e300, 1e300) == "banded"
+        previous = None
         fields = [0.3 * rng.random(n) for _ in range(5)]
         fields += [rng.uniform(-2.0, 6.0, n) for _ in range(5)]
         for k, v in enumerate(fields):
@@ -338,9 +337,23 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
             elif grid.n in (32, 2048):
                 assert np.all(peclet <= 2.0)
             state = sim.RadialState(frame, t0, v, grid, d)
-            for dt in (1e-3, 2.5e-4, 1e-3):            # factor, factor, cached
+            # factor, repeat (the dense solve builds the inverse), factor,
+            # cached (banded: not a repeat), repeat (the cached inverse)
+            for dt in (1e-3, 1e-3, 2.5e-4, 1e-3, 1e-3):
+                dense_steps = stepper.dense_steps
                 _assert_close(stepper.step(state, dt).values, _reference_step(stepper, state, dt))
-                assert (stepper._recent[0][2] is not None) == (solve == "dense")
+                dense = solve == "dense" and dt == previous
+                assert stepper.dense_steps == dense_steps + dense
+                previous = dt
+        # the repeated 1e-3 holds an inverse on a small grid, 2.5e-4 never
+        assert [entry[2] is not None for entry in stepper._recent] == [solve == "dense", False]
+        assert stepper.solve_label(50) == solve
+        # a repeated dt that loses the matrix's identity to rounding solves
+        # banded; half of it keeps the identity
+        limit = max(stepper._dense_dt, 1.0)
+        for dt, dense in ((limit, False), (limit / 2, solve == "dense")):
+            stepper._factored(dt)
+            assert (stepper._factored(dt)[1] is not None) == dense
 
 
 @pytest.mark.parametrize("grid", [sim.Grid.uniform(32, 10.0), sim.Grid.uniform(2048, 110.0),
@@ -388,8 +401,11 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
 def test_only_small_grids_build_dense_matrices(monkeypatch):
     # above DENSE_NODES the step gathers and solves banded: a 2049-node
     # self-similar run scatters no explicit matrix and solves for no inverse
-    # (every gttrs call has one right-hand side); a 33-node run builds one
-    # explicit matrix and one inverse per factored dt
+    # (every gttrs call has one right-hand side).  A 33-node fixed-dt run
+    # builds one explicit matrix and an inverse for its repeated dt alone,
+    # and solves banded only where dt changes; a 33-node adaptive run whose
+    # dt shrinks at every step, v' = 4 v^2 from v0 = 2 towards T = 0.125,
+    # builds no inverse
     built, rhs_dims = [], []
     matrix, solve = sim._explicit_matrix, sim.dgttrs
 
@@ -411,7 +427,13 @@ def test_only_small_grids_build_dense_matrices(monkeypatch):
     small = sim.run(sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=0.5,
                                   cadence=0.1, dt=1e-3, init=np.full(33, 0.1)))
     assert small.steps == 500 and small.solve == "dense"
-    assert built == [1] and 1 <= len(rhs_dims) == rhs_dims.count(2) <= 6
+    assert built == [1] and rhs_dims.count(2) == 1 and rhs_dims.count(1) <= 11
+    built.clear()
+    rhs_dims.clear()
+    adaptive = sim.run(sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0,
+                                     horizon=0.12, cadence=1.0, init=np.full(33, 2.0)))
+    assert adaptive.steps > 5 and adaptive.solve == "banded"
+    assert built == [1] and rhs_dims == [1] * adaptive.steps
 
 
 def test_step_names_the_first_non_finite_stage():
