@@ -227,15 +227,19 @@ def criterion_6() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _step_loop(state, dt: float, steps: int, runs: list):
-    """`steps` Neumann steps of `state` at a fixed dt; appends the run's d,
-    steps, dt, solve and wall seconds to `runs`."""
+    """`steps` Neumann steps of `state` at a fixed dt, in one stretch
+    (`Stepper._stretch`); appends the run's d, steps, dt, kernel and wall
+    seconds to `runs`."""
     started = time.perf_counter()
     stepper = sim.Stepper(state.grid, state.d, state.frame, "neumann")
-    for _ in range(steps):
-        state = stepper.step(state, dt)
-    runs.append({"d": state.d, "steps": steps, "dt": dt, "solve": stepper.solve_label(steps),
+    times = np.cumsum(np.r_[state.time, np.full(steps, dt)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, _, error = stepper._stretch(state.values, times, dt)
+    if error is not None:
+        raise error
+    runs.append({"d": state.d, "steps": steps, "dt": dt, "kernel": stepper.kernel_name(steps),
                  "seconds": time.perf_counter() - started})
-    return state
+    return sim.RadialState(state.frame, float(times[-1]), values, state.grid, state.d)
 
 
 def _constant_field_error(dt: float, runs: list, v0=0.1, sigma=1.0, d=4) -> float:
@@ -382,7 +386,7 @@ def criterion_9() -> CriterionResult:
                         K=10.0, escape_factor=np.inf, blowup_sup=50.0)
     result = sim.run(cfg)
     runs = [{"steps": result.steps, "dt_min": result.dt_min, "dt_max": result.dt_max,
-             "solve": result.solve, "step_s": result.step_s, "diag_s": result.diag_s,
+             "kernel": result.kernel, "step_s": result.step_s, "diag_s": result.diag_s,
              "verdict": result.verdict, "stop_reason": result.stop_reason}]
     s, c = result.coefficient_table()
     detail = f"run verdict {result.verdict}, {len(s)} slices"
@@ -458,7 +462,7 @@ def criterion_10(budget: int = 64) -> CriterionResult:
 def final_profile_experiment():
     """Near-trapped physical run: returns (T_est, its confidence width, the
     decade table, the tuning search's `ShootResult`, the physical run's stats:
-    steps, dt_min, dt_max, solve and wall seconds).
+    steps, dt_min, dt_max, kernel and wall seconds).
 
     The unstable-mode amplitudes come from a trap search of the wide-cutoff
     family (bump_K = 4), whose initial-coefficient mixing is nearly diagonal,
@@ -497,7 +501,7 @@ def final_profile_experiment():
             sup_w.append(float(np.max(w)))
         i += 1
     run = {"steps": i, "dt_min": dt_min, "dt_max": dt_max,
-           "solve": stepper.solve_label(i),
+           "kernel": stepper.kernel_name(i),
            "seconds": time.perf_counter() - started}
     t_est, t_width = sim.estimate_blowup_time(np.array(times), np.array(sup_w), window=0.5)
 

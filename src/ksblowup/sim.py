@@ -34,25 +34,32 @@ b = v + dt (E v + v D v) takes four in-place updates.  The largest Peclet
 product decides whether any node needs upwinding (if none does, the upwind
 slopes and the select are skipped).  The one finiteness check, v @ 0, is on
 the solution, which any non-finite field or b reaches; only then does the step
-look for the stage that failed.  Between records `run` calls the kernel alone,
-under one np.errstate.  `rhs` is built from the same stack, so the step and
-the semi-discrete operator stay one operator; both match the per-node select
-of the textbook stencils to rounding, not bit for bit.
+look for the stage that failed.  `rhs` is built from the same stack, so the
+step and the semi-discrete operator stay one operator; both match the
+per-node select of the textbook stencils to rounding, not bit for bit.
 
-On a grid of at most DENSE_NODES nodes the step makes fewer calls still: the
-stack is scattered once into the dense (2N, N) matrix [E; D], so E v and D v
-are one matrix-vector product.  A step whose dt repeats the previous step's
-(a fixed-dt run) also solves with a product: its dt's factors are solved once
-against the identity for the dense inverse of the matrix.  A dt used once (an
-adaptive run's, a record landing's) keeps the banded back-substitution, as do
-larger grids, bit for bit, and dts at which the matrix's identity is lost to
-rounding.
+`run` steps each stretch of steps that share a dt (a fixed dt up to a record,
+a self-similar record interval's dt, a landing step, a physical CFL step)
+through `Stepper._stretch`, which runs them in one compiled loop, the C source
+_kernel.c next to this module.  That loop repeats `_advance` operation for
+operation, so the two agree bit for bit.  It is built once per source and
+compiler flags into a cache outside the package (`_build`) and loaded with
+ctypes; where no compiler is found or the build or load fails, the stretch
+steps through `_advance` instead.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -73,13 +80,6 @@ class StateCorruptionError(RuntimeError):
 
 # the frame constant sigma of the flow (see the module docstring)
 FRAME_SIGMA = {"selfsimilar": 1.0, "physical": 0.0}
-
-# Grids of at most this many nodes step with dense matrices (`Stepper`): there
-# a step costs NumPy's fixed overhead per call, and the dense step makes fewer
-# calls.  Its O(N^2) products catch up with the banded step between about 97
-# and 113 nodes (README, the dense-step bullet).
-DENSE_NODES = 96
-
 
 # ---------------------------------------------------------------------------
 # Grid and state
@@ -235,17 +235,6 @@ def _explicit_stack(st: _Stencil, d: int, sigma: float, lo, di, up):
     return stack
 
 
-def _explicit_matrix(st: _Stencil, stack):
-    """The (2N, N) matrix [E; D] of `stack` (`_explicit_stack`), its weights
-    scattered from the gather's columns v[cen_at] (summed where a row gathers
-    one node twice): then [E; D] v is (E v, D v) with D centered."""
-    n = len(st.y)
-    rows = np.arange(2 * n).reshape(2, 1, n)
-    matrix = np.zeros((2 * n, n))
-    np.add.at(matrix, (rows, st.cen_at), stack)
-    return matrix
-
-
 def _explicit(st: _Stencil, v, ev, dv, d: int):
     """E v + v D v from E v and the centered D v (in place), with D v
     upwinded at the nodes whose cell Peclet number |a| h / 2 of the nonlinear
@@ -301,6 +290,57 @@ def rhs(state: RadialState):
 
 
 # ---------------------------------------------------------------------------
+# The compiled stretch loop
+# ---------------------------------------------------------------------------
+
+# No -march=native or -ffast-math, and no fused multiply-adds: each would break
+# bit-equality with `Stepper._advance`.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+
+
+def _build(cache: Path):
+    """The loop of _kernel.c, built into `cache` under the hash of its source
+    and flags unless it is there, and loaded with ctypes; None where there is
+    no compiler or the build or the load fails.  The object is renamed into
+    place once written, so no process loads one half written."""
+    try:
+        key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+        target = cache / f"kernel-{key[:16]}.so"
+        if not target.exists():
+            compiler = shutil.which("cc") or shutil.which("gcc")
+            if compiler is None:
+                return None
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:       # on a timeout the compiler is killed and waited for
+                subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)], check=True,
+                               timeout=120, stdin=subprocess.DEVNULL,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                os.replace(tmp, target)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(target))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    lib.ks_stretch.restype = ctypes.c_long
+    lib.ks_stretch.argtypes = [ctypes.c_long] * 2 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 12
+    return lib
+
+
+@functools.cache
+def _library():
+    """The compiled loop, once per process, from the user's cache directory."""
+    try:
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    except RuntimeError:        # no home directory
+        return None
+    return _build(cache / "ksblowup")
+
+
+# ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
 
@@ -312,19 +352,17 @@ class Stepper:
     The stencil spacings, the Laplacian and linear-drift tridiagonals and the
     explicit stack (`_explicit_stack`) are fixed per grid, and the matrix
     I - (dt/2) Lap - dt D_lin is factored once per dt, so a step is one pass
-    over the stack plus one back-substitution.  On a grid of at most
-    DENSE_NODES nodes the stack is also kept as the dense matrix [E; D]
-    (`_explicit_matrix`), and a repeated dt's factors as the matrix's dense
-    inverse, so a fixed-dt step is two matrix-vector products (`solve_label`
-    names the solve most of a run's steps took).  `cfl_dt` bounds dt by the
+    over the stack plus one back-substitution.  `cfl_dt` bounds dt by the
     explicit terms alone.
 
     `step` checks its state and wraps the raw-array kernel `_advance`: one
-    gather and the stack, or one product with [E; D], give b, with D v
-    upwinded where the largest Peclet product says some node needs it
-    (`_explicit`), and finiteness is checked once, on the solution (v @ 0);
-    when that fails it raises StateCorruptionError naming the first
-    non-finite stage: the field, the explicit terms, or the solver.
+    gather and the stack give b, with D v upwinded where the largest Peclet
+    product says some node needs it (`_explicit`), and finiteness is checked
+    once, on the solution (v @ 0); when that fails it raises
+    StateCorruptionError naming the first non-finite stage: the field, the
+    explicit terms, or the solver.  `_stretch` takes many steps of one dt in
+    the compiled loop, bit for bit as `_advance` takes them (`kernel_name`
+    names the kernel most of a run's steps took).
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
@@ -340,74 +378,55 @@ class Stepper:
         self.sigma = FRAME_SIGMA[frame]
         self.boundary = boundary
         self.params = pr.make_profile_params(d) if boundary == "profile" else None
-        self.stencil = _Stencil(grid.nodes)
+        self.stencil = st = _Stencil(grid.nodes)
         self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
         self.stack = _explicit_stack(self.stencil, d, self.sigma,
                                      0.5 * self.lo, 0.5 * self.di, 0.5 * self.up)
         self._zeros = np.zeros(len(grid.nodes))
         self.linear_drift = _linear_drift_tridiag(self.stencil, self.sigma)
-        self._recent = []             # [dt, factors, inverse], most recently used first
-        self._last_dt = None          # the previous step's dt
-        self.dense_steps = 0          # steps solved with a dense inverse
-        dense = len(grid.nodes) <= DENSE_NODES
-        self._matrix = _explicit_matrix(self.stencil, self.stack) if dense else None
-        # the dense solve's dts: from 1 / (eps max|diag Lap|) on, the identity
-        # of I - (dt/2) Lap - dt D_lin is lost to rounding, and an inverse
-        # would solve where the banded solve overflows
-        self._dense_dt = 1.0 / (np.finfo(float).eps * np.max(np.abs(self.di))) if dense else 0.0
+        self._recent = []             # [dt, factors, their addresses], most recently used first
+        self.compiled_steps = 0       # steps taken in the compiled loop
+        # the compiled loop's per-grid arrays and its scratch b, by address
+        self._arrays = [np.ascontiguousarray(a) for a in (st.y, st.h, st.dy, self.stack,
+                                                          np.zeros(len(grid.nodes)))]
+        self._pointers = [a.ctypes.data for a in self._arrays]
 
     def _factored(self, dt: float):
-        """(factors, inverse): the gttrf factors of the matrix
-        I - (dt/2) Lap - dt D_lin, whose last row is the boundary condition
-        (v_N = value, or v_N - v_{N-1} = 0 for Neumann), and, where the dense
-        step solves, the matrix's dense inverse, solved from the factors
-        column by column; None elsewhere.  A dt so large that the entries
-        overflow raises StateCorruptionError, which `run` reads as a verdict.
-
-        The dense step solves on a grid of at most DENSE_NODES nodes when dt
-        repeats the previous step's dt (a fixed-dt stretch, where one inverse
-        serves many steps) and keeps the matrix's identity.  A dt used once,
-        as an adaptive run's or a record landing's is, solves banded and
-        builds no inverse.  The choice depends on the dts alone, not on what
-        the cache holds.
+        """The cache entry [dt, factors, addresses] of dt: the gttrf factors
+        of the matrix I - (dt/2) Lap - dt D_lin, whose last row is the
+        boundary condition (v_N = value, or v_N - v_{N-1} = 0 for Neumann),
+        and their addresses once the compiled loop has asked for them.  A dt
+        so large that the entries overflow raises StateCorruptionError, which
+        `run` reads as a verdict.
 
         The entries of the last two dts are kept: a fixed-dt run shortens the
         step that lands on a record time and then returns to its fixed dt."""
-        repeat = dt == self._last_dt
-        self._last_dt = dt
         recent = self._recent
         if recent and recent[0][0] == dt:
-            entry = recent[0]
-        elif len(recent) > 1 and recent[1][0] == dt:
+            return recent[0]
+        if len(recent) > 1 and recent[1][0] == dt:
             recent.reverse()
-            entry = recent[0]
-        else:
-            dlo, ddi, dup = self.linear_drift
-            with np.errstate(over="ignore", invalid="ignore"):
-                dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
-                di = 1.0 - 0.5 * dt * self.di - dt * ddi
-                du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
-            di[-1] = 1.0
-            dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
-            if not (np.isfinite(dl).all() and np.isfinite(di).all() and np.isfinite(du).all()):
-                raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
-            *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
-                                    overwrite_du=True)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-            entry = [dt, factors, None]
-            self._recent = [entry] + self._recent[:1]
-        if repeat and dt < self._dense_dt:
-            if entry[2] is None:
-                entry[2], _ = dgttrs(*entry[1], np.eye(len(self._zeros)))
-            self.dense_steps += 1
-            return entry[1], entry[2]
-        return entry[1], None
+            return recent[0]
+        dlo, ddi, dup = self.linear_drift
+        with np.errstate(over="ignore", invalid="ignore"):
+            dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
+            di = 1.0 - 0.5 * dt * self.di - dt * ddi
+            du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
+        di[-1] = 1.0
+        dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
+        if not (np.isfinite(dl).all() and np.isfinite(di).all() and np.isfinite(du).all()):
+            raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
+        *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
+                                overwrite_du=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+        self._recent = [[dt, factors, None]] + recent[:1]
+        return self._recent[0]
 
-    def solve_label(self, steps: int) -> str:
-        """The solve that most of this stepper's `steps` steps took: "dense"
-        (a product with a cached inverse, `_factored`) or "banded" (gttrs)."""
-        return "dense" if 2 * self.dense_steps > steps else "banded"
+    def kernel_name(self, steps: int) -> str:
+        """The kernel that took most of this stepper's `steps` steps:
+        "compiled" (the loop of `_stretch`) or "numpy" (`_advance`)."""
+        return "compiled" if 2 * self.compiled_steps > steps else "numpy"
 
     def boundary_value(self, time_next: float) -> float:
         if self.boundary == "neumann":
@@ -433,39 +452,66 @@ class Stepper:
     def _advance(self, v, time: float, dt: float):
         """The step kernel: v at `time` to the field at time + dt, solving
         against b = v + dt (E v + v D v) = v + (dt/2) Lap v + dt (v y v_y +
-        d v^2 - sigma v), boundary value last.  E v and D v come from the
-        gather and the stack, or on a dense grid from one product with
-        [E; D]; the solve is gttrs, or the product with the inverse that
-        `_factored` keeps for a repeated dt.  Either way dt scales the increment
-        before v is added, so a steady state's cancellation stays inside the
-        O(dt) term.  Callers vouch for v and dt and enter np.errstate."""
+        d v^2 - sigma v), boundary value last.  dt scales the increment before
+        v is added, so a steady state's cancellation stays inside the O(dt)
+        term.  Callers vouch for v and dt and enter np.errstate."""
         st = self.stencil
-        if self._matrix is None:
-            ev, dv = np.add.reduce(v[st.cen_at] * self.stack, axis=1)   # .sum, without its wrapper
-        else:
-            edv = self._matrix.dot(v)
-            n = len(v)
-            ev, dv = edv[:n], edv[n:]
+        ev, dv = np.add.reduce(v[st.cen_at] * self.stack, axis=1)   # .sum, without its wrapper
         b = _explicit(st, v, ev, dv, self.d)
         b *= dt
         b += v
         b[-1] = self.boundary_value(time + dt)
         try:
-            factors, inverse = self._factored(dt)
+            factors = self._factored(dt)[1]
         except (StateCorruptionError, np.linalg.LinAlgError):
             self._check_inputs(v, time, b)
             raise
         # b is kept (no overwrite_b) for the cold path
-        if inverse is None:
-            v_new, _ = dgttrs(*factors, b)
-        else:
-            v_new = inverse.dot(b)
+        v_new, _ = dgttrs(*factors, b)
         # a non-finite field reaches b and a non-finite b the solution, so
         # one check here stands for all three; the cold path names the stage
         if not _finite(v_new, self._zeros):
             self._check_inputs(v, time, b)
             raise StateCorruptionError(f"solver produced non-finite values at t={time}")
         return v_new
+
+    def _stretch(self, v, times, dt: float):
+        """Steps of dt from v at times[0] through times[1:], which the caller
+        sums as t += dt does: (the field after the last finite step, the count
+        of finite steps, the StateCorruptionError of the next step or None).
+        The compiled loop (`_library`) takes the steps as `_advance` would, bit
+        for bit, with Q at the edge from one array call; `_advance` takes the
+        step it finds not finite again, to name the stage, and takes every step
+        where there is no compiled loop or dt cannot be factored."""
+        k, done = len(times) - 1, 0
+        lib = _library()
+        if lib is not None:
+            try:
+                entry = self._factored(dt)
+            except (StateCorruptionError, np.linalg.LinAlgError):
+                pass        # `_advance` raises it again, after naming a non-finite input
+            else:
+                if entry[2] is None:        # the pivots as the C int the loop reads
+                    entry[1][4] = np.ascontiguousarray(entry[1][4], np.intc)
+                    entry[2] = [a.ctypes.data for a in entry[1]]
+                if self.boundary == "neumann":
+                    bval = np.zeros(k)
+                else:       # each edge xi by Python's `**`, as `boundary_value` takes it
+                    xi = [self.grid.nodes[-1] * t ** (-1.0 / (2 * self.params.ell))
+                          for t in times[1:].tolist()]
+                    bval = np.ascontiguousarray(pr.q_of_xi(self.params, np.array(xi)))
+                v = np.array(v, float)
+                if v.shape != self._zeros.shape:
+                    raise ConfigError("field and grid sizes differ")
+                done = lib.ks_stretch(len(v), k, dt, self.d, *self._pointers,
+                                      bval.ctypes.data, *entry[2], v.ctypes.data)
+                self.compiled_steps += done
+        for j in range(done, k):
+            try:
+                v = self._advance(v, float(times[j]), dt)
+            except StateCorruptionError as exc:
+                return v, j, exc
+        return v, k, None
 
     def _check_inputs(self, v, time: float, b):
         """Raise the error of the first non-finite stage before the solve:
@@ -528,6 +574,10 @@ class SimConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if not math.isfinite(self.s0):
             raise ConfigError("s0 must be finite")
+        # a NaN bound or guard compares false, so it would never fire
+        for name in ("A", "escape_factor", "blowup_sup"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must not be NaN")
         ell = eb.ell_of(self.d)
         if self.y_max is None:
             if self.frame == "physical":
@@ -537,7 +587,7 @@ class SimConfig:
             self.boundary = "profile" if self.frame == "selfsimilar" else "neumann"
         if self.dvec and len(self.dvec) != ell:
             raise ConfigError(f"dvec needs {ell} components for d={self.d}")
-        if self.dvec and max(abs(float(x)) for x in self.dvec) > 1.0:
+        if not all(abs(float(x)) <= 1.0 for x in self.dvec):      # NaN included
             raise ConfigError("perturbation coefficients must lie in [-1, 1]")
 
     def build_grid(self) -> Grid:
@@ -598,7 +648,7 @@ class RunResult:
     steps: int = 0              # steps taken
     dt_min: float | None = None  # smallest and largest step taken (None without steps)
     dt_max: float | None = None
-    solve: str | None = None    # most steps' solve, `Stepper.solve_label` (None without steps)
+    kernel: str | None = None   # most steps' kernel, `Stepper.kernel_name` (None without steps)
     message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
     diag_s: float = 0.0         # wall seconds in the records: diagnostics slices or sup w
@@ -621,6 +671,19 @@ class RunResult:
 # A step that lands this close to a record or end time reaches it; steps that
 # would stop short by no more than this are lengthened to land on it exactly.
 _TIME_TOL = 1e-12
+# The most steps in one stretch: the length of its time and boundary arrays.
+_MAX_STRETCH = 4096
+
+
+def _stretch_times(t: float, dt: float, target: float, most: int):
+    """(dt, times) of the next stretch from t: the steps of dt that stop short
+    of target by more than _TIME_TOL (at most `most`), their times summed in
+    order as t += dt sums them; or else the one step that lands on target."""
+    times = np.cumsum(np.r_[t, np.full(int(min(most, (target - t) / dt + 1.0)), dt)])
+    # both tests fail from the first step that fails one: the rest is a prefix
+    k = np.count_nonzero((times[:-1] < target - _TIME_TOL)
+                         & (dt < (target - times[:-1]) - _TIME_TOL))
+    return (dt, times[:k + 1]) if k else (target - t, np.array([t, t + (target - t)]))
 
 
 def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResult:
@@ -637,8 +700,11 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     Without a fixed `dt`, a self-similar run takes `Stepper.cfl_dt` of the
     state at each record until the next one, and a physical run at each step.
 
-    Between records the loop calls only the step kernel on raw arrays, under
-    one np.errstate; states are built at records and at the end.
+    Between records the loop steps on raw arrays, under one np.errstate, in
+    stretches of one dt (`Stepper._stretch`): a fixed dt's steps up to the
+    record, a self-similar record interval's, the step that lands on the
+    record, and each step of a physical run's own dt.  States are built at
+    records and at the end.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
@@ -661,7 +727,6 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     blowup_limit = config.blowup_sup * max(1.0, float(np.max(np.abs(state.values))))
     steps, dt_min, dt_max = 0, math.inf, 0.0
     message = ""
-    advance = stepper._advance
     v, t = state.values, state.time
     # the clock is read twice per record and never per step
     step_s = diag_s = 0.0
@@ -705,24 +770,24 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
             break
         # step to the next record or the end, landing on it exactly
         target = min(end_time, next_record)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                while t < target - _TIME_TOL:
-                    dt = dt_set if dt_set is not None else stepper.cfl_dt(
-                        RadialState(config.frame, t, v, grid, config.d), config.cfl)
-                    gap = target - t
-                    if dt >= gap - _TIME_TOL:
-                        dt = gap
-                    v = advance(v, t, dt)
-                    t += dt
-                    steps += 1
-                    if dt < dt_min:
-                        dt_min = dt
-                    if dt > dt_max:
-                        dt_max = dt
-        except StateCorruptionError as exc:
-            message = str(exc)
-            verdict = "blowup" if np.max(np.abs(v)) > blowup_limit else "unstable"
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t < target - _TIME_TOL:
+                if dt_set is not None:
+                    dt, stretch = _stretch_times(t, dt_set, target, _MAX_STRETCH)
+                else:       # a physical run's own dt changes at every step
+                    dt, stretch = _stretch_times(t, stepper.cfl_dt(
+                        RadialState(config.frame, t, v, grid, config.d), config.cfl), target, 1)
+                v, done, error = stepper._stretch(v, stretch, dt)
+                t = float(stretch[done])
+                if done:
+                    steps += done
+                    dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+                if error is not None:
+                    message = str(error)
+                    verdict = "blowup" if np.max(np.abs(v)) > blowup_limit else "unstable"
+                    stopped = True
+                    break
+        if stopped:
             break
     step_s += perf_counter() - mark
 
@@ -737,7 +802,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         steps=steps,
         dt_min=dt_min if steps else None,
         dt_max=dt_max if steps else None,
-        solve=stepper.solve_label(steps) if steps else None,
+        kernel=stepper.kernel_name(steps) if steps else None,
         message=message,
         step_s=step_s,
         diag_s=diag_s,

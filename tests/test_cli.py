@@ -6,6 +6,10 @@ import pytest
 from ksblowup import cli
 from ksblowup import eigenbasis as eb
 from ksblowup import profile as pr
+from ksblowup import sim
+
+# the kernel every run steps with: the compiled loop wherever it builds
+KERNEL = "numpy" if sim._library() is None else "compiled"
 
 
 def run_cli(args, capsys):
@@ -104,7 +108,7 @@ def test_simulate_and_decompose_roundtrip(tmp_path, capsys):
     assert run["steps"] * run["dt_max"] >= 0.5 and run["message"] == ""
     assert run["step_s"] > 0.0 and run["diag_s"] > 0.0
     assert run["stop_reason"] == "horizon"
-    assert run["solve"] == "banded"             # 513 nodes
+    assert run["kernel"] == KERNEL
 
     code2, out2, _ = run_cli(["--output-dir", str(outdir), "decompose",
                               "--snapshot", str(snap), "--s", "50.5",
@@ -210,13 +214,13 @@ def test_verify_report_lists_the_runs_of_criteria_7_and_9(tmp_path, capsys):
     assert [(r["d"], r["steps"], r["dt"]) for r in runs7] == [
         (3, 10000, 1e-3), (4, 10000, 1e-3), (4, 10000, 1e-4), (4, 20000, 5e-5)]
     assert all(r["seconds"] > 0 for r in runs7)
-    assert all(r["solve"] == "dense" for r in runs7)          # 65 and 33 nodes
+    assert all(r["kernel"] == KERNEL for r in runs7)
     # criterion 9: the one self-similar run's step count, dt range, time split
     (run9,) = report["9"]["runs"]
     assert run9["verdict"] == "completed" and run9["stop_reason"] == "horizon"
     assert run9["steps"] >= 10.0 / run9["dt_max"] and 0 < run9["dt_min"] <= run9["dt_max"]
     assert run9["step_s"] > 0 and run9["diag_s"] > 0
-    assert run9["solve"] == "banded"                          # 2049 nodes
+    assert run9["kernel"] == KERNEL
 
 
 def test_verify_report_lists_the_run_and_search_of_criterion_11(tmp_path, capsys):
@@ -224,10 +228,10 @@ def test_verify_report_lists_the_run_and_search_of_criterion_11(tmp_path, capsys
     (result,) = json.loads((tmp_path / "verify_report.json").read_text())["results"]
     run, tuning = result["runs"]
     # the physical run: its steps are the printed count, its dt range capped
-    # at 0.1 (1 - t) below the blowup time, on the banded 4097-node grid
+    # at 0.1 (1 - t) below the blowup time, on the 4097-node grid
     assert f"{run['steps']} physical steps" in out and run["steps"] > 0
     assert 0 < run["dt_min"] <= run["dt_max"] <= 0.1 * math.exp(-11.5)
-    assert run["solve"] == "banded" and run["seconds"] > 0
+    assert run["kernel"] == "numpy" and run["seconds"] > 0       # through Stepper.step
     # the trap search that tuned its amplitudes
     assert tuning["search"] == "tuning" and 0 < tuning["probes"] <= 40
     assert f"tuning verdict {tuning['verdict']};" in out

@@ -1,4 +1,6 @@
 import math
+import re
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
@@ -52,6 +54,13 @@ def test_config_validation():
     for bad in (nan, inf, -inf):
         with pytest.raises(sim.ConfigError, match="s0 must be finite"):
             sim.SimConfig(**(phys | {"s0": bad}))
+    # a NaN bound, guard or perturbation would switch a verdict off
+    for key, bad, match in (("A", nan, "A must not be NaN"),
+                            ("escape_factor", nan, "escape_factor must not be NaN"),
+                            ("blowup_sup", nan, "blowup_sup must not be NaN"),
+                            ("dvec", (0.5, nan), "must lie in")):
+        with pytest.raises(sim.ConfigError, match=match):
+            sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25, **{key: bad})
     assert sim.SimConfig(d=4, escape_factor=inf).escape_factor == inf
     with pytest.raises(eb.DimensionError):
         sim.SimConfig(d=5)
@@ -306,27 +315,20 @@ def _assert_close(got, want):
     (sim.Grid.uniform(2048, 110.0), "selfsimilar", "profile"),
     (sim.Grid.geometric(128, 30.0, 1.03), "physical", "neumann"),
     (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile"),
-    # DENSE_NODES nodes, then one more: the last dense and the first banded grid
-    (sim.Grid.uniform(sim.DENSE_NODES - 1, 12.0), "selfsimilar", "profile"),
-    (sim.Grid.uniform(sim.DENSE_NODES, 12.0), "selfsimilar", "profile"),
 ])
 def test_step_equals_reference_kernel(grid, frame, boundary):
-    # the precomputed stencil stack (as a dense matrix on small grids), the
-    # Peclet-decided advection and the once-per-dt factorization (or, for a
-    # repeated dt on a small grid, its dense inverse) match the textbook step
-    # to rounding.  Fields in [0, 0.3] are centered at every node of the
-    # uniform grids; fields in [-2, 6] mix upwind and centered nodes and
-    # drifts of both signs on every grid.
+    # the precomputed stencil stack, the Peclet-decided advection and the
+    # once-per-dt factorization match the textbook step to rounding.  Fields
+    # in [0, 0.3] are centered at every node of the uniform grids; fields in
+    # [-2, 6] mix upwind and centered nodes and drifts of both signs on every
+    # grid.
     rng = np.random.default_rng(7)
     t0 = 50.0 if frame == "selfsimilar" else 0.0
     y = grid.nodes
     h = np.concatenate([y[1:2] - y[:1], np.diff(y)])
     n = len(y)
-    solve = "dense" if n <= sim.DENSE_NODES else "banded"
     for d in (3, 4):
         stepper = sim.Stepper(grid, d, frame, boundary)
-        assert (stepper._matrix is not None) == (solve == "dense")
-        previous = None
         fields = [0.3 * rng.random(n) for _ in range(5)]
         fields += [rng.uniform(-2.0, 6.0, n) for _ in range(5)]
         for k, v in enumerate(fields):
@@ -337,23 +339,9 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
             elif grid.n in (32, 2048):
                 assert np.all(peclet <= 2.0)
             state = sim.RadialState(frame, t0, v, grid, d)
-            # factor, repeat (the dense solve builds the inverse), factor,
-            # cached (banded: not a repeat), repeat (the cached inverse)
+            # factor, repeat, factor, cached, repeat
             for dt in (1e-3, 1e-3, 2.5e-4, 1e-3, 1e-3):
-                dense_steps = stepper.dense_steps
                 _assert_close(stepper.step(state, dt).values, _reference_step(stepper, state, dt))
-                dense = solve == "dense" and dt == previous
-                assert stepper.dense_steps == dense_steps + dense
-                previous = dt
-        # the repeated 1e-3 holds an inverse on a small grid, 2.5e-4 never
-        assert [entry[2] is not None for entry in stepper._recent] == [solve == "dense", False]
-        assert stepper.solve_label(50) == solve
-        # a repeated dt that loses the matrix's identity to rounding solves
-        # banded; half of it keeps the identity
-        limit = max(stepper._dense_dt, 1.0)
-        for dt, dense in ((limit, False), (limit / 2, solve == "dense")):
-            stepper._factored(dt)
-            assert (stepper._factored(dt)[1] is not None) == dense
 
 
 @pytest.mark.parametrize("grid", [sim.Grid.uniform(32, 10.0), sim.Grid.uniform(2048, 110.0),
@@ -398,42 +386,78 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
     assert len(calls) == 2
 
 
-def test_only_small_grids_build_dense_matrices(monkeypatch):
-    # above DENSE_NODES the step gathers and solves banded: a 2049-node
-    # self-similar run scatters no explicit matrix and solves for no inverse
-    # (every gttrs call has one right-hand side).  A 33-node fixed-dt run
-    # builds one explicit matrix and an inverse for its repeated dt alone,
-    # and solves banded only where dt changes; a 33-node adaptive run whose
-    # dt shrinks at every step, v' = 4 v^2 from v0 = 2 towards T = 0.125,
-    # builds no inverse
-    built, rhs_dims = [], []
-    matrix, solve = sim._explicit_matrix, sim.dgttrs
+def _advance_loop(stepper, v, times, dt):
+    """`Stepper._stretch` written over `_advance`: the field after the last
+    finite step and the number of finite steps."""
+    for j in range(len(times) - 1):
+        try:
+            v = stepper._advance(v, float(times[j]), dt)
+        except sim.StateCorruptionError:
+            return v, j
+    return v, len(times) - 1
 
-    def counting_matrix(*args):
-        built.append(1)
-        return matrix(*args)
 
-    def counting_solve(*args, **kwargs):
-        rhs_dims.append(np.ndim(args[-1]))
-        return solve(*args, **kwargs)
+@pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
+@pytest.mark.parametrize("grid, frame, boundary", [
+    (sim.Grid.uniform(32, 10.0), "physical", "neumann"),
+    (sim.Grid.uniform(1024, 110.0), "selfsimilar", "profile"),
+    (sim.Grid.geometric(128, 30.0, 1.03), "physical", "neumann"),
+    (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile"),
+    (sim.Grid.uniform(64, 20.0), "selfsimilar", "neumann"),
+])
+def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
+    # the compiled loop gives the bytes of k `_advance` calls: all-centered
+    # fields, mixed upwind fields of both signs, tiny fields with signed
+    # zeros; a NaN or an overflowing field stops both at the same step, at
+    # the same state, with `_advance`'s error
+    rng = np.random.default_rng(5)
+    n = len(grid.nodes)
+    tiny = rng.uniform(-1e-3, 1e-3, n)
+    tiny[::4], tiny[1::5] = 0.0, -0.0
+    nan = np.full(n, 0.1)
+    nan[n // 2] = np.nan
+    fields = [0.3 * rng.random(n), rng.uniform(-2.0, 6.0, n), tiny, nan, np.full(n, 3.0)]
+    t0 = 50.0 if frame == "selfsimilar" else 0.0
+    for d in (3, 4):
+        stepper = sim.Stepper(grid, d, frame, boundary)
+        for v in fields:
+            for k, dt in ((1, 1e-3), (7, 1e-3), (40, 0.05)):
+                times = np.cumsum(np.r_[t0, np.full(k, dt)])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want, finite = _advance_loop(stepper, v, times, dt)
+                    compiled = stepper.compiled_steps
+                    got, done, error = stepper._stretch(v, times, dt)
+                assert stepper.compiled_steps == compiled + done
+                assert done == finite and got.tobytes() == want.tobytes()
+                assert (error is None) == (done == k)
+                if error is not None:
+                    with pytest.raises(sim.StateCorruptionError, match=re.escape(str(error))):
+                        stepper.step(sim.RadialState(frame, times[done], got, grid, d), dt)
+        # the field of 3s overflows within 40 steps
+        assert done < 40
 
-    monkeypatch.setattr(sim, "_explicit_matrix", counting_matrix)
-    monkeypatch.setattr(sim, "dgttrs", counting_solve)
-    big = sim.run(sim.SimConfig(d=4, n=2048, s0=50.0, horizon=0.5, cadence=0.1, A=20.0,
-                                K=10.0, escape_factor=np.inf, blowup_sup=50.0))
-    assert big.steps > 10 and big.solve == "banded"
-    assert built == [] and rhs_dims == [1] * big.steps
-    rhs_dims.clear()
-    small = sim.run(sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=0.5,
-                                  cadence=0.1, dt=1e-3, init=np.full(33, 0.1)))
-    assert small.steps == 500 and small.solve == "dense"
-    assert built == [1] and rhs_dims.count(2) == 1 and rhs_dims.count(1) <= 11
-    built.clear()
-    rhs_dims.clear()
-    adaptive = sim.run(sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0,
-                                     horizon=0.12, cadence=1.0, init=np.full(33, 2.0)))
-    assert adaptive.steps > 5 and adaptive.solve == "banded"
-    assert built == [1] and rhs_dims == [1] * adaptive.steps
+
+def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, monkeypatch):
+    # a build into an empty cache loads and leaves one object and no
+    # temporary file; a second load reuses it.  No compiler, a failing
+    # compiler or a cache that cannot be written gives None, not an error
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    lib = sim._build(tmp_path / "cache")
+    assert lib is not None and hasattr(lib, "ks_stretch")
+    (built,) = (tmp_path / "cache").iterdir()
+    assert built.name.startswith("kernel-") and built.suffix == ".so"
+    assert sim._build(tmp_path / "cache") is not None
+    assert list((tmp_path / "cache").iterdir()) == [built]
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    assert sim._build(blocked / "cache") is None
+    false = shutil.which("false") or "/bin/false"
+    monkeypatch.setattr(sim.shutil, "which", lambda name: false)
+    assert sim._build(tmp_path / "other") is None
+    assert list((tmp_path / "other").iterdir()) == []
+    monkeypatch.setattr(sim.shutil, "which", lambda name: None)
+    assert sim._build(tmp_path / "none") is None
 
 
 def test_step_names_the_first_non_finite_stage():
@@ -742,13 +766,14 @@ def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     # a late start time makes the float sum of the steps drift from the
     # record times by more than 1e-12 within a few thousand steps
     dts = []
-    advance = sim.Stepper._advance
+    stretch = sim.Stepper._stretch
 
-    def counting_advance(self, v, time, dt):
-        dts.append(dt)
-        return advance(self, v, time, dt)
+    def counting_stretch(self, v, times, dt):
+        out = stretch(self, v, times, dt)
+        dts.extend([dt] * out[1])
+        return out
 
-    monkeypatch.setattr(sim.Stepper, "_advance", counting_advance)
+    monkeypatch.setattr(sim.Stepper, "_stretch", counting_stretch)
     dt, horizon, cadence = 1e-3, 2.0, 0.01
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=t0,
                         horizon=horizon, cadence=cadence, dt=dt,
@@ -821,35 +846,41 @@ def _step_loop(cfg):
     sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=1.0,
                   cadence=1.0, dt=1e-3, init=np.full(33, 2.0)),
 ], ids=["physical-fixed-dt", "physical-cfl", "selfsimilar-profile", "nonfinite-step"])
-def test_run_inner_loop_equals_step_loop(cfg):
-    # the run drives the raw-array kernel through each record interval; a
-    # loop of Stepper.step with the same rules gives every bit of its result
-    res = sim.run(cfg)
+def test_run_inner_loop_equals_step_loop(cfg, monkeypatch):
+    # the run steps each stretch of one dt in the compiled loop; a loop of
+    # Stepper.step with the same rules gives every bit of its result, and so
+    # does the run without the compiled loop, which steps through `_advance`
     state, ref = _step_loop(cfg)
-    assert res.final_state.values.tobytes() == state.values.tobytes()
-    assert res.final_state.time == res.exit_time == state.time
-    if cfg.frame == "physical":
-        assert res.records == [] and len(ref["times"]) >= 1
-        assert res.times.tobytes() == np.array(ref["times"]).tobytes()
-        assert res.sup_w.tobytes() == np.array(ref["sup_w"]).tobytes()
-    else:
-        assert res.times is None and len(res.records) == len(ref["records"]) > 1
-        for got, want in zip(res.records, ref["records"]):
-            for f in fields(got):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                if isinstance(a, np.ndarray):
-                    assert a.tobytes() == b.tobytes()
-                else:
-                    assert a == b
-    assert res.steps == len(ref["dts"]) > 0
-    assert res.dt_min == min(ref["dts"]) and res.dt_max == max(ref["dts"])
-    assert res.verdict == ref["verdict"] and res.message == ref["message"]
-    assert (res.stop_reason == "non-finite step") == bool(ref["message"])
+    runs = [(sim.run(cfg), "compiled" if sim._library() is not None else "numpy")]
+    monkeypatch.setattr(sim, "_library", lambda: None)
+    runs.append((sim.run(cfg), "numpy"))
+    for res, kernel in runs:
+        assert res.kernel == kernel
+        assert res.final_state.values.tobytes() == state.values.tobytes()
+        assert res.final_state.time == res.exit_time == state.time
+        if cfg.frame == "physical":
+            assert res.records == [] and len(ref["times"]) >= 1
+            assert res.times.tobytes() == np.array(ref["times"]).tobytes()
+            assert res.sup_w.tobytes() == np.array(ref["sup_w"]).tobytes()
+        else:
+            assert res.times is None and len(res.records) == len(ref["records"]) > 1
+            for got, want in zip(res.records, ref["records"]):
+                for f in fields(got):
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    if isinstance(a, np.ndarray):
+                        assert a.tobytes() == b.tobytes()
+                    else:
+                        assert a == b
+        assert res.steps == len(ref["dts"]) > 0
+        assert res.dt_min == min(ref["dts"]) and res.dt_max == max(ref["dts"])
+        assert res.verdict == ref["verdict"] and res.message == ref["message"]
+        assert (res.stop_reason == "non-finite step") == bool(ref["message"])
 
 
 def test_factor_cache_keeps_the_fixed_dt(monkeypatch):
     # a step landing on a record time uses dt = gap, a few ulps off the fixed
-    # dt; the cache keeps both, so each record costs one factorization, not two
+    # dt; the cache keeps both, so each record costs one factorization, not
+    # two, and a run that refactors at every step gives the same bytes
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, dt=1e-5, s0=0.0,
                         horizon=0.2, cadence=0.01, init=np.full(33, 0.1))
     calls = []
@@ -870,7 +901,9 @@ def test_factor_cache_keeps_the_fixed_dt(monkeypatch):
         self._recent = []
         return factored(self, dt)
 
+    # through `_advance`, which factors at every step, not once per stretch
     monkeypatch.setattr(sim.Stepper, "_factored", refactor_every_step)
+    monkeypatch.setattr(sim, "_library", lambda: None)
     fresh = sim.run(cfg)
     assert len(calls) > 20000
     assert np.array_equal(cached.times, fresh.times)
