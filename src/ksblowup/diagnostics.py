@@ -10,11 +10,19 @@ the same bits.
 
 `decompose` measures one time slice against the shrinking set and returns
 it as a :class:`Slice`, the one record that a run keeps, that `csv_row`
-writes under `csv_header` and that the CLI reports.
+writes under `csv_header` and that the CLI reports.  It evaluates each
+quantity once, with the same bits as the plain NumPy forms: xi and
+Q(xi) once for psi and the outer norms; phi_tilde(y) once per context
+(`DiagnosticsContext.phit`); each cutoff only on its band K < xi < 2K
+(`_cut`); all mode projections in one row-wise sum; the three flat norms
+from one Euler-derivative chain, as rows of one array; and the reductions
+as ufunc reductions, without NumPy's Python wrappers.  `flat_norm` and
+`outer_norms` are the same code on one order or one field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -91,6 +99,10 @@ class DiagnosticsContext:
             self.params = pr.make_profile_params(self.d)
         y = np.asarray(self.y, float)
         self.y = y
+        # the trapezoid weights, the cutoff bands (`_cut`) and the
+        # outer norms' y |f| rely on it
+        if not (y[0] >= 0.0 and (y[1:] > y[:-1]).all()):
+            raise ValueError("grid nodes must be nonnegative and strictly increasing")
         check_coverage(self.d, y[-1], self.coverage_tol)
         # trapezoid weights
         tw = np.zeros_like(y)
@@ -111,14 +123,19 @@ class DiagnosticsContext:
         self.flat_w = (1.0 - pr.cutoff_chi(spec, y)) * wy * tw
         self.cut_spec = spec
 
+    @cached_property
+    def phit(self) -> np.ndarray:
+        """phi_tilde(y), the grid-only factor of psi_hat, built on first use."""
+        return pr._even_eval(self.params.phit_coeffs, self.y)
+
     # -- basic measurements ------------------------------------------------
     def project_all(self, field_values) -> np.ndarray:
-        """Normalized rho-projections <f, phi_{2k}> / ||phi_{2k}||^2, k < 2 ell."""
-        num = self.quad_rho * field_values
-        return np.array([np.sum(num * self.phi[k]) / self.phi_norm_sq[k] for k in range(2 * self.ell)])
+        """Normalized rho-projections <f, phi_{2k}> / ||phi_{2k}||^2, k < 2 ell:
+        one row-wise sum, which adds each row as np.sum adds it alone."""
+        return np.add.reduce((self.quad_rho * field_values) * self.phi, axis=1) / self.phi_norm_sq
 
     def rho_norm(self, field_values) -> float:
-        return float(np.sqrt(np.sum(self.quad_rho * field_values**2)))
+        return math.sqrt(np.add.reduce(self.quad_rho * field_values**2))
 
     # -- Euler derivative --------------------------------------------------
     @cached_property
@@ -135,24 +152,35 @@ class DiagnosticsContext:
         return (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)),
                 h[0], h[-1])
 
-    def _euler_derivative(self, f) -> np.ndarray:
+    def _euler_derivative(self, f, out=None) -> np.ndarray:
         """y df/dy, bit-equal to y * np.gradient(f, y, edge_order=1): centered
         differences inside, one-sided at the ends, in numpy's own order of
-        operations."""
+        operations.  Written into `out` when given."""
         a, b, c, h_first, h_last = self._gradient_stencil
-        out = np.empty_like(f)
+        if out is None:
+            out = np.empty_like(f)
+        inner = out[1:-1]
         if a is None:
-            out[1:-1] = (f[2:] - f[:-2]) / b
+            np.subtract(f[2:], f[:-2], out=inner)
+            inner /= b
         else:
-            out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+            np.multiply(a, f[:-2], out=inner)
+            inner += b * f[1:-1]
+            inner += c * f[2:]
         out[0] = (f[1] - f[0]) / h_first
         out[-1] = (f[-1] - f[-2]) / h_last
-        return self.y * out
+        out *= self.y
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
+
+def _sup(f) -> float:
+    """max |f|, without the wrappers of np.max."""
+    return float(np.maximum.reduce(np.abs(f)))
+
 
 def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     """Intermediate-region norm ( int (1-chi_K(y)) |(y d/dy)^j f|^2 y^(-4l-3) dy )^(1/2).
@@ -161,16 +189,16 @@ def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     """
     if j not in (0, 1, 2):
         raise ValueError("derivative order j must be 0, 1 or 2")
-    return _flat_norms(field_values, ctx, (j,))[0]
+    return _flat_norms(field_values, ctx, j, j)[0]
 
 
-def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
-    """flat_norm of each order in `orders` (ascending), from one chain of
-    Euler derivatives and one resolution check."""
-    y = ctx.y
+def _flat_norms(field_values, ctx: DiagnosticsContext, lowest: int, highest: int) -> list:
+    """flat_norm of each order from `lowest` to `highest`, from one chain of
+    Euler derivatives, one resolution check and one pass over the integrands,
+    a row per order."""
     f = np.asarray(field_values, float)
-    if orders[-1] >= 1:
-        rel = np.max(np.abs(np.diff(f))) / (np.max(np.abs(f)) + 1e-300)
+    if highest >= 1:
+        rel = _sup(f[1:] - f[:-1]) / (_sup(f) + 1e-300)
         if rel > 0.5:
             warnings.warn(
                 "field varies by >50% between neighbouring nodes; "
@@ -178,40 +206,63 @@ def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
                 RuntimeWarning,
                 stacklevel=3,
             )
-    norms = []
-    for j in range(orders[-1] + 1):
-        if j:
-            f = ctx._euler_derivative(f)
-        if j in orders:
-            integrand = ctx.flat_w * f * f
-            _check_tail_decay(y, integrand)
-            norms.append(float(np.sqrt(np.sum(integrand))))
-    return norms
+    chain = np.empty((highest + 1, len(f)))
+    chain[0] = f
+    for j in range(1, highest + 1):
+        ctx._euler_derivative(chain[j - 1], out=chain[j])
+    chain = chain[lowest:]
+    integrands = ctx.flat_w * chain * chain
+    _check_tail_decay(integrands)
+    # a row-wise sum adds each row as np.sum adds it alone
+    return np.sqrt(np.add.reduce(integrands, axis=1)).tolist()
 
 
-def _check_tail_decay(y, integrand):
-    """Flag integrands that do not decay toward the end of the domain.
+def _check_tail_decay(integrands):
+    """Flag integrands (one per row) that do not decay toward the end of the
+    domain.
 
     The last few nodes are skipped: derivative stencils against a clamped
     boundary node produce a spike there whose weighted contribution is
     negligible, whereas a genuinely non-integrable field grows globally.
     """
-    live = np.nonzero(integrand > 0)[0]
-    if len(live) < 32:
-        return
-    i1 = live[-1] - 5
-    n = i1 - live[0] + 1
-    if n < 32:
-        return
-    # both windows are non-empty (n >= 32); sum / len is np.mean's own division
-    last = integrand[i1 - n // 8: i1 + 1]
-    prev = integrand[i1 - n // 4: i1 - n // 8]
-    mean_last = last.sum() / len(last)
-    if mean_last >= prev.sum() / len(prev) and mean_last > 1e-6 * float(np.max(integrand)):
-        raise NonIntegrableTailError(
-            "weighted integrand does not decay at the domain end; "
-            "the norm does not converge"
-        )
+    for row, live in zip(integrands, integrands > 0):
+        if np.count_nonzero(live) < 32:
+            continue
+        # the first positive entry, and five before the last
+        i1 = len(live) - 6 - live[::-1].argmax()
+        n = i1 - live.argmax() + 1
+        if n < 32:
+            continue
+        # both windows are non-empty (n >= 32); sum / len is np.mean's own division
+        last = row[i1 - n // 8: i1 + 1]
+        prev = row[i1 - n // 4: i1 - n // 8]
+        mean_last = np.add.reduce(last) / len(last)
+        if (mean_last >= np.add.reduce(prev) / len(prev)
+                and mean_last > 1e-6 * float(np.maximum.reduce(row))):
+            raise NonIntegrableTailError(
+                "weighted integrand does not decay at the domain end; "
+                "the norm does not converge"
+            )
+
+
+def _cut(f, spec: pr.CutoffSpec, xi, complement: bool = False) -> np.ndarray:
+    """f times `pr.cutoff_chi(spec, xi)`, or times 1 - it with `complement`,
+    in place and bit for bit, for ascending xi, with the smoothstep evaluated
+    only on its band K < xi < 2K.  Below the band xi / K rounds to at most 1
+    and chi is exactly 1.0; at and above 2K it rounds to at least 2 and chi
+    is exactly 0.0, so f is kept or zeroed there as the product would; on
+    the band xi / K rounds into [1, 2], where u - 1 is exact and the clip is
+    idle."""
+    lo = xi.searchsorted(spec.K, "right")
+    hi = xi.searchsorted(2.0 * spec.K, "left")
+    chi = pr._smoothstep(xi[lo:hi] / spec.K - 1.0)
+    if complement:
+        f[:lo] *= 0.0
+        f[lo:hi] *= 1.0 - chi
+    else:
+        f[lo:hi] *= chi
+        f[hi:] *= 0.0
+    return f
 
 
 def outer_norms(field_values, ctx: DiagnosticsContext, s: float):
@@ -219,19 +270,24 @@ def outer_norms(field_values, ctx: DiagnosticsContext, s: float):
 
     Returns (sup |f_ex|, sup |y d/dy f_ex|, sup |y f_ex|).
     """
-    y = ctx.y
-    sm = float(s) ** (-1.0 / (2 * ctx.ell))
-    xi = y * sm
+    xi = ctx.y * float(s) ** (-1.0 / (2 * ctx.ell))
+    return _outer_norms(np.array(field_values, float), ctx, xi)
+
+
+def _outer_norms(f, ctx: DiagnosticsContext, xi):
+    """`outer_norms` at the similarity coordinates xi of the grid; overwrites f."""
     if xi[-1] < 2 * ctx.K:
         raise CoverageError(
             f"grid reaches xi={xi[-1]:.2f} < 2K={2 * ctx.K:.0f}; outer norms need "
             "coverage past the cutoff support"
         )
-    ex = np.asarray(field_values, float) * (1.0 - pr.cutoff_chi(ctx.cut_spec, xi))
+    ex = _cut(f, ctx.cut_spec, xi, complement=True)
+    dex = ctx._euler_derivative(ex)
+    np.abs(ex, out=ex)
     return (
-        float(np.max(np.abs(ex))),
-        float(np.max(np.abs(ctx._euler_derivative(ex)))),
-        float(np.max(np.abs(y * ex))),
+        float(np.maximum.reduce(ex)),
+        _sup(dex),
+        float(np.maximum.reduce(ctx.y * ex)),       # |y ex| = y |ex| exactly, as y >= 0
     )
 
 
@@ -291,20 +347,25 @@ def write_timeseries(path, slices, ell: int):
             fh.write(rec.csv_row() + "\n")
 
 
+@functools.cache
+def _bound_names(ell: int) -> tuple:
+    """The shrinking-set bounds in the order of `bound_values` and of a
+    slice's `measured` and `ratios`."""
+    return tuple(f"mode_{k}" for k in range(2 * ell) if k != ell) + (
+        "null_mode", "l2rho", "flat_0", "flat_1", "flat_2", "out_sup", "out_dysup", "out_ysup")
+
+
 def bound_values(d: int, ell: int, s: float, A: float) -> dict:
     """Time-dependent bootstrap bounds of the shrinking set."""
-    out = {}
-    for k in range(2 * ell):
-        if k != ell:
-            out[f"mode_{k}"] = A / s**2
-    out["null_mode"] = A**2 * math.log(s) / s**2
-    out["l2rho"] = A / s**3
-    for j in range(3):
-        out[f"flat_{j}"] = A ** (1 + j) * s ** (-1.0 - 3.0 / (2 * ell))
-    out["out_sup"] = A**4 * s ** (-1.0 / ell)
-    out["out_dysup"] = A**5 * s ** (-1.0 / ell)
-    out["out_ysup"] = A**4 * s ** (-1.0 / (2 * ell))
-    return out
+    flat = s ** (-1.0 - 3.0 / (2 * ell))
+    return dict(zip(_bound_names(ell), [A / s**2] * (2 * ell - 1) + [
+        A**2 * math.log(s) / s**2,
+        A / s**3,
+        A * flat, A**2 * flat, A**3 * flat,
+        A**4 * s ** (-1.0 / ell),
+        A**5 * s ** (-1.0 / ell),
+        A**4 * s ** (-1.0 / (2 * ell)),
+    ]))
 
 
 def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
@@ -316,29 +377,28 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
     Returns the `Slice` at time s.
     """
     p = ctx.params
-    y = ctx.y
+    s = pr._check_s(s)
     v = np.asarray(v_values, float)
-    q, ph = pr.psi_terms(p, y, s)
+    # Q and psi_hat as pr.psi_terms forms them, from the cached phi_tilde(y)
+    xi = ctx.y * s ** (-1.0 / (2 * ctx.ell))
+    q = pr.q_of_xi(p, xi)
+    ph = _cut(-(1.0 / (p.B * s)) * ctx.phit, pr.UNIT_CUTOFF, xi)
     eps_hat = v - (q + ph)                     # v - psi
     eps = eps_hat + ph                         # v - Q, for the outer norms
 
     coeffs = ctx.project_all(eps_hat)
-    tilde = eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0)
-    tilde_norm = ctx.rho_norm(tilde)
+    tilde_norm = ctx.rho_norm(eps_hat - np.add.reduce(coeffs[:, None] * ctx.phi, axis=0))
 
-    measured = {}
-    for k, c in enumerate(coeffs):
-        if k != ctx.ell:
-            measured[f"mode_{k}"] = abs(float(c))
-    measured["null_mode"] = abs(float(coeffs[ctx.ell]))
-    measured["l2rho"] = tilde_norm
-    for j, norm in enumerate(_flat_norms(eps_hat, ctx, (0, 1, 2))):
-        measured[f"flat_{j}"] = norm
-    o0, o1, o2 = outer_norms(eps, ctx, s)
-    measured["out_sup"], measured["out_dysup"], measured["out_ysup"] = o0, o1, o2
-
-    bounds = bound_values(ctx.d, ctx.ell, s, A)
-    ratios = {name: measured[name] / bounds[name] for name in bounds}
+    # the measured values in the order of `_bound_names`
+    values = [abs(c) for c in coeffs.tolist()]
+    values.append(values.pop(ctx.ell))
+    values.append(tilde_norm)
+    values += _flat_norms(eps_hat, ctx, 0, 2)
+    values += _outer_norms(eps, ctx, xi)
+    names = _bound_names(ctx.ell)
+    measured = dict(zip(names, values))
+    bounds = bound_values(ctx.d, ctx.ell, s, A).values()
+    ratios = dict(zip(names, [m / b for m, b in zip(values, bounds)]))
     worst = max(ratios, key=ratios.get)
     top = ratios[worst]
     if top > 1.0 + BOUNDARY_DELTA:
@@ -347,10 +407,9 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
         verdict = "boundary"
     else:
         verdict = "inside"
-    return Slice(s=float(s), coefficients=coeffs, tilde_norm=tilde_norm,
+    return Slice(s=s, coefficients=coeffs, tilde_norm=tilde_norm,
                  measured=measured, ratios=ratios, verdict=verdict, worst=worst,
-                 sup_v=float(np.max(np.abs(v))),
-                 sup_dev_profile=float(np.max(np.abs(v - q))))
+                 sup_v=_sup(v), sup_dev_profile=_sup(v - q))
 
 
 # ---------------------------------------------------------------------------

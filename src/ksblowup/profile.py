@@ -59,7 +59,12 @@ class CutoffSpec:
 
 def cutoff_chi(spec: CutoffSpec, xi):
     u = np.asarray(xi, float) / spec.K
-    t = np.clip(u - 1.0, 0.0, 1.0)
+    return _smoothstep(np.clip(u - 1.0, 0.0, 1.0))
+
+
+def _smoothstep(t):
+    """The quintic 1 - t^3 (10 - 15 t + 6 t^2) of `cutoff_chi` at t in [0, 1]:
+    exactly 1.0 at t = 0 and exactly 0.0 at t = 1."""
     return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
@@ -197,7 +202,7 @@ def _profile(params: ProfileParams, xi):
 
 def _as_xi(xi):
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
+    if (xi < 0).any():
         raise ValueError("similarity coordinate must be nonnegative")
     return xi
 

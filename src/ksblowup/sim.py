@@ -330,6 +330,12 @@ def _build(cache: Path):
     return lib
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of a writable C-contiguous array's data; cheaper than
+    a.ctypes.data, which builds an object at every call."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
 @functools.cache
 def _library():
     """The compiled loop, once per process, from the user's cache directory."""
@@ -383,7 +389,9 @@ class Stepper:
         self.stack = _explicit_stack(self.stencil, d, self.sigma,
                                      0.5 * self.lo, 0.5 * self.di, 0.5 * self.up)
         self._zeros = np.zeros(len(grid.nodes))
-        self.linear_drift = _linear_drift_tridiag(self.stencil, self.sigma)
+        self.linear_drift = dlo, ddi, dup = _linear_drift_tridiag(self.stencil, self.sigma)
+        # the off-diagonals of Lap and D_lin as rows (lower, upper), for `_factored`
+        self._off = np.array([self.lo[1:], self.up[:-1]]), np.array([dlo[1:], dup[:-1]])
         self._recent = []             # [dt, factors, their addresses], most recently used first
         self.compiled_steps = 0       # steps taken in the compiled loop
         # the compiled loop's per-grid arrays and its scratch b, by address
@@ -407,14 +415,17 @@ class Stepper:
         if len(recent) > 1 and recent[1][0] == dt:
             recent.reverse()
             return recent[0]
-        dlo, ddi, dup = self.linear_drift
+        lap_off, drift_off = self._off
         with np.errstate(over="ignore", invalid="ignore"):
-            dl = -0.5 * dt * self.lo[1:] - dt * dlo[1:]
-            di = 1.0 - 0.5 * dt * self.di - dt * ddi
-            du = -0.5 * dt * self.up[:-1] - dt * dup[:-1]
+            off = -0.5 * dt * lap_off           # rows dl, du: -(dt/2) Lap - dt D_lin
+            off -= dt * drift_off
+            di = 1.0 - 0.5 * dt * self.di
+            di -= dt * self.linear_drift[1]
+        dl, du = off
         di[-1] = 1.0
         dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
-        if not (np.isfinite(dl).all() and np.isfinite(di).all() and np.isfinite(du).all()):
+        zeros = self._zeros
+        if math.isnan(dl.dot(zeros[1:]) + di.dot(zeros) + du.dot(zeros[1:])):     # as `_finite`
             raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
         *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
                                 overwrite_du=True)
@@ -480,12 +491,13 @@ class Stepper:
         sums as t += dt does: (the field after the last finite step, the count
         of finite steps, the StateCorruptionError of the next step or None).
         The compiled loop (`_library`) takes the steps as `_advance` would, bit
-        for bit, with Q at the edge from one array call; `_advance` takes the
+        for bit, with Q at the edge from one array call, or from Q's scalar
+        path (`boundary_value`) for a one-step stretch; `_advance` takes the
         step it finds not finite again, to name the stage, and takes every step
         where there is no compiled loop or dt cannot be factored."""
         k, done = len(times) - 1, 0
         lib = _library()
-        if lib is not None:
+        if lib is not None and k:
             try:
                 entry = self._factored(dt)
             except (StateCorruptionError, np.linalg.LinAlgError):
@@ -493,9 +505,11 @@ class Stepper:
             else:
                 if entry[2] is None:        # the pivots as the C int the loop reads
                     entry[1][4] = np.ascontiguousarray(entry[1][4], np.intc)
-                    entry[2] = [a.ctypes.data for a in entry[1]]
+                    entry[2] = [_address(a) for a in entry[1]]
                 if self.boundary == "neumann":
                     bval = np.zeros(k)
+                elif k == 1:        # a landing or physical step: Q's scalar path
+                    bval = np.array([self.boundary_value(float(times[1]))])
                 else:       # each edge xi by Python's `**`, as `boundary_value` takes it
                     xi = [self.grid.nodes[-1] * t ** (-1.0 / (2 * self.params.ell))
                           for t in times[1:].tolist()]
@@ -504,7 +518,7 @@ class Stepper:
                 if v.shape != self._zeros.shape:
                     raise ConfigError("field and grid sizes differ")
                 done = lib.ks_stretch(len(v), k, dt, self.d, *self._pointers,
-                                      bval.ctypes.data, *entry[2], v.ctypes.data)
+                                      _address(bval), *entry[2], _address(v))
                 self.compiled_steps += done
         for j in range(done, k):
             try:
@@ -524,9 +538,9 @@ class Stepper:
         """Step limit of the explicit terms: cfl over the largest |v y| / dy
         of the nonlinear drift, and at most 0.5 over the reaction's rate."""
         a = np.abs(state.values * self.grid.nodes)
-        amax = float(np.max(np.maximum(a[1:], a[:-1]) / self.stencil.dy))
+        amax = float((np.maximum(a[1:], a[:-1]) / self.stencil.dy).max())
         dt = cfl / amax if amax > 0 else np.inf
-        react = float(np.max(np.abs(2 * self.d * state.values - self.sigma)))
+        react = float(np.abs(2 * self.d * state.values - self.sigma).max())
         if react > 0:
             dt = min(dt, 0.5 / react)
         return dt
@@ -679,7 +693,9 @@ def _stretch_times(t: float, dt: float, target: float, most: int):
     """(dt, times) of the next stretch from t: the steps of dt that stop short
     of target by more than _TIME_TOL (at most `most`), their times summed in
     order as t += dt sums them; or else the one step that lands on target."""
-    times = np.cumsum(np.r_[t, np.full(int(min(most, (target - t) / dt + 1.0)), dt)])
+    times = np.full(int(min(most, (target - t) / dt + 1.0)) + 1, dt)
+    times[0] = t
+    np.cumsum(times, out=times)
     # both tests fail from the first step that fails one: the rest is a prefix
     k = np.count_nonzero((times[:-1] < target - _TIME_TOL)
                          & (dt < (target - times[:-1]) - _TIME_TOL))

@@ -18,6 +18,8 @@ running the search.  It is left failing, with its gates unchanged.
 """
 
 
+import json
+
 import numpy as np
 
 from ksblowup import acceptance as ac
@@ -128,6 +130,25 @@ def test_criterion_09_null_mode_dynamics():
 
 def test_criterion_10_shooting():
     _run(10)
+
+
+def test_criterion_10_reports_its_search_probe_by_probe():
+    # the run entry names the search, its verdict and brackets, and logs each
+    # probe in JSON-native values, so the report needs no str() fallback
+    res = ac.criterion_10(budget=3)
+    (run,) = res.runs
+    assert json.loads(json.dumps(run)) == run
+    assert run["search"] == "trap" and f"verdict={run['verdict']} " in res.detail
+    assert run["probes"] == len(run["probe_log"]) and 1 <= run["probes"] <= 3
+    assert f"probes={run['probes']} " in res.detail
+    assert len(run["brackets"]) == 2 and all(lo <= hi for lo, hi in run["brackets"])
+    for probe in run["probe_log"]:
+        assert set(probe) == {"q", "exit_mode", "s_exit", "steps", "wall_s", "step_s",
+                              "diag_s", "verdict"}
+        assert len(probe["q"]) == 2 and probe["steps"] > 0 and probe["s_exit"] > 50.0
+        assert probe["wall_s"] >= probe["step_s"] + probe["diag_s"] > 0
+        if probe["exit_mode"] is not None:
+            assert probe["verdict"] == f"exit:mode_{probe['exit_mode']}"
 
 
 def test_criterion_10_forcing_exceeds_l2rho_bound():

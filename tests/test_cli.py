@@ -231,9 +231,11 @@ def test_verify_report_lists_the_run_and_search_of_criterion_11(tmp_path, capsys
     # at 0.1 (1 - t) below the blowup time, on the 4097-node grid
     assert f"{run['steps']} physical steps" in out and run["steps"] > 0
     assert 0 < run["dt_min"] <= run["dt_max"] <= 0.1 * math.exp(-11.5)
-    assert run["kernel"] == "numpy" and run["seconds"] > 0       # through Stepper.step
-    # the trap search that tuned its amplitudes
+    assert run["kernel"] == KERNEL and run["seconds"] > 0        # one-step stretches
+    # the trap search that tuned its amplitudes, probe by probe
     assert tuning["search"] == "tuning" and 0 < tuning["probes"] <= 40
+    assert len(tuning["probe_log"]) == tuning["probes"]
+    assert all(len(probe["q"]) == 2 and probe["steps"] > 0 for probe in tuning["probe_log"])
     assert f"tuning verdict {tuning['verdict']};" in out
 
 

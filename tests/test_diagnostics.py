@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,14 @@ def test_coverage_error():
         dg.DiagnosticsContext(d=4, y=np.linspace(0.0, 8.0, 200))
 
 
+def test_context_rejects_a_grid_out_of_order_or_below_zero():
+    # the quadrature weights and the cutoff bands read the nodes in order
+    y = np.linspace(0.0, 60.0, 601)
+    for bad in (y[::-1], np.r_[y[:300], y[299:]], y - 1.0):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dg.DiagnosticsContext(d=4, y=bad)
+
+
 # ---------------------------------------------------------------------------
 # flat norm
 # ---------------------------------------------------------------------------
@@ -84,6 +94,33 @@ def test_flat_norm_divergent_tail_flagged():
                                 coverage_tol=np.inf)
     with pytest.raises(dg.NonIntegrableTailError):
         dg.flat_norm(ctx.y ** (2 * ctx.ell + 2), ctx, j=0)
+
+
+def test_tail_check_counts_positive_entries_and_flags_late_growth():
+    ctx = dg.DiagnosticsContext(d=4, y=np.linspace(0.0, 60.0, 6001), K=10.0)
+    y = ctx.y
+    # fewer than 32 positive entries over thousands of nodes, growing: the
+    # count rule returns before the window test, which would flag them
+    sparse = np.zeros_like(y)
+    sparse[2000::150] = y[2000::150] ** 8
+    live = np.flatnonzero(ctx.flat_w * sparse * sparse > 0)
+    assert len(live) < 32 and live[-1] - 5 - live[0] + 1 >= 32
+    assert math.isfinite(dg.flat_norm(sparse, ctx, j=0))
+    # a decaying field whose integrand turns up over its last nodes
+    late = np.exp(-0.05 * y**2) + 1e-3 * np.where(y > 50.0, y - 50.0, 0.0) ** 4
+    with pytest.raises(dg.NonIntegrableTailError):
+        dg.flat_norm(late, ctx, j=0)
+    with pytest.raises(dg.NonIntegrableTailError):
+        dg.decompose(pr.psi(ctx.params, y, 50.0) + late, 50.0, ctx, 20.0)
+    # the five last positive nodes are skipped, the sixth from the end counts
+    for back, flagged in ((5, False), (6, True)):
+        spike = np.exp(-0.05 * y**2)
+        spike[-back] = 1e3
+        if flagged:
+            with pytest.raises(dg.NonIntegrableTailError):
+                dg.flat_norm(spike, ctx, j=0)
+        else:
+            assert math.isfinite(dg.flat_norm(spike, ctx, j=0))
 
 
 def test_flat_norm_homogeneity(ctx4):
@@ -276,6 +313,66 @@ def test_decompose_pinned_on_a_perturbed_criterion_10_field():
     assert rec.tilde_norm == want["l2rho"]
     assert rec.sup_dev_profile == float(np.max(np.abs(v - q)))
     assert min(want.values()) > 0.0
+
+
+def test_decompose_pinned_on_a_perturbed_d3_field_on_a_geometric_grid():
+    # the d=3 twin: ell = 3 takes Q's sinh/arsinh closed form, and the
+    # geometric grid the non-uniform Euler stencil; the coefficients are
+    # pinned against one np.sum per mode, bit for bit
+    cfg = sim.SimConfig(d=3, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0,
+                        K=10.0, dvec=(0.4, -0.25, 0.3))
+    grid = sim.Grid.geometric(cfg.n, cfg.y_max, 1.002)
+    y = grid.nodes
+    assert not (np.diff(y) == y[1]).all()
+    ctx = dg.DiagnosticsContext(d=3, y=y, K=cfg.K)
+    p, ell, s, A = ctx.params, ctx.ell, 53.7, cfg.A
+    v = sim.make_initial_data(cfg, grid).values
+    v = v + 1e-4 * np.exp(-0.02 * (y - 40.0) ** 2)       # reaches the outer region
+    rec = dg.decompose(v, s, ctx, A)
+
+    xi = y * s ** (-1.0 / (2 * ell))
+    q = pr._solve_profile(p, p.c * xi ** (2 * ell))[0]
+    ph = pr.psi_hat(p, y, s)
+    eps_hat = v - (q + ph)
+    coeffs = np.array([np.sum(ctx.quad_rho * eps_hat * ctx.phi[k]) / ctx.phi_norm_sq[k]
+                       for k in range(2 * ell)])
+    assert rec.coefficients.tobytes() == coeffs.tobytes()
+    want = {f"mode_{k}": abs(float(c)) for k, c in enumerate(coeffs) if k != ell}
+    want["null_mode"] = abs(float(coeffs[ell]))
+    tilde = eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0)
+    want["l2rho"] = float(np.sqrt(np.sum(ctx.quad_rho * tilde**2)))
+    f = eps_hat
+    for j in range(3):
+        want[f"flat_{j}"] = float(np.sqrt(np.sum(ctx.flat_w * f * f)))
+        f = _numpy_euler(y, f)
+    ex = (eps_hat + ph) * (1.0 - pr.cutoff_chi(ctx.cut_spec, xi))
+    want["out_sup"] = float(np.max(np.abs(ex)))
+    want["out_dysup"] = float(np.max(np.abs(_numpy_euler(y, ex))))
+    want["out_ysup"] = float(np.max(np.abs(y * ex)))
+    assert rec.measured == want
+    assert list(rec.measured) == list(dg.bound_values(3, ell, s, A))
+    assert rec.tilde_norm == want["l2rho"]
+    assert rec.sup_v == float(np.max(np.abs(v)))
+    assert rec.sup_dev_profile == float(np.max(np.abs(v - q)))
+    assert min(want.values()) > 0.0
+
+
+@pytest.mark.parametrize("K", [1.0, 10.0, 0.7, 3.3])
+def test_band_cutoff_is_cutoff_chi_bit_for_bit(K):
+    # nodes exactly at K and 2K and at their neighbours either side, where
+    # xi / K rounds onto the band's ends
+    spec = pr.CutoffSpec(K=K)
+    edges = [x for e in (K, 2.0 * K) for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+    xi = np.unique(np.concatenate([np.linspace(0.0, 3.0 * K, 301), edges,
+                                   np.geomspace(0.5 * K, 2.5 * K, 97)]))
+    chi = pr.cutoff_chi(spec, xi)
+    ones = np.ones_like(xi)
+    assert dg._cut(ones.copy(), spec, xi).tobytes() == chi.tobytes()
+    assert dg._cut(ones.copy(), spec, xi, complement=True).tobytes() == (1.0 - chi).tobytes()
+    # signed fields keep the product's signed zeros
+    f = np.random.default_rng(3).uniform(-1.0, 1.0, len(xi))
+    assert dg._cut(f.copy(), spec, xi).tobytes() == (f * chi).tobytes()
+    assert dg._cut(f.copy(), spec, xi, True).tobytes() == (f * (1.0 - chi)).tobytes()
 
 
 def test_shrinking_ratios_monotone_under_scaling():

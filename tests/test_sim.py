@@ -761,6 +761,25 @@ def test_unstable_mode_ratios_converge_at_first_order_in_dt():
     assert np.all(np.abs(e_coarse / e_fine - 2.0) <= 0.5)
 
 
+def test_stretch_times_equal_the_cumsum_of_a_prepended_time():
+    # the times of a stretch, built in place, against the cumsum of
+    # np.r_[t, dt, dt, ...] and the same landing rule, bit for bit
+    def reference(t, dt, target, most):
+        times = np.cumsum(np.r_[t, np.full(int(min(most, (target - t) / dt + 1.0)), dt)])
+        k = np.count_nonzero((times[:-1] < target - sim._TIME_TOL)
+                             & (dt < (target - times[:-1]) - sim._TIME_TOL))
+        return (dt, times[:k + 1]) if k else (target - t, np.array([t, t + (target - t)]))
+
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        t = float(rng.choice([0.0, 50.0, 1.0 - 1e-4]) + rng.uniform(0.0, 10.0))
+        dt = float(10.0 ** rng.uniform(-6.0, -1.0))
+        target = t + dt * float(rng.choice([rng.uniform(0.0, 2.0), rng.uniform(0.0, 200.0)]))
+        most = int(rng.choice([1, 7, sim._MAX_STRETCH]))
+        got, want = sim._stretch_times(t, dt, target, most), reference(t, dt, target, most)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
 @pytest.mark.parametrize("t0", [100.0, 1000.0])
 def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     # a late start time makes the float sum of the steps drift from the
