@@ -227,19 +227,16 @@ def criterion_6() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _step_loop(state, dt: float, steps: int, runs: list):
-    """`steps` Neumann steps of `state` at a fixed dt, in one stretch
-    (`Stepper._stretch`); appends the run's d, steps, dt, kernel and wall
-    seconds to `runs`."""
+    """`steps` Neumann steps of `state` at a fixed dt, driven by count toward
+    no end time (`Stepper._drive`); appends the run's d, step record and wall
+    seconds stepping to `runs`."""
     started = time.perf_counter()
     stepper = sim.Stepper(state.grid, state.d, state.frame, "neumann")
-    times = np.cumsum(np.r_[state.time, np.full(steps, dt)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, _, error = stepper._stretch(state.values, times, dt)
+    values, t, error = stepper._drive(state.values, state.time, math.inf, dt=dt, most=steps)
     if error is not None:
         raise error
-    runs.append({"d": state.d, "steps": steps, "dt": dt, "kernel": stepper.kernel_name(steps),
-                 "seconds": time.perf_counter() - started})
-    return sim.RadialState(state.frame, float(times[-1]), values, state.grid, state.d)
+    runs.append({"d": state.d, **stepper.step_record(), "step_s": time.perf_counter() - started})
+    return sim.RadialState(state.frame, t, values, state.grid, state.d)
 
 
 def _constant_field_error(dt: float, runs: list, v0=0.1, sigma=1.0, d=4) -> float:
@@ -385,9 +382,7 @@ def criterion_9() -> CriterionResult:
     cfg = sim.SimConfig(d=4, n=2048, s0=50.0, horizon=10.0, cadence=0.1, A=20.0,
                         K=10.0, escape_factor=np.inf, blowup_sup=50.0)
     result = sim.run(cfg)
-    runs = [{"steps": result.steps, "dt_min": result.dt_min, "dt_max": result.dt_max,
-             "kernel": result.kernel, "step_s": result.step_s, "diag_s": result.diag_s,
-             "verdict": result.verdict, "stop_reason": result.stop_reason}]
+    runs = [result.summary()]
     s, c = result.coefficient_table()
     detail = f"run verdict {result.verdict}, {len(s)} slices"
     if len(s) < 5:
@@ -474,12 +469,15 @@ def _probe_log(history) -> list:
 
 def final_profile_experiment():
     """Near-trapped physical run: returns (T_est, its confidence width, the
-    decade table, the tuning search's `ShootResult`, the physical run's stats:
-    steps, dt_min, dt_max, kernel and wall seconds).
+    decade table, the tuning search's `ShootResult`, the physical run's step
+    record and wall seconds `step_s`, its sup w records included).
 
     The unstable-mode amplitudes come from a trap search of the wide-cutoff
     family (bump_K = 4), whose initial-coefficient mixing is nearly diagonal,
-    over the unit q-box; the physical run starts from its best probe.
+    over the unit q-box; the physical run starts from its best probe.  It
+    steps by `Stepper._drive` at the CFL dt (cfl 0.4) capped at 0.1 (1 - t),
+    landing on t = 1 - 3e-8, and records sup w after the first step and every
+    20th one after it.
     """
     d, s0, amp, tune_horizon, budget = 4, 11.5, 15.0, 8.0, 40
     tau_end, n_physical, r_max = 3e-8, 4096, 0.2
@@ -495,37 +493,27 @@ def final_profile_experiment():
     y_ph = r / math.sqrt(tau0)
     modes = sim.unstable_modes(d, y_ph, s0, cfg.bump_K)
     v0 = pr.psi(p, y_ph, s0) + (amp / s0**2) * (np.asarray(search.parameters) @ modes)
-    state = sim.RadialState("physical", 1.0 - tau0, v0 / tau0, grid, d)
     started = time.perf_counter()
     stepper = sim.Stepper(grid, d, "physical", "neumann")
+    t_end = 1.0 - tau_end
+
+    def drive(v, t, most):
+        return stepper._drive(v, t, t_end, cfl=0.4, cap=lambda t: 0.1 * (1.0 - t), most=most)
 
     times, sup_w = [], []
-    t_end = 1.0 - tau_end
-    i = 0
-    dt_min, dt_max = math.inf, 0.0
-    while state.time < t_end:
-        dt = min(stepper.cfl_dt(state, 0.4), 0.1 * (1.0 - state.time),
-                 t_end - state.time + 1e-18)
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        # each step a stretch of its own dt, in the compiled loop
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, _, error = stepper._stretch(
-                state.values, np.array([state.time, state.time + dt]), dt)
-        if error is not None:
-            raise error
-        state = sim.RadialState("physical", state.time + dt, values, grid, d)
-        if i % 20 == 0:
-            w = sim.transform(state.values, r, d, "w")
-            times.append(state.time)
-            sup_w.append(float(np.max(w)))
-        i += 1
-    run = {"steps": i, "dt_min": dt_min, "dt_max": dt_max,
-           "kernel": stepper.kernel_name(i),
-           "seconds": time.perf_counter() - started}
+    v, t, error = drive(v0 / tau0, 1.0 - tau0, 1)
+    # a drive that lands on t_end stops short of its 20 steps, which ends this
+    while error is None and stepper.steps == 20 * len(times) + 1:
+        times.append(t)
+        sup_w.append(float(np.max(sim.transform(v, r, d, "w"))))
+        v, t, error = drive(v, t, 20)
+    if error is not None:
+        raise error
+    run = {**stepper.step_record(), "step_s": time.perf_counter() - started}
     t_est, t_width = sim.estimate_blowup_time(np.array(times), np.array(sup_w), window=0.5)
 
-    u = sim.transform(state.values, r, d, "w")
-    tau_last = 1.0 - state.time
+    u = sim.transform(v, r, d, "w")
+    tau_last = 1.0 - t
     inner = math.sqrt(tau_last) * abs(math.log(tau_last)) ** (1.0 / (2 * ell))
     table = []
     for r1 in np.geomspace(5 * inner, r_max / 15.0, 24):

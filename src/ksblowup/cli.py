@@ -219,13 +219,7 @@ def cmd_simulate(args) -> int:
         if args.config:
             inputs[str(args.config)] = _digest(Path(args.config))
         write_manifest(outdir, "simulate", vars(args) | {"resolved": str(config)},
-                       {"verdict": result.verdict, "exit_time": result.exit_time,
-                        "steps": result.steps, "dt_min": result.dt_min,
-                        "dt_max": result.dt_max, "kernel": result.kernel,
-                        "message": result.message,
-                        "stop_reason": result.stop_reason,
-                        "step_s": result.step_s, "diag_s": result.diag_s},
-                       inputs=inputs, started=started)
+                       result.summary(), inputs=inputs, started=started)
     return EXIT_OK
 
 

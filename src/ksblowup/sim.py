@@ -38,9 +38,11 @@ look for the stage that failed.  `rhs` is built from the same stack, so the
 step and the semi-discrete operator stay one operator; both match the
 per-node select of the textbook stencils to rounding, not bit for bit.
 
-`run` steps each stretch of steps that share a dt (a fixed dt up to a record,
-a self-similar record interval's dt, a landing step, a physical CFL step)
-through `Stepper._stretch`, which runs them in one compiled loop, the C source
+`run`, like criteria 7 and 11 (`acceptance`), steps through one driver,
+`Stepper._drive`: it lands on each record or end time, keeps the step record,
+and takes each stretch of steps that share a dt (a fixed dt up to a record, a
+self-similar record interval's dt, a landing step, a CFL step) through
+`Stepper._stretch`, which runs them in one compiled loop, the C source
 _kernel.c next to this module.  That loop repeats `_advance` operation for
 operation, so the two agree bit for bit.  It is built once per source and
 compiler flags into a cache outside the package (`_build`) and loaded with
@@ -350,6 +352,26 @@ def _library():
 # Time stepping
 # ---------------------------------------------------------------------------
 
+# A step that lands this close to a record or end time reaches it; steps that
+# would stop short by no more than this are lengthened to land on it exactly.
+_TIME_TOL = 1e-12
+# The most steps in one stretch: the length of its time and boundary arrays.
+_MAX_STRETCH = 4096
+
+
+def _stretch_times(t: float, dt: float, target: float, most: int):
+    """(dt, times) of the next stretch from t: the steps of dt that stop short
+    of target by more than _TIME_TOL (at most `most`), their times summed in
+    order as t += dt sums them; or else the one step that lands on target."""
+    times = np.full(int(min(most, (target - t) / dt + 1.0)) + 1, dt)
+    times[0] = t
+    np.cumsum(times, out=times)
+    # both tests fail from the first step that fails one: the rest is a prefix
+    k = np.count_nonzero((times[:-1] < target - _TIME_TOL)
+                         & (dt < (target - times[:-1]) - _TIME_TOL))
+    return (dt, times[:k + 1]) if k else (target - t, np.array([t, t + (target - t)]))
+
+
 class Stepper:
     """IMEX stepper: Crank-Nicolson diffusion and backward-Euler linear drift
     -(sigma/2) y v_y in one tridiagonal solve; explicit nonlinear drift
@@ -367,8 +389,9 @@ class Stepper:
     once, on the solution (v @ 0); when that fails it raises
     StateCorruptionError naming the first non-finite stage: the field, the
     explicit terms, or the solver.  `_stretch` takes many steps of one dt in
-    the compiled loop, bit for bit as `_advance` takes them (`kernel_name`
-    names the kernel most of a run's steps took).
+    the compiled loop, bit for bit as `_advance` takes them, and `_drive`, its
+    one caller, steps toward a target time and keeps the step record
+    (`step_record`): steps, dt range and the kernel most steps took.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
@@ -394,6 +417,8 @@ class Stepper:
         self._off = np.array([self.lo[1:], self.up[:-1]]), np.array([dlo[1:], dup[:-1]])
         self._recent = []             # [dt, factors, their addresses], most recently used first
         self.compiled_steps = 0       # steps taken in the compiled loop
+        self.steps = 0                # steps `_drive` took, and their dt range
+        self.dt_min, self.dt_max = math.inf, 0.0
         # the compiled loop's per-grid arrays and its scratch b, by address
         self._arrays = [np.ascontiguousarray(a) for a in (st.y, st.h, st.dy, self.stack,
                                                           np.zeros(len(grid.nodes)))]
@@ -434,10 +459,14 @@ class Stepper:
         self._recent = [[dt, factors, None]] + recent[:1]
         return self._recent[0]
 
-    def kernel_name(self, steps: int) -> str:
-        """The kernel that took most of this stepper's `steps` steps:
-        "compiled" (the loop of `_stretch`) or "numpy" (`_advance`)."""
-        return "compiled" if 2 * self.compiled_steps > steps else "numpy"
+    def step_record(self) -> dict:
+        """The steps `_drive` took, their smallest and largest dt, and the
+        kernel that took most of them: "compiled" (the loop of `_stretch`) or
+        "numpy" (`_advance`); all but the count None without steps."""
+        if not self.steps:
+            return {"steps": 0, "dt_min": None, "dt_max": None, "kernel": None}
+        return {"steps": self.steps, "dt_min": self.dt_min, "dt_max": self.dt_max,
+                "kernel": "compiled" if 2 * self.compiled_steps > self.steps else "numpy"}
 
     def boundary_value(self, time_next: float) -> float:
         if self.boundary == "neumann":
@@ -527,6 +556,33 @@ class Stepper:
                 return v, j, exc
         return v, k, None
 
+    def _drive(self, v, t: float, target: float, dt: float | None = None,
+               cfl: float | None = None, cap=None, most: float = math.inf):
+        """Steps of v from t toward target, landing on it exactly
+        (`_stretch_times`), at most `most` of them: (the field, its time, the
+        StateCorruptionError of a non-finite step or None).
+
+        A fixed dt steps in stretches of up to _MAX_STRETCH steps; without one,
+        each step takes `cfl_dt` of its own field at `cfl`, at most cap(t)
+        where a cap is given.  Every stretch goes through `_stretch`, under one
+        np.errstate, and adds to the step record (`step_record`)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            while most > 0 and t < target - _TIME_TOL:
+                if dt is not None:
+                    h, times = _stretch_times(t, dt, target, min(most, _MAX_STRETCH))
+                else:
+                    h = self.cfl_dt(RadialState(self.frame, t, v, self.grid, self.d), cfl)
+                    h, times = _stretch_times(t, h if cap is None else min(h, cap(t)), target, 1)
+                v, done, error = self._stretch(v, times, h)
+                t = float(times[done])
+                if done:
+                    self.steps += done
+                    most -= done
+                    self.dt_min, self.dt_max = min(self.dt_min, h), max(self.dt_max, h)
+                if error is not None:
+                    return v, t, error
+        return v, t, None
+
     def _check_inputs(self, v, time: float, b):
         """Raise the error of the first non-finite stage before the solve:
         the field, then the right-hand side b."""
@@ -578,11 +634,10 @@ class SimConfig:
             raise ConfigError(f"unknown frame {self.frame!r}")
         if not self.bump_K > 0:
             raise ConfigError("bump_K must be positive")
-        if not self.cfl > 0:
-            raise ConfigError("cfl must be positive")
         # a NaN compares false both ways, and a non-finite time never lands
-        # on a record or the end: either would loop forever
-        for name in ("dt", "horizon", "cadence"):
+        # on a record or the end: either would loop forever; an infinite cfl
+        # switches the advective step limit off
+        for name in ("dt", "horizon", "cadence", "cfl"):
             x = getattr(self, name)
             if x is not None and not (x > 0 and math.isfinite(x)):
                 raise ConfigError(f"{name} must be positive and finite")
@@ -659,10 +714,10 @@ class RunResult:
     final_state: RadialState
     times: np.ndarray = field(default=None)
     sup_w: np.ndarray = field(default=None)
-    steps: int = 0              # steps taken
-    dt_min: float | None = None  # smallest and largest step taken (None without steps)
+    steps: int = 0              # the stepper's `Stepper.step_record`
+    dt_min: float | None = None
     dt_max: float | None = None
-    kernel: str | None = None   # most steps' kernel, `Stepper.kernel_name` (None without steps)
+    kernel: str | None = None
     message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
     diag_s: float = 0.0         # wall seconds in the records: diagnostics slices or sup w
@@ -676,30 +731,17 @@ class RunResult:
         return {"blowup": "record guard", "exit": "mode exit",
                 "escaped": "escape"}.get(self.verdict.split(":")[0], "horizon")
 
+    def summary(self) -> dict:
+        """Verdict, exit time, step record, message, stop reason and wall-time
+        split: criterion 9's `runs` entry and `simulate`'s manifest."""
+        return {name: getattr(self, name) for name in (
+            "verdict", "exit_time", "steps", "dt_min", "dt_max", "kernel", "message",
+            "stop_reason", "step_s", "diag_s")}
+
     def coefficient_table(self):
         s = np.array([r.s for r in self.records])
         c = np.stack([r.coefficients for r in self.records])
         return s, c
-
-
-# A step that lands this close to a record or end time reaches it; steps that
-# would stop short by no more than this are lengthened to land on it exactly.
-_TIME_TOL = 1e-12
-# The most steps in one stretch: the length of its time and boundary arrays.
-_MAX_STRETCH = 4096
-
-
-def _stretch_times(t: float, dt: float, target: float, most: int):
-    """(dt, times) of the next stretch from t: the steps of dt that stop short
-    of target by more than _TIME_TOL (at most `most`), their times summed in
-    order as t += dt sums them; or else the one step that lands on target."""
-    times = np.full(int(min(most, (target - t) / dt + 1.0)) + 1, dt)
-    times[0] = t
-    np.cumsum(times, out=times)
-    # both tests fail from the first step that fails one: the rest is a prefix
-    k = np.count_nonzero((times[:-1] < target - _TIME_TOL)
-                         & (dt < (target - times[:-1]) - _TIME_TOL))
-    return (dt, times[:k + 1]) if k else (target - t, np.array([t, t + (target - t)]))
 
 
 def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResult:
@@ -716,11 +758,8 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     Without a fixed `dt`, a self-similar run takes `Stepper.cfl_dt` of the
     state at each record until the next one, and a physical run at each step.
 
-    Between records the loop steps on raw arrays, under one np.errstate, in
-    stretches of one dt (`Stepper._stretch`): a fixed dt's steps up to the
-    record, a self-similar record interval's, the step that lands on the
-    record, and each step of a physical run's own dt.  States are built at
-    records and at the end.
+    Between records `Stepper._drive` steps on raw arrays to the next record
+    or the end, landing on it; states are built at records and at the end.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
@@ -741,15 +780,13 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     next_record = config.s0
     dt_set = config.dt          # or the self-similar dt set at the last record
     blowup_limit = config.blowup_sup * max(1.0, float(np.max(np.abs(state.values))))
-    steps, dt_min, dt_max = 0, math.inf, 0.0
     message = ""
     v, t = state.values, state.time
     # the clock is read twice per record and never per step
     step_s = diag_s = 0.0
     mark = perf_counter()
 
-    stopped = False
-    while not stopped:
+    while True:
         if t >= next_record - _TIME_TOL:
             state = RadialState(config.frame, t, v, grid, config.d)
             if selfsim and config.dt is None:
@@ -759,51 +796,33 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
             if track:
                 rec = dg.decompose(v, t, ctx, config.A)
                 records.append(rec)
+                kworst = max(range(ell), key=lambda k: rec.ratios[f"mode_{k}"])
                 if rec.sup_v > blowup_limit:
-                    verdict, stopped = "blowup", True
-                elif config.stop_on_unstable and max(
-                    rec.ratios[f"mode_{k}"] for k in range(ell)
-                ) >= 1.0:
-                    kworst = max(range(ell), key=lambda k: rec.ratios[f"mode_{k}"])
-                    verdict, stopped = f"exit:mode_{kworst}", True
+                    verdict = "blowup"
+                elif config.stop_on_unstable and rec.ratios[f"mode_{kworst}"] >= 1.0:
+                    verdict = f"exit:mode_{kworst}"
                 elif rec.max_ratio() >= config.escape_factor:
-                    verdict, stopped = f"escaped:{rec.worst}", True
+                    verdict = f"escaped:{rec.worst}"
             else:
-                w = transform(v, grid.nodes, config.d, "w")
                 times.append(t)
-                sup_w.append(float(np.max(w)))
+                sup_w.append(float(np.max(transform(v, grid.nodes, config.d, "w"))))
                 if np.max(np.abs(v)) > blowup_limit:
-                    verdict, stopped = "blowup", True
+                    verdict = "blowup"
             n_records += 1
             next_record = config.s0 + n_records * config.cadence
             mark = perf_counter()
             diag_s += mark - now
-            if stopped:
+            if verdict != "completed":      # a record stopped the run
                 break
         if t >= end_time - _TIME_TOL:
             if track and records and all(r.max_ratio() < 1.0 for r in records):
                 verdict = "trapped"
             break
-        # step to the next record or the end, landing on it exactly
-        target = min(end_time, next_record)
-        with np.errstate(over="ignore", invalid="ignore"):
-            while t < target - _TIME_TOL:
-                if dt_set is not None:
-                    dt, stretch = _stretch_times(t, dt_set, target, _MAX_STRETCH)
-                else:       # a physical run's own dt changes at every step
-                    dt, stretch = _stretch_times(t, stepper.cfl_dt(
-                        RadialState(config.frame, t, v, grid, config.d), config.cfl), target, 1)
-                v, done, error = stepper._stretch(v, stretch, dt)
-                t = float(stretch[done])
-                if done:
-                    steps += done
-                    dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-                if error is not None:
-                    message = str(error)
-                    verdict = "blowup" if np.max(np.abs(v)) > blowup_limit else "unstable"
-                    stopped = True
-                    break
-        if stopped:
+        # a physical run without a fixed dt takes its own at every step
+        v, t, error = stepper._drive(v, t, min(end_time, next_record), dt=dt_set, cfl=config.cfl)
+        if error is not None:
+            message = str(error)
+            verdict = "blowup" if np.max(np.abs(v)) > blowup_limit else "unstable"
             break
     step_s += perf_counter() - mark
 
@@ -815,10 +834,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         final_state=RadialState(config.frame, t, v, grid, config.d),
         times=np.array(times) if times else None,
         sup_w=np.array(sup_w) if sup_w else None,
-        steps=steps,
-        dt_min=dt_min if steps else None,
-        dt_max=dt_max if steps else None,
-        kernel=stepper.kernel_name(steps) if steps else None,
+        **stepper.step_record(),
         message=message,
         step_s=step_s,
         diag_s=diag_s,

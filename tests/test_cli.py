@@ -211,9 +211,10 @@ def test_verify_report_lists_the_runs_of_criteria_7_and_9(tmp_path, capsys):
     assert report["6"]["runs"] == [] and report["8"]["runs"] == []
     # criterion 7: the steady loops at d = 3 and 4, then the ODE at two dts
     runs7 = report["7"]["runs"]
-    assert [(r["d"], r["steps"], r["dt"]) for r in runs7] == [
-        (3, 10000, 1e-3), (4, 10000, 1e-3), (4, 10000, 1e-4), (4, 20000, 5e-5)]
-    assert all(r["seconds"] > 0 for r in runs7)
+    assert [(r["d"], r["steps"], r["dt_min"], r["dt_max"]) for r in runs7] == [
+        (3, 10000, 1e-3, 1e-3), (4, 10000, 1e-3, 1e-3), (4, 10000, 1e-4, 1e-4),
+        (4, 20000, 5e-5, 5e-5)]
+    assert all(r["step_s"] > 0 for r in runs7)
     assert all(r["kernel"] == KERNEL for r in runs7)
     # criterion 9: the one self-similar run's step count, dt range, time split
     (run9,) = report["9"]["runs"]
@@ -231,7 +232,7 @@ def test_verify_report_lists_the_run_and_search_of_criterion_11(tmp_path, capsys
     # at 0.1 (1 - t) below the blowup time, on the 4097-node grid
     assert f"{run['steps']} physical steps" in out and run["steps"] > 0
     assert 0 < run["dt_min"] <= run["dt_max"] <= 0.1 * math.exp(-11.5)
-    assert run["kernel"] == KERNEL and run["seconds"] > 0        # one-step stretches
+    assert run["kernel"] == KERNEL and run["step_s"] > 0        # one-step stretches
     # the trap search that tuned its amplitudes, probe by probe
     assert tuning["search"] == "tuning" and 0 < tuning["probes"] <= 40
     assert len(tuning["probe_log"]) == tuning["probes"]

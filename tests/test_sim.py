@@ -39,7 +39,8 @@ def test_config_validation():
     for bump_K in (0.0, -4.0):
         with pytest.raises(sim.ConfigError):
             sim.SimConfig(d=4, bump_K=bump_K)          # cutoff scale must be positive
-    for cfl in (0.0, -0.4, float("nan")):             # dt = 0 would never advance
+    # dt = 0 would never advance, and an infinite cfl drops the advective limit
+    for cfl in (0.0, -0.4, float("nan"), float("inf")):
         with pytest.raises(sim.ConfigError, match="cfl"):
             sim.SimConfig(d=4, frame="physical", y_max=8.0, cfl=cfl)
     # a NaN passes `x <= 0`, and a non-finite time never reaches a record or
@@ -802,6 +803,80 @@ def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     assert len(dts) == round(horizon / dt)
     assert min(dts) > dt / 2
     assert len(res.times) == round(horizon / cadence) + 1
+
+
+def _recording_stretch(monkeypatch):
+    """Patch `Stepper._stretch` to log (first time, steps asked, dt) per call."""
+    log = []
+    stretch = sim.Stepper._stretch
+
+    def recording(self, v, times, dt):
+        log.append((float(times[0]), len(times) - 1, dt))
+        return stretch(self, v, times, dt)
+
+    monkeypatch.setattr(sim.Stepper, "_stretch", recording)
+    return log
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_drive_by_count_crosses_stretches_as_advance_steps(compiled, monkeypatch):
+    # 10000 steps toward no end time run as stretches of 4096, 4096 and 1808
+    # and give the bytes of 10000 `_advance` calls, with or without the
+    # compiled loop; the record holds the count, the one dt and the kernel
+    if compiled and sim._library() is None:
+        pytest.skip("no compiled stretch loop")
+    if not compiled:
+        monkeypatch.setattr(sim, "_library", lambda: None)
+    log = _recording_stretch(monkeypatch)
+    grid = sim.Grid.uniform(32, 10.0)
+    stepper = sim.Stepper(grid, 4, "selfsimilar", "profile")
+    v0 = 0.25 + 0.01 * np.cos(grid.nodes)
+    dt = 1e-4
+    v, t, error = stepper._drive(v0, 50.0, math.inf, dt=dt, most=10000)
+    assert [k for _, k, _ in log] == [4096, 4096, 1808]
+    want, t_want = v0, 50.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(10000):
+            want = stepper._advance(want, t_want, dt)
+            t_want += dt
+    assert error is None and t == t_want
+    assert v.tobytes() == want.tobytes()
+    record = stepper.step_record()
+    assert (record["steps"], record["dt_min"], record["dt_max"]) == (10000, dt, dt)
+    assert record["kernel"] == ("compiled" if compiled else "numpy")
+
+
+def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
+    # the CFL dt of each step's field capped at cap(t), landing on the target
+    # as `_step_loop` lands: the bytes of a `Stepper.step` loop, each dt at or
+    # below the cap, both bounds binding on the way, and the target reached
+    grid = sim.Grid.uniform(64, 10.0)
+    v0 = 0.1 + 0.4 * np.exp(-grid.nodes**2 / 4.0)
+    t0, target = 0.5, 0.9
+
+    def cap(t):
+        return 0.3 * (1.0 - t)
+
+    stepper = sim.Stepper(grid, 4, "physical", "neumann")
+    state, dts, bound_by = sim.RadialState("physical", t0, v0, grid, 4), [], set()
+    while state.time < target - sim._TIME_TOL:
+        cfl_dt = stepper.cfl_dt(state, 0.4)
+        dt = min(cfl_dt, cap(state.time))
+        bound_by.add("cfl" if cfl_dt < cap(state.time) else "cap")
+        if dt >= target - state.time - sim._TIME_TOL:
+            dt = target - state.time
+        state = stepper.step(state, dt)
+        dts.append(dt)
+    log = _recording_stretch(monkeypatch)
+    driver = sim.Stepper(grid, 4, "physical", "neumann")
+    v, t, error = driver._drive(v0, t0, target, cfl=0.4, cap=cap)
+    assert bound_by == {"cfl", "cap"} and error is None
+    assert v.tobytes() == state.values.tobytes()
+    assert t == state.time == target
+    assert [dt for _, _, dt in log] == dts and all(k == 1 for _, k, _ in log)
+    assert all(dt <= cap(s) for s, _, dt in log)
+    record = driver.step_record()
+    assert (record["steps"], record["dt_min"], record["dt_max"]) == (len(dts), min(dts), max(dts))
 
 
 def _step_loop(cfg):
