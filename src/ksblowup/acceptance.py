@@ -447,20 +447,7 @@ def criterion_10(budget: int = 64) -> CriterionResult:
               f"best s_exit={result.s_exit:.2f} worst bound {worst_name}={worst_val:.2f} "
               f"transverse={'all ok' if transverse_ok else 'violations'} "
               f"monotone exits={monotone} supdev decreasing={supdev_ok} ({elapsed:.0f} s)")
-    runs = [{"search": "trap", "probes": len(result.history), "verdict": result.verdict,
-             "brackets": [list(result.brackets[k]) for k in sorted(result.brackets)],
-             "probe_log": _probe_log(result.history)}]
-    return _result("10 shooting", t0, ok, detail, runs)
-
-
-def _probe_log(history) -> list:
-    """A trap search's probe history as JSON-native values, one dict per
-    probe: q, exit mode, exit time, steps, wall, stepping and diagnostics
-    seconds, and the run's verdict."""
-    return [{"q": h["q"].tolist(), "exit_mode": h["exit_mode"], "s_exit": float(h["s_exit"]),
-             "steps": int(h["steps"]), "wall_s": float(h["wall_s"]),
-             "step_s": float(h["step_s"]), "diag_s": float(h["diag_s"]),
-             "verdict": h["verdict"]} for h in history]
+    return _result("10 shooting", t0, ok, detail, [{"search": "trap", **result.summary()}])
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +524,7 @@ def criterion_11() -> CriterionResult:
               f"band=[{best[1]:.2f},{best[2]:.2f}] flat={best[3]:.2f}; "
               f"tuning verdict {search.verdict}; {run['steps']} physical steps; "
               f"exploratory ({elapsed:.0f} s)")
-    tuning = {"search": "tuning", "probes": len(search.history), "verdict": search.verdict,
-              "probe_log": _probe_log(search.history)}
+    tuning = {"search": "tuning", **search.summary()}
     return _result("11 final-profile scaling", t0, ok, detail, [run, tuning])
 
 

@@ -226,8 +226,13 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     started = time.time()
     path = Path(args.snapshot)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ValueError(f"snapshot {path} needs at least two rows of y,v")
     y, v = data[:, 0], data[:, 1]
+    # a NaN in v would read as NaN ratios under an "inside" verdict
+    if not (np.isfinite(y).all() and np.isfinite(v).all()):
+        raise ValueError(f"snapshot {path} holds a non-finite value")
     ctx = dg.DiagnosticsContext(d=args.d, y=y, K=args.K)
     rec = dg.decompose(v, args.s, ctx, args.A)
     doc = {
@@ -268,13 +273,8 @@ def cmd_shoot(args) -> int:
     if args.output_dir:
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "search_log.json").write_text(json.dumps({
-            "verdict": result.verdict,
-            "parameters": list(result.parameters),
-            "s_exit": result.s_exit,
-            "brackets": result.brackets,
-            "probes": result.history,
-        }, indent=2, default=np.ndarray.tolist) + "\n")
+        (outdir / "search_log.json").write_text(
+            json.dumps(result.summary(), indent=2) + "\n")
         dg.write_timeseries(outdir / "best_timeseries.csv", result.trajectory,
                             eb.ell_of(config.d))
         write_manifest(outdir, "shoot", vars(args) | {"resolved": str(config)},

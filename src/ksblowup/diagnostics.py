@@ -379,7 +379,7 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
     p = ctx.params
     s = pr._check_s(s)
     v = np.asarray(v_values, float)
-    # Q and psi_hat as pr.psi_terms forms them, from the cached phi_tilde(y)
+    # Q and psi_hat as pr.psi forms them, psi_hat from the cached phi_tilde(y)
     xi = ctx.y * s ** (-1.0 / (2 * ctx.ell))
     q = pr.q_of_xi(p, xi)
     ph = _cut(-(1.0 / (p.B * s)) * ctx.phit, pr.UNIT_CUTOFF, xi)
@@ -473,6 +473,8 @@ def discrete_spectrum(d: int, n: int = 2000, y_max: float = 30.0, count: int = 6
     eb.check_dimension(d)
     if n < 8:
         raise ValueError("need at least 8 cells")
+    if not 1 <= count <= n:
+        raise ValueError(f"count must lie in [1, n] = [1, {n}], got {count}")
     h = y_max / n
     centers = (np.arange(n) + 0.5) * h
     faces = np.arange(n + 1) * h

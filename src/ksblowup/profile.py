@@ -53,7 +53,7 @@ class CutoffSpec:
     K: float = 1.0
 
     def __post_init__(self):
-        if self.K <= 0:
+        if not self.K > 0:                 # NaN included
             raise ValueError("cutoff scale K must be positive")
 
 
@@ -293,18 +293,12 @@ def psi_hat(params: ProfileParams, y, s):
     return -(1.0 / (params.B * s)) * _even_eval(params.phit_coeffs, y) * cutoff_chi(UNIT_CUTOFF, xi)
 
 
-def psi_terms(params: ProfileParams, y, s):
-    """The two terms of `psi`: (Q(y s^(-1/(2 ell))), psi_hat)."""
+def psi(params: ProfileParams, y, s):
+    """Refined approximate solution Q(y s^(-1/(2 ell))) + psi_hat."""
     s = _check_s(s)
     y = np.asarray(y, float)
     xi = y * s ** (-1.0 / (2 * params.ell))
-    return q_of_xi(params, xi), psi_hat(params, y, s)
-
-
-def psi(params: ProfileParams, y, s):
-    """Refined approximate solution Q(y s^(-1/(2 ell))) + psi_hat."""
-    q, ph = psi_terms(params, y, s)
-    out = q + ph
+    out = q_of_xi(params, xi) + psi_hat(params, y, s)
     return out if np.ndim(out) else float(out)
 
 

@@ -12,7 +12,7 @@ A/s^2; the exit signs steer an exit-driven coordinate bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -29,28 +29,39 @@ class ExitRecord:
     dvec: tuple
     s_exit: float
     exit_vector: np.ndarray       # (s^2/A) * (eps_0..eps_{l-1}) at exit
-    exit_mode: int | None         # which unstable mode hit its bound (None if trapped)
-    trapped: bool                 # survived the horizon within all bounds
-    survived: bool                # survived the horizon w.r.t. the unstable bounds
+    outcome: str                  # trapped / survived / exit:mode_k / blowup / unstable
     transverse_ok: bool | None    # d/ds sum eps_k^2 > 0 at exit (None if no exit)
     records: list
-    run_verdict: str
-    steps: int = 0                # time steps the probe's run took
-    stop_reason: str = ""         # the run's RunResult.stop_reason
-    step_s: float = 0.0           # the run's RunResult.step_s and diag_s
-    diag_s: float = 0.0
+    run: dict = field(default_factory=dict)     # the probe run's `RunResult.summary()`
+
+    @property
+    def exit_mode(self) -> int | None:
+        """Which unstable mode hit its bound (None if none did)."""
+        if self.outcome.startswith("exit:mode_"):
+            return int(self.outcome.split("_")[-1])
+        return None
+
+    @property
+    def rank(self) -> tuple:
+        """Probes order by this: trapped beats surviving beats the longest exit."""
+        return {"trapped": 2, "survived": 1}.get(self.outcome, 0), self.s_exit
 
 
 @dataclass
 class ShootResult:
     parameters: tuple             # best d found
     s_exit: float
-    verdict: str                  # trapped / survived / exit:mode_k / blowup / unstable
-    exit_vector: np.ndarray
+    verdict: str                  # the best probe's outcome
     trajectory: list              # diagnostics records of the best probe
-    history: list                 # probe log: dict per probe
-    brackets: dict                # final q-space brackets per coordinate
+    history: list                 # one JSON-native dict per probe (see `trap_search`)
+    brackets: list                # final q-space [lo, hi] per coordinate
     mixing: np.ndarray            # the l x l initial-coefficient mixing block
+
+    def summary(self) -> dict:
+        """Verdict, best parameters and exit time, brackets and probes:
+        `search_log.json` and the search entries of criteria 10 and 11."""
+        return {"verdict": self.verdict, "parameters": list(self.parameters),
+                "s_exit": self.s_exit, "brackets": self.brackets, "probes": self.history}
 
 
 def mixing_matrix(config: sim.SimConfig, y=None,
@@ -68,32 +79,25 @@ def mixing_matrix(config: sim.SimConfig, y=None,
 def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecord:
     records = result.records
     last = records[-1]
-    s_end = last.s
-    vec = (s_end**2 / A) * last.coefficients[:ell]
-    exit_mode = None
-    if result.verdict.startswith("exit:mode_"):
-        exit_mode = int(result.verdict.split("_")[-1])
-    survived = exit_mode is None and result.verdict not in ("blowup", "unstable")
-    trapped = result.verdict == "trapped"
+    # a run that neither exited nor failed survived the horizon, trapped if
+    # it also stayed inside every bound
+    outcome = result.verdict
+    exited = outcome.startswith("exit:mode_")
+    if not (exited or outcome in ("trapped", "blowup", "unstable")):
+        outcome = "survived"
     transverse = None
-    if exit_mode is not None and len(records) >= 2:
+    if exited and len(records) >= 2:
         u2 = [float(np.sum(r.coefficients[:ell] ** 2)) for r in records[-2:]]
         ds = records[-1].s - records[-2].s
         transverse = (u2[-1] - u2[-2]) / ds > 0
     return ExitRecord(
         dvec=tuple(dvec),
-        s_exit=s_end,
-        exit_vector=vec,
-        exit_mode=exit_mode,
-        trapped=trapped,
-        survived=survived,
+        s_exit=float(last.s),
+        exit_vector=(last.s**2 / A) * last.coefficients[:ell],
+        outcome=outcome,
         transverse_ok=transverse,
         records=records,
-        run_verdict=result.verdict,
-        steps=result.steps,
-        stop_reason=result.stop_reason,
-        step_s=result.step_s,
-        diag_s=result.diag_s,
+        run=result.summary(),
     )
 
 
@@ -107,8 +111,7 @@ def objective(dvec, config: sim.SimConfig,
     """
     ell = eb.ell_of(config.d)
     dvec = tuple(float(x) for x in dvec)
-    cfg = replace(config, dvec=dvec, stop_on_unstable=True,
-                  escape_factor=np.inf, track_bounds=True)
+    cfg = replace(config, dvec=dvec, stop_on_unstable=True, escape_factor=np.inf)
     return _exit_from_run(dvec, sim.run(cfg, ctx=ctx), config.A, ell)
 
 
@@ -125,8 +128,10 @@ def trap_search(config: sim.SimConfig, budget: int,
 
     Each probe runs until an unstable mode exits (or the horizon); the sign
     of the exiting component tightens that coordinate's bracket.  Returns
-    the best probe found (trapped beats surviving beats the longest exit
-    time), with the complete probe history and final brackets.
+    the best probe found (`ExitRecord.rank`), with the complete probe
+    history and final brackets.  Each probe is logged once, as JSON-native
+    values: q, d, exit mode, exit time and vector, transversality, wall
+    seconds and the probe run's `RunResult.summary()`.
 
     Each round consumes the previous round's verdict, so probes run
     sequentially.
@@ -158,27 +163,16 @@ def trap_search(config: sim.SimConfig, budget: int,
 
     history = []
     best: ExitRecord | None = None
-    spent = 0
-
-    def better(a: ExitRecord, b: ExitRecord | None) -> bool:
-        if b is None:
-            return True
-        return (a.trapped, a.survived, a.s_exit) > (b.trapped, b.survived, b.s_exit)
-
-    while spent < budget:
+    while len(history) < budget:
         started = perf_counter()
         rec = objective_fn(q.copy())
         wall_s = perf_counter() - started
-        spent += 1
         history.append({
-            "q": q.copy(), "d": rec.dvec, "s_exit": rec.s_exit,
-            "exit_mode": rec.exit_mode, "verdict": rec.run_verdict,
-            "exit_vector": np.array(rec.exit_vector),
-            "transverse_ok": rec.transverse_ok, "steps": rec.steps,
-            "stop_reason": rec.stop_reason, "wall_s": wall_s,
-            "step_s": rec.step_s, "diag_s": rec.diag_s,
+            "q": q.tolist(), "d": list(rec.dvec), "exit_mode": rec.exit_mode,
+            "s_exit": rec.s_exit, "exit_vector": rec.exit_vector.tolist(),
+            "transverse_ok": rec.transverse_ok, "wall_s": wall_s, **rec.run,
         })
-        if better(rec, best):
+        if best is None or rec.rank > best.rank:
             best = rec
         if rec.exit_mode is None:
             break                  # survived, blew up or unstable: no exit mode to steer on
@@ -199,22 +193,12 @@ def trap_search(config: sim.SimConfig, budget: int,
                 hi_sign[k] = 1.0
         q[k] = 0.5 * (lo[k] + hi[k])
 
-    assert best is not None
-    if best.trapped:
-        verdict = "trapped"
-    elif best.survived:
-        verdict = "survived"
-    elif best.exit_mode is not None:
-        verdict = f"exit:mode_{best.exit_mode}"
-    else:
-        verdict = best.run_verdict    # blowup or unstable: no exit mode
     return ShootResult(
         parameters=best.dvec,
         s_exit=best.s_exit,
-        verdict=verdict,
-        exit_vector=best.exit_vector,
+        verdict=best.outcome,
         trajectory=best.records,
         history=history,
-        brackets={k: (float(lo[k]), float(hi[k])) for k in range(ell)},
+        brackets=[[float(a), float(b)] for a, b in zip(lo, hi)],
         mixing=m,
     )

@@ -644,7 +644,7 @@ class SimConfig:
         if not math.isfinite(self.s0):
             raise ConfigError("s0 must be finite")
         # a NaN bound or guard compares false, so it would never fire
-        for name in ("A", "escape_factor", "blowup_sup"):
+        for name in ("A", "K", "escape_factor", "blowup_sup"):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must not be NaN")
         ell = eb.ell_of(self.d)

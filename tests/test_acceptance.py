@@ -139,12 +139,13 @@ def test_criterion_10_reports_its_search_probe_by_probe():
     (run,) = res.runs
     assert json.loads(json.dumps(run)) == run
     assert run["search"] == "trap" and f"verdict={run['verdict']} " in res.detail
-    assert run["probes"] == len(run["probe_log"]) and 1 <= run["probes"] <= 3
-    assert f"probes={run['probes']} " in res.detail
+    assert 1 <= len(run["probes"]) <= 3
+    assert f"probes={len(run['probes'])} " in res.detail
     assert len(run["brackets"]) == 2 and all(lo <= hi for lo, hi in run["brackets"])
-    for probe in run["probe_log"]:
-        assert set(probe) == {"q", "exit_mode", "s_exit", "steps", "wall_s", "step_s",
-                              "diag_s", "verdict"}
+    for probe in run["probes"]:
+        assert set(probe) == {"q", "d", "exit_mode", "s_exit", "exit_vector", "transverse_ok",
+                              "wall_s", "verdict", "exit_time", "steps", "dt_min", "dt_max",
+                              "kernel", "message", "stop_reason", "step_s", "diag_s"}
         assert len(probe["q"]) == 2 and probe["steps"] > 0 and probe["s_exit"] > 50.0
         assert probe["wall_s"] >= probe["step_s"] + probe["diag_s"] > 0
         if probe["exit_mode"] is not None:

@@ -71,6 +71,8 @@ def test_spectrum_csv(capsys):
     vals = [float(r.split(",")[1]) for r in rows]
     assert vals[0] == pytest.approx(0.0, abs=1e-4)
     assert vals[1] == pytest.approx(-0.5, abs=1e-3)
+    code, _, err = run_cli(["spectrum", "--d", "4", "--n", "400", "--count", "0"], capsys)
+    assert code == cli.EXIT_USAGE and "count must lie in [1, n]" in err
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,29 @@ def test_simulate_and_decompose_roundtrip(tmp_path, capsys):
     assert "verdict" in doc and "ratios" in doc
     manifest2 = json.loads((outdir / "manifest.json").read_text())
     assert len(manifest2["runs"]) == 2          # append-only
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+@pytest.mark.parametrize("rows", ["", "0.0,0.25\n", "0.0\n1.0\n"])
+def test_decompose_rejects_a_snapshot_without_two_rows_of_y_v(tmp_path, capsys, rows):
+    # header only, one row, one column: a usage error, not a failed criterion
+    snap = tmp_path / "snap.csv"
+    snap.write_text("y,v\n" + rows)
+    code, _, err = run_cli(["decompose", "--snapshot", str(snap), "--s", "50",
+                            "--d", "4"], capsys)
+    assert code == cli.EXIT_USAGE and "at least two rows of y,v" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_decompose_rejects_a_non_finite_snapshot(tmp_path, capsys, bad):
+    # one NaN in v would print every ratio as NaN under the verdict "inside"
+    y = [i * 0.1 for i in range(601)]
+    lines = [f"{yy},{0.25 if i != 300 else bad}" for i, yy in enumerate(y)]
+    snap = tmp_path / "snap.csv"
+    snap.write_text("y,v\n" + "\n".join(lines) + "\n")
+    code, out, err = run_cli(["decompose", "--snapshot", str(snap), "--s", "50",
+                              "--d", "4"], capsys)
+    assert code == cli.EXIT_USAGE and "non-finite" in err and out == ""
 
 
 def test_simulate_unknown_key_rejected(tmp_path, capsys):
@@ -174,6 +199,24 @@ def test_shoot_writes_search_log(tmp_path, capsys):
     assert all(p["stop_reason"] == ("horizon" if p["exit_mode"] is None else "mode exit")
                for p in log["probes"])
     assert (outdir / "best_timeseries.csv").exists()
+
+
+def test_search_log_and_criterion_10_log_the_same_probes(tmp_path, capsys):
+    # `shoot`'s defaults are criterion 10's search: both write its one summary
+    from ksblowup import acceptance
+    code, _, _ = run_cli(["--output-dir", str(tmp_path), "shoot", "--d", "4",
+                          "--budget", "3"], capsys)
+    assert code == 0
+    log = json.loads((tmp_path / "search_log.json").read_text())
+    (run,) = acceptance.criterion_10(budget=3).runs
+    assert run.pop("search") == "trap" and set(run) == set(log)
+
+    def untimed(probes):
+        return [{k: v for k, v in p.items() if k not in ("wall_s", "step_s", "diag_s")}
+                for p in probes]
+
+    assert untimed(run.pop("probes")) == untimed(log.pop("probes"))
+    assert run == log
 
 
 def test_shoot_config_file_sets_s0_A_horizon(tmp_path, capsys):
@@ -234,9 +277,9 @@ def test_verify_report_lists_the_run_and_search_of_criterion_11(tmp_path, capsys
     assert 0 < run["dt_min"] <= run["dt_max"] <= 0.1 * math.exp(-11.5)
     assert run["kernel"] == KERNEL and run["step_s"] > 0        # one-step stretches
     # the trap search that tuned its amplitudes, probe by probe
-    assert tuning["search"] == "tuning" and 0 < tuning["probes"] <= 40
-    assert len(tuning["probe_log"]) == tuning["probes"]
-    assert all(len(probe["q"]) == 2 and probe["steps"] > 0 for probe in tuning["probe_log"])
+    assert tuning["search"] == "tuning" and 0 < len(tuning["probes"]) <= 40
+    assert all(len(probe["q"]) == 2 and probe["steps"] > 0 for probe in tuning["probes"])
+    assert len(tuning["brackets"]) == 2 and all(lo <= hi for lo, hi in tuning["brackets"])
     assert f"tuning verdict {tuning['verdict']};" in out
 
 

@@ -471,3 +471,11 @@ def test_spectrum_refinement_improves():
 def test_spectrum_constant_mode_is_zero():
     vals = dg.discrete_spectrum(4, n=500, y_max=30.0, count=1)
     assert abs(vals[0]) < 1e-6
+
+
+def test_spectrum_count_outside_one_to_n_is_rejected_in_our_words():
+    # scipy's own message speaks of select_range
+    for count in (0, -1, 501):
+        with pytest.raises(ValueError, match=r"count must lie in \[1, n\] = \[1, 500\]"):
+            dg.discrete_spectrum(4, n=500, y_max=30.0, count=count)
+    assert len(dg.discrete_spectrum(4, n=500, y_max=30.0, count=500)) == 500

@@ -148,6 +148,10 @@ def test_cutoff_monotone_and_c2():
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
         pr.CutoffSpec(K=0.0)
+    # a NaN scale passes `K <= 0` and would silently zero every cutoff band
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="must be positive"):
+            pr.CutoffSpec(K=bad)
 
 
 # ---------------------------------------------------------------------------

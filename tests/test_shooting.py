@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -30,12 +31,10 @@ def _toy_objective(qv):
             return shooting.ExitRecord(
                 dvec=(q0, 0.0), s_exit=s,
                 exit_vector=np.array([eps * s**2 / A_TOY, 0.0]),
-                exit_mode=0, trapped=False, survived=False,
-                transverse_ok=True, records=[], run_verdict="exit:mode_0")
+                outcome="exit:mode_0", transverse_ok=True, records=[])
     return shooting.ExitRecord(
         dvec=(q0, 0.0), s_exit=s, exit_vector=np.array([eps * s**2 / A_TOY, 0.0]),
-        exit_mode=None, trapped=True, survived=True, transverse_ok=None,
-        records=[], run_verdict="trapped")
+        outcome="trapped", transverse_ok=None, records=[])
 
 
 def _toy_trapped_value():
@@ -73,6 +72,17 @@ def test_budget_one_returns_single_probe():
         shooting.trap_search(cfg, 0, objective_fn=_toy_objective)
 
 
+def test_probes_rank_trapped_then_survived_then_the_longest_exit():
+    def probe(outcome, s_exit):
+        return shooting.ExitRecord(dvec=(0.0, 0.0), s_exit=s_exit, exit_vector=np.zeros(2),
+                                   outcome=outcome, transverse_ok=None, records=[])
+
+    ranked = [probe("trapped", 50.5), probe("survived", 50.5), probe("survived", 50.2),
+              probe("exit:mode_1", 52.0), probe("blowup", 51.5), probe("exit:mode_0", 51.0)]
+    assert sorted(ranked[::-1], key=lambda r: r.rank, reverse=True) == ranked
+    assert [r.exit_mode for r in ranked] == [None, None, None, 1, None, 0]
+
+
 def test_toy_search_deterministic():
     cfg = sim.SimConfig(d=4, n=64, y_max=20.0, s0=S0_TOY, horizon=HORIZON_TOY, A=A_TOY)
     r1 = shooting.trap_search(cfg, 12, objective_fn=_toy_objective,
@@ -105,7 +115,7 @@ def test_objective_validates_parameters(small_cfg):
 
 def test_objective_large_d0_exits_early_mode0(small_cfg):
     rec = shooting.objective((0.9, 0.0), small_cfg)
-    assert rec.exit_mode == 0 and rec.stop_reason == "mode exit"
+    assert rec.exit_mode == 0 and rec.run["stop_reason"] == "mode exit"
     assert rec.s_exit < 52.5
     assert abs(rec.exit_vector[0]) >= abs(rec.exit_vector[1])
     assert rec.transverse_ok
@@ -217,6 +227,23 @@ def test_profile_params_built_once_per_dimension_not_per_probe(monkeypatch):
     for h in res.history:
         assert 0.0 < h["step_s"] and 0.0 < h["diag_s"]
         assert h["step_s"] + h["diag_s"] <= h["wall_s"]
+
+
+def test_search_history_round_trips_through_plain_json():
+    # each probe is logged once, in JSON-native values: no converter needed
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)
+    res = shooting.trap_search(cfg, budget=3)
+    assert len(res.history) == 3
+    assert json.loads(json.dumps(res.history)) == res.history
+    summary = res.summary()
+    assert json.loads(json.dumps(summary)) == summary
+    assert summary["probes"] is res.history and summary["verdict"] == res.verdict
+    assert summary["brackets"] == res.brackets and len(res.brackets) == 2
+    best = max(res.history, key=lambda h: h["s_exit"])
+    assert summary["parameters"] == best["d"] and summary["s_exit"] == best["s_exit"]
+    for h in res.history:
+        assert h["exit_mode"] == 0 and h["verdict"] == "exit:mode_0"
+        assert len(h["q"]) == len(h["exit_vector"]) == 2 and h["steps"] > 0
 
 
 def test_d3_search_smoke():

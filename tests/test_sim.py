@@ -57,6 +57,7 @@ def test_config_validation():
             sim.SimConfig(**(phys | {"s0": bad}))
     # a NaN bound, guard or perturbation would switch a verdict off
     for key, bad, match in (("A", nan, "A must not be NaN"),
+                            ("K", nan, "K must not be NaN"),
                             ("escape_factor", nan, "escape_factor must not be NaN"),
                             ("blowup_sup", nan, "blowup_sup must not be NaN"),
                             ("dvec", (0.5, nan), "must lie in")):
