@@ -227,16 +227,16 @@ def criterion_6() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _step_loop(state, dt: float, steps: int, runs: list):
-    """`steps` Neumann steps of `state` at a fixed dt, driven by count toward
-    no end time (`Stepper._drive`); appends the run's d, step record and wall
+    """`steps` Neumann steps of `state` at a fixed dt, taken by count toward
+    no end time (`Stepper.advance`); appends the run's d, step record and wall
     seconds stepping to `runs`."""
     started = time.perf_counter()
     stepper = sim.Stepper(state.grid, state.d, state.frame, "neumann")
-    values, t, error = stepper._drive(state.values, state.time, math.inf, dt=dt, most=steps)
+    state, error = stepper.advance(state, math.inf, dt=dt, most=steps)
     if error is not None:
         raise error
     runs.append({"d": state.d, **stepper.step_record(), "step_s": time.perf_counter() - started})
-    return sim.RadialState(state.frame, t, values, state.grid, state.d)
+    return state
 
 
 def _constant_field_error(dt: float, runs: list, v0=0.1, sigma=1.0, d=4) -> float:
@@ -462,7 +462,7 @@ def final_profile_experiment():
     The unstable-mode amplitudes come from a trap search of the wide-cutoff
     family (bump_K = 4), whose initial-coefficient mixing is nearly diagonal,
     over the unit q-box; the physical run starts from its best probe.  It
-    steps by `Stepper._drive` at the CFL dt (cfl 0.4) capped at 0.1 (1 - t),
+    steps by `Stepper.advance` at the CFL dt (cfl 0.4) capped at 0.1 (1 - t),
     landing on t = 1 - 3e-8, and records sup w after the first step and every
     20th one after it.
     """
@@ -484,23 +484,23 @@ def final_profile_experiment():
     stepper = sim.Stepper(grid, d, "physical", "neumann")
     t_end = 1.0 - tau_end
 
-    def drive(v, t, most):
-        return stepper._drive(v, t, t_end, cfl=0.4, cap=lambda t: 0.1 * (1.0 - t), most=most)
+    def advance(state, most):
+        return stepper.advance(state, t_end, cfl=0.4, cap=lambda t: 0.1 * (1.0 - t), most=most)
 
     times, sup_w = [], []
-    v, t, error = drive(v0 / tau0, 1.0 - tau0, 1)
-    # a drive that lands on t_end stops short of its 20 steps, which ends this
+    state, error = advance(sim.RadialState("physical", 1.0 - tau0, v0 / tau0, grid, d), 1)
+    # a call that lands on t_end stops short of its 20 steps, which ends this
     while error is None and stepper.steps == 20 * len(times) + 1:
-        times.append(t)
-        sup_w.append(float(np.max(sim.transform(v, r, d, "w"))))
-        v, t, error = drive(v, t, 20)
+        times.append(state.time)
+        sup_w.append(float(np.max(sim.transform(state.values, r, d, "w"))))
+        state, error = advance(state, 20)
     if error is not None:
         raise error
     run = {**stepper.step_record(), "step_s": time.perf_counter() - started}
     t_est, t_width = sim.estimate_blowup_time(np.array(times), np.array(sup_w), window=0.5)
 
-    u = sim.transform(v, r, d, "w")
-    tau_last = 1.0 - t
+    u = sim.transform(state.values, r, d, "w")
+    tau_last = 1.0 - state.time
     inner = math.sqrt(tau_last) * abs(math.log(tau_last)) ** (1.0 / (2 * ell))
     table = []
     for r1 in np.geomspace(5 * inner, r_max / 15.0, 24):

@@ -225,6 +225,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_decompose(args) -> int:
     started = time.time()
+    # the bounds scale with A: a sign, zero or NaN would flip or void the verdict
+    if not 0 < args.A < np.inf:
+        raise ValueError("A must be positive and finite")
     path = Path(args.snapshot)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2 or data.shape[1] < 2:

@@ -18,7 +18,6 @@ so the common factor cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,6 +82,7 @@ def kummer_eigenpoly(d: int, n: int) -> ExactPoly:
     return ExactPoly([recurrence_coefficient(d, n, k) for k in range(n + 1)], "z")
 
 
+@lru_cache(maxsize=None)
 def normalized_moment(beta, k: int) -> Fraction:
     """k-th moment of z**beta * exp(-z/4) on (0, inf), relative to the 0-th.
 
@@ -95,27 +95,6 @@ def normalized_moment(beta, k: int) -> Fraction:
     for j in range(1, k + 1):
         mu *= 4 * (j + beta)
     return mu
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Normalized moments mu_0..mu_N of the weight z**beta * exp(-z/4)."""
-
-    beta: Fraction
-    mu: tuple
-
-    @classmethod
-    def build(cls, beta, count: int) -> "MomentTable":
-        beta = as_rational(beta)
-        mu = [Fraction(1)]
-        for k in range(1, count):
-            mu.append(mu[-1] * 4 * (k + beta))
-        return cls(beta=beta, mu=tuple(mu))
-
-    def moment(self, k: int) -> Fraction:
-        if k < len(self.mu):
-            return self.mu[k]
-        return normalized_moment(self.beta, k)
 
 
 def weight_exponent(d: int, weight: str) -> Fraction:
@@ -135,14 +114,15 @@ def inner_product(d: int, weight: str, p: ExactPoly, r: ExactPoly) -> Fraction:
     """
     two_alpha = 2 * alpha_of(d)
     pz, rz = p.to_z(two_alpha), r.to_z(two_alpha)
-    table = MomentTable.build(weight_exponent(d, weight), pz.degree + rz.degree + 1)
+    beta = weight_exponent(d, weight)
+    mu = [normalized_moment(beta, k) for k in range(pz.degree + rz.degree + 1)]
     acc = Fraction(0)
     for i, a in enumerate(pz.coeffs):
         if a == 0:
             continue
         for j, b in enumerate(rz.coeffs):
             if b:
-                acc += a * b * table.moment(i + j)
+                acc += a * b * mu[i + j]
     return acc
 
 

@@ -38,16 +38,16 @@ look for the stage that failed.  `rhs` is built from the same stack, so the
 step and the semi-discrete operator stay one operator; both match the
 per-node select of the textbook stencils to rounding, not bit for bit.
 
-`run`, like criteria 7 and 11 (`acceptance`), steps through one driver,
-`Stepper._drive`: it lands on each record or end time, keeps the step record,
-and takes each stretch of steps that share a dt (a fixed dt up to a record, a
-self-similar record interval's dt, a landing step, a CFL step) through
-`Stepper._stretch`, which runs them in one compiled loop, the C source
-_kernel.c next to this module.  That loop repeats `_advance` operation for
-operation, so the two agree bit for bit.  It is built once per source and
-compiler flags into a cache outside the package (`_build`) and loaded with
-ctypes; where no compiler is found or the build or load fails, the stretch
-steps through `_advance` instead.
+Every caller steps through one call, `Stepper.advance`: `run`, criteria 7 and
+11 (`acceptance`) and the tests alike.  It checks the state and step size once,
+lands on a record or end time, keeps the step record, and takes each stretch
+of steps that share a dt (a fixed dt up to a record, a self-similar record
+interval's dt, a landing step, a CFL step) through `Stepper._stretch`, which
+runs them in one compiled loop, the C source _kernel.c next to this module.
+That loop repeats `_advance` operation for operation, so the two agree bit for
+bit.  It is built once per source and compiler flags into a cache outside the
+package (`_build`) and loaded with ctypes; where no compiler is found or the
+build or load fails, the stretch steps through `_advance` instead.
 """
 
 from __future__ import annotations
@@ -383,15 +383,15 @@ class Stepper:
     over the stack plus one back-substitution.  `cfl_dt` bounds dt by the
     explicit terms alone.
 
-    `step` checks its state and wraps the raw-array kernel `_advance`: one
-    gather and the stack give b, with D v upwinded where the largest Peclet
-    product says some node needs it (`_explicit`), and finiteness is checked
-    once, on the solution (v @ 0); when that fails it raises
-    StateCorruptionError naming the first non-finite stage: the field, the
-    explicit terms, or the solver.  `_stretch` takes many steps of one dt in
-    the compiled loop, bit for bit as `_advance` takes them, and `_drive`, its
-    one caller, steps toward a target time and keeps the step record
-    (`step_record`): steps, dt range and the kernel most steps took.
+    `advance` is the one way to step: it checks its state and step size once,
+    steps toward a target time and keeps the step record (`step_record`):
+    steps, dt range and the kernel most steps took.  Its one helper
+    `_stretch` takes many steps of one dt in the compiled loop, bit for bit as
+    the raw-array kernel `_advance` takes them: one gather and the stack give
+    b, with D v upwinded where the largest Peclet product says some node needs
+    it (`_explicit`), and finiteness is checked once, on the solution (v @ 0);
+    when that fails `_advance` raises StateCorruptionError naming the first
+    non-finite stage: the field, the explicit terms, or the solver.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
@@ -417,7 +417,7 @@ class Stepper:
         self._off = np.array([self.lo[1:], self.up[:-1]]), np.array([dlo[1:], dup[:-1]])
         self._recent = []             # [dt, factors, their addresses], most recently used first
         self.compiled_steps = 0       # steps taken in the compiled loop
-        self.steps = 0                # steps `_drive` took, and their dt range
+        self.steps = 0                # steps `advance` took, and their dt range
         self.dt_min, self.dt_max = math.inf, 0.0
         # the compiled loop's per-grid arrays and its scratch b, by address
         self._arrays = [np.ascontiguousarray(a) for a in (st.y, st.h, st.dy, self.stack,
@@ -460,7 +460,7 @@ class Stepper:
         return self._recent[0]
 
     def step_record(self) -> dict:
-        """The steps `_drive` took, their smallest and largest dt, and the
+        """The steps `advance` took, their smallest and largest dt, and the
         kernel that took most of them: "compiled" (the loop of `_stretch`) or
         "numpy" (`_advance`); all but the count None without steps."""
         if not self.steps:
@@ -474,20 +474,6 @@ class Stepper:
         ell = self.params.ell
         xi_edge = self.grid.nodes[-1] * time_next ** (-1.0 / (2 * ell))
         return pr.q_of_xi(self.params, xi_edge)
-
-    def step(self, state: RadialState, dt: float) -> RadialState:
-        if not dt > 0:
-            raise ConfigError("dt must be positive")
-        if state.frame != self.frame:
-            raise ConfigError(f"a {self.frame}-frame stepper got a {state.frame}-frame state")
-        if state.grid is not self.grid and not np.array_equal(state.grid.nodes, self.grid.nodes):
-            raise ConfigError("the state's grid differs from the stepper's")
-        if state.d != self.d:
-            raise ConfigError(f"a d={self.d} stepper got a d={state.d} state")
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = self._advance(state.values, state.time, dt)
-        return RadialState(frame=state.frame, time=state.time + dt,
-                           values=values, grid=self.grid, d=state.d)
 
     def _advance(self, v, time: float, dt: float):
         """The step kernel: v at `time` to the field at time + dt, solving
@@ -544,8 +530,6 @@ class Stepper:
                           for t in times[1:].tolist()]
                     bval = np.ascontiguousarray(pr.q_of_xi(self.params, np.array(xi)))
                 v = np.array(v, float)
-                if v.shape != self._zeros.shape:
-                    raise ConfigError("field and grid sizes differ")
                 done = lib.ks_stretch(len(v), k, dt, self.d, *self._pointers,
                                       _address(bval), *entry[2], _address(v))
                 self.compiled_steps += done
@@ -556,16 +540,30 @@ class Stepper:
                 return v, j, exc
         return v, k, None
 
-    def _drive(self, v, t: float, target: float, dt: float | None = None,
-               cfl: float | None = None, cap=None, most: float = math.inf):
-        """Steps of v from t toward target, landing on it exactly
-        (`_stretch_times`), at most `most` of them: (the field, its time, the
-        StateCorruptionError of a non-finite step or None).
+    def advance(self, state: RadialState, target: float, *, dt: float | None = None,
+                cfl: float | None = None, cap=None, most: float = math.inf):
+        """Steps of `state` toward target, landing on it exactly
+        (`_stretch_times`), at most `most` of them: (the state after the last
+        finite step, the StateCorruptionError of a non-finite step or None).
 
         A fixed dt steps in stretches of up to _MAX_STRETCH steps; without one,
         each step takes `cfl_dt` of its own field at `cfl`, at most cap(t)
         where a cap is given.  Every stretch goes through `_stretch`, under one
-        np.errstate, and adds to the step record (`step_record`)."""
+        np.errstate, and adds to the step record (`step_record`).  The state's
+        frame, grid and d and the step size are checked once, here."""
+        if dt is None and cfl is None:
+            raise ConfigError("advance needs a dt or a cfl")
+        if dt is not None and not dt > 0:
+            raise ConfigError("dt must be positive")
+        if cfl is not None and not 0 < cfl < math.inf:
+            raise ConfigError("cfl must be positive and finite")
+        if state.frame != self.frame:
+            raise ConfigError(f"a {self.frame}-frame stepper got a {state.frame}-frame state")
+        if state.grid is not self.grid and not np.array_equal(state.grid.nodes, self.grid.nodes):
+            raise ConfigError("the state's grid differs from the stepper's")
+        if state.d != self.d:
+            raise ConfigError(f"a d={self.d} stepper got a d={state.d} state")
+        v, t, error = state.values, state.time, None
         with np.errstate(over="ignore", invalid="ignore"):
             while most > 0 and t < target - _TIME_TOL:
                 if dt is not None:
@@ -580,8 +578,8 @@ class Stepper:
                     most -= done
                     self.dt_min, self.dt_max = min(self.dt_min, h), max(self.dt_max, h)
                 if error is not None:
-                    return v, t, error
-        return v, t, None
+                    break
+        return RadialState(self.frame, t, v, self.grid, self.d), error
 
     def _check_inputs(self, v, time: float, b):
         """Raise the error of the first non-finite stage before the solve:
@@ -634,19 +632,20 @@ class SimConfig:
             raise ConfigError(f"unknown frame {self.frame!r}")
         if not self.bump_K > 0:
             raise ConfigError("bump_K must be positive")
+        # a NaN bound or guard compares false, so it would never fire
+        for name in ("A", "K", "escape_factor", "blowup_sup"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must not be NaN")
         # a NaN compares false both ways, and a non-finite time never lands
         # on a record or the end: either would loop forever; an infinite cfl
-        # switches the advective step limit off
-        for name in ("dt", "horizon", "cadence", "cfl"):
+        # switches the advective step limit off; the shrinking-set bounds
+        # scale with A, which a sign or zero would flip or void
+        for name in ("dt", "horizon", "cadence", "cfl", "A"):
             x = getattr(self, name)
             if x is not None and not (x > 0 and math.isfinite(x)):
                 raise ConfigError(f"{name} must be positive and finite")
         if not math.isfinite(self.s0):
             raise ConfigError("s0 must be finite")
-        # a NaN bound or guard compares false, so it would never fire
-        for name in ("A", "K", "escape_factor", "blowup_sup"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigError(f"{name} must not be NaN")
         ell = eb.ell_of(self.d)
         if self.y_max is None:
             if self.frame == "physical":
@@ -758,8 +757,8 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     Without a fixed `dt`, a self-similar run takes `Stepper.cfl_dt` of the
     state at each record until the next one, and a physical run at each step.
 
-    Between records `Stepper._drive` steps on raw arrays to the next record
-    or the end, landing on it; states are built at records and at the end.
+    Between records `Stepper.advance` steps to the next record or the end,
+    landing on it.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
@@ -781,14 +780,13 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     dt_set = config.dt          # or the self-similar dt set at the last record
     blowup_limit = config.blowup_sup * max(1.0, float(np.max(np.abs(state.values))))
     message = ""
-    v, t = state.values, state.time
     # the clock is read twice per record and never per step
     step_s = diag_s = 0.0
     mark = perf_counter()
 
     while True:
+        v, t = state.values, state.time
         if t >= next_record - _TIME_TOL:
-            state = RadialState(config.frame, t, v, grid, config.d)
             if selfsim and config.dt is None:
                 dt_set = stepper.cfl_dt(state, config.cfl)
             now = perf_counter()
@@ -819,10 +817,11 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
                 verdict = "trapped"
             break
         # a physical run without a fixed dt takes its own at every step
-        v, t, error = stepper._drive(v, t, min(end_time, next_record), dt=dt_set, cfl=config.cfl)
+        state, error = stepper.advance(state, min(end_time, next_record), dt=dt_set,
+                                       cfl=config.cfl)
         if error is not None:
             message = str(error)
-            verdict = "blowup" if np.max(np.abs(v)) > blowup_limit else "unstable"
+            verdict = "blowup" if np.max(np.abs(state.values)) > blowup_limit else "unstable"
             break
     step_s += perf_counter() - mark
 
@@ -830,8 +829,8 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         config=config,
         records=records,
         verdict=verdict,
-        exit_time=t,
-        final_state=RadialState(config.frame, t, v, grid, config.d),
+        exit_time=state.time,
+        final_state=state,
         times=np.array(times) if times else None,
         sup_w=np.array(sup_w) if sup_w else None,
         **stepper.step_record(),

@@ -146,6 +146,18 @@ def test_decompose_rejects_a_non_finite_snapshot(tmp_path, capsys, bad):
     assert code == cli.EXIT_USAGE and "non-finite" in err and out == ""
 
 
+@pytest.mark.parametrize("amplitude", ["-20", "0", "nan", "inf"])
+def test_decompose_rejects_an_amplitude_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                        amplitude):
+    # the bounds scale with A: A = 0 would divide by zero, and a negative or
+    # NaN A would read "inside"
+    snap = tmp_path / "snap.csv"
+    snap.write_text("y,v\n" + "".join(f"{0.1 * i},0.25\n" for i in range(601)))
+    code, out, err = run_cli(["decompose", "--snapshot", str(snap), "--s", "50",
+                              "--d", "4", "--A", amplitude], capsys)
+    assert code == cli.EXIT_USAGE and "A must be positive and finite" in err and out == ""
+
+
 def test_simulate_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("d = 4\nwavelength = 3\n")

@@ -66,13 +66,6 @@ def test_moments_match_quadrature(beta):
         assert mk / m0 == pytest.approx(float(exact), rel=1e-10)
 
 
-def test_moment_table():
-    t = eb.MomentTable.build(Fraction(1, 2), 4)
-    assert t.mu[0] == 1
-    for k in range(1, 6):
-        assert t.moment(k) == t.moment(k - 1) * 4 * (k + Fraction(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # inner products and orthogonality
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import re
 import shutil
 from dataclasses import fields, replace
 
@@ -63,6 +62,11 @@ def test_config_validation():
                             ("dvec", (0.5, nan), "must lie in")):
         with pytest.raises(sim.ConfigError, match=match):
             sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25, **{key: bad})
+    # the shrinking-set bounds scale with A: a negative A would read every
+    # slice "inside", and A = 0 would divide by zero
+    for bad in (-20.0, 0.0, inf):
+        with pytest.raises(sim.ConfigError, match="A must be positive and finite"):
+            sim.SimConfig(d=4, n=256, s0=50.0, horizon=0.3, A=bad)
     assert sim.SimConfig(d=4, escape_factor=inf).escape_factor == inf
     with pytest.raises(eb.DimensionError):
         sim.SimConfig(d=5)
@@ -90,7 +94,7 @@ def test_rhs_frame_guards():
     g = sim.Grid.uniform(32, 10.0)
     st = sim.RadialState("selfsimilar", 1.0, np.zeros(33), g, 4)
     with pytest.raises(sim.ConfigError):
-        sim.Stepper(g, 4, "physical", "neumann").step(st, 1e-3)
+        sim.Stepper(g, 4, "physical", "neumann").advance(st, 2.0, dt=1e-3)
     bad = sim.RadialState("selfsimilar", 1.0, np.full(33, np.nan), g, 4)
     with pytest.raises(sim.StateCorruptionError):
         sim.rhs(bad)
@@ -155,8 +159,8 @@ def test_steady_state_preserved(d):
     g = sim.Grid.uniform(64, 20.0)
     state = sim.RadialState("selfsimilar", 50.0, np.full(65, 1.0 / d), g, d)
     stepper = sim.Stepper(g, d, "selfsimilar", "neumann")
-    for _ in range(10000):
-        state = stepper.step(state, 1e-3)
+    state, error = stepper.advance(state, math.inf, dt=1e-3, most=10000)
+    assert error is None and stepper.steps == 10000
     assert np.max(np.abs(state.values - 1.0 / d)) < 1e-10
 
 
@@ -164,8 +168,7 @@ def _constant_error(dt, v0=0.1, sigma=1.0, d=4):
     g = sim.Grid.uniform(32, 10.0)
     state = sim.RadialState("selfsimilar", 1.0, np.full(33, v0), g, d)
     stepper = sim.Stepper(g, d, "selfsimilar", "neumann")
-    for _ in range(int(round(sigma / dt))):
-        state = stepper.step(state, dt)
+    state, _ = stepper.advance(state, math.inf, dt=dt, most=int(round(sigma / dt)))
     exact = 1.0 / (d + (1.0 / v0 - d) * math.exp(sigma))
     return np.max(np.abs(state.values - exact))
 
@@ -187,8 +190,8 @@ def test_physical_constant_blowup_ode():
     stepper = sim.Stepper(g, d, "physical", "neumann")
     dt = 1e-5
     t_blow = 1.0 / (d * v0)
-    while state.time < 0.9 * t_blow:
-        state = stepper.step(state, dt)
+    state, error = stepper.advance(state, 0.9 * t_blow, dt=dt)
+    assert error is None and state.time == 0.9 * t_blow
     exact = 1.0 / (1.0 / v0 - d * state.time)
     assert np.max(np.abs(state.values - exact)) / exact < 1e-3
 
@@ -196,9 +199,15 @@ def test_physical_constant_blowup_ode():
 def test_step_guards():
     g = sim.Grid.uniform(32, 10.0)
     state = sim.RadialState("selfsimilar", 1.0, np.zeros(33), g, 4)
-    for dt in (-1.0, 0.0, float("nan")):
-        with pytest.raises(sim.ConfigError):
-            sim.Stepper(g, 4, "selfsimilar", "neumann").step(state, dt)
+    stepper = sim.Stepper(g, 4, "selfsimilar", "neumann")
+    nan, inf = float("nan"), float("inf")
+    cases = [({}, "needs a dt or a cfl")]
+    cases += [({"dt": dt}, "dt must be positive") for dt in (-1.0, 0.0, nan)]
+    cases += [({"cfl": cfl}, "cfl must be positive and finite") for cfl in (0.0, -0.4, nan, inf)]
+    for kwargs, match in cases:
+        with pytest.raises(sim.ConfigError, match=match):
+            stepper.advance(state, 2.0, **kwargs)
+    assert stepper.steps == 0
     with pytest.raises(sim.ConfigError):
         sim.Stepper(g, 4, "physical", "profile")
 
@@ -212,10 +221,12 @@ def test_step_rejects_other_grid_and_dimension():
     ]
     for state in cases:
         with pytest.raises(sim.ConfigError):
-            stepper.step(state, 1e-3)
+            stepper.advance(state, 1e-3, dt=1e-3)
     # an equal grid built apart is accepted
     twin = sim.RadialState("physical", 0.0, np.zeros(33), sim.Grid.uniform(32, 10.0), 4)
-    assert np.array_equal(stepper.step(twin, 1e-3).values, np.zeros(33))
+    state, error = stepper.advance(twin, 1e-3, dt=1e-3)
+    assert error is None and state.grid is stepper.grid
+    assert np.array_equal(state.values, np.zeros(33))
 
 
 def _reference_operators(y, v, d, sigma):
@@ -270,7 +281,7 @@ def _tridiag_times(tri, v):
     return out
 
 
-def _reference_step(stepper, state, dt):
+def _reference_kernel(stepper, state, dt):
     """The step written out from the nodes alone: `_reference_operators`,
     the matrix of Crank-Nicolson diffusion and backward-Euler linear drift in
     `solve_banded`'s (1, 1) band layout, and the array path of Q."""
@@ -343,7 +354,8 @@ def test_step_equals_reference_kernel(grid, frame, boundary):
             state = sim.RadialState(frame, t0, v, grid, d)
             # factor, repeat, factor, cached, repeat
             for dt in (1e-3, 1e-3, 2.5e-4, 1e-3, 1e-3):
-                _assert_close(stepper.step(state, dt).values, _reference_step(stepper, state, dt))
+                got, _ = stepper.advance(state, math.inf, dt=dt, most=1)
+                _assert_close(got.values, _reference_kernel(stepper, state, dt))
 
 
 @pytest.mark.parametrize("grid", [sim.Grid.uniform(32, 10.0), sim.Grid.uniform(2048, 110.0),
@@ -379,7 +391,7 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
     stepper = sim.Stepper(grid, 4, "physical", "neumann")
     state = sim.RadialState("physical", 0.0, np.full(33, 0.1), grid, 4)
     for dt in (1e-3, 2.5e-4, 1e-3):
-        state = stepper.step(state, dt)
+        state, _ = stepper.advance(state, math.inf, dt=dt, most=1)
     assert len(calls) == 1
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=100.0, horizon=1.0,
                         cadence=0.1, dt=1e-3, init=np.full(33, 0.1))
@@ -390,13 +402,13 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
 
 def _advance_loop(stepper, v, times, dt):
     """`Stepper._stretch` written over `_advance`: the field after the last
-    finite step and the number of finite steps."""
+    finite step, the number of finite steps and the next step's error."""
     for j in range(len(times) - 1):
         try:
             v = stepper._advance(v, float(times[j]), dt)
-        except sim.StateCorruptionError:
-            return v, j
-    return v, len(times) - 1
+        except sim.StateCorruptionError as exc:
+            return v, j, exc
+    return v, len(times) - 1, None
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
@@ -426,15 +438,13 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
             for k, dt in ((1, 1e-3), (7, 1e-3), (40, 0.05)):
                 times = np.cumsum(np.r_[t0, np.full(k, dt)])
                 with np.errstate(over="ignore", invalid="ignore"):
-                    want, finite = _advance_loop(stepper, v, times, dt)
+                    want, finite, want_error = _advance_loop(stepper, v, times, dt)
                     compiled = stepper.compiled_steps
                     got, done, error = stepper._stretch(v, times, dt)
                 assert stepper.compiled_steps == compiled + done
                 assert done == finite and got.tobytes() == want.tobytes()
-                assert (error is None) == (done == k)
-                if error is not None:
-                    with pytest.raises(sim.StateCorruptionError, match=re.escape(str(error))):
-                        stepper.step(sim.RadialState(frame, times[done], got, grid, d), dt)
+                assert (error is None) == (done == k) == (want_error is None)
+                assert str(error) == str(want_error)
         # the field of 3s overflows within 40 steps
         assert done < 40
 
@@ -468,10 +478,14 @@ def test_step_names_the_first_non_finite_stage():
     g = sim.Grid.uniform(32, 10.0)
     stepper = sim.Stepper(g, 4, "physical", "neumann")
 
+    def advance(values, dt):
+        return stepper.advance(sim.RadialState("physical", 0.5, values, g, 4), math.inf,
+                               dt=dt, most=1)
+
     def message(values, dt):
-        with pytest.raises(sim.StateCorruptionError) as err:
-            stepper.step(sim.RadialState("physical", 0.5, values, g, 4), dt)
-        return str(err.value)
+        state, error = advance(values, dt)
+        assert isinstance(error, sim.StateCorruptionError) and state.time == 0.5
+        return str(error)
 
     v = np.full(33, 0.1)
     for bad in (np.nan, np.inf):
@@ -489,7 +503,7 @@ def test_step_names_the_first_non_finite_stage():
     alternating = np.where(np.arange(33) % 2, 1.0, -1.0)
     assert message(1e5 * alternating, 1e300) == "explicit terms overflowed at t=0.5"
     with pytest.raises(np.linalg.LinAlgError):
-        stepper.step(sim.RadialState("physical", 0.5, 0.1 * alternating, g, 4), 1e300)
+        advance(0.1 * alternating, 1e300)
     # a finite b whose solve overflows
     assert message(1e-10 * alternating, 1e305) == "solver produced non-finite values at t=0.5"
 
@@ -520,8 +534,8 @@ def test_stretched_grid_stepper_and_rhs():
     g = sim.Grid.geometric(128, 30.0, 1.03)
     st = sim.RadialState("physical", 0.0, np.zeros(129), g, 4)
     stepper = sim.Stepper(g, 4, "physical", "neumann")
-    for _ in range(500):
-        st = stepper.step(st, 1e-4)
+    st, error = stepper.advance(st, math.inf, dt=1e-4, most=500)
+    assert error is None and stepper.steps == 500
     assert np.max(np.abs(st.values)) == 0.0
     p = pr.make_profile_params(4)
     s = 50.0
@@ -833,15 +847,16 @@ def test_drive_by_count_crosses_stretches_as_advance_steps(compiled, monkeypatch
     stepper = sim.Stepper(grid, 4, "selfsimilar", "profile")
     v0 = 0.25 + 0.01 * np.cos(grid.nodes)
     dt = 1e-4
-    v, t, error = stepper._drive(v0, 50.0, math.inf, dt=dt, most=10000)
+    state, error = stepper.advance(sim.RadialState("selfsimilar", 50.0, v0, grid, 4), math.inf,
+                                   dt=dt, most=10000)
     assert [k for _, k, _ in log] == [4096, 4096, 1808]
     want, t_want = v0, 50.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(10000):
             want = stepper._advance(want, t_want, dt)
             t_want += dt
-    assert error is None and t == t_want
-    assert v.tobytes() == want.tobytes()
+    assert error is None and state.time == t_want
+    assert state.values.tobytes() == want.tobytes()
     record = stepper.step_record()
     assert (record["steps"], record["dt_min"], record["dt_max"]) == (10000, dt, dt)
     assert record["kernel"] == ("compiled" if compiled else "numpy")
@@ -849,7 +864,7 @@ def test_drive_by_count_crosses_stretches_as_advance_steps(compiled, monkeypatch
 
 def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
     # the CFL dt of each step's field capped at cap(t), landing on the target
-    # as `_step_loop` lands: the bytes of a `Stepper.step` loop, each dt at or
+    # as `_step_loop` lands: the bytes of an `_advance` loop, each dt at or
     # below the cap, both bounds binding on the way, and the target reached
     grid = sim.Grid.uniform(64, 10.0)
     v0 = 0.1 + 0.4 * np.exp(-grid.nodes**2 / 4.0)
@@ -866,14 +881,17 @@ def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
         bound_by.add("cfl" if cfl_dt < cap(state.time) else "cap")
         if dt >= target - state.time - sim._TIME_TOL:
             dt = target - state.time
-        state = stepper.step(state, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = stepper._advance(state.values, state.time, dt)
+        state = sim.RadialState("physical", state.time + dt, values, grid, 4)
         dts.append(dt)
     log = _recording_stretch(monkeypatch)
     driver = sim.Stepper(grid, 4, "physical", "neumann")
-    v, t, error = driver._drive(v0, t0, target, cfl=0.4, cap=cap)
+    got, error = driver.advance(sim.RadialState("physical", t0, v0, grid, 4), target,
+                                cfl=0.4, cap=cap)
     assert bound_by == {"cfl", "cap"} and error is None
-    assert v.tobytes() == state.values.tobytes()
-    assert t == state.time == target
+    assert got.values.tobytes() == state.values.tobytes()
+    assert got.time == state.time == target
     assert [dt for _, _, dt in log] == dts and all(k == 1 for _, k, _ in log)
     assert all(dt <= cap(s) for s, _, dt in log)
     record = driver.step_record()
@@ -881,8 +899,9 @@ def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
 
 
 def _step_loop(cfg):
-    """`sim.run` written over `Stepper.step`, one state per step: the same
-    records, dt rule, landing rule, blowup guard and non-finite verdicts."""
+    """`sim.run` written over the kernel `Stepper._advance`, one state per
+    step: the same records, dt rule, landing rule, blowup guard and non-finite
+    verdicts."""
     grid = cfg.build_grid()
     state = sim.make_initial_data(cfg, grid)
     stepper = sim.Stepper(grid, cfg.d, cfg.frame, cfg.boundary)
@@ -919,7 +938,9 @@ def _step_loop(cfg):
         if dt >= gap - sim._TIME_TOL:
             dt = gap
         try:
-            state = stepper.step(state, dt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = stepper._advance(state.values, state.time, dt)
+            state = sim.RadialState(cfg.frame, state.time + dt, values, grid, cfg.d)
         except sim.StateCorruptionError as exc:
             out["verdict"] = "blowup" if np.max(np.abs(state.values)) > limit else "unstable"
             out["message"] = str(exc)
@@ -943,7 +964,7 @@ def _step_loop(cfg):
 ], ids=["physical-fixed-dt", "physical-cfl", "selfsimilar-profile", "nonfinite-step"])
 def test_run_inner_loop_equals_step_loop(cfg, monkeypatch):
     # the run steps each stretch of one dt in the compiled loop; a loop of
-    # Stepper.step with the same rules gives every bit of its result, and so
+    # `_advance` with the same rules gives every bit of its result, and so
     # does the run without the compiled loop, which steps through `_advance`
     state, ref = _step_loop(cfg)
     runs = [(sim.run(cfg), "compiled" if sim._library() is not None else "numpy")]
@@ -1068,8 +1089,7 @@ def test_frame_consistency_of_evolution():
     stepper_ss = sim.Stepper(g, d, "selfsimilar", "neumann")
     n_steps = 2000
     dt_ss = ds_total / n_steps
-    for _ in range(n_steps):
-        st_ss = stepper_ss.step(st_ss, dt_ss)
+    st_ss, _ = stepper_ss.advance(st_ss, math.inf, dt=dt_ss, most=n_steps)
     # physical evolution of the transported data between matching times
     r, t0, vp = sim.selfsimilar_to_physical(v0, y, s0, T)
     gp = sim.Grid(r)
@@ -1078,8 +1098,7 @@ def test_frame_consistency_of_evolution():
     t1 = T - math.exp(-(s0 + ds_total))
     n_ph = 4000
     dt_ph = (t1 - t0) / n_ph
-    for _ in range(n_ph):
-        st_ph = stepper_ph.step(st_ph, dt_ph)
+    st_ph, _ = stepper_ph.advance(st_ph, math.inf, dt=dt_ph, most=n_ph)
     y_back, s_back, v_back = sim.physical_to_selfsimilar(st_ph.values, r, st_ph.time, T)
     assert s_back == pytest.approx(s0 + ds_total, abs=1e-9)
     v_interp = np.interp(y, y_back, v_back)
