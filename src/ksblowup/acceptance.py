@@ -9,6 +9,7 @@ their functions measure exactly what is pinned and report honestly.  Criteria
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -282,11 +283,20 @@ PROJECTION_Y_MAX = 80.0
 GAUSS_NODES = 128
 
 
+@functools.cache
+def _legendre_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count
+    and read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _kink_gauss_rule(a: float):
     """Composite Gauss-Legendre nodes and weights on [0, a], [a, 2a] and
     [2a, PROJECTION_Y_MAX], each clipped to [0, PROJECTION_Y_MAX]; pieces
     that clip to nothing are dropped."""
-    x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    x, w = _legendre_rule(GAUSS_NODES)
     edges = np.unique(np.clip([0.0, a, 2.0 * a, PROJECTION_Y_MAX], 0.0, PROJECTION_Y_MAX))
     half = 0.5 * np.diff(edges)
     y = np.concatenate([lo + h * (x + 1.0) for lo, h in zip(edges[:-1], half)])

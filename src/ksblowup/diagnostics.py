@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import eigenbasis as eb
 from . import profile as pr
@@ -492,6 +491,7 @@ def discrete_spectrum(d: int, n: int = 2000, y_max: float = 30.0, count: int = 6
     if not np.all(np.isfinite(off)):
         raise AssemblyError("off-diagonal assembly produced non-finite entries")
 
+    from scipy.linalg import eigh_tridiagonal      # here, to keep scipy off the import path
     vals = eigh_tridiagonal(diag, off, select="i",
                             select_range=(n - count, n - 1), eigvals_only=True)
     return vals[::-1]       # descending: ~ {0, -1/ell, ...}

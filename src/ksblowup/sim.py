@@ -23,8 +23,8 @@ run without a fixed dt re-evaluates it from the state at every record.
 Nothing that depends only on the grid or on dt is recomputed per step: the
 stencil spacings and the two tridiagonals (Laplacian, linear drift) are fixed
 per grid, and the matrix I - (dt/2) Lap - dt D_lin is LU-factored (LAPACK
-gttrf) once per dt, the factors of the last two dts kept, and only
-back-substituted (gttrs) at each step.
+gttrf's algorithm) once per dt of a stretch and only back-substituted (gttrs)
+at each step.
 
 A step on a small grid costs a fixed overhead per NumPy call, so the raw-array
 kernel `Stepper._advance` makes few.  Every explicit term is a stencil over one
@@ -41,13 +41,13 @@ per-node select of the textbook stencils to rounding, not bit for bit.
 Every caller steps through one call, `Stepper.advance`: `run`, criteria 7 and
 11 (`acceptance`) and the tests alike.  It checks the state and step size once,
 lands on a record or end time, keeps the step record, and takes each stretch
-of steps that share a dt (a fixed dt up to a record, a self-similar record
-interval's dt, a landing step, a CFL step) through `Stepper._stretch`, which
-runs them in one compiled loop, the C source _kernel.c next to this module.
-That loop repeats `_advance` operation for operation, so the two agree bit for
-bit.  It is built once per source and compiler flags into a cache outside the
-package (`_build`) and loaded with ctypes; where no compiler is found or the
-build or load fails, the stretch steps through `_advance` instead.
+(a record interval's steps of one dt and the step landing on the record, or
+one CFL step) through `Stepper._stretch`, which runs them in one compiled loop,
+the C source _kernel.c next to this module.  That loop factors each dt and
+repeats `_advance` operation for operation, so the two agree bit for bit.  It
+is built once per source and compiler flags into a cache outside the package
+(`_build`) and loaded with ctypes; where no compiler is found or the build or
+load fails, the stretch steps through `_advance`, which imports scipy's LAPACK.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import diagnostics as dg
 from . import eigenbasis as eb
@@ -327,8 +326,9 @@ def _build(cache: Path):
         lib = ctypes.CDLL(str(target))
     except (OSError, subprocess.SubprocessError):
         return None
-    lib.ks_stretch.restype = ctypes.c_long
-    lib.ks_stretch.argtypes = [ctypes.c_long] * 2 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 12
+    lib.ks_stretch.restype = lib.ks_factor.restype = ctypes.c_long
+    lib.ks_stretch.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 9
+    lib.ks_factor.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
     return lib
 
 
@@ -360,16 +360,22 @@ _MAX_STRETCH = 4096
 
 
 def _stretch_times(t: float, dt: float, target: float, most: int):
-    """(dt, times) of the next stretch from t: the steps of dt that stop short
-    of target by more than _TIME_TOL (at most `most`), their times summed in
-    order as t += dt sums them; or else the one step that lands on target."""
+    """(dt, last, times) of the next stretch from t: the steps of dt that stop
+    short of target by more than _TIME_TOL (at most `most`), their times summed
+    in order as t += dt sums them, then, within `most` and unless they end
+    within _TIME_TOL of target, the step of `last` that lands on it (else
+    last = dt; dt = last where that is the one step)."""
     times = np.full(int(min(most, (target - t) / dt + 1.0)) + 1, dt)
     times[0] = t
     np.cumsum(times, out=times)
     # both tests fail from the first step that fails one: the rest is a prefix
     k = np.count_nonzero((times[:-1] < target - _TIME_TOL)
                          & (dt < (target - times[:-1]) - _TIME_TOL))
-    return (dt, times[:k + 1]) if k else (target - t, np.array([t, t + (target - t)]))
+    if k == len(times) - 1 or not times[k] < target - _TIME_TOL:
+        return dt, dt, times[:k + 1]
+    last = target - float(times[k])
+    times[k + 1] = times[k] + last
+    return (dt if k else last), last, times[:k + 2]
 
 
 class Stepper:
@@ -379,17 +385,18 @@ class Stepper:
 
     The stencil spacings, the Laplacian and linear-drift tridiagonals and the
     explicit stack (`_explicit_stack`) are fixed per grid, and the matrix
-    I - (dt/2) Lap - dt D_lin is factored once per dt, so a step is one pass
-    over the stack plus one back-substitution.  `cfl_dt` bounds dt by the
-    explicit terms alone.
+    I - (dt/2) Lap - dt D_lin is factored once per dt of a stretch, so a step
+    is one pass over the stack plus one back-substitution.  `cfl_dt` bounds dt
+    by the explicit terms alone.
 
     `advance` is the one way to step: it checks its state and step size once,
     steps toward a target time and keeps the step record (`step_record`):
-    steps, dt range and the kernel most steps took.  Its one helper
-    `_stretch` takes many steps of one dt in the compiled loop, bit for bit as
-    the raw-array kernel `_advance` takes them: one gather and the stack give
-    b, with D v upwinded where the largest Peclet product says some node needs
-    it (`_explicit`), and finiteness is checked once, on the solution (v @ 0);
+    steps, dt range and the kernel most steps took.  Its one helper `_stretch`
+    takes a record interval's steps, landing step included, in one call of the
+    compiled loop, which factors each dt's matrix itself and steps bit for bit
+    as the raw-array kernel `_advance` does: one gather and the stack give b,
+    with D v upwinded where the largest Peclet product says some node needs it
+    (`_explicit`), and finiteness is checked once, on the solution (v @ 0);
     when that fails `_advance` raises StateCorruptionError naming the first
     non-finite stage: the field, the explicit terms, or the solver.
     """
@@ -408,56 +415,46 @@ class Stepper:
         self.boundary = boundary
         self.params = pr.make_profile_params(d) if boundary == "profile" else None
         self.stencil = st = _Stencil(grid.nodes)
-        self.lo, self.di, self.up = _laplacian_tridiag(self.stencil, d + 2)
-        self.stack = _explicit_stack(self.stencil, d, self.sigma,
-                                     0.5 * self.lo, 0.5 * self.di, 0.5 * self.up)
-        self._zeros = np.zeros(len(grid.nodes))
-        self.linear_drift = dlo, ddi, dup = _linear_drift_tridiag(self.stencil, self.sigma)
-        # the off-diagonals of Lap and D_lin as rows (lower, upper), for `_factored`
-        self._off = np.array([self.lo[1:], self.up[:-1]]), np.array([dlo[1:], dup[:-1]])
-        self._recent = []             # [dt, factors, their addresses], most recently used first
+        lap = _laplacian_tridiag(self.stencil, d + 2)
+        self.stack = _explicit_stack(self.stencil, d, self.sigma, *(0.5 * a for a in lap))
+        n = len(grid.nodes)
+        self._zeros = np.zeros(n)
+        # the rows (lower, diagonal, upper) of Lap, then of D_lin
+        self._tri = np.array([*lap, *_linear_drift_tridiag(self.stencil, self.sigma)])
+        self._factors = None, None    # (dt, factors) of the last dt `_factored` factored
         self.compiled_steps = 0       # steps taken in the compiled loop
         self.steps = 0                # steps `advance` took, and their dt range
         self.dt_min, self.dt_max = math.inf, 0.0
-        # the compiled loop's per-grid arrays and its scratch b, by address
-        self._arrays = [np.ascontiguousarray(a) for a in (st.y, st.h, st.dy, self.stack,
-                                                          np.zeros(len(grid.nodes)))]
+        # the compiled loop's per-grid arrays and its scratch (b, two sets of
+        # factors and their pivots), kept alive here, by address
+        self._arrays = [np.ascontiguousarray(a) for a in (
+            st.y, st.h, st.dy, self.stack, self._tri, np.zeros(9 * n), np.zeros(2 * n, np.intc))]
         self._pointers = [a.ctypes.data for a in self._arrays]
 
     def _factored(self, dt: float):
-        """The cache entry [dt, factors, addresses] of dt: the gttrf factors
-        of the matrix I - (dt/2) Lap - dt D_lin, whose last row is the
-        boundary condition (v_N = value, or v_N - v_{N-1} = 0 for Neumann),
-        and their addresses once the compiled loop has asked for them.  A dt
-        so large that the entries overflow raises StateCorruptionError, which
-        `run` reads as a verdict.
-
-        The entries of the last two dts are kept: a fixed-dt run shortens the
-        step that lands on a record time and then returns to its fixed dt."""
-        recent = self._recent
-        if recent and recent[0][0] == dt:
-            return recent[0]
-        if len(recent) > 1 and recent[1][0] == dt:
-            recent.reverse()
-            return recent[0]
-        lap_off, drift_off = self._off
+        """scipy's gttrf factors (dl, d, du, du2, ipiv) of the matrix
+        I - (dt/2) Lap - dt D_lin, whose last row is the boundary condition
+        (v_N = value, or v_N - v_{N-1} = 0 for Neumann), kept for the last dt,
+        as the compiled loop forms and factors it (_kernel.c).  Entries that
+        overflow raise StateCorruptionError, which `run` reads as a verdict."""
+        if self._factors[0] == dt:
+            return self._factors[1]
+        from scipy.linalg.lapack import dgttrf
+        lo, di, up, dlo, ddi, dup = self._tri
         with np.errstate(over="ignore", invalid="ignore"):
-            off = -0.5 * dt * lap_off           # rows dl, du: -(dt/2) Lap - dt D_lin
-            off -= dt * drift_off
-            di = 1.0 - 0.5 * dt * self.di
-            di -= dt * self.linear_drift[1]
-        dl, du = off
+            dl = -0.5 * dt * lo[1:] - dt * dlo[1:]
+            du = -0.5 * dt * up[:-1] - dt * dup[:-1]
+            di = 1.0 - 0.5 * dt * di - dt * ddi
         di[-1] = 1.0
         dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
-        zeros = self._zeros
-        if math.isnan(dl.dot(zeros[1:]) + di.dot(zeros) + du.dot(zeros[1:])):     # as `_finite`
+        if not all(_finite(a, self._zeros[:len(a)]) for a in (dl, di, du)):
             raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
         *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
                                 overwrite_du=True)
         if info > 0:
             raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        self._recent = [[dt, factors, None]] + recent[:1]
-        return self._recent[0]
+        self._factors = dt, factors
+        return factors
 
     def step_record(self) -> dict:
         """The steps `advance` took, their smallest and largest dt, and the
@@ -488,10 +485,11 @@ class Stepper:
         b += v
         b[-1] = self.boundary_value(time + dt)
         try:
-            factors = self._factored(dt)[1]
+            factors = self._factored(dt)
         except (StateCorruptionError, np.linalg.LinAlgError):
             self._check_inputs(v, time, b)
             raise
+        from scipy.linalg.lapack import dgttrs
         # b is kept (no overwrite_b) for the cold path
         v_new, _ = dgttrs(*factors, b)
         # a non-finite field reaches b and a non-finite b the solution, so
@@ -501,41 +499,31 @@ class Stepper:
             raise StateCorruptionError(f"solver produced non-finite values at t={time}")
         return v_new
 
-    def _stretch(self, v, times, dt: float):
-        """Steps of dt from v at times[0] through times[1:], which the caller
-        sums as t += dt does: (the field after the last finite step, the count
-        of finite steps, the StateCorruptionError of the next step or None).
-        The compiled loop (`_library`) takes the steps as `_advance` would, bit
-        for bit, with Q at the edge from one array call, or from Q's scalar
-        path (`boundary_value`) for a one-step stretch; `_advance` takes the
-        step it finds not finite again, to name the stage, and takes every step
-        where there is no compiled loop or dt cannot be factored."""
+    def _stretch(self, v, times, dt: float, last: float):
+        """Steps from v at times[0] through times[1:], summed as t += dt sums
+        them, each of dt but the last, which is of `last`: (the field after
+        the last finite step, the count of finite steps, the error of the next
+        step or None).  The compiled loop (`_library`) takes them in one call
+        as `_advance` would, bit for bit, with Q at the edge from one array
+        call; where it stops, at a non-finite step or before one whose matrix
+        overflows or is singular, `_advance` takes that step again, to raise
+        the error, as it takes every step where there is no compiled loop."""
         k, done = len(times) - 1, 0
         lib = _library()
         if lib is not None and k:
-            try:
-                entry = self._factored(dt)
-            except (StateCorruptionError, np.linalg.LinAlgError):
-                pass        # `_advance` raises it again, after naming a non-finite input
-            else:
-                if entry[2] is None:        # the pivots as the C int the loop reads
-                    entry[1][4] = np.ascontiguousarray(entry[1][4], np.intc)
-                    entry[2] = [_address(a) for a in entry[1]]
-                if self.boundary == "neumann":
-                    bval = np.zeros(k)
-                elif k == 1:        # a landing or physical step: Q's scalar path
-                    bval = np.array([self.boundary_value(float(times[1]))])
-                else:       # each edge xi by Python's `**`, as `boundary_value` takes it
-                    xi = [self.grid.nodes[-1] * t ** (-1.0 / (2 * self.params.ell))
-                          for t in times[1:].tolist()]
-                    bval = np.ascontiguousarray(pr.q_of_xi(self.params, np.array(xi)))
-                v = np.array(v, float)
-                done = lib.ks_stretch(len(v), k, dt, self.d, *self._pointers,
-                                      _address(bval), *entry[2], _address(v))
-                self.compiled_steps += done
+            if self.boundary == "neumann":
+                bval = np.zeros(k)
+            else:       # each edge xi by Python's `**`, as `boundary_value` takes it
+                xi = [self.grid.nodes[-1] * t ** (-1.0 / (2 * self.params.ell))
+                      for t in times[1:].tolist()]
+                bval = np.ascontiguousarray(pr.q_of_xi(self.params, np.array(xi)))
+            v = np.array(v, float)
+            done = lib.ks_stretch(len(v), k, self.boundary == "neumann", dt, last, self.d,
+                                  *self._pointers, _address(bval), _address(v))
+            self.compiled_steps += done
         for j in range(done, k):
             try:
-                v = self._advance(v, float(times[j]), dt)
+                v = self._advance(v, float(times[j]), dt if j < k - 1 else last)
             except StateCorruptionError as exc:
                 return v, j, exc
         return v, k, None
@@ -567,16 +555,17 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             while most > 0 and t < target - _TIME_TOL:
                 if dt is not None:
-                    h, times = _stretch_times(t, dt, target, min(most, _MAX_STRETCH))
+                    h, last, times = _stretch_times(t, dt, target, min(most, _MAX_STRETCH))
                 else:
                     h = self.cfl_dt(RadialState(self.frame, t, v, self.grid, self.d), cfl)
-                    h, times = _stretch_times(t, h if cap is None else min(h, cap(t)), target, 1)
-                v, done, error = self._stretch(v, times, h)
+                    h, last, times = _stretch_times(t, min(h, cap(t) if cap else h), target, 1)
+                v, done, error = self._stretch(v, times, h, last)
                 t = float(times[done])
                 if done:
                     self.steps += done
                     most -= done
-                    self.dt_min, self.dt_max = min(self.dt_min, h), max(self.dt_max, h)
+                    last = last if done == len(times) - 1 else h     # the last step taken
+                    self.dt_min, self.dt_max = min(self.dt_min, h, last), max(self.dt_max, h, last)
                 if error is not None:
                     break
         return RadialState(self.frame, t, v, self.grid, self.d), error

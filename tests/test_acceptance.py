@@ -124,6 +124,30 @@ def test_gauss_projections_match_fine_trapezoid(monkeypatch):
     np.testing.assert_allclose(base, fine, rtol=1e-6)
 
 
+def test_legendre_rule_built_once_gives_the_projections_of_a_fresh_build(monkeypatch):
+    # the 128-node rule is built once, read-only, and the projections taken
+    # with it are byte-equal to those of a rule built afresh at every s
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(nodes):
+        calls.append(nodes)
+        return leggauss(nodes)
+
+    ac._legendre_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    for d in (3, 4):
+        svals = ac.CRITERION_8_WINDOWS[d]
+        cached = ac.ansatz_error_projections(d, svals)
+        x, w = ac._legendre_rule(ac.GAUSS_NODES)
+        assert not x.flags.writeable and not w.flags.writeable
+        with monkeypatch.context() as m:
+            m.setattr(ac, "_legendre_rule", leggauss)
+            fresh = ac.ansatz_error_projections(d, svals)
+        assert cached.tobytes() == fresh.tobytes()
+    assert calls == [ac.GAUSS_NODES]
+
+
 def test_criterion_09_null_mode_dynamics():
     _run(9)
 

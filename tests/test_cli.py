@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,17 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported only inside the functions that need it: the NumPy
+    # fallback of the stepper and the discrete spectrum
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", "import sys, ksblowup.cli; print(sorted("
+                          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from ksblowup import diagnostics as dg
 from ksblowup import eigenbasis as eb
@@ -400,15 +400,16 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
     assert len(calls) == 2
 
 
-def _advance_loop(stepper, v, times, dt):
+def _advance_loop(stepper, v, times, dt, last):
     """`Stepper._stretch` written over `_advance`: the field after the last
     finite step, the number of finite steps and the next step's error."""
-    for j in range(len(times) - 1):
+    k = len(times) - 1
+    for j in range(k):
         try:
-            v = stepper._advance(v, float(times[j]), dt)
+            v = stepper._advance(v, float(times[j]), dt if j < k - 1 else last)
         except sim.StateCorruptionError as exc:
             return v, j, exc
-    return v, len(times) - 1, None
+    return v, k, None
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
@@ -423,7 +424,8 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
     # the compiled loop gives the bytes of k `_advance` calls: all-centered
     # fields, mixed upwind fields of both signs, tiny fields with signed
     # zeros; a NaN or an overflowing field stops both at the same step, at
-    # the same state, with `_advance`'s error
+    # the same state, with `_advance`'s error.  The last step of a stretch
+    # may land at its own dt: a few ulps off dt, or much smaller
     rng = np.random.default_rng(5)
     n = len(grid.nodes)
     tiny = rng.uniform(-1e-3, 1e-3, n)
@@ -435,12 +437,14 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
     for d in (3, 4):
         stepper = sim.Stepper(grid, d, frame, boundary)
         for v in fields:
-            for k, dt in ((1, 1e-3), (7, 1e-3), (40, 0.05)):
-                times = np.cumsum(np.r_[t0, np.full(k, dt)])
+            for k, dt, last in ((1, 1e-3, 1e-3), (7, 1e-3, 1e-3), (40, 0.05, 0.05),
+                                (1, 1e-3, 2.5e-4), (7, 1e-3, 1e-3 + 4e-19),
+                                (7, 1e-3, 1e-3 - 3e-19), (40, 0.05, 3e-6)):
+                times = np.cumsum(np.r_[t0, np.full(k - 1, dt), last])
                 with np.errstate(over="ignore", invalid="ignore"):
-                    want, finite, want_error = _advance_loop(stepper, v, times, dt)
+                    want, finite, want_error = _advance_loop(stepper, v, times, dt, last)
                     compiled = stepper.compiled_steps
-                    got, done, error = stepper._stretch(v, times, dt)
+                    got, done, error = stepper._stretch(v, times, dt, last)
                 assert stepper.compiled_steps == compiled + done
                 assert done == finite and got.tobytes() == want.tobytes()
                 assert (error is None) == (done == k) == (want_error is None)
@@ -456,7 +460,7 @@ def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, mon
     if shutil.which("cc") is None and shutil.which("gcc") is None:
         pytest.skip("no C compiler")
     lib = sim._build(tmp_path / "cache")
-    assert lib is not None and hasattr(lib, "ks_stretch")
+    assert lib is not None and hasattr(lib, "ks_stretch") and hasattr(lib, "ks_factor")
     (built,) = (tmp_path / "cache").iterdir()
     assert built.name.startswith("kernel-") and built.suffix == ".so"
     assert sim._build(tmp_path / "cache") is not None
@@ -470,6 +474,84 @@ def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, mon
     assert list((tmp_path / "other").iterdir()) == []
     monkeypatch.setattr(sim.shutil, "which", lambda name: None)
     assert sim._build(tmp_path / "none") is None
+
+
+def _compiled_factors(lib, dl, d, du):
+    """`ks_factor` on copies of (dl, d, du): (dl, d, du, du2, ipiv, info)."""
+    out = [np.array(a, float) for a in (dl, d, du)]
+    out += [np.zeros(len(d) - 2), np.zeros(len(d), np.intc)]
+    return out + [lib.ks_factor(len(d), *(sim._address(a) for a in out))]
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
+def test_compiled_factor_equals_lapack_dgttrf(monkeypatch):
+    # `ks_factor` gives the bytes of all five of scipy's dgttrf outputs and
+    # its info: on the stepper matrices of both dimensions and frames for dt
+    # from 1e-7 to 1e6, some with row interchanges, and on random
+    # tridiagonals from n = 3 to 59, a singular one included
+    lib = sim._library()
+    matrices = []
+    dgttrf = lapack.dgttrf
+
+    def recording(dl, d, du, **kwargs):
+        matrices.append((dl.copy(), d.copy(), du.copy()))
+        return dgttrf(dl, d, du, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgttrf", recording)
+    for grid, frame, boundary in ((sim.Grid.uniform(1024, 110.0), "selfsimilar", "profile"),
+                                  (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "neumann"),
+                                  (sim.Grid.uniform(32, 10.0), "physical", "neumann")):
+        for d in (3, 4):
+            stepper = sim.Stepper(grid, d, frame, boundary)
+            for dt in np.geomspace(1e-7, 1e6, 27):
+                stepper._factored(float(dt))
+    monkeypatch.undo()
+    stepper_count = len(matrices)
+    rng = np.random.default_rng(3)
+    for n in range(3, 60):
+        matrices.append(tuple(rng.normal(size=m) for m in (n - 1, n, n - 1)))
+    d = rng.normal(size=10)
+    d[3] = 0.0
+    matrices.append((np.zeros(9), d, np.zeros(9)))       # U(4, 4) is zero
+    pivoted = []
+    for dl, d, du in matrices:
+        want = lapack.dgttrf(dl.copy(), d.copy(), du.copy())
+        got = _compiled_factors(lib, dl, d, du)
+        for a, b in zip(got[:4], want[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(got[4], want[4]) and got[5] == want[5]
+        pivoted.append(not np.array_equal(got[4], np.arange(1, len(d) + 1)))
+    assert stepper_count == 6 * 27 and 0 < sum(pivoted[:stepper_count]) < stepper_count
+    assert sum(pivoted[stepper_count:]) > 40 and want[5] == 4
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
+def test_stretch_hands_an_unfactorable_step_to_advance():
+    # a dt whose matrix overflows and a singular matrix stop the compiled
+    # loop before that step, as the first or the landing step; `_advance`
+    # then takes it and raises its own error with its own message
+    g = sim.Grid.uniform(32, 10.0)
+    stepper = sim.Stepper(g, 4, "physical", "neumann")
+    v = np.full(33, 0.1)
+    alternating = 0.1 * np.where(np.arange(33) % 2, 1.0, -1.0)
+    singular = 0
+    for values, dt, last in ((v, 1e307, 1e307), (v, 1e-3, 1e307),
+                             (alternating, 1e300, 1e300), (alternating, 1e-3, 1e300)):
+        times = np.cumsum(np.r_[0.5, np.full(3 if dt != last else 0, dt), last])
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = _advance_loop(stepper, values, times, dt, last)
+            except np.linalg.LinAlgError as exc:
+                with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+                    stepper._stretch(values, times, dt, last)
+                singular += 1
+                continue
+            compiled = stepper.compiled_steps
+            got, done, error = stepper._stretch(values, times, dt, last)
+        assert stepper.compiled_steps == compiled + done
+        assert done == want[1] == len(times) - 2 and got.tobytes() == want[0].tobytes()
+        assert str(error) == str(want[2]) == "Crank-Nicolson matrix overflowed at dt=1e+307"
+    assert singular == 2
 
 
 def test_step_names_the_first_non_finite_stage():
@@ -779,21 +861,40 @@ def test_unstable_mode_ratios_converge_at_first_order_in_dt():
 
 def test_stretch_times_equal_the_cumsum_of_a_prepended_time():
     # the times of a stretch, built in place, against the cumsum of
-    # np.r_[t, dt, dt, ...] and the same landing rule, bit for bit
+    # np.r_[t, dt, dt, ...] and the same landing rule, bit for bit: the
+    # steps of dt, and then the step landing on target that a second call
+    # from where they end would take, as a drive loop takes it
     def reference(t, dt, target, most):
+        # (dt, times, whether the one step lands)
         times = np.cumsum(np.r_[t, np.full(int(min(most, (target - t) / dt + 1.0)), dt)])
         k = np.count_nonzero((times[:-1] < target - sim._TIME_TOL)
                              & (dt < (target - times[:-1]) - sim._TIME_TOL))
-        return (dt, times[:k + 1]) if k else (target - t, np.array([t, t + (target - t)]))
+        if k:
+            return dt, times[:k + 1], False
+        return target - t, np.array([t, t + (target - t)]), True
+
+    def drive(t, dt, target, most):
+        h, times, landed = reference(t, dt, target, most)
+        k = len(times) - 1
+        if not landed and k < most and times[-1] < target - sim._TIME_TOL:
+            last, landing, landed = reference(float(times[-1]), dt, target, most - k)
+            if landed:
+                return h, last, np.r_[times, landing[1]]
+        return h, h, times
 
     rng = np.random.default_rng(11)
+    landings = 0
     for _ in range(2000):
         t = float(rng.choice([0.0, 50.0, 1.0 - 1e-4]) + rng.uniform(0.0, 10.0))
         dt = float(10.0 ** rng.uniform(-6.0, -1.0))
         target = t + dt * float(rng.choice([rng.uniform(0.0, 2.0), rng.uniform(0.0, 200.0)]))
+        if not t < target - sim._TIME_TOL:
+            continue        # a drive takes no step from here
         most = int(rng.choice([1, 7, sim._MAX_STRETCH]))
-        got, want = sim._stretch_times(t, dt, target, most), reference(t, dt, target, most)
-        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        got, want = sim._stretch_times(t, dt, target, most), drive(t, dt, target, most)
+        assert got[:2] == want[:2] and got[2].tobytes() == want[2].tobytes()
+        landings += got[1] != got[0]
+    assert landings > 100
 
 
 @pytest.mark.parametrize("t0", [100.0, 1000.0])
@@ -803,9 +904,9 @@ def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     dts = []
     stretch = sim.Stepper._stretch
 
-    def counting_stretch(self, v, times, dt):
-        out = stretch(self, v, times, dt)
-        dts.extend([dt] * out[1])
+    def counting_stretch(self, v, times, dt, last):
+        out = stretch(self, v, times, dt, last)
+        dts.extend(([dt] * (len(times) - 2) + [last])[:out[1]])
         return out
 
     monkeypatch.setattr(sim.Stepper, "_stretch", counting_stretch)
@@ -825,9 +926,9 @@ def _recording_stretch(monkeypatch):
     log = []
     stretch = sim.Stepper._stretch
 
-    def recording(self, v, times, dt):
+    def recording(self, v, times, dt, last):
         log.append((float(times[0]), len(times) - 1, dt))
-        return stretch(self, v, times, dt)
+        return stretch(self, v, times, dt, last)
 
     monkeypatch.setattr(sim.Stepper, "_stretch", recording)
     return log
@@ -993,38 +1094,63 @@ def test_run_inner_loop_equals_step_loop(cfg, monkeypatch):
         assert (res.stop_reason == "non-finite step") == bool(ref["message"])
 
 
-def test_factor_cache_keeps_the_fixed_dt(monkeypatch):
-    # a step landing on a record time uses dt = gap, a few ulps off the fixed
-    # dt; the cache keeps both, so each record costs one factorization, not
-    # two, and a run that refactors at every step gives the same bytes
+def test_numpy_path_factors_once_per_stretch_dt(monkeypatch):
+    # a record interval's steps of the fixed dt and its step landing on the
+    # record, a few ulps off dt, are one stretch: the compiled loop factors
+    # both inside its one call, with no call of scipy's dgttrf; without it,
+    # `_advance` factors each of the two once, not once per step.  A run
+    # that refactors at every step gives the same bytes
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, dt=1e-5, s0=0.0,
                         horizon=0.2, cadence=0.01, init=np.full(33, 0.1))
     calls = []
-    dgttrf = sim.dgttrf
+    dgttrf = lapack.dgttrf
 
     def counting_dgttrf(*args, **kwargs):
         calls.append(1)
         return dgttrf(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "dgttrf", counting_dgttrf)
-    cached = sim.run(cfg)
-    assert len(cached.times) == 21
-    assert len(calls) <= 21
+    monkeypatch.setattr(lapack, "dgttrf", counting_dgttrf)
+    runs = [sim.run(cfg)]
+    assert len(runs[0].times) == 21 and runs[0].dt_min < runs[0].dt_max
+    if runs[0].kernel == "compiled":
+        assert calls == []
+
+    monkeypatch.setattr(sim, "_library", lambda: None)
+    calls.clear()
+    runs.append(sim.run(cfg))
+    assert len(runs[1].times) == 21 and len(calls) <= 2 * 20
 
     factored = sim.Stepper._factored
 
     def refactor_every_step(self, dt):
-        self._recent = []
+        self._factors = None, None
         return factored(self, dt)
 
-    # through `_advance`, which factors at every step, not once per stretch
     monkeypatch.setattr(sim.Stepper, "_factored", refactor_every_step)
-    monkeypatch.setattr(sim, "_library", lambda: None)
-    fresh = sim.run(cfg)
+    runs.append(sim.run(cfg))
     assert len(calls) > 20000
-    assert np.array_equal(cached.times, fresh.times)
-    assert np.array_equal(cached.sup_w, fresh.sup_w)
-    assert np.array_equal(cached.final_state.values, fresh.final_state.values)
+    for res in runs[1:]:
+        assert res.times.tobytes() == runs[0].times.tobytes()
+        assert res.sup_w.tobytes() == runs[0].sup_w.tobytes()
+        assert res.final_state.values.tobytes() == runs[0].final_state.values.tobytes()
+
+
+def test_one_record_interval_is_one_stretch(monkeypatch):
+    # a fixed-dt run and a self-similar run at the CFL dt of each record
+    # step each record interval, the step landing on the record included,
+    # in one `_stretch` call that starts at the record
+    log = _recording_stretch(monkeypatch)
+    for cfg in (sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=1000.0, horizon=0.5,
+                              cadence=0.01, dt=1e-3, init=np.full(33, 0.1)),
+                sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25,
+                              escape_factor=np.inf)):
+        log.clear()
+        res = sim.run(cfg)
+        starts = res.times if res.records == [] else [r.s for r in res.records]
+        assert len(log) == len(starts) - 1 > 3
+        assert [t for t, _, _ in log] == list(starts[:-1])
+        assert sum(k for _, k, _ in log) == res.steps
+        assert res.dt_min < res.dt_max      # each interval lands at its own last dt
 
 
 def test_run_splits_its_wall_time_by_clock_reads_at_records(monkeypatch):
