@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -487,9 +487,8 @@ def final_profile_experiment():
     tau0 = math.exp(-s0)
     grid = sim.Grid.uniform(n_physical, r_max)
     r = grid.nodes
-    y_ph = r / math.sqrt(tau0)
-    modes = sim.unstable_modes(d, y_ph, s0, cfg.bump_K)
-    v0 = pr.psi(p, y_ph, s0) + (amp / s0**2) * (np.asarray(search.parameters) @ modes)
+    v0 = sim.make_initial_data(replace(cfg, dvec=search.parameters),
+                               sim.Grid(r / math.sqrt(tau0))).values
     started = time.perf_counter()
     stepper = sim.Stepper(grid, d, "physical", "neumann")
     t_end = 1.0 - tau_end

@@ -23,7 +23,6 @@ per dimension; every caller shares that frozen record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -98,13 +97,11 @@ class ProfileParams:
 
     d: int
     ell: int
-    two_alpha: float
     B: float
     c: float
     B_exact: Fraction
     c_exact: Fraction
     # float coefficient tables (ascending powers of y^2) used by the ansatz
-    phi_coeffs: tuple = field(default=())        # phi_{2 ell}
     phit_coeffs: tuple = field(default=())       # phi_tilde
     phit_lap_coeffs: tuple = field(default=())   # Lap_{d+2} phi_tilde
 
@@ -121,17 +118,14 @@ def make_profile_params(d: int) -> ProfileParams:
     ell = eb.ell_of(d)
     b_exact = eb.compute_B(d)
     c_exact = eb.compute_c(d)
-    phi = eb.partial_mass_eigen(d, ell)
     phit = eb.phi_tilde(d)
     return ProfileParams(
         d=d,
         ell=ell,
-        two_alpha=float(2 * eb.alpha_of(d)),
         B=float(b_exact),
         c=float(c_exact),
         B_exact=b_exact,
         c_exact=c_exact,
-        phi_coeffs=tuple(phi.float_coeffs()),
         phit_coeffs=tuple(phit.float_coeffs()),
         phit_lap_coeffs=tuple(phit.laplacian(d + 2).float_coeffs()),
     )
@@ -207,28 +201,8 @@ def _as_xi(xi):
     return xi
 
 
-def _q_scalar(params: ProfileParams, xi: float) -> float:
-    """q_of_xi at one float without 0-d array overhead, equal to the array
-    path bit for bit: the power and, for ell=3, sinh and arsinh run through
-    the same numpy loops (Python's ** and the math module round differently),
-    and sqrt is correctly rounded in both."""
-    if xi < 0:
-        raise ValueError("similarity coordinate must be nonnegative")
-    t = params.c * float(np.power(xi, 2 * params.ell))
-    if not math.isfinite(t):
-        raise ValueError("similarity coordinate out of range (t not finite/positive)")
-    if params.ell == 2:
-        return 1.0 / (2.0 + math.sqrt(4.0 + t))
-    if t == 0.0:
-        return 1.0 / params.d
-    r = math.sqrt(t)
-    return float(2.0 * np.sinh(np.arcsinh(0.5 * r) / 3.0) / r)
-
-
 def q_of_xi(params: ProfileParams, xi):
     """Profile value Q(xi); Q(0) = 1/d exactly."""
-    if isinstance(xi, float):
-        return _q_scalar(params, xi)
     xi = _as_xi(xi)
     q = _solve_q(params, params.c * xi ** (2 * params.ell))
     return q if q.ndim else float(q)

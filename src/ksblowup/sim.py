@@ -48,6 +48,9 @@ repeats `_advance` operation for operation, so the two agree bit for bit.  It
 is built once per source and compiler flags into a cache outside the package
 (`_build`) and loaded with ctypes; where no compiler is found or the build or
 load fails, the stretch steps through `_advance`, which imports scipy's LAPACK.
+Either kernel reads the stretch's boundary values from one array, which
+`Stepper._edges` fills: zeros for Neumann, or the profile Q at the edge from
+one array call.
 """
 
 from __future__ import annotations
@@ -392,13 +395,15 @@ class Stepper:
     `advance` is the one way to step: it checks its state and step size once,
     steps toward a target time and keeps the step record (`step_record`):
     steps, dt range and the kernel most steps took.  Its one helper `_stretch`
-    takes a record interval's steps, landing step included, in one call of the
-    compiled loop, which factors each dt's matrix itself and steps bit for bit
-    as the raw-array kernel `_advance` does: one gather and the stack give b,
-    with D v upwinded where the largest Peclet product says some node needs it
-    (`_explicit`), and finiteness is checked once, on the solution (v @ 0);
-    when that fails `_advance` raises StateCorruptionError naming the first
-    non-finite stage: the field, the explicit terms, or the solver.
+    takes a record interval's boundary values from one `_edges` call and its
+    steps, landing step included, in one call of the compiled loop, which
+    factors each dt's matrix itself and steps bit for bit as the raw-array
+    kernel `_advance` does from the same boundary values: one gather and the
+    stack give b, with D v upwinded where the largest Peclet product says some
+    node needs it (`_explicit`), and finiteness is checked once, on the
+    solution (v @ 0); when that fails `_advance` raises StateCorruptionError
+    naming the first non-finite stage: the field, the explicit terms, or the
+    solver.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
@@ -465,25 +470,29 @@ class Stepper:
         return {"steps": self.steps, "dt_min": self.dt_min, "dt_max": self.dt_max,
                 "kernel": "compiled" if 2 * self.compiled_steps > self.steps else "numpy"}
 
-    def boundary_value(self, time_next: float) -> float:
+    def _edges(self, times):
+        """The boundary value at each of `times`: zero for Neumann, else the
+        profile Q at the edge, xi = y_max t^(-1/(2 ell)), in one array call."""
         if self.boundary == "neumann":
-            return 0.0
-        ell = self.params.ell
-        xi_edge = self.grid.nodes[-1] * time_next ** (-1.0 / (2 * ell))
-        return pr.q_of_xi(self.params, xi_edge)
+            return np.zeros(len(times))
+        # each xi by Python's `**`: NumPy's power rounds t ** -0.25 (and
+        # t ** -(1/6)) differently for some t, which would move criteria 9 and 10
+        xi = [self.grid.nodes[-1] * t ** (-1.0 / (2 * self.params.ell)) for t in times.tolist()]
+        return pr.q_of_xi(self.params, np.array(xi))
 
-    def _advance(self, v, time: float, dt: float):
+    def _advance(self, v, time: float, dt: float, edge: float):
         """The step kernel: v at `time` to the field at time + dt, solving
         against b = v + dt (E v + v D v) = v + (dt/2) Lap v + dt (v y v_y +
-        d v^2 - sigma v), boundary value last.  dt scales the increment before
-        v is added, so a steady state's cancellation stays inside the O(dt)
-        term.  Callers vouch for v and dt and enter np.errstate."""
+        d v^2 - sigma v), whose last entry is the boundary value `edge` at
+        time + dt (`_edges`).  dt scales the increment before v is added, so a
+        steady state's cancellation stays inside the O(dt) term.  Callers
+        vouch for v and dt and enter np.errstate."""
         st = self.stencil
         ev, dv = np.add.reduce(v[st.cen_at] * self.stack, axis=1)   # .sum, without its wrapper
         b = _explicit(st, v, ev, dv, self.d)
         b *= dt
         b += v
-        b[-1] = self.boundary_value(time + dt)
+        b[-1] = edge
         try:
             factors = self._factored(dt)
         except (StateCorruptionError, np.linalg.LinAlgError):
@@ -503,27 +512,23 @@ class Stepper:
         """Steps from v at times[0] through times[1:], summed as t += dt sums
         them, each of dt but the last, which is of `last`: (the field after
         the last finite step, the count of finite steps, the error of the next
-        step or None).  The compiled loop (`_library`) takes them in one call
-        as `_advance` would, bit for bit, with Q at the edge from one array
-        call; where it stops, at a non-finite step or before one whose matrix
+        step or None).  The boundary values of all steps come from one
+        `_edges` call, and either kernel reads them.  The compiled loop
+        (`_library`) takes the steps in one call as `_advance` would, bit for
+        bit; where it stops, at a non-finite step or before one whose matrix
         overflows or is singular, `_advance` takes that step again, to raise
         the error, as it takes every step where there is no compiled loop."""
         k, done = len(times) - 1, 0
+        edges = self._edges(times[1:])
         lib = _library()
         if lib is not None and k:
-            if self.boundary == "neumann":
-                bval = np.zeros(k)
-            else:       # each edge xi by Python's `**`, as `boundary_value` takes it
-                xi = [self.grid.nodes[-1] * t ** (-1.0 / (2 * self.params.ell))
-                      for t in times[1:].tolist()]
-                bval = np.ascontiguousarray(pr.q_of_xi(self.params, np.array(xi)))
             v = np.array(v, float)
             done = lib.ks_stretch(len(v), k, self.boundary == "neumann", dt, last, self.d,
-                                  *self._pointers, _address(bval), _address(v))
+                                  *self._pointers, _address(edges), _address(v))
             self.compiled_steps += done
         for j in range(done, k):
             try:
-                v = self._advance(v, float(times[j]), dt if j < k - 1 else last)
+                v = self._advance(v, float(times[j]), dt if j < k - 1 else last, edges[j])
             except StateCorruptionError as exc:
                 return v, j, exc
         return v, k, None

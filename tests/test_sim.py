@@ -400,13 +400,24 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
     assert len(calls) == 2
 
 
+def _edge(stepper, t):
+    """The boundary value at time t written out, one value at a time: zero for
+    Neumann, else Q at the edge xi = y_max t^(-1/(2 ell)), by Python's `**`."""
+    if stepper.boundary == "neumann":
+        return 0.0
+    ell = stepper.params.ell
+    return pr.q_of_xi(stepper.params, stepper.grid.nodes[-1] * t ** (-1.0 / (2 * ell)))
+
+
 def _advance_loop(stepper, v, times, dt, last):
-    """`Stepper._stretch` written over `_advance`: the field after the last
-    finite step, the number of finite steps and the next step's error."""
+    """`Stepper._stretch` written over `_advance`, one boundary value per
+    step: the field after the last finite step, the number of finite steps
+    and the next step's error."""
     k = len(times) - 1
     for j in range(k):
         try:
-            v = stepper._advance(v, float(times[j]), dt if j < k - 1 else last)
+            v = stepper._advance(v, float(times[j]), dt if j < k - 1 else last,
+                                 _edge(stepper, float(times[j + 1])))
         except sim.StateCorruptionError as exc:
             return v, j, exc
     return v, k, None
@@ -954,13 +965,42 @@ def test_drive_by_count_crosses_stretches_as_advance_steps(compiled, monkeypatch
     want, t_want = v0, 50.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(10000):
-            want = stepper._advance(want, t_want, dt)
+            want = stepper._advance(want, t_want, dt, _edge(stepper, t_want + dt))
             t_want += dt
     assert error is None and state.time == t_want
     assert state.values.tobytes() == want.tobytes()
     record = stepper.step_record()
     assert (record["steps"], record["dt_min"], record["dt_max"]) == (10000, dt, dt)
     assert record["kernel"] == ("compiled" if compiled else "numpy")
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_profile_boundary_evaluates_q_once_per_stretch(compiled, monkeypatch):
+    # either kernel reads a stretch's boundary values from one array call of
+    # Q: 5000 steps in stretches of 4096 and 904 are two calls, not one per
+    # step; a Neumann stretch evaluates no Q at all
+    if compiled and sim._library() is None:
+        pytest.skip("no compiled stretch loop")
+    if not compiled:
+        monkeypatch.setattr(sim, "_library", lambda: None)
+    calls = []
+    q_of_xi = pr.q_of_xi
+
+    def counting(params, xi):
+        calls.append(np.size(xi))
+        return q_of_xi(params, xi)
+
+    monkeypatch.setattr(pr, "q_of_xi", counting)
+    log = _recording_stretch(monkeypatch)
+    grid = sim.Grid.uniform(32, 10.0)
+    v0 = 0.25 + 0.01 * np.cos(grid.nodes)
+    for boundary in ("profile", "neumann"):
+        stepper = sim.Stepper(grid, 4, "selfsimilar", boundary)
+        state, error = stepper.advance(sim.RadialState("selfsimilar", 50.0, v0, grid, 4),
+                                       math.inf, dt=1e-4, most=5000)
+        assert error is None and stepper.steps == 5000
+    assert [k for _, k, _ in log] == [4096, 904] * 2
+    assert calls == [4096, 904]
 
 
 def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
@@ -983,7 +1023,8 @@ def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
         if dt >= target - state.time - sim._TIME_TOL:
             dt = target - state.time
         with np.errstate(over="ignore", invalid="ignore"):
-            values = stepper._advance(state.values, state.time, dt)
+            values = stepper._advance(state.values, state.time, dt,
+                                      _edge(stepper, state.time + dt))
         state = sim.RadialState("physical", state.time + dt, values, grid, 4)
         dts.append(dt)
     log = _recording_stretch(monkeypatch)
@@ -1040,7 +1081,8 @@ def _step_loop(cfg):
             dt = gap
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                values = stepper._advance(state.values, state.time, dt)
+                values = stepper._advance(state.values, state.time, dt,
+                                          _edge(stepper, state.time + dt))
             state = sim.RadialState(cfg.frame, state.time + dt, values, grid, cfg.d)
         except sim.StateCorruptionError as exc:
             out["verdict"] = "blowup" if np.max(np.abs(state.values)) > limit else "unstable"
