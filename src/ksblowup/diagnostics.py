@@ -18,6 +18,16 @@ Q(xi) once for psi and the outer norms; phi_tilde(y) once per context
 from one Euler-derivative chain, as rows of one array; and the reductions
 as ufunc reductions, without NumPy's Python wrappers.  `flat_norm` and
 `outer_norms` are the same code on one order or one field.
+
+After Q, a slice's arithmetic runs in one compiled pass where the library
+of _kernel.c loads (`_loader`, shared with `sim`): ks_slice repeats the
+NumPy path operation for operation, with np.add.reduce's pairwise sums and
+np.maximum.reduce's NaN, so both give the same bits (`slice_kernel` says
+which ran).  xi and Q stay in NumPy: its vectorized power does not round as
+libm's pow does, so C could not recompute Q bit for bit.  Where the pass
+finds an unresolved field or a non-decaying flat integrand, the NumPy path
+measures the slice again and warns or raises, so errors and warnings come
+from one place; it is also the path where there is no compiler.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import numpy as np
 
 from . import eigenbasis as eb
 from . import profile as pr
+from ._loader import _address, _library
 
 
 class CoverageError(ValueError):
@@ -135,6 +146,21 @@ class DiagnosticsContext:
 
     def rho_norm(self, field_values) -> float:
         return math.sqrt(np.add.reduce(self.quad_rho * field_values**2))
+
+    @cached_property
+    def _slice_arrays(self):
+        """(uniform, arrays, pointers) of the compiled slice pass (`_kernel.c`'s
+        ks_slice): whether the Euler stencil is the one doubled spacing; the
+        per-grid arrays (y, phi_tilde, the rho weights, phi, its squared
+        norms, the flat weights, the stencil), 6 n doubles of scratch and the
+        output, kept alive here; and their addresses.  Built on first use.
+        The scratch and output are the context's, so one slice at a time."""
+        a, b, c, _, _ = self._gradient_stencil
+        stencil = np.array([b]) if a is None else np.stack([a, b, c])
+        arrays = [np.ascontiguousarray(x, float) for x in (
+            self.y, self.phit, self.quad_rho, self.phi, self.phi_norm_sq, self.flat_w,
+            stencil, np.zeros(6 * len(self.y)), np.zeros(2 * self.ell + 9))]
+        return a is None, arrays, [x.ctypes.data for x in arrays]
 
     # -- Euler derivative --------------------------------------------------
     @cached_property
@@ -367,6 +393,31 @@ def bound_values(d: int, ell: int, s: float, A: float) -> dict:
     ]))
 
 
+def slice_kernel() -> str:
+    """The code that measures a slice: "compiled" (`_kernel.c`'s ks_slice)
+    or "numpy", where there is no compiled pass."""
+    return "numpy" if _library() is None else "compiled"
+
+
+def _compiled_slice(v, s: float, ctx: DiagnosticsContext, xi, q):
+    """`decompose`'s measurements from one ks_slice call: (the coefficients,
+    then tilde norm, flat norms, outer norms, sup |v| and sup |v - Q|), bit
+    for bit as the NumPy path takes them.  None where there is no compiled
+    pass, where v is not one value per node, where the grid stops short of
+    xi = 2K, or where the pass finds an unresolved field or a non-decaying
+    tail: there the NumPy path runs, to raise or warn."""
+    lib = _library()
+    if lib is None or v.shape != ctx.y.shape or xi[-1] < 2 * ctx.K:
+        return None
+    uniform, arrays, pointers = ctx._slice_arrays
+    v = np.ascontiguousarray(v)
+    if lib.ks_slice(len(v), 2 * ctx.ell, uniform, -(1.0 / (ctx.params.B * s)), ctx.K,
+                    *pointers, _address(xi), _address(q), v.ctypes.data):
+        return None
+    out = arrays[-1]
+    return out[:2 * ctx.ell].copy(), out[2 * ctx.ell:].tolist()
+
+
 def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
     """Subtract the refined ansatz and evaluate every shrinking-set bound.
 
@@ -378,22 +429,24 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
     p = ctx.params
     s = pr._check_s(s)
     v = np.asarray(v_values, float)
-    # Q and psi_hat as pr.psi forms them, psi_hat from the cached phi_tilde(y)
     xi = ctx.y * s ** (-1.0 / (2 * ctx.ell))
     q = pr.q_of_xi(p, xi)
-    ph = _cut(-(1.0 / (p.B * s)) * ctx.phit, pr.UNIT_CUTOFF, xi)
-    eps_hat = v - (q + ph)                     # v - psi
-    eps = eps_hat + ph                         # v - Q, for the outer norms
-
-    coeffs = ctx.project_all(eps_hat)
-    tilde_norm = ctx.rho_norm(eps_hat - np.add.reduce(coeffs[:, None] * ctx.phi, axis=0))
+    taken = _compiled_slice(v, s, ctx, xi, q)
+    if taken is None:
+        # psi_hat as pr.psi forms it, from the cached phi_tilde(y)
+        ph = _cut(-(1.0 / (p.B * s)) * ctx.phit, pr.UNIT_CUTOFF, xi)
+        eps_hat = v - (q + ph)                     # v - psi
+        eps = eps_hat + ph                         # v - Q, for the outer norms
+        coeffs = ctx.project_all(eps_hat)
+        tilde_norm = ctx.rho_norm(eps_hat - np.add.reduce(coeffs[:, None] * ctx.phi, axis=0))
+        taken = coeffs, [tilde_norm, *_flat_norms(eps_hat, ctx, 0, 2),
+                         *_outer_norms(eps, ctx, xi), _sup(v), _sup(v - q)]
+    coeffs, (tilde_norm, *norms, sup_v, sup_dev) = taken
 
     # the measured values in the order of `_bound_names`
     values = [abs(c) for c in coeffs.tolist()]
     values.append(values.pop(ctx.ell))
-    values.append(tilde_norm)
-    values += _flat_norms(eps_hat, ctx, 0, 2)
-    values += _outer_norms(eps, ctx, xi)
+    values += [tilde_norm, *norms]
     names = _bound_names(ctx.ell)
     measured = dict(zip(names, values))
     bounds = bound_values(ctx.d, ctx.ell, s, A).values()
@@ -408,7 +461,7 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
         verdict = "inside"
     return Slice(s=s, coefficients=coeffs, tilde_norm=tilde_norm,
                  measured=measured, ratios=ratios, verdict=verdict, worst=worst,
-                 sup_v=_sup(v), sup_dev_profile=_sup(v - q))
+                 sup_v=sup_v, sup_dev_profile=sup_dev)
 
 
 # ---------------------------------------------------------------------------

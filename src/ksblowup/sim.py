@@ -46,8 +46,9 @@ one CFL step) through `Stepper._stretch`, which runs them in one compiled loop,
 the C source _kernel.c next to this module.  That loop factors each dt and
 repeats `_advance` operation for operation, so the two agree bit for bit.  It
 is built once per source and compiler flags into a cache outside the package
-(`_build`) and loaded with ctypes; where no compiler is found or the build or
-load fails, the stretch steps through `_advance`, which imports scipy's LAPACK.
+and loaded with ctypes (`_loader`, which `diagnostics` shares); where no
+compiler is found or the build or load fails, the stretch steps through
+`_advance`, which imports scipy's LAPACK.
 Either kernel reads the stretch's boundary values from one array, which
 `Stepper._edges` fills: zeros for Neumann, or the profile Q at the edge from
 one array call.
@@ -55,16 +56,8 @@ one array call.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import math
-import os
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -72,6 +65,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import eigenbasis as eb
 from . import profile as pr
+from ._loader import _address, _library
 
 
 class ConfigError(ValueError):
@@ -291,64 +285,6 @@ def rhs(state: RadialState):
     vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
     out[-1] += vpp + (state.d + 1) / y[-1] * vp
     return out
-
-
-# ---------------------------------------------------------------------------
-# The compiled stretch loop
-# ---------------------------------------------------------------------------
-
-# No -march=native or -ffast-math, and no fused multiply-adds: each would break
-# bit-equality with `Stepper._advance`.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_SOURCE = Path(__file__).with_name("_kernel.c")
-
-
-def _build(cache: Path):
-    """The loop of _kernel.c, built into `cache` under the hash of its source
-    and flags unless it is there, and loaded with ctypes; None where there is
-    no compiler or the build or the load fails.  The object is renamed into
-    place once written, so no process loads one half written."""
-    try:
-        key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
-        target = cache / f"kernel-{key[:16]}.so"
-        if not target.exists():
-            compiler = shutil.which("cc") or shutil.which("gcc")
-            if compiler is None:
-                return None
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:       # on a timeout the compiler is killed and waited for
-                subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)], check=True,
-                               timeout=120, stdin=subprocess.DEVNULL,
-                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-                os.replace(tmp, target)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        lib = ctypes.CDLL(str(target))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    lib.ks_stretch.restype = lib.ks_factor.restype = ctypes.c_long
-    lib.ks_stretch.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 9
-    lib.ks_factor.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
-    return lib
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of a writable C-contiguous array's data; cheaper than
-    a.ctypes.data, which builds an object at every call."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
-
-
-@functools.cache
-def _library():
-    """The compiled loop, once per process, from the user's cache directory."""
-    try:
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    except RuntimeError:        # no home directory
-        return None
-    return _build(cache / "ksblowup")
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +621,9 @@ def make_initial_data(config: SimConfig, grid: Grid | None = None) -> RadialStat
     s0 = config.s0
     # both the ansatz's unit cutoff and the bump's cutoff must fit on the grid
     support = 2.0 * max(1.0, config.bump_K) * s0 ** (1.0 / (2 * ell))
-    if config.y_max < support:
+    if y[-1] < support:
         raise ConfigError(
-            f"y_max={config.y_max:.3g} does not cover the cutoff support "
+            f"the grid ends at y={y[-1]:.3g}, short of the cutoff support "
             f"2*max(1, bump_K)*s0^(1/(2 ell)) = {support:.3g}"
         )
     v = pr.psi(pr.make_profile_params(d), y, s0)
@@ -711,6 +647,7 @@ class RunResult:
     dt_min: float | None = None
     dt_max: float | None = None
     kernel: str | None = None
+    slice_kernel: str | None = None     # the code that measured `records`: `dg.slice_kernel`
     message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
     diag_s: float = 0.0         # wall seconds in the records: diagnostics slices or sup w
@@ -725,11 +662,12 @@ class RunResult:
                 "escaped": "escape"}.get(self.verdict.split(":")[0], "horizon")
 
     def summary(self) -> dict:
-        """Verdict, exit time, step record, message, stop reason and wall-time
-        split: criterion 9's `runs` entry and `simulate`'s manifest."""
+        """Verdict, exit time, step record, the code that measured the slices,
+        message, stop reason and wall-time split: criterion 9's `runs` entry
+        and `simulate`'s manifest."""
         return {name: getattr(self, name) for name in (
-            "verdict", "exit_time", "steps", "dt_min", "dt_max", "kernel", "message",
-            "stop_reason", "step_s", "diag_s")}
+            "verdict", "exit_time", "steps", "dt_min", "dt_max", "kernel", "slice_kernel",
+            "message", "stop_reason", "step_s", "diag_s")}
 
     def coefficient_table(self):
         s = np.array([r.s for r in self.records])
@@ -828,6 +766,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         times=np.array(times) if times else None,
         sup_w=np.array(sup_w) if sup_w else None,
         **stepper.step_record(),
+        slice_kernel=dg.slice_kernel() if track else None,
         message=message,
         step_s=step_s,
         diag_s=diag_s,

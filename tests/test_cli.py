@@ -12,7 +12,8 @@ from ksblowup import eigenbasis as eb
 from ksblowup import profile as pr
 from ksblowup import sim
 
-# the kernel every run steps with: the compiled loop wherever it builds
+# the kernel every run steps with and measures its slices with: the compiled
+# passes wherever they build
 KERNEL = "numpy" if sim._library() is None else "compiled"
 
 
@@ -125,7 +126,7 @@ def test_simulate_and_decompose_roundtrip(tmp_path, capsys):
     assert run["steps"] * run["dt_max"] >= 0.5 and run["message"] == ""
     assert run["step_s"] > 0.0 and run["diag_s"] > 0.0
     assert run["stop_reason"] == "horizon"
-    assert run["kernel"] == KERNEL
+    assert run["kernel"] == run["slice_kernel"] == KERNEL
 
     code2, out2, _ = run_cli(["--output-dir", str(outdir), "decompose",
                               "--snapshot", str(snap), "--s", "50.5",
@@ -291,7 +292,7 @@ def test_verify_report_lists_the_runs_of_criteria_7_and_9(tmp_path, capsys):
     assert run9["verdict"] == "completed" and run9["stop_reason"] == "horizon"
     assert run9["steps"] >= 10.0 / run9["dt_max"] and 0 < run9["dt_min"] <= run9["dt_max"]
     assert run9["step_s"] > 0 and run9["diag_s"] > 0
-    assert run9["kernel"] == KERNEL
+    assert run9["kernel"] == run9["slice_kernel"] == KERNEL
 
 
 def test_verify_report_lists_the_run_and_search_of_criterion_11(tmp_path, capsys):

@@ -1,5 +1,7 @@
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +214,140 @@ def test_outer_norms_coverage():
 # decompose
 # ---------------------------------------------------------------------------
 
+def _slice_bits(rec):
+    """Every field of a slice as bytes and types, NaNs included, in order."""
+    floats = [rec.s, rec.tilde_norm, *rec.measured.values(), *rec.ratios.values(),
+              rec.sup_v, rec.sup_dev_profile]
+    return (rec.coefficients.dtype, rec.coefficients.shape, rec.coefficients.tobytes(),
+            np.array(floats).tobytes(), [type(x) for x in floats], list(rec.measured),
+            list(rec.ratios), rec.verdict, rec.worst)
+
+
+def _decompose(v, s, ctx, A):
+    """dg.decompose, after checking that its slice has the same bits with and
+    without the compiled slice pass."""
+    rec = dg.decompose(v, s, ctx, A)
+    with mock.patch.object(dg, "_library", lambda: None):
+        assert _slice_bits(dg.decompose(v, s, ctx, A)) == _slice_bits(rec)
+    return rec
+
+
+def _plain_slice(v, s, ctx):
+    """(coefficients, measured values, sup |v|, sup |v - Q|) of a slice from
+    the plain NumPy forms: pr.psi_hat, one np.sum per sum, np.gradient,
+    cutoff_chi over the whole grid and np.max."""
+    p, ell, y = ctx.params, ctx.ell, ctx.y
+    xi = y * s ** (-1.0 / (2 * ell))
+    q = pr.q_of_xi(p, xi)
+    ph = pr.psi_hat(p, y, s)
+    eps_hat = v - (q + ph)
+    coeffs = np.array([np.sum(ctx.quad_rho * eps_hat * ctx.phi[k]) / ctx.phi_norm_sq[k]
+                       for k in range(2 * ell)])
+    measured = {f"mode_{k}": abs(float(c)) for k, c in enumerate(coeffs) if k != ell}
+    measured["null_mode"] = abs(float(coeffs[ell]))
+    tilde = eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0)
+    measured["l2rho"] = float(np.sqrt(np.sum(ctx.quad_rho * tilde**2)))
+    f = eps_hat
+    for j in range(3):
+        measured[f"flat_{j}"] = float(np.sqrt(np.sum(ctx.flat_w * f * f)))
+        f = _numpy_euler(y, f)
+    ex = (eps_hat + ph) * (1.0 - pr.cutoff_chi(ctx.cut_spec, xi))
+    measured["out_sup"] = float(np.max(np.abs(ex)))
+    measured["out_dysup"] = float(np.max(np.abs(_numpy_euler(y, ex))))
+    measured["out_ysup"] = float(np.max(np.abs(y * ex)))
+    return coeffs, measured, float(np.max(np.abs(v))), float(np.max(np.abs(v - q)))
+
+
+def _stepped(cfg, grid, s):
+    """The field of `cfg` stepped from s0 to s at its initial CFL dt."""
+    stepper = sim.Stepper(grid, cfg.d, "selfsimilar", "profile")
+    state = sim.make_initial_data(cfg, grid)
+    state, error = stepper.advance(state, s, dt=stepper.cfl_dt(state, 0.4))
+    assert error is None
+    return state.values
+
+
+@pytest.fixture(scope="module")
+def slice_fields():
+    """(name, v, s, ctx): criterion-9 fields (n=2048) and criterion-10 fields
+    (n=1024) at s0 and stepped; a d=3 field on a geometric grid, which takes
+    the non-uniform Euler stencil; a field whose grid has nodes at xi = 1, 2,
+    K and 2K exactly, on equal spacings; a criterion-10 field with a NaN."""
+    fields = []
+    for n, dvec, s in ((2048, (), 50.7), (1024, (0.4, -0.25), 51.3)):
+        cfg = sim.SimConfig(d=4, n=n, s0=50.0, horizon=10.0, cadence=0.1, A=20.0, K=10.0,
+                            dvec=dvec)
+        grid = cfg.build_grid()
+        ctx = dg.DiagnosticsContext(d=4, y=grid.nodes, K=cfg.K)
+        fields.append((f"n={n} s0", sim.make_initial_data(cfg, grid).values, 50.0, ctx))
+        fields.append((f"n={n} stepped", _stepped(cfg, grid, s), s, ctx))
+    nan = fields[-1][1].copy()
+    nan[700] = np.nan
+    fields.append(("nan", nan, fields[-1][2], fields[-1][3]))
+    cfg = sim.SimConfig(d=3, n=1024, s0=50.0, horizon=20.0, A=20.0, K=10.0,
+                        dvec=(0.4, -0.25, 0.3))
+    grid = sim.Grid.geometric(cfg.n, cfg.y_max, 1.002)
+    ctx = dg.DiagnosticsContext(d=3, y=grid.nodes, K=cfg.K)
+    fields.append(("d=3 geometric", _stepped(cfg, grid, 50.5), 50.5, ctx))
+    # xi = y / 2 at s = 16, on the nodes k / 64
+    y = np.arange(4097) / 64.0
+    ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0)
+    v = pr.psi(ctx.params, y, 16.0) + 1e-3 * np.exp(-0.02 * (y - 30.0) ** 2)
+    fields.append(("xi at K, 2K", v, 16.0, ctx))
+    return fields
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_slice_equals_the_plain_numpy_slice_bit_for_bit(compiled, slice_fields, monkeypatch):
+    # every measured value of decompose has the bits of its plain NumPy form,
+    # with the compiled slice pass (which takes every such field itself) and
+    # without it; a field with a growing tail raises and a rough one warns
+    # once, as the NumPy path does, since the pass hands both to it
+    flags = []
+    if compiled:
+        lib = dg._library()
+        if lib is None:
+            pytest.skip("no compiled slice pass")
+
+        class Counted:
+            def ks_slice(self, *args):
+                flags.append(lib.ks_slice(*args))
+                return flags[-1]
+
+        monkeypatch.setattr(dg, "_library", Counted)
+    else:
+        monkeypatch.setattr(dg, "_library", lambda: None)
+    for name, v, s, ctx in slice_fields:
+        rec = dg.decompose(v, s, ctx, 20.0)
+        coeffs, measured, sup_v, sup_dev = _plain_slice(v, s, ctx)
+        assert rec.coefficients.tobytes() == coeffs.tobytes(), name
+        assert list(rec.measured) == list(measured), name
+        got = [rec.tilde_norm, *rec.measured.values(), rec.sup_v, rec.sup_dev_profile]
+        want = [measured["l2rho"], *measured.values(), sup_v, sup_dev]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name
+        assert np.isnan(got).any() == (name == "nan"), name
+    assert flags == ([0] * len(slice_fields) if compiled else [])
+
+    y = np.linspace(0.0, 60.0, 6001)
+    ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0)
+    late = np.exp(-0.05 * y**2) + 1e-3 * np.where(y > 50.0, y - 50.0, 0.0) ** 4
+    with pytest.raises(dg.NonIntegrableTailError, match="does not decay"):
+        dg.decompose(pr.psi(ctx.params, y, 50.0) + late, 50.0, ctx, 20.0)
+    # rough everywhere, and rough only between the first two nodes
+    rough = (pr.psi(ctx.params, y, 50.0)
+             + 1e-2 * np.sign(np.sin(50.0 * y)) * np.exp(-0.01 * y**2))
+    first = pr.psi(ctx.params, y, 50.0)
+    first[0] += 1.0
+    for v in (rough, first):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = dg.decompose(v, 50.0, ctx, 20.0)
+        assert [(w.category, "unresolved" in str(w.message)) for w in caught] == [
+            (RuntimeWarning, True)]
+        assert rec.measured == _plain_slice(v, 50.0, ctx)[1]
+    assert flags[len(slice_fields):] == ([2, 1, 1] if compiled else [])
+
+
 def test_decompose_of_pure_ansatz():
     d = 4
     y = np.linspace(0.0, 60.0, 6001)
@@ -266,7 +402,7 @@ def test_decompose_evaluates_q_and_the_flat_chain_once():
     ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0)
     s, A = 50.0, 20.0
     v = pr.psi(ctx.params, y, s) + 1e-3 * np.exp(-0.2 * y**2) * (1 - y + 0.3 * y**2)
-    rec = dg.decompose(v, s, ctx, A)
+    rec = _decompose(v, s, ctx, A)
     q = pr.q_of_xi(ctx.params, y * s ** -0.25)
     assert rec.sup_dev_profile == float(np.max(np.abs(v - q)))
     assert rec.sup_v == float(np.max(np.abs(v)))
@@ -290,7 +426,7 @@ def test_decompose_pinned_on_a_perturbed_criterion_10_field():
     p, ell, s, A = ctx.params, ctx.ell, cfg.s0, cfg.A
     v = sim.make_initial_data(cfg).values
     v = v + 1e-4 * np.exp(-0.02 * (y - 30.0) ** 2)       # reaches the outer region
-    rec = dg.decompose(v, s, ctx, A)
+    rec = _decompose(v, s, ctx, A)
 
     xi = y * s ** (-1.0 / (2 * ell))
     q = pr._solve_profile(p, p.c * xi ** (2 * ell))[0]
@@ -328,7 +464,7 @@ def test_decompose_pinned_on_a_perturbed_d3_field_on_a_geometric_grid():
     p, ell, s, A = ctx.params, ctx.ell, 53.7, cfg.A
     v = sim.make_initial_data(cfg, grid).values
     v = v + 1e-4 * np.exp(-0.02 * (y - 40.0) ** 2)       # reaches the outer region
-    rec = dg.decompose(v, s, ctx, A)
+    rec = _decompose(v, s, ctx, A)
 
     xi = y * s ** (-1.0 / (2 * ell))
     q = pr._solve_profile(p, p.c * xi ** (2 * ell))[0]

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import shutil
 from dataclasses import fields, replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack, solve_banded
 
+from ksblowup import _loader
 from ksblowup import diagnostics as dg
 from ksblowup import eigenbasis as eb
 from ksblowup import profile as pr
@@ -466,25 +468,28 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
 
 def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, monkeypatch):
     # a build into an empty cache loads and leaves one object and no
-    # temporary file; a second load reuses it.  No compiler, a failing
+    # temporary file, with the stretch loop, the factorization and the slice
+    # pass declared; a second load reuses it.  No compiler, a failing
     # compiler or a cache that cannot be written gives None, not an error
     if shutil.which("cc") is None and shutil.which("gcc") is None:
         pytest.skip("no C compiler")
-    lib = sim._build(tmp_path / "cache")
+    lib = _loader._build(tmp_path / "cache")
     assert lib is not None and hasattr(lib, "ks_stretch") and hasattr(lib, "ks_factor")
+    assert lib.ks_slice.restype is ctypes.c_long
+    assert lib.ks_slice.argtypes == [ctypes.c_long] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 12
     (built,) = (tmp_path / "cache").iterdir()
     assert built.name.startswith("kernel-") and built.suffix == ".so"
-    assert sim._build(tmp_path / "cache") is not None
+    assert _loader._build(tmp_path / "cache") is not None
     assert list((tmp_path / "cache").iterdir()) == [built]
     blocked = tmp_path / "file"
     blocked.write_text("")
-    assert sim._build(blocked / "cache") is None
+    assert _loader._build(blocked / "cache") is None
     false = shutil.which("false") or "/bin/false"
-    monkeypatch.setattr(sim.shutil, "which", lambda name: false)
-    assert sim._build(tmp_path / "other") is None
+    monkeypatch.setattr(_loader.shutil, "which", lambda name: false)
+    assert _loader._build(tmp_path / "other") is None
     assert list((tmp_path / "other").iterdir()) == []
-    monkeypatch.setattr(sim.shutil, "which", lambda name: None)
-    assert sim._build(tmp_path / "none") is None
+    monkeypatch.setattr(_loader.shutil, "which", lambda name: None)
+    assert _loader._build(tmp_path / "none") is None
 
 
 def _compiled_factors(lib, dl, d, du):
@@ -722,6 +727,11 @@ def test_make_initial_data_cutoff_support_error():
     sim.make_initial_data(cfg)
     with pytest.raises(sim.ConfigError):
         sim.make_initial_data(replace(cfg, bump_K=4.0))
+    # the grid it is given is checked, not y_max: this one ends at 4 < 5.3
+    cfg = sim.SimConfig(d=4, n=64, s0=50.0, horizon=1.0, dvec=(0.5, 0.0))
+    sim.make_initial_data(cfg)
+    with pytest.raises(sim.ConfigError):
+        sim.make_initial_data(cfg, sim.Grid.uniform(64, 4.0))
 
 
 def test_make_initial_data_mode_projection_large_s0():
