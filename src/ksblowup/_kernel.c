@@ -7,8 +7,9 @@
  * repeats Stepper._advance operation for operation:
  *   - E v and D v from the gather (v[i+1], v[i], v[i-1]) of the (2, 3, n)
  *     stencil stack w, summed as numpy reduces it, (g0 w0 + g1 w1) + g2 w2;
- *   - the Peclet decision of sim._explicit (a NaN takes the per-node path)
- *     and its per-node upwind patch of D v;
+ *   - the per-node Peclet select of sim._explicit (a NaN Peclet number
+ *     upwinds), after one pass that finds whether any node upwinds, and its
+ *     upwind patch of D v;
  *   - b = (E v + (D v) v) dt + v, with b[n-1] = bval[step];
  *   - LAPACK dgtts2's forward and back sweeps for one right-hand side over
  *     the dgttrf factors (dl, df, du, du2, ipiv), as dgttrs solves.
@@ -20,8 +21,8 @@
  * finite field; scratch holds 9 n doubles (b, then two sets of factors) and
  * ipiv 2 n ints.
  *
- * ks_slice is the arithmetic of ksblowup.diagnostics.decompose after Q: the
- * psi_hat band cut, the mode projections and the tilde rho-norm, the flat
+ * ks_slice is the arithmetic of ksblowup.diagnostics.decompose's NumPy path
+ * after Q: the psi_hat cutoff, the mode projections and the tilde rho-norm, the flat
  * norms' Euler chain with its tail-decay and resolution tests, and the outer
  * and sup norms.  It repeats NumPy's order of operations, and its sums and
  * maxima are NumPy's reductions: np.add.reduce is the identity 0.0 plus
@@ -231,9 +232,11 @@ static double peak_of(const struct peak *p)
     return p->nan != 0.0 ? p->nan : p->top;
 }
 
-/* The band lo <= i < hi of diagnostics._cut for ascending xi: xi <= K below
- * it (searchsorted(K, "right")) and xi >= 2K from its end (searchsorted(2K,
- * "left")), and cutoff_chi's smoothstep of xi / K - 1 on it */
+/* The band lo <= i < hi of profile.cutoff_chi for ascending xi: below it
+ * xi <= K, xi / K rounds to at most 1 and chi is exactly 1.0; from its end
+ * xi >= 2K, xi / K rounds to at least 2 and chi is exactly 0.0; on it xi / K
+ * rounds into [1, 2], where u - 1 is exact and the clip is idle, and chi is
+ * the smoothstep of xi / K - 1 */
 static void band(long n, const double *xi, double K, long *lo, long *hi)
 {
     long i = 0;
@@ -251,9 +254,9 @@ static double chi(double xi, double K)
     return 1.0 - t * t * t * ((10.0 - 15.0 * t) + 6.0 * t * t);
 }
 
-/* DiagnosticsContext._euler_derivative: y df/dy from the stencil st of
- * np.gradient(f, y, edge_order=1), the interior weights (a, b, c), n - 2
- * each, or with equal spacings the one doubled spacing b */
+/* y df/dy as y * np.gradient(f, y, edge_order=1) forms it, from its stencil
+ * st (DiagnosticsContext._slice_arrays): the interior weights (a, b, c),
+ * n - 2 each, or with equal spacings the one doubled spacing b */
 static void euler(long n, long uniform, const double *st, const double *y,
                   const double *f, double *out)
 {
@@ -269,7 +272,7 @@ static void euler(long n, long uniform, const double *st, const double *y,
     out[n - 1] = (f[n - 1] - f[n - 2]) / (y[n - 1] - y[n - 2]) * y[n - 1];
 }
 
-/* 1 where diagnostics._check_tail_decay raises on this row of integrands,
+/* 1 where diagnostics._check_tail_decay raises on this integrand,
  * `count` of them positive: the mean of the window that ends five nodes
  * before the last positive entry is at least that of the window before it,
  * and above 1e-6 of the row's largest entry */

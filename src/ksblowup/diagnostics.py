@@ -4,30 +4,23 @@ Measurements are pure functions of a field sampled on a grid; a
 :class:`DiagnosticsContext` precomputes the eigenfunction samples,
 quadrature weights and exact normalizations for one (dimension, grid)
 pair so that per-slice diagnostics stay cheap inside evolution loops.
-Its Euler derivative y d/dy keeps the stencil of
-`np.gradient(f, y, edge_order=1)` per grid, built on first use, and gives
-the same bits.
+The Euler derivative y d/dy is y * np.gradient(f, y, edge_order=1).
 
 `decompose` measures one time slice against the shrinking set and returns
 it as a :class:`Slice`, the one record that a run keeps, that `csv_row`
-writes under `csv_header` and that the CLI reports.  It evaluates each
-quantity once, with the same bits as the plain NumPy forms: xi and
-Q(xi) once for psi and the outer norms; phi_tilde(y) once per context
-(`DiagnosticsContext.phit`); each cutoff only on its band K < xi < 2K
-(`_cut`); all mode projections in one row-wise sum; the three flat norms
-from one Euler-derivative chain, as rows of one array; and the reductions
-as ufunc reductions, without NumPy's Python wrappers.  `flat_norm` and
-`outer_norms` are the same code on one order or one field.
-
-After Q, a slice's arithmetic runs in one compiled pass where the library
-of _kernel.c loads (`_loader`, shared with `sim`): ks_slice repeats the
-NumPy path operation for operation, with np.add.reduce's pairwise sums and
-np.maximum.reduce's NaN, so both give the same bits (`slice_kernel` says
-which ran).  xi and Q stay in NumPy: its vectorized power does not round as
-libm's pow does, so C could not recompute Q bit for bit.  Where the pass
-finds an unresolved field or a non-decaying flat integrand, the NumPy path
-measures the slice again and warns or raises, so errors and warnings come
-from one place; it is also the path where there is no compiler.
+writes under `csv_header` and that the CLI reports.  It evaluates xi and
+Q(xi) once, then measures the slice one of two ways, with the same bits.
+Where the library of _kernel.c loads (`_loader`, shared with `sim`), one
+compiled pass, ks_slice, repeats the NumPy path operation for operation,
+with np.add.reduce's pairwise sums and np.maximum.reduce's NaN.  xi and Q
+stay in NumPy: its vectorized power does not round as libm's pow does, so
+C could not recompute Q bit for bit.  The NumPy path is the plain forms
+the pass stands in for: `pr.psi_hat`, `pr.cutoff_chi`, np.gradient, np.sum
+and np.max, through `flat_norm`'s and `outer_norms`'s own code.  Where the
+pass finds an unresolved field or a non-decaying flat integrand, the NumPy
+path measures the slice again and warns or raises, so errors and warnings
+come from one place; it is also the path where there is no compiler.  The
+context counts the slices the compiled pass measured.
 """
 
 from __future__ import annotations
@@ -109,8 +102,8 @@ class DiagnosticsContext:
             self.params = pr.make_profile_params(self.d)
         y = np.asarray(self.y, float)
         self.y = y
-        # the trapezoid weights, the cutoff bands (`_cut`) and the
-        # outer norms' y |f| rely on it
+        # the trapezoid weights, and the compiled pass's cutoff bands and
+        # y |f|, rely on it
         if not (y[0] >= 0.0 and (y[1:] > y[:-1]).all()):
             raise ValueError("grid nodes must be nonnegative and strictly increasing")
         check_coverage(self.d, y[-1], self.coverage_tol)
@@ -132,80 +125,45 @@ class DiagnosticsContext:
             wy = np.where(y > 0, y ** (-4.0 * self.ell - 3.0), 0.0)
         self.flat_w = (1.0 - pr.cutoff_chi(spec, y)) * wy * tw
         self.cut_spec = spec
-
-    @cached_property
-    def phit(self) -> np.ndarray:
-        """phi_tilde(y), the grid-only factor of psi_hat, built on first use."""
-        return pr._even_eval(self.params.phit_coeffs, self.y)
+        self.compiled_slices = 0      # slices `decompose` measured by ks_slice
 
     # -- basic measurements ------------------------------------------------
     def project_all(self, field_values) -> np.ndarray:
         """Normalized rho-projections <f, phi_{2k}> / ||phi_{2k}||^2, k < 2 ell:
         one row-wise sum, which adds each row as np.sum adds it alone."""
-        return np.add.reduce((self.quad_rho * field_values) * self.phi, axis=1) / self.phi_norm_sq
+        return np.sum((self.quad_rho * field_values) * self.phi, axis=1) / self.phi_norm_sq
 
     def rho_norm(self, field_values) -> float:
-        return math.sqrt(np.add.reduce(self.quad_rho * field_values**2))
+        return math.sqrt(np.sum(self.quad_rho * field_values**2))
 
     @cached_property
     def _slice_arrays(self):
         """(uniform, arrays, pointers) of the compiled slice pass (`_kernel.c`'s
-        ks_slice): whether the Euler stencil is the one doubled spacing; the
-        per-grid arrays (y, phi_tilde, the rho weights, phi, its squared
-        norms, the flat weights, the stencil), 6 n doubles of scratch and the
-        output, kept alive here; and their addresses.  Built on first use.
+        ks_slice): whether every spacing is equal; the per-grid arrays (y,
+        phi_tilde, the rho weights, phi, its squared norms, the flat weights,
+        the stencil of np.gradient(f, y, edge_order=1)), 6 n doubles of
+        scratch and the output, kept alive here; and their addresses.  The
+        stencil is numpy's interior weights on f[:-2], f[1:-1], f[2:], or its
+        one doubled spacing when every spacing is equal.  Built on first use.
         The scratch and output are the context's, so one slice at a time."""
-        a, b, c, _, _ = self._gradient_stencil
-        stencil = np.array([b]) if a is None else np.stack([a, b, c])
-        arrays = [np.ascontiguousarray(x, float) for x in (
-            self.y, self.phit, self.quad_rho, self.phi, self.phi_norm_sq, self.flat_w,
-            stencil, np.zeros(6 * len(self.y)), np.zeros(2 * self.ell + 9))]
-        return a is None, arrays, [x.ctypes.data for x in arrays]
-
-    # -- Euler derivative --------------------------------------------------
-    @cached_property
-    def _gradient_stencil(self):
-        """(a, b, c, h_first, h_last) of np.gradient(f, y, edge_order=1):
-        interior weights a, b, c on f[:-2], f[1:-1], f[2:] (a is None when
-        every spacing is equal, and b is then the doubled spacing), and the
-        spacings of the one-sided end differences.  Built on first use: a
-        context that only takes flat_norm(j=0) never needs it."""
         h = np.diff(self.y)
-        if (h == h[0]).all():
-            return None, 2.0 * h[0], None, h[0], h[-1]
-        h1, h2 = h[:-1], h[1:]
-        return (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)),
-                h[0], h[-1])
-
-    def _euler_derivative(self, f, out=None) -> np.ndarray:
-        """y df/dy, bit-equal to y * np.gradient(f, y, edge_order=1): centered
-        differences inside, one-sided at the ends, in numpy's own order of
-        operations.  Written into `out` when given."""
-        a, b, c, h_first, h_last = self._gradient_stencil
-        if out is None:
-            out = np.empty_like(f)
-        inner = out[1:-1]
-        if a is None:
-            np.subtract(f[2:], f[:-2], out=inner)
-            inner /= b
+        uniform = bool((h == h[0]).all())
+        if uniform:
+            stencil = np.array([2.0 * h[0]])
         else:
-            np.multiply(a, f[:-2], out=inner)
-            inner += b * f[1:-1]
-            inner += c * f[2:]
-        out[0] = (f[1] - f[0]) / h_first
-        out[-1] = (f[-1] - f[-2]) / h_last
-        out *= self.y
-        return out
+            h1, h2 = h[:-1], h[1:]
+            stencil = np.stack([-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2),
+                                h1 / (h2 * (h1 + h2))])
+        arrays = [np.ascontiguousarray(x, float) for x in (
+            self.y, pr._even_eval(self.params.phit_coeffs, self.y), self.quad_rho, self.phi,
+            self.phi_norm_sq, self.flat_w, stencil, np.zeros(6 * len(self.y)),
+            np.zeros(2 * self.ell + 9))]
+        return uniform, arrays, [x.ctypes.data for x in arrays]
 
 
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
-
-def _sup(f) -> float:
-    """max |f|, without the wrappers of np.max."""
-    return float(np.maximum.reduce(np.abs(f)))
-
 
 def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     """Intermediate-region norm ( int (1-chi_K(y)) |(y d/dy)^j f|^2 y^(-4l-3) dy )^(1/2).
@@ -214,16 +172,16 @@ def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     """
     if j not in (0, 1, 2):
         raise ValueError("derivative order j must be 0, 1 or 2")
-    return _flat_norms(field_values, ctx, j, j)[0]
+    return _flat_norms(field_values, ctx, (j,))[0]
 
 
-def _flat_norms(field_values, ctx: DiagnosticsContext, lowest: int, highest: int) -> list:
-    """flat_norm of each order from `lowest` to `highest`, from one chain of
-    Euler derivatives, one resolution check and one pass over the integrands,
-    a row per order."""
+def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
+    """flat_norm of each order in `orders` (ascending), from one chain of
+    Euler derivatives and one resolution check."""
+    y = ctx.y
     f = np.asarray(field_values, float)
-    if highest >= 1:
-        rel = _sup(f[1:] - f[:-1]) / (_sup(f) + 1e-300)
+    if orders[-1] >= 1:
+        rel = np.max(np.abs(np.diff(f))) / (np.max(np.abs(f)) + 1e-300)
         if rel > 0.5:
             warnings.warn(
                 "field varies by >50% between neighbouring nodes; "
@@ -231,63 +189,38 @@ def _flat_norms(field_values, ctx: DiagnosticsContext, lowest: int, highest: int
                 RuntimeWarning,
                 stacklevel=3,
             )
-    chain = np.empty((highest + 1, len(f)))
-    chain[0] = f
-    for j in range(1, highest + 1):
-        ctx._euler_derivative(chain[j - 1], out=chain[j])
-    chain = chain[lowest:]
-    integrands = ctx.flat_w * chain * chain
-    _check_tail_decay(integrands)
-    # a row-wise sum adds each row as np.sum adds it alone
-    return np.sqrt(np.add.reduce(integrands, axis=1)).tolist()
+    norms = []
+    for j in range(orders[-1] + 1):
+        if j:
+            f = y * np.gradient(f, y, edge_order=1)
+        if j in orders:
+            integrand = ctx.flat_w * f * f
+            _check_tail_decay(integrand)
+            norms.append(float(np.sqrt(np.sum(integrand))))
+    return norms
 
 
-def _check_tail_decay(integrands):
-    """Flag integrands (one per row) that do not decay toward the end of the
-    domain.
+def _check_tail_decay(integrand):
+    """Flag integrands that do not decay toward the end of the domain.
 
     The last few nodes are skipped: derivative stencils against a clamped
     boundary node produce a spike there whose weighted contribution is
     negligible, whereas a genuinely non-integrable field grows globally.
     """
-    for row, live in zip(integrands, integrands > 0):
-        if np.count_nonzero(live) < 32:
-            continue
-        # the first positive entry, and five before the last
-        i1 = len(live) - 6 - live[::-1].argmax()
-        n = i1 - live.argmax() + 1
-        if n < 32:
-            continue
-        # both windows are non-empty (n >= 32); sum / len is np.mean's own division
-        last = row[i1 - n // 8: i1 + 1]
-        prev = row[i1 - n // 4: i1 - n // 8]
-        mean_last = np.add.reduce(last) / len(last)
-        if (mean_last >= np.add.reduce(prev) / len(prev)
-                and mean_last > 1e-6 * float(np.maximum.reduce(row))):
-            raise NonIntegrableTailError(
-                "weighted integrand does not decay at the domain end; "
-                "the norm does not converge"
-            )
-
-
-def _cut(f, spec: pr.CutoffSpec, xi, complement: bool = False) -> np.ndarray:
-    """f times `pr.cutoff_chi(spec, xi)`, or times 1 - it with `complement`,
-    in place and bit for bit, for ascending xi, with the smoothstep evaluated
-    only on its band K < xi < 2K.  Below the band xi / K rounds to at most 1
-    and chi is exactly 1.0; at and above 2K it rounds to at least 2 and chi
-    is exactly 0.0, so f is kept or zeroed there as the product would; on
-    the band xi / K rounds into [1, 2], where u - 1 is exact and the clip is
-    idle."""
-    lo = xi.searchsorted(spec.K, "right")
-    hi = xi.searchsorted(2.0 * spec.K, "left")
-    chi = pr._smoothstep(xi[lo:hi] / spec.K - 1.0)
-    if complement:
-        f[:lo] *= 0.0
-        f[lo:hi] *= 1.0 - chi
-    else:
-        f[lo:hi] *= chi
-        f[hi:] *= 0.0
-    return f
+    live = np.flatnonzero(integrand > 0)
+    if len(live) < 32:
+        return
+    i1 = live[-1] - 5
+    n = i1 - live[0] + 1
+    if n < 32:
+        return
+    # both windows are non-empty (n >= 32)
+    last = np.mean(integrand[i1 - n // 8: i1 + 1])
+    if last >= np.mean(integrand[i1 - n // 4: i1 - n // 8]) and last > 1e-6 * np.max(integrand):
+        raise NonIntegrableTailError(
+            "weighted integrand does not decay at the domain end; "
+            "the norm does not converge"
+        )
 
 
 def outer_norms(field_values, ctx: DiagnosticsContext, s: float):
@@ -295,24 +228,18 @@ def outer_norms(field_values, ctx: DiagnosticsContext, s: float):
 
     Returns (sup |f_ex|, sup |y d/dy f_ex|, sup |y f_ex|).
     """
-    xi = ctx.y * float(s) ** (-1.0 / (2 * ctx.ell))
-    return _outer_norms(np.array(field_values, float), ctx, xi)
-
-
-def _outer_norms(f, ctx: DiagnosticsContext, xi):
-    """`outer_norms` at the similarity coordinates xi of the grid; overwrites f."""
+    y = ctx.y
+    xi = y * float(s) ** (-1.0 / (2 * ctx.ell))
     if xi[-1] < 2 * ctx.K:
         raise CoverageError(
             f"grid reaches xi={xi[-1]:.2f} < 2K={2 * ctx.K:.0f}; outer norms need "
             "coverage past the cutoff support"
         )
-    ex = _cut(f, ctx.cut_spec, xi, complement=True)
-    dex = ctx._euler_derivative(ex)
-    np.abs(ex, out=ex)
+    ex = np.asarray(field_values, float) * (1.0 - pr.cutoff_chi(ctx.cut_spec, xi))
     return (
-        float(np.maximum.reduce(ex)),
-        _sup(dex),
-        float(np.maximum.reduce(ctx.y * ex)),       # |y ex| = y |ex| exactly, as y >= 0
+        float(np.max(np.abs(ex))),
+        float(np.max(np.abs(y * np.gradient(ex, y, edge_order=1)))),
+        float(np.max(np.abs(y * ex))),
     )
 
 
@@ -393,12 +320,6 @@ def bound_values(d: int, ell: int, s: float, A: float) -> dict:
     ]))
 
 
-def slice_kernel() -> str:
-    """The code that measures a slice: "compiled" (`_kernel.c`'s ks_slice)
-    or "numpy", where there is no compiled pass."""
-    return "numpy" if _library() is None else "compiled"
-
-
 def _compiled_slice(v, s: float, ctx: DiagnosticsContext, xi, q):
     """`decompose`'s measurements from one ks_slice call: (the coefficients,
     then tilde norm, flat norms, outer norms, sup |v| and sup |v - Q|), bit
@@ -433,14 +354,15 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
     q = pr.q_of_xi(p, xi)
     taken = _compiled_slice(v, s, ctx, xi, q)
     if taken is None:
-        # psi_hat as pr.psi forms it, from the cached phi_tilde(y)
-        ph = _cut(-(1.0 / (p.B * s)) * ctx.phit, pr.UNIT_CUTOFF, xi)
+        ph = pr.psi_hat(p, ctx.y, s)
         eps_hat = v - (q + ph)                     # v - psi
-        eps = eps_hat + ph                         # v - Q, for the outer norms
         coeffs = ctx.project_all(eps_hat)
-        tilde_norm = ctx.rho_norm(eps_hat - np.add.reduce(coeffs[:, None] * ctx.phi, axis=0))
-        taken = coeffs, [tilde_norm, *_flat_norms(eps_hat, ctx, 0, 2),
-                         *_outer_norms(eps, ctx, xi), _sup(v), _sup(v - q)]
+        tilde_norm = ctx.rho_norm(eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0))
+        taken = coeffs, [tilde_norm, *_flat_norms(eps_hat, ctx, (0, 1, 2)),
+                         *outer_norms(eps_hat + ph, ctx, s),      # of v - Q
+                         float(np.max(np.abs(v))), float(np.max(np.abs(v - q)))]
+    else:
+        ctx.compiled_slices += 1
     coeffs, (tilde_norm, *norms, sup_v, sup_dev) = taken
 
     # the measured values in the order of `_bound_names`

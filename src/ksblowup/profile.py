@@ -155,10 +155,11 @@ def _even_eval_deriv(coeffs, y):
 # ---------------------------------------------------------------------------
 
 def _solve_q(params: ProfileParams, t):
-    """Q solving t*Q^ell + d*Q = 1 elementwise, in closed form."""
+    """Q solving t*Q^ell + d*Q = 1 elementwise, in closed form.  t = c xi^(2 ell)
+    cannot be negative (c > 0, an even power), so only its finiteness is checked."""
     t = np.asarray(t, float)
-    if not np.isfinite(t).all() or (t < 0).any():
-        raise ValueError("similarity coordinate out of range (t not finite/positive)")
+    if not np.isfinite(t).all():
+        raise ValueError("similarity coordinate out of range (t not finite)")
     if params.ell == 2:
         return 1.0 / (2.0 + np.sqrt(4.0 + t))
     r = np.sqrt(t)

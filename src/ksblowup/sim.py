@@ -30,13 +30,12 @@ A step on a small grid costs a fixed overhead per NumPy call, so the raw-array
 kernel `Stepper._advance` makes few.  Every explicit term is a stencil over one
 gather v[cen_at]: a per-grid (2, 3, N) stack holds E = Lap/2 - sigma I and
 D = y (centered d/dy) + d I, and one multiply and one sum give E v and D v, so
-b = v + dt (E v + v D v) takes four in-place updates.  The largest Peclet
-product decides whether any node needs upwinding (if none does, the upwind
-slopes and the select are skipped).  The one finiteness check, v @ 0, is on
-the solution, which any non-finite field or b reaches; only then does the step
-look for the stage that failed.  `rhs` is built from the same stack, so the
-step and the semi-discrete operator stay one operator; both match the
-per-node select of the textbook stencils to rounding, not bit for bit.
+b = v + dt (E v + v D v) takes four in-place updates after the per-node
+upwind select.  The one finiteness check is on the solution, which any
+non-finite field or b reaches; only then does the step look for the stage
+that failed.  `rhs` is built from the same stack, so the step and the
+semi-discrete operator stay one operator; both match the per-node select of
+the textbook stencils to rounding, not bit for bit.
 
 Every caller steps through one call, `Stepper.advance`: `run`, criteria 7 and
 11 (`acceptance`) and the tests alike.  It checks the state and step size once,
@@ -238,32 +237,22 @@ def _explicit(st: _Stencil, v, ev, dv, d: int):
     upwinded at the nodes whose cell Peclet number |a| h / 2 of the nonlinear
     drift a = v y exceeds one: there it is d v plus y times the forward slope
     where a > 0, the backward one elsewhere and at the last node, zero at
-    node 0.  The largest Peclet product decides first: when no node upwinds,
-    the upwind slopes and the select are skipped."""
-    pe = np.abs(v * st.y)
-    pe *= st.h
-    # argmax picks a NaN if there is one, and a NaN takes the per-node path
-    if not pe[pe.argmax()] <= 2.0:
-        # slope[i] = (v[i] - v[i-1]) / dy[i-1], zero at both ends, so that
-        # slope[1:] is the forward and slope[:-1] the backward difference
-        slope = np.zeros(len(v) + 1)
-        np.divide(v[1:] - v[:-1], st.dy, out=slope[1:-1])
-        bwd = slope[:-1]
-        up = np.where(v * st.y > 0, slope[1:], bwd)
-        up[-1] = bwd[-1]
-        up[0] = 0.0
-        up *= st.y
-        up += d * v
-        np.copyto(dv, up, where=~(pe <= 2.0))
+    node 0.  A node whose Peclet number is NaN takes the upwind value."""
+    a = v * st.y
+    # slope[i] = (v[i] - v[i-1]) / dy[i-1], zero at both ends, so that
+    # slope[1:] is the forward and slope[:-1] the backward difference
+    slope = np.zeros(len(v) + 1)
+    np.divide(v[1:] - v[:-1], st.dy, out=slope[1:-1])
+    bwd = slope[:-1]
+    up = np.where(a > 0, slope[1:], bwd)
+    up[-1] = bwd[-1]
+    up[0] = 0.0
+    up *= st.y
+    up += d * v
+    np.copyto(dv, up, where=~(np.abs(a) * st.h <= 2.0))
     dv *= v
     ev += dv
     return ev
-
-
-def _finite(v, zeros) -> bool:
-    """Exact and cheaper than np.isfinite(v).all(): v @ 0 is NaN exactly when
-    an entry is +-inf or NaN (which signals `invalid`)."""
-    return not math.isnan(v.dot(zeros))
 
 
 def rhs(state: RadialState):
@@ -317,6 +306,12 @@ def _stretch_times(t: float, dt: float, target: float, most: int):
     return (dt if k else last), last, times[:k + 2]
 
 
+def _most(compiled: int, total: int) -> str:
+    """The kernel that took most of `total` operations, `compiled` of them
+    in a compiled pass: "compiled" or "numpy"."""
+    return "compiled" if 2 * compiled > total else "numpy"
+
+
 class Stepper:
     """IMEX stepper: Crank-Nicolson diffusion and backward-Euler linear drift
     -(sigma/2) y v_y in one tridiagonal solve; explicit nonlinear drift
@@ -335,11 +330,10 @@ class Stepper:
     steps, landing step included, in one call of the compiled loop, which
     factors each dt's matrix itself and steps bit for bit as the raw-array
     kernel `_advance` does from the same boundary values: one gather and the
-    stack give b, with D v upwinded where the largest Peclet product says some
-    node needs it (`_explicit`), and finiteness is checked once, on the
-    solution (v @ 0); when that fails `_advance` raises StateCorruptionError
-    naming the first non-finite stage: the field, the explicit terms, or the
-    solver.
+    stack give b, with D v upwinded at the nodes that need it (`_explicit`),
+    and finiteness is checked once, on the solution; when that fails
+    `_advance` raises StateCorruptionError naming the first non-finite stage:
+    the field, the explicit terms, or the solver.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
@@ -359,7 +353,6 @@ class Stepper:
         lap = _laplacian_tridiag(self.stencil, d + 2)
         self.stack = _explicit_stack(self.stencil, d, self.sigma, *(0.5 * a for a in lap))
         n = len(grid.nodes)
-        self._zeros = np.zeros(n)
         # the rows (lower, diagonal, upper) of Lap, then of D_lin
         self._tri = np.array([*lap, *_linear_drift_tridiag(self.stencil, self.sigma)])
         self._factors = None, None    # (dt, factors) of the last dt `_factored` factored
@@ -388,7 +381,7 @@ class Stepper:
             di = 1.0 - 0.5 * dt * di - dt * ddi
         di[-1] = 1.0
         dl[-1] = -1.0 if self.boundary == "neumann" else 0.0
-        if not all(_finite(a, self._zeros[:len(a)]) for a in (dl, di, du)):
+        if not all(np.isfinite(a).all() for a in (dl, di, du)):
             raise StateCorruptionError(f"Crank-Nicolson matrix overflowed at dt={dt}")
         *factors, info = dgttrf(dl, di, du, overwrite_dl=True, overwrite_d=True,
                                 overwrite_du=True)
@@ -404,7 +397,7 @@ class Stepper:
         if not self.steps:
             return {"steps": 0, "dt_min": None, "dt_max": None, "kernel": None}
         return {"steps": self.steps, "dt_min": self.dt_min, "dt_max": self.dt_max,
-                "kernel": "compiled" if 2 * self.compiled_steps > self.steps else "numpy"}
+                "kernel": _most(self.compiled_steps, self.steps)}
 
     def _edges(self, times):
         """The boundary value at each of `times`: zero for Neumann, else the
@@ -439,7 +432,7 @@ class Stepper:
         v_new, _ = dgttrs(*factors, b)
         # a non-finite field reaches b and a non-finite b the solution, so
         # one check here stands for all three; the cold path names the stage
-        if not _finite(v_new, self._zeros):
+        if not np.isfinite(v_new).all():
             self._check_inputs(v, time, b)
             raise StateCorruptionError(f"solver produced non-finite values at t={time}")
         return v_new
@@ -647,7 +640,7 @@ class RunResult:
     dt_min: float | None = None
     dt_max: float | None = None
     kernel: str | None = None
-    slice_kernel: str | None = None     # the code that measured `records`: `dg.slice_kernel`
+    slice_kernel: str | None = None     # the code that measured most of `records`
     message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
     diag_s: float = 0.0         # wall seconds in the records: diagnostics slices or sup w
@@ -699,8 +692,10 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
 
     selfsim = config.frame == "selfsimilar"
     track = selfsim and config.track_bounds
-    if track and ctx is None:
-        ctx = dg.DiagnosticsContext(d=config.d, y=grid.nodes, K=config.K)
+    if track:
+        if ctx is None:
+            ctx = dg.DiagnosticsContext(d=config.d, y=grid.nodes, K=config.K)
+        compiled0 = ctx.compiled_slices     # it may have measured other runs' slices
 
     records = []
     times = []
@@ -766,7 +761,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         times=np.array(times) if times else None,
         sup_w=np.array(sup_w) if sup_w else None,
         **stepper.step_record(),
-        slice_kernel=dg.slice_kernel() if track else None,
+        slice_kernel=_most(ctx.compiled_slices - compiled0, len(records)) if track else None,
         message=message,
         step_s=step_s,
         diag_s=diag_s,

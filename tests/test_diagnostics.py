@@ -144,47 +144,6 @@ def test_flat_norm_bad_order(ctx4):
 
 
 # ---------------------------------------------------------------------------
-# Euler derivative
-# ---------------------------------------------------------------------------
-
-def _numpy_euler(y, f):
-    """The reference: y * np.gradient(f, y, edge_order=1)."""
-    return y * np.gradient(f, y, edge_order=1)
-
-
-# (grid, takes numpy's constant-spacing branch): the criterion-9 and
-# criterion-10 grids, a linspace whose spacing is exact, and a geometric grid
-EULER_GRIDS = {
-    "criterion 9": (sim.SimConfig(d=4, n=2048, s0=50.0, A=20.0, K=10.0).build_grid().nodes,
-                    False),
-    "criterion 10": (sim.SimConfig(d=4, n=1024, s0=50.0, A=20.0, K=10.0).build_grid().nodes,
-                     False),
-    "linspace 33": (np.linspace(0.0, 10.0, 33), True),
-    "geometric": (sim.Grid.geometric(400, 60.0, 1.01).nodes, False),
-}
-
-
-@pytest.mark.parametrize("name", sorted(EULER_GRIDS))
-def test_euler_derivative_is_numpy_gradient_bit_for_bit(name):
-    y, constant = EULER_GRIDS[name]
-    ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0, coverage_tol=np.inf)
-    h = np.diff(y)
-    assert bool((h == h[0]).all()) is constant
-    smooth = np.exp(-0.05 * y**2) * (1.0 - y + 0.3 * y**2) + 1.0 / (4.0 + y)
-    with_inf = smooth.copy()
-    with_inf[len(y) // 3] = np.inf
-    ends = smooth.copy()
-    ends[0], ends[-1] = 1e300, -1e300
-    for f in (smooth, with_inf, ends, np.zeros_like(y)):
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = ctx._euler_derivative(f)
-            want = _numpy_euler(y, f)
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan], want[~nan])
-
-
-# ---------------------------------------------------------------------------
 # outer norms
 # ---------------------------------------------------------------------------
 
@@ -232,6 +191,11 @@ def _decompose(v, s, ctx, A):
     return rec
 
 
+def _numpy_euler(y, f):
+    """The reference: y * np.gradient(f, y, edge_order=1)."""
+    return y * np.gradient(f, y, edge_order=1)
+
+
 def _plain_slice(v, s, ctx):
     """(coefficients, measured values, sup |v|, sup |v - Q|) of a slice from
     the plain NumPy forms: pr.psi_hat, one np.sum per sum, np.gradient,
@@ -270,9 +234,10 @@ def _stepped(cfg, grid, s):
 @pytest.fixture(scope="module")
 def slice_fields():
     """(name, v, s, ctx): criterion-9 fields (n=2048) and criterion-10 fields
-    (n=1024) at s0 and stepped; a d=3 field on a geometric grid, which takes
-    the non-uniform Euler stencil; a field whose grid has nodes at xi = 1, 2,
-    K and 2K exactly, on equal spacings; a criterion-10 field with a NaN."""
+    (n=1024) at s0 and stepped; d=3 and d=4 fields on two geometric grids,
+    which take the non-uniform Euler stencil; a field whose grid has nodes
+    at xi = 1, 2, K and 2K exactly, on equal spacings; a criterion-10 field
+    with a NaN."""
     fields = []
     for n, dvec, s in ((2048, (), 50.7), (1024, (0.4, -0.25), 51.3)):
         cfg = sim.SimConfig(d=4, n=n, s0=50.0, horizon=10.0, cadence=0.1, A=20.0, K=10.0,
@@ -289,6 +254,11 @@ def slice_fields():
     grid = sim.Grid.geometric(cfg.n, cfg.y_max, 1.002)
     ctx = dg.DiagnosticsContext(d=3, y=grid.nodes, K=cfg.K)
     fields.append(("d=3 geometric", _stepped(cfg, grid, 50.5), 50.5, ctx))
+    cfg = sim.SimConfig(d=4, n=400, y_max=60.0, s0=50.0, horizon=20.0, A=20.0, K=10.0,
+                        dvec=(0.4, -0.25))
+    grid = sim.Grid.geometric(cfg.n, cfg.y_max, 1.01)
+    ctx = dg.DiagnosticsContext(d=4, y=grid.nodes, K=cfg.K)
+    fields.append(("d=4 geometric 400", _stepped(cfg, grid, 50.4), 50.4, ctx))
     # xi = y / 2 at s = 16, on the nodes k / 64
     y = np.arange(4097) / 64.0
     ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0)
@@ -491,24 +461,6 @@ def test_decompose_pinned_on_a_perturbed_d3_field_on_a_geometric_grid():
     assert rec.sup_v == float(np.max(np.abs(v)))
     assert rec.sup_dev_profile == float(np.max(np.abs(v - q)))
     assert min(want.values()) > 0.0
-
-
-@pytest.mark.parametrize("K", [1.0, 10.0, 0.7, 3.3])
-def test_band_cutoff_is_cutoff_chi_bit_for_bit(K):
-    # nodes exactly at K and 2K and at their neighbours either side, where
-    # xi / K rounds onto the band's ends
-    spec = pr.CutoffSpec(K=K)
-    edges = [x for e in (K, 2.0 * K) for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
-    xi = np.unique(np.concatenate([np.linspace(0.0, 3.0 * K, 301), edges,
-                                   np.geomspace(0.5 * K, 2.5 * K, 97)]))
-    chi = pr.cutoff_chi(spec, xi)
-    ones = np.ones_like(xi)
-    assert dg._cut(ones.copy(), spec, xi).tobytes() == chi.tobytes()
-    assert dg._cut(ones.copy(), spec, xi, complement=True).tobytes() == (1.0 - chi).tobytes()
-    # signed fields keep the product's signed zeros
-    f = np.random.default_rng(3).uniform(-1.0, 1.0, len(xi))
-    assert dg._cut(f.copy(), spec, xi).tobytes() == (f * chi).tobytes()
-    assert dg._cut(f.copy(), spec, xi, True).tobytes() == (f * (1.0 - chi)).tobytes()
 
 
 def test_shrinking_ratios_monotone_under_scaling():
