@@ -5,31 +5,37 @@
  * interval's IMEX steps on raw arrays, k - 1 steps at dt and a last one at its
  * own dt (the step landing on a record or end time, or dt again).  Each step
  * repeats Stepper._advance operation for operation:
+ *   - the boundary value: at d = 4 with the profile boundary, Q at the edge
+ *     xi = y_max pow(t, -0.25) of the step's end time t, as Stepper._edges
+ *     forms it (Python's ** is libm's pow, and t = c xi^4 is taken by
+ *     products in profile and here); else the value Stepper._edges gave;
  *   - E v and D v from the gather (v[i+1], v[i], v[i-1]) of the (2, 3, n)
  *     stencil stack w, summed as numpy reduces it, (g0 w0 + g1 w1) + g2 w2;
  *   - the per-node Peclet select of sim._explicit (a NaN Peclet number
- *     upwinds), after one pass that finds whether any node upwinds, and its
- *     upwind patch of D v;
- *   - b = (E v + (D v) v) dt + v, with b[n-1] = bval[step];
+ *     upwinds) and its upwind patch of D v;
+ *   - b = (E v + (D v) v) dt + v, with b[n-1] the boundary value;
  *   - LAPACK dgtts2's forward and back sweeps for one right-hand side over
  *     the dgttrf factors (dl, df, du, du2, ipiv), as dgttrs solves.
  * The matrix I - (dt/2) Lap - dt D_lin of each dt is formed as
  * Stepper._factored forms it and factored by ks_factor, a port of LAPACK
  * dgttrf, into scratch.  The loop stops at the first step whose solution is
  * not finite, and before a step whose matrix has a non-finite entry or is
- * singular.  It returns the number of steps taken and leaves v at the last
- * finite field; scratch holds 9 n doubles (b, then two sets of factors) and
- * ipiv 2 n ints.
+ * singular, or whose t = c xi^4 is not finite (q_of_xi raises there).  It
+ * returns the number of steps taken and leaves v at the last finite field;
+ * scratch holds 9 n doubles (b, then two sets of factors) and ipiv 2 n ints.
  *
- * ks_slice is the arithmetic of ksblowup.diagnostics.decompose's NumPy path
- * after Q: the psi_hat cutoff, the mode projections and the tilde rho-norm, the flat
- * norms' Euler chain with its tail-decay and resolution tests, and the outer
- * and sup norms.  It repeats NumPy's order of operations, and its sums and
- * maxima are NumPy's reductions: np.add.reduce is the identity 0.0 plus
- * numpy's pairwise sum (8 accumulators in blocks of up to 128, split at
+ * ks_slice is the arithmetic of ksblowup.diagnostics.decompose's NumPy path:
+ * at d = 4 xi and Q(xi) as well, at d = 3 what follows them; then the psi_hat
+ * cutoff, the mode projections and the tilde rho-norm, the flat norms' Euler
+ * chain with its tail-decay and resolution tests, and the outer and sup
+ * norms.  It repeats NumPy's order of operations, and its sums and maxima
+ * are NumPy's reductions: np.add.reduce is the identity 0.0 plus numpy's
+ * pairwise sum (8 accumulators in blocks of up to 128, split at
  * n/2 - (n/2) % 8), a sum over rows adds them in order, and
- * np.maximum.reduce lets a NaN through.  xi and Q(xi) stay in NumPy, whose
- * vectorized power does not round as libm's pow does. */
+ * np.maximum.reduce lets a NaN through.  d = 3's Q stays in NumPy, whose
+ * sinh and arcsinh do not round as libm's do.
+ *
+ * ks_cfl takes the two maxima of ksblowup.sim.Stepper.cfl_dt. */
 #include <math.h>
 #include <string.h>
 
@@ -91,7 +97,20 @@ static long factor(long n, double dt, long neumann, const double *tri, double *f
     return ks_factor(n, dl, df, du, f + 3 * n, ipiv);
 }
 
-long ks_stretch(long n, long k, long neumann, double dt, double last, double d,
+/* Q(xi) at d = 4 as profile.q_of_xi forms it: t = c ((xi xi)(xi xi)), then
+ * 1 / (2 + sqrt(4 + t)); 0 where t is not finite, where q_of_xi raises */
+static int profile_q(double xi, double c, double *q)
+{
+    double xi2 = xi * xi, t = c * (xi2 * xi2);
+    if (!isfinite(t))
+        return 0;
+    *q = 1.0 / (2.0 + sqrt(4.0 + t));
+    return 1;
+}
+
+/* bval holds the k boundary values, or with the profile constant c > 0 (d = 4)
+ * the stretch's k + 1 times, from which the loop forms them */
+long ks_stretch(long n, long k, long neumann, double dt, double last, double d, double c,
                 const double *y, const double *h, const double *dy, const double *w,
                 const double *tri, double *scratch, int *ipiv, const double *bval,
                 double *v)
@@ -111,11 +130,10 @@ long ks_stretch(long n, long k, long neumann, double dt, double last, double d,
         const double *f = s < k - 1 ? fa : fb;
         const double *dl = f, *df = f + n, *du = f + 2 * n, *du2 = f + 3 * n;
         const int *p = s < k - 1 ? pa : pb;
-        double step = s < k - 1 ? dt : last, zi, z1, z2;
-        int upwind = 0, finite;
-        for (i = 0; i < n; i++)
-            if (!(fabs(x[i] * y[i]) * h[i] <= 2.0))
-                upwind = 1;
+        double step = s < k - 1 ? dt : last, edge = bval[s], zi, z1, z2;
+        int finite;
+        if (c > 0.0 && !profile_q(y[n - 1] * pow(bval[s + 1], -0.25), c, &edge))
+            break;
         for (i = 0; i < n; i++) {
             /* the gather: (v[1], v[0], v[0]) at node 0, (v[n-1], v[n-2],
              * v[n-2]) at the last, whose third weight is zero */
@@ -125,7 +143,7 @@ long ks_stretch(long n, long k, long neumann, double dt, double last, double d,
             double g2 = x[i == 0 ? 0 : i - 1];
             double ev = (g0 * w[i] + g1 * w[n + i]) + g2 * w[2 * n + i];
             double dv = (g0 * w[3 * n + i] + g1 * w[4 * n + i]) + g2 * w[5 * n + i];
-            if (upwind && !(fabs(x[i] * y[i]) * h[i] <= 2.0)) {
+            if (!(fabs(x[i] * y[i]) * h[i] <= 2.0)) {
                 double slope = 0.0;
                 if (i > 0 && (end || !(x[i] * y[i] > 0)))
                     slope = (x[i] - x[i - 1]) / dy[i - 1];
@@ -139,7 +157,7 @@ long ks_stretch(long n, long k, long neumann, double dt, double last, double d,
         }
         /* dgtts2's sweeps, the entry they carry held in a register: row i
          * is eliminated from row i + 1, or rows i and i + 1 swap first */
-        z[n - 1] = bval[s];
+        z[n - 1] = edge;
         zi = z[0];
         for (i = 0; i < n - 1; i++) {
             double next = z[i + 1];
@@ -274,20 +292,17 @@ static void euler(long n, long uniform, const double *st, const double *y,
 
 /* 1 where diagnostics._check_tail_decay raises on this integrand,
  * `count` of them positive: the mean of the window that ends five nodes
- * before the last positive entry is at least that of the window before it,
+ * before the end of the domain is at least that of the window before it,
  * and above 1e-6 of the row's largest entry */
 static long tail_grows(long n, const double *row, long count)
 {
-    long first = 0, end = n - 1, i, m, last, prev;
+    long first = 0, end = n - 6, i, m, last, prev;
     struct peak top = {0.0, 0.0};
     double mean;
     if (count < 32)
         return 0;
     while (!(row[first] > 0))
         first++;
-    while (!(row[end] > 0))
-        end--;
-    end -= 5;
     m = end - first + 1;
     if (m < 32)
         return 0;
@@ -304,16 +319,19 @@ static long tail_grows(long n, const double *row, long count)
 /* decompose's measurements of the field v at s, from xi, Q(xi) and psi_hat's
  * factor c = -1/(B s), into out: the rows coefficients, the tilde rho-norm,
  * flat norms 0-2, out_sup, out_dysup, out_ysup, sup |v| and sup |v - Q|.
- * The grid's arrays are those of DiagnosticsContext: y, phi_tilde, the rho
- * quadrature weights, the rows eigenfunctions phi and their squared norms,
- * the flat weights, and the Euler stencil st; scratch holds 6 n doubles.
- * Returns 1 when the field is unresolved (`_flat_norms` warns), 2 when a
- * flat integrand's tail does not decay (it raises), else 0. */
-long ks_slice(long n, long rows, long uniform, double c, double K, const double *y,
-              const double *phit, const double *quad, const double *phi,
+ * With the profile constant cq > 0 (d = 4) the pass first forms xi =
+ * y pow(s, -0.25), as y * s ** -0.25 forms it, and Q(xi) into xi and q;
+ * with cq = 0 it reads them.  The grid's arrays are those of
+ * DiagnosticsContext: y, phi_tilde, the rho quadrature weights, the rows
+ * eigenfunctions phi and their squared norms, the flat weights, and the
+ * Euler stencil st; scratch holds 6 n doubles.  Returns 3 when a t = c xi^4
+ * is not finite (q_of_xi raises), 1 when the field is unresolved
+ * (`_flat_norms` warns), 2 when a flat integrand's tail does not decay (it
+ * raises), else 0. */
+long ks_slice(long n, long rows, long uniform, double c, double K, double s, double cq,
+              const double *y, const double *phit, const double *quad, const double *phi,
               const double *norm_sq, const double *flat_w, const double *st,
-              double *scratch, double *out, const double *xi, const double *q,
-              const double *v)
+              double *scratch, double *out, double *xi, double *q, const double *v)
 {
     double *eh = scratch, *ex = scratch + n, *d1 = scratch + 2 * n, *d2 = scratch + 3 * n,
            *w = scratch + 4 * n, *t = scratch + 5 * n, coef[rows];
@@ -322,6 +340,15 @@ long ks_slice(long n, long rows, long uniform, double c, double K, const double 
                 jump = {0.0, 0.0}, out_sup = {0.0, 0.0}, out_dsup = {0.0, 0.0},
                 out_ysup = {0.0, 0.0};
     long flags = 0, lo, hi, lo_k, hi_k, i, k, j;
+
+    if (cq > 0.0) {
+        double sm = pow(s, -0.25);
+        for (i = 0; i < n; i++) {
+            xi[i] = y[i] * sm;
+            if (!profile_q(xi[i], cq, q + i))
+                return 3;
+        }
+    }
 
     /* eps_hat = v - (Q + psi_hat), psi_hat cut by the unit cutoff; eps =
      * eps_hat + psi_hat cut by 1 - chi_K for the outer norms; the rho-weighted
@@ -392,4 +419,25 @@ long ks_slice(long n, long rows, long uniform, double c, double K, const double 
     out[rows + 7] = peak_of(&sup_v);
     out[rows + 8] = peak_of(&sup_dev);
     return flags;
+}
+
+/* Stepper.cfl_dt's two maxima of the field v into out: the nonlinear
+ * drift's largest max(|v y|[i], |v y|[i + 1]) / dy[i], and the reaction's
+ * largest |d2 v - sigma|, each letting a NaN through as np.max does; a
+ * maximum is exact in any order. */
+void ks_cfl(long n, double d2, double sigma, const double *y, const double *dy,
+            const double *v, double *out)
+{
+    struct peak drift = {0.0, 0.0}, react = {0.0, 0.0};
+    double a0 = fabs(v[0] * y[0]), a1;
+    long i;
+    take(&react, fabs(d2 * v[0] - sigma));
+    for (i = 1; i < n; i++) {
+        a1 = fabs(v[i] * y[i]);
+        take(&drift, (a1 > a0 || a1 != a1 ? a1 : a0) / dy[i - 1]);
+        take(&react, fabs(d2 * v[i] - sigma));
+        a0 = a1;
+    }
+    out[0] = peak_of(&drift);
+    out[1] = peak_of(&react);
 }

@@ -8,19 +8,18 @@ The Euler derivative y d/dy is y * np.gradient(f, y, edge_order=1).
 
 `decompose` measures one time slice against the shrinking set and returns
 it as a :class:`Slice`, the one record that a run keeps, that `csv_row`
-writes under `csv_header` and that the CLI reports.  It evaluates xi and
-Q(xi) once, then measures the slice one of two ways, with the same bits.
-Where the library of _kernel.c loads (`_loader`, shared with `sim`), one
+writes under `csv_header` and that the CLI reports, one of two ways, with
+the same bits.  Where the library of _kernel.c loads (`_loader`), one
 compiled pass, ks_slice, repeats the NumPy path operation for operation,
-with np.add.reduce's pairwise sums and np.maximum.reduce's NaN.  xi and Q
-stay in NumPy: its vectorized power does not round as libm's pow does, so
-C could not recompute Q bit for bit.  The NumPy path is the plain forms
-the pass stands in for: `pr.psi_hat`, `pr.cutoff_chi`, np.gradient, np.sum
-and np.max, through `flat_norm`'s and `outer_norms`'s own code.  Where the
-pass finds an unresolved field or a non-decaying flat integrand, the NumPy
-path measures the slice again and warns or raises, so errors and warnings
-come from one place; it is also the path where there is no compiler.  The
-context counts the slices the compiled pass measured.
+with np.add.reduce's pairwise sums and np.maximum.reduce's NaN; at d=4 it
+forms xi and Q(xi) too (d=3's sinh and arcsinh have no bit-equal C twin).
+The NumPy path is the plain forms the pass stands in for: `pr.q_of_xi`,
+`pr.psi_hat`, `pr.cutoff_chi`, np.gradient, np.sum and np.max, through
+`flat_norm`'s and `outer_norms`'s own code.  Where the pass finds a t that
+is not finite, an unresolved field or a non-decaying flat integrand, the
+NumPy path measures the slice again and warns or raises, so errors and
+warnings come from one place; it is also the path where there is no
+compiler.  The context counts the slices the compiled pass measured.
 """
 
 from __future__ import annotations
@@ -142,10 +141,10 @@ class DiagnosticsContext:
         ks_slice): whether every spacing is equal; the per-grid arrays (y,
         phi_tilde, the rho weights, phi, its squared norms, the flat weights,
         the stencil of np.gradient(f, y, edge_order=1)), 6 n doubles of
-        scratch and the output, kept alive here; and their addresses.  The
-        stencil is numpy's interior weights on f[:-2], f[1:-1], f[2:], or its
-        one doubled spacing when every spacing is equal.  Built on first use.
-        The scratch and output are the context's, so one slice at a time."""
+        scratch, the output, then xi and Q of d=4, kept alive here; and the
+        addresses of all but xi and Q.  The stencil is numpy's interior weights
+        on f[:-2], f[1:-1], f[2:], or its one doubled spacing when every spacing
+        is equal.  Built on first use; one slice at a time."""
         h = np.diff(self.y)
         uniform = bool((h == h[0]).all())
         if uniform:
@@ -157,8 +156,8 @@ class DiagnosticsContext:
         arrays = [np.ascontiguousarray(x, float) for x in (
             self.y, pr._even_eval(self.params.phit_coeffs, self.y), self.quad_rho, self.phi,
             self.phi_norm_sq, self.flat_w, stencil, np.zeros(6 * len(self.y)),
-            np.zeros(2 * self.ell + 9))]
-        return uniform, arrays, [x.ctypes.data for x in arrays]
+            np.zeros(2 * self.ell + 9), *np.zeros((2, len(self.y))))]
+        return uniform, arrays, [x.ctypes.data for x in arrays[:9]]
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +202,16 @@ def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
 def _check_tail_decay(integrand):
     """Flag integrands that do not decay toward the end of the domain.
 
-    The last few nodes are skipped: derivative stencils against a clamped
+    Its windows end at the end of the domain, not of the support, and skip
+    the last few nodes there: derivative stencils against a clamped
     boundary node produce a spike there whose weighted contribution is
     negligible, whereas a genuinely non-integrable field grows globally.
     """
-    live = np.flatnonzero(integrand > 0)
-    if len(live) < 32:
+    live = integrand > 0
+    if np.count_nonzero(live) < 32:
         return
-    i1 = live[-1] - 5
-    n = i1 - live[0] + 1
+    i1 = len(integrand) - 6
+    n = i1 - int(live.argmax()) + 1
     if n < 32:
         return
     # both windows are non-empty (n >= 32)
@@ -320,22 +320,28 @@ def bound_values(d: int, ell: int, s: float, A: float) -> dict:
     ]))
 
 
-def _compiled_slice(v, s: float, ctx: DiagnosticsContext, xi, q):
+def _compiled_slice(v, s: float, sm: float, ctx: DiagnosticsContext):
     """`decompose`'s measurements from one ks_slice call: (the coefficients,
     then tilde norm, flat norms, outer norms, sup |v| and sup |v - Q|), bit
-    for bit as the NumPy path takes them.  None where there is no compiled
-    pass, where v is not one value per node, where the grid stops short of
-    xi = 2K, or where the pass finds an unresolved field or a non-decaying
-    tail: there the NumPy path runs, to raise or warn."""
+    for bit as the NumPy path takes them, xi = y sm and Q formed in it at
+    d=4.  None where there is no compiled pass, where v is not one value per
+    node, where the grid stops short of xi = 2K, or where the pass finds a t
+    that is not finite, an unresolved field or a non-decaying tail: there
+    the NumPy path runs, to raise or warn."""
     lib = _library()
-    if lib is None or v.shape != ctx.y.shape or xi[-1] < 2 * ctx.K:
+    if lib is None or v.shape != ctx.y.shape or ctx.y[-1] * sm < 2 * ctx.K:
         return None
     uniform, arrays, pointers = ctx._slice_arrays
+    p, (xi, q) = ctx.params, arrays[-2:]
+    if ctx.ell == 3:        # d=3's Q stays in NumPy
+        xi = ctx.y * sm
+        q = pr.q_of_xi(p, xi)
     v = np.ascontiguousarray(v)
-    if lib.ks_slice(len(v), 2 * ctx.ell, uniform, -(1.0 / (ctx.params.B * s)), ctx.K,
-                    *pointers, _address(xi), _address(q), v.ctypes.data):
+    if lib.ks_slice(len(v), 2 * ctx.ell, uniform, -(1.0 / (p.B * s)), ctx.K, s,
+                    p.c if ctx.ell == 2 else 0.0, *pointers, _address(xi), _address(q),
+                    v.ctypes.data):
         return None
-    out = arrays[-1]
+    out = arrays[8]
     return out[:2 * ctx.ell].copy(), out[2 * ctx.ell:].tolist()
 
 
@@ -350,10 +356,11 @@ def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
     p = ctx.params
     s = pr._check_s(s)
     v = np.asarray(v_values, float)
-    xi = ctx.y * s ** (-1.0 / (2 * ctx.ell))
-    q = pr.q_of_xi(p, xi)
-    taken = _compiled_slice(v, s, ctx, xi, q)
+    sm = s ** (-1.0 / (2 * ctx.ell))
+    taken = _compiled_slice(v, s, sm, ctx)
     if taken is None:
+        xi = ctx.y * sm
+        q = pr.q_of_xi(p, xi)
         ph = pr.psi_hat(p, ctx.y, s)
         eps_hat = v - (q + ph)                     # v - psi
         coeffs = ctx.project_all(eps_hat)

@@ -10,7 +10,8 @@ supported dimensions solve it in closed form with t = c xi^(2 ell):
     d=4 (ell=2):  Q = 1 / (2 + sqrt(4 + t)),
     d=3 (ell=3):  Q = 2 sinh(arsinh(sqrt(t)/2) / 3) / sqrt(t),
 
-free of cancellation for every t > 0, with Q = 1/d at t = 0.  The deficit
+free of cancellation for every t > 0, with Q = 1/d at t = 0 (at d=4 t by
+products, which _kernel.c repeats bit for bit).  The deficit
 delta = 1/d - Q is taken from the equation itself, delta = t Q^ell / d, so
 quantities like (1/d - Q)/xi**(2*ell) keep full relative accuracy where a
 plain subtraction would cancel to noise.  Q', Q'' and the radial Laplacian
@@ -188,10 +189,15 @@ def _profile_jet(c, d: int, ell: int, xi, q):
     return qp, lap - (d + 1) * qp_xi, lap
 
 
+def _t_of_xi(params: ProfileParams, xi):
+    """t = c xi^(2 ell), at ell = 2 as c ((xi xi)(xi xi))."""
+    return params.c * ((xi * xi) * (xi * xi) if params.ell == 2 else xi ** 6)
+
+
 def _profile(params: ProfileParams, xi):
     """(Q, 1/d - Q, Q', Q'', Lap_{d+2} Q) at xi."""
     xi = _as_xi(xi)
-    q, delta = _solve_profile(params, params.c * xi ** (2 * params.ell))
+    q, delta = _solve_profile(params, _t_of_xi(params, xi))
     return (q, delta) + _profile_jet(params.c, params.d, params.ell, xi, q)
 
 
@@ -205,14 +211,14 @@ def _as_xi(xi):
 def q_of_xi(params: ProfileParams, xi):
     """Profile value Q(xi); Q(0) = 1/d exactly."""
     xi = _as_xi(xi)
-    q = _solve_q(params, params.c * xi ** (2 * params.ell))
+    q = _solve_q(params, _t_of_xi(params, xi))
     return q if q.ndim else float(q)
 
 
 def q_deficit(params: ProfileParams, xi):
     """1/d - Q(xi) with full relative accuracy near xi = 0."""
     xi = _as_xi(xi)
-    _, delta = _solve_profile(params, params.c * xi ** (2 * params.ell))
+    _, delta = _solve_profile(params, _t_of_xi(params, xi))
     return delta if delta.ndim else float(delta)
 
 
@@ -221,7 +227,7 @@ def q_residual(params: ProfileParams, xi, q=None):
     xi = _as_xi(xi)
     if q is None:
         q = q_of_xi(params, xi)
-    t = params.c * xi ** (2 * params.ell)
+    t = _t_of_xi(params, xi)
     return t * np.asarray(q, float) ** params.ell + params.d * np.asarray(q, float) - 1.0
 
 

@@ -68,11 +68,10 @@ def mixing_matrix(config: sim.SimConfig, y=None,
                   ctx: dg.DiagnosticsContext | None = None) -> np.ndarray:
     """Initial-coefficient response M[k,i] = d eps_k(s0) / d((A/s0^2) d_i)."""
     ell = eb.ell_of(config.d)
-    if y is None:
-        y = config.build_grid().nodes
+    grid = config.build_grid() if y is None else sim.Grid(y)
     if ctx is None:
-        ctx = dg.DiagnosticsContext(d=config.d, y=y, K=config.K)
-    modes = sim.unstable_modes(config.d, y, config.s0, config.bump_K)
+        ctx = dg.DiagnosticsContext(d=config.d, y=grid.nodes, K=config.K)
+    modes = sim.unstable_modes(config.d, grid, config.s0, config.bump_K)
     return np.stack([ctx.project_all(f)[:ell] for f in modes], axis=1)
 
 
@@ -141,9 +140,8 @@ def trap_search(config: sim.SimConfig, budget: int,
     ell = eb.ell_of(config.d)
 
     if objective_fn is None:
-        y = config.build_grid().nodes
-        ctx = dg.DiagnosticsContext(d=config.d, y=y, K=config.K)
-        m = mixing_matrix(config, y=y, ctx=ctx)
+        ctx = dg.DiagnosticsContext(d=config.d, y=config.build_grid().nodes, K=config.K)
+        m = mixing_matrix(config, ctx=ctx)
 
         def objective_fn(q):
             d = np.clip(np.linalg.solve(m, np.asarray(q, float)), -1.0, 1.0)

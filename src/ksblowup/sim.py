@@ -21,10 +21,10 @@ so the far-field drift, |a| ~ y_max / 2, no longer sets dt.  A self-similar
 run without a fixed dt re-evaluates it from the state at every record.
 
 Nothing that depends only on the grid or on dt is recomputed per step: the
-stencil spacings and the two tridiagonals (Laplacian, linear drift) are fixed
-per grid, and the matrix I - (dt/2) Lap - dt D_lin is LU-factored (LAPACK
-gttrf's algorithm) once per dt of a stretch and only back-substituted (gttrs)
-at each step.
+stencil spacings and the two tridiagonals (Laplacian, linear drift) are built
+once per grid, for all its steppers, and the matrix I - (dt/2) Lap - dt D_lin
+is LU-factored (LAPACK gttrf's algorithm) once per dt of a stretch and only
+back-substituted (gttrs) at each step.
 
 A step on a small grid costs a fixed overhead per NumPy call, so the raw-array
 kernel `Stepper._advance` makes few.  Every explicit term is a stencil over one
@@ -47,14 +47,14 @@ repeats `_advance` operation for operation, so the two agree bit for bit.  It
 is built once per source and compiler flags into a cache outside the package
 and loaded with ctypes (`_loader`, which `diagnostics` shares); where no
 compiler is found or the build or load fails, the stretch steps through
-`_advance`, which imports scipy's LAPACK.
-Either kernel reads the stretch's boundary values from one array, which
-`Stepper._edges` fills: zeros for Neumann, or the profile Q at the edge from
-one array call.
+`_advance`, which imports scipy's LAPACK.  Both read the boundary values of
+`Stepper._edges` (zeros for Neumann, else Q at the edge), which the loop forms
+itself at d=4.  `Stepper.cfl_dt` has a compiled pass too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -82,21 +82,24 @@ FRAME_SIGMA = {"selfsimilar": 1.0, "physical": 0.0}
 # Grid and state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing radial nodes starting at 0."""
+    """Strictly increasing radial nodes starting at 0, a read-only copy, so
+    tables built from a grid (keyed by its identity) stay valid."""
 
     nodes: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.nodes, float)
+        y = np.array(self.nodes, float)
         if len(y) < 16:
             raise ConfigError("grid needs at least 16 nodes")
         if y[0] != 0.0 or not np.all(np.diff(y) > 0) or not np.all(np.isfinite(y)):
             raise ConfigError("nodes must be finite, strictly increasing, starting at 0")
+        y.setflags(write=False)
         object.__setattr__(self, "nodes", y)
 
     @classmethod
+    @functools.lru_cache(maxsize=4)     # one shared grid per (n, y_max)
     def uniform(cls, n: int, y_max: float) -> "Grid":
         return cls(np.linspace(0.0, y_max, n + 1))
 
@@ -260,11 +263,8 @@ def rhs(state: RadialState):
     state.check_finite()
     y = state.grid.nodes
     v = state.values
-    st = _Stencil(y)
-    sigma = FRAME_SIGMA[state.frame]
-    lap = _laplacian_tridiag(st, state.d + 2)
-    implicit = [a + b for a, b in zip(lap, _linear_drift_tridiag(st, sigma))]
-    stack = _explicit_stack(st, state.d, sigma, *implicit)
+    st, _, tri = _grid_tables(state.grid, state.d, state.frame)
+    stack = _explicit_stack(st, state.d, FRAME_SIGMA[state.frame], *(tri[:3] + tri[3:]))
     out = _explicit(st, v, *np.add.reduce(v[st.cen_at] * stack, axis=1), state.d)
     # one-sided second-order Laplacian at the outer node (whose row of the
     # tridiagonal is zero), for reporting only
@@ -274,6 +274,21 @@ def rhs(state: RadialState):
     vpp = 2.0 * (h2 * v[-1] - (h1 + h2) * v[-2] + h1 * v[-3]) / (h1 * h2 * (h1 + h2))
     out[-1] += vpp + (state.d + 1) / y[-1] * vp
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_tables(grid: Grid, d: int, frame: str):
+    """A `Stepper`'s tables, read-only and shared by the steppers of one grid:
+    the stencil, the explicit stack, and the rows (lower, diagonal, upper) of
+    Lap, then of D_lin."""
+    sigma = FRAME_SIGMA[frame]
+    st = _Stencil(grid.nodes)
+    lap = _laplacian_tridiag(st, d + 2)
+    stack = _explicit_stack(st, d, sigma, *(0.5 * a for a in lap))
+    tri = np.array([*lap, *_linear_drift_tridiag(st, sigma)])
+    for a in (*vars(st).values(), stack, tri):
+        a.setflags(write=False)
+    return st, stack, tri
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +341,9 @@ class Stepper:
     `advance` is the one way to step: it checks its state and step size once,
     steps toward a target time and keeps the step record (`step_record`):
     steps, dt range and the kernel most steps took.  Its one helper `_stretch`
-    takes a record interval's boundary values from one `_edges` call and its
-    steps, landing step included, in one call of the compiled loop, which
-    factors each dt's matrix itself and steps bit for bit as the raw-array
+    takes a record interval's steps, landing step included, in one call of
+    the compiled loop, which factors each dt's matrix itself, forms or reads
+    the boundary values (`_edges`) and steps bit for bit as the raw-array
     kernel `_advance` does from the same boundary values: one gather and the
     stack give b, with D v upwinded at the nodes that need it (`_explicit`),
     and finiteness is checked once, on the solution; when that fails
@@ -349,21 +364,18 @@ class Stepper:
         self.sigma = FRAME_SIGMA[frame]
         self.boundary = boundary
         self.params = pr.make_profile_params(d) if boundary == "profile" else None
-        self.stencil = st = _Stencil(grid.nodes)
-        lap = _laplacian_tridiag(self.stencil, d + 2)
-        self.stack = _explicit_stack(self.stencil, d, self.sigma, *(0.5 * a for a in lap))
-        n = len(grid.nodes)
-        # the rows (lower, diagonal, upper) of Lap, then of D_lin
-        self._tri = np.array([*lap, *_linear_drift_tridiag(self.stencil, self.sigma)])
+        self.stencil, self.stack, self._tri = _grid_tables(grid, d, frame)
         self._factors = None, None    # (dt, factors) of the last dt `_factored` factored
         self.compiled_steps = 0       # steps taken in the compiled loop
         self.steps = 0                # steps `advance` took, and their dt range
         self.dt_min, self.dt_max = math.inf, 0.0
-        # the compiled loop's per-grid arrays and its scratch (b, two sets of
-        # factors and their pivots), kept alive here, by address
+        # the compiled passes' per-grid arrays, the loop's scratch (b, two sets
+        # of factors, their pivots) and cfl_dt's two maxima, kept alive here
+        st, n = self.stencil, len(grid.nodes)
         self._arrays = [np.ascontiguousarray(a) for a in (
-            st.y, st.h, st.dy, self.stack, self._tri, np.zeros(9 * n), np.zeros(2 * n, np.intc))]
-        self._pointers = [a.ctypes.data for a in self._arrays]
+            st.y, st.h, st.dy, self.stack, self._tri, np.zeros(9 * n), np.zeros(2 * n, np.intc),
+            np.zeros(2))]
+        self._pointers = [a.ctypes.data for a in self._arrays[:-1]]
 
     def _factored(self, dt: float):
         """scipy's gttrf factors (dl, d, du, du2, ipiv) of the matrix
@@ -442,19 +454,24 @@ class Stepper:
         them, each of dt but the last, which is of `last`: (the field after
         the last finite step, the count of finite steps, the error of the next
         step or None).  The boundary values of all steps come from one
-        `_edges` call, and either kernel reads them.  The compiled loop
-        (`_library`) takes the steps in one call as `_advance` would, bit for
-        bit; where it stops, at a non-finite step or before one whose matrix
-        overflows or is singular, `_advance` takes that step again, to raise
-        the error, as it takes every step where there is no compiled loop."""
+        `_edges` call, which the compiled loop (`_library`) repeats itself at
+        d=4.  The loop takes the steps in one call as `_advance` would, bit
+        for bit; where it stops, at a non-finite step or before one whose
+        matrix overflows or is singular or whose boundary value `_edges`
+        raises on, `_advance` takes that step again, to raise the error, as it
+        takes every step where there is no compiled loop."""
         k, done = len(times) - 1, 0
-        edges = self._edges(times[1:])
         lib = _library()
+        own = lib is not None and self.boundary == "profile" and self.params.ell == 2
+        edges = None if own else self._edges(times[1:])
         if lib is not None and k:
             v = np.array(v, float)
             done = lib.ks_stretch(len(v), k, self.boundary == "neumann", dt, last, self.d,
-                                  *self._pointers, _address(edges), _address(v))
+                                  self.params.c if own else 0.0, *self._pointers,
+                                  _address(times if own else edges), _address(v))
             self.compiled_steps += done
+        if done < k and edges is None:
+            edges = self._edges(times[1:])
         for j in range(done, k):
             try:
                 v = self._advance(v, float(times[j]), dt if j < k - 1 else last, edges[j])
@@ -513,11 +530,19 @@ class Stepper:
 
     def cfl_dt(self, state: RadialState, cfl: float) -> float:
         """Step limit of the explicit terms: cfl over the largest |v y| / dy
-        of the nonlinear drift, and at most 0.5 over the reaction's rate."""
-        a = np.abs(state.values * self.grid.nodes)
-        amax = float((np.maximum(a[1:], a[:-1]) / self.stencil.dy).max())
+        of the nonlinear drift, and at most 0.5 over the reaction's rate; the
+        maxima by one compiled pass (`ks_cfl`), else NumPy, bit for bit."""
+        v = np.ascontiguousarray(state.values)
+        lib = _library()
+        if lib is not None and v.shape == self.grid.nodes.shape:
+            lib.ks_cfl(len(v), 2 * self.d, self.sigma, self._pointers[0], self._pointers[2],
+                       v.ctypes.data, _address(self._arrays[-1]))
+            amax, react = self._arrays[-1].tolist()
+        else:
+            a = np.abs(v * self.grid.nodes)
+            amax = float((np.maximum(a[1:], a[:-1]) / self.stencil.dy).max())
+            react = float(np.abs(2 * self.d * v - self.sigma).max())
         dt = cfl / amax if amax > 0 else np.inf
-        react = float(np.abs(2 * self.d * state.values - self.sigma).max())
         if react > 0:
             dt = min(dt, 0.5 / react)
         return dt
@@ -585,12 +610,16 @@ class SimConfig:
         return Grid.uniform(self.n, self.y_max)
 
 
-def unstable_modes(d: int, y, s0: float, K: float) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def unstable_modes(d: int, grid: Grid, s0: float, K: float) -> np.ndarray:
     """The (l, n) stack phi_{2i}(y) chi(xi / K), i < l, with xi = y s0^(-1/(2l)):
-    the cut-off unstable modes the initial bump is built from."""
-    ell = eb.ell_of(d)
+    the cut-off unstable modes the initial bump is built from, read-only and
+    built once per grid, s0 and K while it stays in a small cache."""
+    ell, y = eb.ell_of(d), grid.nodes
     chi = pr.cutoff_chi(pr.CutoffSpec(K=K), y * s0 ** (-1.0 / (2 * ell)))
-    return np.stack([eb.partial_mass_eigen(d, i).evalf(y) * chi for i in range(ell)])
+    modes = np.stack([eb.partial_mass_eigen(d, i).evalf(y) * chi for i in range(ell)])
+    modes.setflags(write=False)
+    return modes
 
 
 def make_initial_data(config: SimConfig, grid: Grid | None = None) -> RadialState:
@@ -621,7 +650,7 @@ def make_initial_data(config: SimConfig, grid: Grid | None = None) -> RadialStat
         )
     v = pr.psi(pr.make_profile_params(d), y, s0)
     if config.dvec:
-        modes = unstable_modes(d, y, s0, config.bump_K)
+        modes = unstable_modes(d, grid, s0, config.bump_K)
         v = v + (config.A / s0**2) * (np.asarray(config.dvec, float) @ modes)
     return RadialState("selfsimilar", s0, v, grid, d)
 

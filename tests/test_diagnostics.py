@@ -1,5 +1,6 @@
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -114,7 +115,20 @@ def test_tail_check_counts_positive_entries_and_flags_late_growth():
         dg.flat_norm(late, ctx, j=0)
     with pytest.raises(dg.NonIntegrableTailError):
         dg.decompose(pr.psi(ctx.params, y, 50.0) + late, 50.0, ctx, 20.0)
-    # the five last positive nodes are skipped, the sixth from the end counts
+    # decay is judged at the end of the domain, not at the end of the
+    # support: a field that grows up to y = 21.5 and is zero beyond passes,
+    # and so does the j = 2 integrand of a bump of scale 4 (the slice of
+    # that field is in `slice_fields`)
+    compact = np.where(y < 21.5, y**8, 0.0)
+    assert math.isfinite(dg.flat_norm(compact, ctx, j=0))
+    # the rule with windows that end at the support's end would raise
+    f = ctx.flat_w * compact * compact
+    live = np.flatnonzero(f > 0)
+    i1 = live[-1] - 5
+    n = i1 - live[0] + 1
+    last = np.mean(f[i1 - n // 8: i1 + 1])
+    assert last >= np.mean(f[i1 - n // 4: i1 - n // 8]) and last > 1e-6 * np.max(f)
+    # the five last nodes are skipped, the sixth from the end counts
     for back, flagged in ((5, False), (6, True)):
         spike = np.exp(-0.05 * y**2)
         spike[-back] = 1e3
@@ -237,7 +251,8 @@ def slice_fields():
     (n=1024) at s0 and stepped; d=3 and d=4 fields on two geometric grids,
     which take the non-uniform Euler stencil; a field whose grid has nodes
     at xi = 1, 2, K and 2K exactly, on equal spacings; a criterion-10 field
-    with a NaN."""
+    with a NaN; a d=4 field at s = 0.37, where t = c xi^4 reaches 1e7; and a
+    bump of scale 4 whose v - psi ends at y = 21.5 on a grid to y = 115."""
     fields = []
     for n, dvec, s in ((2048, (), 50.7), (1024, (0.4, -0.25), 51.3)):
         cfg = sim.SimConfig(d=4, n=n, s0=50.0, horizon=10.0, cadence=0.1, A=20.0, K=10.0,
@@ -264,6 +279,13 @@ def slice_fields():
     ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0)
     v = pr.psi(ctx.params, y, 16.0) + 1e-3 * np.exp(-0.02 * (y - 30.0) ** 2)
     fields.append(("xi at K, 2K", v, 16.0, ctx))
+    v = pr.psi(ctx.params, y, 0.37) + 1e-3 * np.exp(-0.02 * (y - 30.0) ** 2)
+    fields.append(("d=4 s=0.37", v, 0.37, ctx))
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, A=20.0, K=10.0, bump_K=4.0,
+                        dvec=(0.3906, 0.25))
+    grid = cfg.build_grid()
+    ctx = dg.DiagnosticsContext(d=4, y=grid.nodes, K=cfg.K)
+    fields.append(("compact bump", sim.make_initial_data(cfg, grid).values, 50.0, ctx))
     return fields
 
 
@@ -315,7 +337,14 @@ def test_slice_equals_the_plain_numpy_slice_bit_for_bit(compiled, slice_fields, 
         assert [(w.category, "unresolved" in str(w.message)) for w in caught] == [
             (RuntimeWarning, True)]
         assert rec.measured == _plain_slice(v, 50.0, ctx)[1]
-    assert flags[len(slice_fields):] == ([2, 1, 1] if compiled else [])
+    # s = 1e-300 puts xi = y 1e75 and t = c xi^4 past the largest double
+    # from y = 170: q_of_xi raises, the pass hands the slice to it
+    y = np.linspace(0.0, 1000.0, 4001)
+    ctx = dg.DiagnosticsContext(d=4, y=y, K=10.0)
+    with pytest.raises(ValueError, match=re.escape("out of range (t not finite)")), \
+            np.errstate(over="ignore"):
+        dg.decompose(np.zeros_like(y), 1e-300, ctx, 20.0)
+    assert flags[len(slice_fields):] == ([2, 1, 1, 3] if compiled else [])
 
 
 def test_decompose_of_pure_ansatz():
@@ -388,7 +417,8 @@ def test_decompose_evaluates_q_and_the_flat_chain_once():
 
 def test_decompose_pinned_on_a_perturbed_criterion_10_field():
     # every coefficient and measured value equals the slice assembled here from
-    # np.gradient and the closed-form Q of pr._solve_profile, bit for bit
+    # np.gradient and the closed-form Q of pr._solve_profile at t = c xi^4 by
+    # products, c ((xi xi)(xi xi)), bit for bit
     cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0,
                         K=10.0, dvec=(0.4, -0.25))
     y = cfg.build_grid().nodes
@@ -399,7 +429,7 @@ def test_decompose_pinned_on_a_perturbed_criterion_10_field():
     rec = _decompose(v, s, ctx, A)
 
     xi = y * s ** (-1.0 / (2 * ell))
-    q = pr._solve_profile(p, p.c * xi ** (2 * ell))[0]
+    q = pr._solve_profile(p, p.c * ((xi * xi) * (xi * xi)))[0]
     ph = pr.psi_hat(p, y, s)
     eps_hat = v - (q + ph)
     coeffs = ctx.project_all(eps_hat)

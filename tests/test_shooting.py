@@ -229,6 +229,35 @@ def test_profile_params_built_once_per_dimension_not_per_probe(monkeypatch):
         assert h["step_s"] + h["diag_s"] <= h["wall_s"]
 
 
+def test_probes_share_the_grid_its_stepper_tables_and_modes(monkeypatch):
+    # every probe of a search runs on the one read-only grid of its config,
+    # whose stepper tables and unstable-mode stack (the mixing matrix's too)
+    # are built once, not once per probe
+    stacks, grids = [], []
+    explicit_stack, run = sim._explicit_stack, sim.run
+
+    def counting_stack(*args):
+        stacks.append(1)
+        return explicit_stack(*args)
+
+    def recording(*args, **kwargs):
+        out = run(*args, **kwargs)
+        grids.append(out.final_state.grid)
+        return out
+
+    monkeypatch.setattr(sim, "_explicit_stack", counting_stack)
+    monkeypatch.setattr(sim, "run", recording)
+    for cache in (sim.Grid.uniform, sim._grid_tables, sim.unstable_modes):
+        cache.cache_clear()
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)
+    res = shooting.trap_search(cfg, budget=4)
+    assert len(res.history) == len(grids) == 4
+    assert all(g is cfg.build_grid() for g in grids)
+    assert not grids[0].nodes.flags.writeable
+    assert len(stacks) == 1 and sim.unstable_modes.cache_info().misses == 1
+    assert not sim.unstable_modes(4, grids[0], 50.0, 1.0).flags.writeable
+
+
 def test_search_history_round_trips_through_plain_json():
     # each probe is logged once, in JSON-native values: no converter needed
     cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)

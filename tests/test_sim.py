@@ -1,7 +1,11 @@
 import ctypes
 import math
+import os
+import re
 import shutil
 import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import fields, replace
 
@@ -381,8 +385,9 @@ def test_rhs_advection_matches_per_node_selection(grid):
 
 
 def test_explicit_stack_built_once_per_grid(monkeypatch):
-    # the stencil stack depends on the grid alone: not on the step, not on
-    # dt, and not on a record landing's shortened step
+    # the stencil stack depends on the grid, d and frame alone: not on the
+    # step, not on dt, not on a record landing's shortened step, and not on
+    # the stepper
     calls = []
     build = sim._explicit_stack
 
@@ -391,6 +396,7 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(sim, "_explicit_stack", counting)
+    sim._grid_tables.cache_clear()
     grid = sim.Grid.uniform(32, 10.0)
     stepper = sim.Stepper(grid, 4, "physical", "neumann")
     state = sim.RadialState("physical", 0.0, np.full(33, 0.1), grid, 4)
@@ -401,7 +407,15 @@ def test_explicit_stack_built_once_per_grid(monkeypatch):
                         cadence=0.1, dt=1e-3, init=np.full(33, 0.1))
     res = sim.run(cfg)
     assert res.steps == 1000 and len(res.times) == 11 and res.dt_min < res.dt_max
-    assert len(calls) == 2
+    # steppers on one grid share its tables, read-only: the run's grid is the
+    # one `Grid.uniform` gave above; another frame builds its own stack, and
+    # a grid built anew from the same nodes is another grid
+    assert res.final_state.grid is grid and len(calls) == 1
+    shared = sim.Stepper(grid, 4, "physical", "neumann")
+    assert shared.stack is stepper.stack and not shared.stack.flags.writeable
+    assert sim.Stepper(grid, 4, "selfsimilar", "neumann").stack is not stepper.stack
+    other = sim.Stepper(sim.Grid(grid.nodes), 4, "physical", "neumann")
+    assert len(calls) == 3 and other.stack.tobytes() == stepper.stack.tobytes()
 
 
 def _edge(stepper, t):
@@ -468,17 +482,59 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
         assert done < 40
 
 
+@pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
+def test_compiled_profile_edge_equals_edges_bit_for_bit():
+    # at d=4 the compiled loop forms each step's boundary value from the
+    # step's time; the solution of one step ends in it (the boundary row is
+    # v_N = value), so one-step stretches read it back.  Over 12000 times,
+    # the steps of record intervals with their landing steps and times
+    # spread over twelve decades, it has the bits of `_edges`.  A time whose
+    # t = c xi^4 overflows, or t = 0, stops the loop, and `_edges` raises
+    # as it does without the loop
+    grid = sim.Grid.uniform(16, 10.0)
+    stepper = sim.Stepper(grid, 4, "selfsimilar", "profile")
+    times = []
+    for t, dt, cadence in ((50.0, 3.7e-4, 0.1), (0.013, 1.1e-6, 1e-4), (1234.5, 0.0123, 0.5)):
+        for _ in range(8):
+            h, last, stretch = sim._stretch_times(t, dt, t + cadence, 4096)
+            assert last != h
+            times += stretch[1:].tolist()
+            t = float(stretch[-1])
+    rng = np.random.default_rng(11)
+    times += (10.0 ** rng.uniform(-3.0, 9.0, 12000 - len(times))).tolist()
+    v0 = pr.psi(stepper.params, grid.nodes, 50.0)
+    got = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times:
+            v, done, error = stepper._stretch(v0, np.array([t - 1e-7, t]), 1e-7, 1e-7)
+            assert done == 1 and error is None
+            got.append(v[-1])
+    assert np.array(got).tobytes() == stepper._edges(np.array(times)).tobytes()
+    assert stepper.compiled_steps == len(times)
+    for t in (0.0, 1e-310):
+        with pytest.raises((ZeroDivisionError, ValueError)) as numpy_error, \
+                np.errstate(over="ignore"):
+            stepper._edges(np.array([t]))
+        with pytest.raises(numpy_error.type, match=re.escape(str(numpy_error.value))), \
+                np.errstate(over="ignore"):
+            stepper._stretch(v0, np.array([1.0, t]), 1e-7, 1e-7)
+    assert stepper.compiled_steps == len(times)
+
+
 def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, monkeypatch):
     # a build into an empty cache loads and leaves one object and no
-    # temporary file, with the stretch loop, the factorization and the slice
-    # pass declared; a second load reuses it.  No compiler, a failing
-    # compiler or a cache that cannot be written gives None, not an error
+    # temporary file, with the stretch loop, the factorization, the slice
+    # pass and the step limit's maxima declared; a second load reuses it.
+    # No compiler, a failing compiler or a cache that cannot be written gives
+    # None, not an error
     if shutil.which("cc") is None and shutil.which("gcc") is None:
         pytest.skip("no C compiler")
     lib = _loader._build(tmp_path / "cache")
     assert lib is not None and hasattr(lib, "ks_stretch") and hasattr(lib, "ks_factor")
     assert lib.ks_slice.restype is ctypes.c_long
-    assert lib.ks_slice.argtypes == [ctypes.c_long] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 12
+    assert lib.ks_slice.argtypes == [ctypes.c_long] * 3 + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 12
+    assert lib.ks_cfl.restype is None
+    assert lib.ks_cfl.argtypes == [ctypes.c_long] + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
     (built,) = (tmp_path / "cache").iterdir()
     assert built.name.startswith("kernel-") and built.suffix == ".so"
     assert _loader._build(tmp_path / "cache") is not None
@@ -504,6 +560,60 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
          str(tmp_path / "kernel.so"), str(_loader._SOURCE)],
         capture_output=True, text=True, timeout=120, stdin=subprocess.DEVNULL)
     assert built.returncode == 0, built.stderr
+
+
+# an 8-probe criterion-10 search and a short d=3 run: every compiled pass,
+# d=4's edge values and Q formed in C and d=3's read from NumPy
+_SANITIZED_RUN = """
+import hashlib
+import numpy as np
+from ksblowup import _loader, shooting, sim
+
+def outputs():
+    h = hashlib.sha256()
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)
+    search = shooting.trap_search(cfg, budget=8)
+    run = sim.run(sim.SimConfig(d=3, n=512, s0=50.0, horizon=0.3, cadence=0.1,
+                                escape_factor=np.inf))
+    for entry in [*search.history, run.summary()]:
+        h.update(repr({k: v for k, v in entry.items()
+                       if k not in ("wall_s", "step_s", "diag_s")}).encode())
+    for rec in search.trajectory + run.records:
+        h.update(rec.coefficients.tobytes() + repr(rec.measured).encode())
+    h.update(run.final_state.values.tobytes())
+    return h.hexdigest()
+"""
+
+
+def test_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # the same search and run through a build of _kernel.c with ASan and
+    # UBSan, whose first error aborts, in a child process that preloads the
+    # ASan runtime: a clean exit, every pass from that build, and the
+    # outputs of the normal build
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None or sim._library() is None:
+        pytest.skip("no C compiler")
+    asan = subprocess.run([compiler, "-print-file-name=libasan.so"], capture_output=True,
+                          text=True, timeout=60, stdin=subprocess.DEVNULL).stdout.strip()
+    if not os.path.isabs(asan):
+        pytest.skip("no libasan")
+    child = _SANITIZED_RUN + textwrap.dedent("""
+        _loader._CFLAGS += ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+        lib = _loader._library()
+        assert lib is not None and lib._name.startswith(sys.argv[1]), lib
+        print(outputs())
+        """)
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), LD_PRELOAD=asan,
+               ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.pathsep.join([str(_loader._SOURCE.parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + child, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300,
+                          stdin=subprocess.DEVNULL)
+    assert done.returncode == 0, done.stderr[-4000:]
+    namespace = {}
+    exec(_SANITIZED_RUN, namespace)
+    assert done.stdout.split() == [namespace["outputs"]()]
 
 
 def test_run_reports_the_kernel_that_measured_most_of_its_slices():
@@ -1003,9 +1113,11 @@ def test_drive_by_count_crosses_stretches_as_advance_steps(compiled, monkeypatch
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
 def test_profile_boundary_evaluates_q_once_per_stretch(compiled, monkeypatch):
-    # either kernel reads a stretch's boundary values from one array call of
-    # Q: 5000 steps in stretches of 4096 and 904 are two calls, not one per
-    # step; a Neumann stretch evaluates no Q at all
+    # the NumPy kernel reads a stretch's boundary values from one array call
+    # of Q: 5000 steps in stretches of 4096 and 904 are two calls, not one
+    # per step.  At d=4 the compiled loop forms them from the step times
+    # itself and calls Q not at all; at d=3 it reads the one array too.  A
+    # Neumann stretch evaluates no Q at all
     if compiled and sim._library() is None:
         pytest.skip("no compiled stretch loop")
     if not compiled:
@@ -1021,13 +1133,15 @@ def test_profile_boundary_evaluates_q_once_per_stretch(compiled, monkeypatch):
     log = _recording_stretch(monkeypatch)
     grid = sim.Grid.uniform(32, 10.0)
     v0 = 0.25 + 0.01 * np.cos(grid.nodes)
-    for boundary in ("profile", "neumann"):
-        stepper = sim.Stepper(grid, 4, "selfsimilar", boundary)
-        state, error = stepper.advance(sim.RadialState("selfsimilar", 50.0, v0, grid, 4),
-                                       math.inf, dt=1e-4, most=5000)
-        assert error is None and stepper.steps == 5000
-    assert [k for _, k, _ in log] == [4096, 904] * 2
-    assert calls == [4096, 904]
+    for d in (4, 3):
+        calls.clear()
+        for boundary in ("profile", "neumann"):
+            stepper = sim.Stepper(grid, d, "selfsimilar", boundary)
+            state, error = stepper.advance(sim.RadialState("selfsimilar", 50.0, v0, grid, d),
+                                           math.inf, dt=1e-4, most=5000)
+            assert error is None and stepper.steps == 5000
+        assert calls == ([] if compiled and d == 4 else [4096, 904]), d
+    assert [k for _, k, _ in log] == [4096, 904] * 4
 
 
 def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
@@ -1065,6 +1179,43 @@ def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
     assert all(dt <= cap(s) for s, _, dt in log)
     record = driver.step_record()
     assert (record["steps"], record["dt_min"], record["dt_max"]) == (len(dts), min(dts), max(dts))
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled step limit")
+def test_compiled_cfl_maxima_equal_numpy(monkeypatch):
+    # cfl_dt's two maxima from the compiled pass have the bits of np.max's,
+    # a NaN (at either end of a cell or inside) passing through, and so has
+    # its dt: negative, tiny and NaN fields, infinite entries (dt = 0) and
+    # an all-zero field, whose physical dt is infinite
+    grid = sim.Grid.geometric(64, 20.0, 1.03)
+    n = len(grid.nodes)
+    rng = np.random.default_rng(3)
+    fields = [rng.uniform(-2.0, 6.0, n), -rng.random(n), 1e-300 * rng.random(n),
+              np.zeros(n), np.full(n, -0.0)]
+    for at in (0, 17, n - 1):
+        fields.append(rng.uniform(-1.0, 1.0, n))
+        fields[-1][at] = np.nan
+        fields.append(rng.uniform(-1.0, 1.0, n))
+        fields[-1][at] = -np.inf
+    for frame in ("selfsimilar", "physical"):
+        stepper = sim.Stepper(grid, 4, frame, "neumann")
+        got, maxima = [], []
+        for v in fields:
+            got.append(stepper.cfl_dt(sim.RadialState(frame, 0.0, v, grid, 4), 0.4))
+            maxima.append(stepper._arrays[-1].copy())
+        with np.errstate(invalid="ignore"):
+            a = [np.abs(v * grid.nodes) for v in fields]
+        want = [[np.max(np.maximum(x[1:], x[:-1]) / np.diff(grid.nodes)),
+                 np.max(np.abs(8 * v - stepper.sigma))] for x, v in zip(a, fields)]
+        assert np.array(maxima).tobytes() == np.array(want).tobytes()
+        with monkeypatch.context() as m, np.errstate(invalid="ignore"):
+            m.setattr(sim, "_library", lambda: None)
+            plain = [stepper.cfl_dt(sim.RadialState(frame, 0.0, v, grid, 4), 0.4)
+                     for v in fields]
+        assert np.array(got).tobytes() == np.array(plain).tobytes()
+        assert got[3] == (math.inf if frame == "physical" else 0.5)
+        assert [math.isinf(dt) for dt in got[5::2]] == [True] * 3
+        assert got[6::2] == [0.0] * 3
 
 
 def _step_loop(cfg):
