@@ -4,33 +4,43 @@
  * ks_stretch is the loop of ksblowup.sim.Stepper._stretch: one record
  * interval's IMEX steps on raw arrays, k - 1 steps at dt and a last one at its
  * own dt (the step landing on a record or end time, or dt again).  Each step
- * repeats Stepper._advance operation for operation:
- *   - the boundary value: at d = 4 with the profile boundary, Q at the edge
- *     xi = y_max pow(t, -0.25) of the step's end time t, as Stepper._edges
- *     forms it (Python's ** is libm's pow, and t = c xi^4 is taken by
- *     products in profile and here); else the value Stepper._edges gave;
- *   - E v and D v from the gather (v[i+1], v[i], v[i-1]) of the (2, 3, n)
- *     stencil stack w, summed as numpy reduces it, (g0 w0 + g1 w1) + g2 w2;
- *   - the per-node Peclet select of sim._explicit (a NaN Peclet number
- *     upwinds) and its upwind patch of D v;
- *   - b = (E v + (D v) v) dt + v, with b[n-1] the boundary value;
- *   - LAPACK dgtts2's forward and back sweeps for one right-hand side over
- *     the dgttrf factors (dl, df, du, du2, ipiv), as dgttrs solves.
+ * (`step`) repeats Stepper._advance operation for operation, in one pass over
+ * the nodes and one back:
+ *   - LAPACK dgtts2's forward sweep for one right-hand side over the dgttrf
+ *     factors (dl, df, du, du2, ipiv), as dgttrs solves, which forms each
+ *     entry b[i+1] of b = (E v + (D v) v) dt + v just before it eliminates it
+ *     (`node_b`): E v and D v from the gather (v[i+1], v[i], v[i-1]) of the
+ *     (2, 3, n) stencil stack w, summed as numpy reduces it,
+ *     (g0 w0 + g1 w1) + g2 w2, then the per-node Peclet select of
+ *     sim._explicit (a NaN Peclet number upwinds) and its upwind patch of
+ *     D v.  No sum runs across nodes, so the order of the nodes' work
+ *     changes no bit;
+ *   - b[n-1], the boundary value: at d = 4 with the profile boundary, Q at
+ *     the edge xi = y_max pow(t, -0.25) of the step's end time t, as
+ *     Stepper._edges forms it (Python's ** is libm's pow, and t = c xi^4 is
+ *     taken by products in profile and here); else the value Stepper._edges
+ *     gave;
+ *   - dgtts2's back sweep, with the finiteness test folded in.
  * The matrix I - (dt/2) Lap - dt D_lin of each dt is formed as
  * Stepper._factored forms it and factored by ks_factor, a port of LAPACK
  * dgttrf, into scratch.  The loop stops at the first step whose solution is
  * not finite, and before a step whose matrix has a non-finite entry or is
  * singular, or whose t = c xi^4 is not finite (q_of_xi raises there).  It
  * returns the number of steps taken and leaves v at the last finite field;
- * scratch holds 9 n doubles (b, then two sets of factors) and ipiv 2 n ints.
+ * scratch holds 9 n doubles (the step's output, then two sets of factors)
+ * and ipiv 2 n ints.
+ *
+ * ks_cfl_stretch is the loop of Stepper.advance's CFL steps for the Neumann
+ * boundary: each step's dt from ks_cfl's maxima, capped and landed as
+ * advance sets it, factored, and stepped as above.
  *
  * ks_slice is the arithmetic of ksblowup.diagnostics.decompose's NumPy path:
  * at d = 4 xi and Q(xi) as well, at d = 3 what follows them; then the psi_hat
  * cutoff, the mode projections and the tilde rho-norm, the flat norms' Euler
- * chain with its tail-decay and resolution tests, and the outer and sup
- * norms.  It repeats NumPy's order of operations, and its sums and maxima
- * are NumPy's reductions: np.add.reduce is the identity 0.0 plus numpy's
- * pairwise sum (8 accumulators in blocks of up to 128, split at
+ * chain with its tail-decay (ks_tail_grows) and resolution tests, and the
+ * outer and sup norms.  It repeats NumPy's order of operations, and its sums
+ * and maxima are NumPy's reductions: np.add.reduce is the identity 0.0 plus
+ * numpy's pairwise sum (8 accumulators in blocks of up to 128, split at
  * n/2 - (n/2) % 8), a sum over rows adds them in order, and
  * np.maximum.reduce lets a NaN through.  d = 3's Q stays in NumPy, whose
  * sinh and arcsinh do not round as libm's do.
@@ -108,6 +118,68 @@ static int profile_q(double xi, double c, double *q)
     return 1;
 }
 
+/* b[i] = (E v + (D v) v) dt + v at a node i < n - 1 of the field x, as
+ * Stepper._advance forms it: E v and D v from the gather (x[i+1], x[i],
+ * x[i-1]), or (x[1], x[0], x[0]) at node 0, and D v upwinded where the
+ * Peclet test fails */
+static inline double node_b(long n, long i, double d, double dt, const double *y,
+                            const double *h, const double *dy, const double *w,
+                            const double *x)
+{
+    double g0 = x[i + 1], g1 = x[i], g2 = x[i == 0 ? 0 : i - 1];
+    double ev = (g0 * w[i] + g1 * w[n + i]) + g2 * w[2 * n + i];
+    double dv = (g0 * w[3 * n + i] + g1 * w[4 * n + i]) + g2 * w[5 * n + i];
+    if (!(fabs(x[i] * y[i]) * h[i] <= 2.0)) {
+        double slope = 0.0;
+        if (i > 0 && !(x[i] * y[i] > 0))
+            slope = (x[i] - x[i - 1]) / dy[i - 1];
+        else if (i > 0)
+            slope = (x[i + 1] - x[i]) / dy[i];
+        dv = slope * y[i];
+        dv = dv + d * x[i];
+    }
+    dv = dv * x[i];
+    return (ev + dv) * dt + x[i];
+}
+
+/* One step of x at dt into z over the factors f = (dl, df, du, du2) and
+ * pivots p of its matrix, with the boundary value edge as b[n-1]: dgtts2's
+ * forward sweep forms each b[i+1] just before it eliminates it, the entry
+ * it carries held in a register (row i is eliminated from row i + 1, or
+ * rows i and i + 1 swap first), then its back sweep; whether z is finite */
+static int step(long n, double d, double dt, double edge, const double *f, const int *p,
+                const double *y, const double *h, const double *dy, const double *w,
+                const double *restrict x, double *restrict z)
+{
+    const double *dl = f, *df = f + n, *du = f + 2 * n, *du2 = f + 3 * n;
+    double zi = node_b(n, 0, d, dt, y, h, dy, w, x), z1, z2;
+    long i;
+    int finite;
+    for (i = 0; i < n - 1; i++) {
+        double next = i < n - 2 ? node_b(n, i + 1, d, dt, y, h, dy, w, x) : edge;
+        if (p[i] == i + 1) {
+            z[i] = zi;
+            zi = next - dl[i] * zi;
+        } else {
+            z[i] = next;
+            zi = zi - dl[i] * next;
+        }
+    }
+    z2 = zi / df[n - 1];
+    z1 = (z[n - 2] - du[n - 2] * z2) / df[n - 2];
+    z[n - 1] = z2;
+    z[n - 2] = z1;
+    finite = isfinite(z1) && isfinite(z2);
+    for (i = n - 3; i >= 0; i--) {
+        zi = (z[i] - du[i] * z1 - du2[i] * z2) / df[i];
+        z[i] = zi;
+        finite &= isfinite(zi) != 0;
+        z2 = z1;
+        z1 = zi;
+    }
+    return finite;
+}
+
 /* bval holds the k boundary values, or with the profile constant c > 0 (d = 4)
  * the stretch's k + 1 times, from which the loop forms them */
 long ks_stretch(long n, long k, long neumann, double dt, double last, double d, double c,
@@ -117,7 +189,7 @@ long ks_stretch(long n, long k, long neumann, double dt, double last, double d, 
 {
     double *x = v, *z = scratch, *swap, *fa = scratch + n, *fb = fa;
     int *pa = ipiv, *pb = ipiv;
-    long s, i, steps = k;
+    long s, steps = k;
     if (k > 1 && factor(n, dt, neumann, tri, fa, pa) != 0)
         return 0;
     if (k == 1 || last != dt) {
@@ -127,61 +199,12 @@ long ks_stretch(long n, long k, long neumann, double dt, double last, double d, 
             steps = k - 1;
     }
     for (s = 0; s < steps; s++) {
-        const double *f = s < k - 1 ? fa : fb;
-        const double *dl = f, *df = f + n, *du = f + 2 * n, *du2 = f + 3 * n;
-        const int *p = s < k - 1 ? pa : pb;
-        double step = s < k - 1 ? dt : last, edge = bval[s], zi, z1, z2;
-        int finite;
+        int at_dt = s < k - 1;
+        double edge = bval[s];
         if (c > 0.0 && !profile_q(y[n - 1] * pow(bval[s + 1], -0.25), c, &edge))
             break;
-        for (i = 0; i < n; i++) {
-            /* the gather: (v[1], v[0], v[0]) at node 0, (v[n-1], v[n-2],
-             * v[n-2]) at the last, whose third weight is zero */
-            long end = i == n - 1;
-            double g0 = x[i == 0 ? 1 : end ? i : i + 1];
-            double g1 = x[end ? i - 1 : i];
-            double g2 = x[i == 0 ? 0 : i - 1];
-            double ev = (g0 * w[i] + g1 * w[n + i]) + g2 * w[2 * n + i];
-            double dv = (g0 * w[3 * n + i] + g1 * w[4 * n + i]) + g2 * w[5 * n + i];
-            if (!(fabs(x[i] * y[i]) * h[i] <= 2.0)) {
-                double slope = 0.0;
-                if (i > 0 && (end || !(x[i] * y[i] > 0)))
-                    slope = (x[i] - x[i - 1]) / dy[i - 1];
-                else if (i > 0)
-                    slope = (x[i + 1] - x[i]) / dy[i];
-                dv = slope * y[i];
-                dv = dv + d * x[i];
-            }
-            dv = dv * x[i];
-            z[i] = (ev + dv) * step + x[i];
-        }
-        /* dgtts2's sweeps, the entry they carry held in a register: row i
-         * is eliminated from row i + 1, or rows i and i + 1 swap first */
-        z[n - 1] = edge;
-        zi = z[0];
-        for (i = 0; i < n - 1; i++) {
-            double next = z[i + 1];
-            if (p[i] == i + 1) {
-                z[i] = zi;
-                zi = next - dl[i] * zi;
-            } else {
-                z[i] = next;
-                zi = zi - dl[i] * next;
-            }
-        }
-        z2 = zi / df[n - 1];
-        z1 = (z[n - 2] - du[n - 2] * z2) / df[n - 2];
-        z[n - 1] = z2;
-        z[n - 2] = z1;
-        finite = isfinite(z1) && isfinite(z2);
-        for (i = n - 3; i >= 0; i--) {
-            zi = (z[i] - du[i] * z1 - du2[i] * z2) / df[i];
-            z[i] = zi;
-            finite &= isfinite(zi) != 0;
-            z2 = z1;
-            z1 = zi;
-        }
-        if (!finite)
+        if (!step(n, d, at_dt ? dt : last, edge, at_dt ? fa : fb, at_dt ? pa : pb, y, h, dy, w,
+                  x, z))
             break;
         swap = x;
         x = z;
@@ -294,7 +317,7 @@ static void euler(long n, long uniform, const double *st, const double *y,
  * `count` of them positive: the mean of the window that ends five nodes
  * before the end of the domain is at least that of the window before it,
  * and above 1e-6 of the row's largest entry */
-static long tail_grows(long n, const double *row, long count)
+long ks_tail_grows(long n, const double *row, long count)
 {
     long first = 0, end = n - 6, i, m, last, prev;
     struct peak top = {0.0, 0.0};
@@ -401,7 +424,7 @@ long ks_slice(long n, long rows, long uniform, double c, double K, double s, dou
             t[i] = flat_w[i] * chain[j][i] * chain[j][i];
             count += t[i] > 0;
         }
-        if (tail_grows(n, t, count))
+        if (ks_tail_grows(n, t, count))
             flags = 2;
         out[rows + 1 + j] = sqrt(sum(t, 0, n));
     }
@@ -440,4 +463,50 @@ void ks_cfl(long n, double d2, double sigma, const double *y, const double *dy,
     }
     out[0] = peak_of(&drift);
     out[1] = peak_of(&react);
+}
+
+/* A capped CFL run of a Neumann stepper, the steps Stepper.advance takes one
+ * at a time without a fixed dt: from v at t toward target, at most `most`
+ * steps, each of Stepper.cfl_dt's dt at cfl from ks_cfl's maxima, at most
+ * rate (t_star - t) (a NaN rate caps nothing), and landing on target by
+ * _stretch_times' rule (a step within tol of target takes it all), the time
+ * summed as t += dt.  The loop stops before a step whose dt is not positive
+ * or whose matrix cannot be factored, and at a step whose solution is not
+ * finite: Stepper.advance takes that one on its per-step path.  Returns the
+ * steps taken, and into out the time reached and their smallest and largest
+ * dt; v and scratch as ks_stretch leaves them. */
+long ks_cfl_stretch(long n, double most, double d, double sigma, double cfl, double rate,
+                    double t_star, double t, double target, double tol, const double *y,
+                    const double *h, const double *dy, const double *w, const double *tri,
+                    double *scratch, int *ipiv, double *out, double *v)
+{
+    double *x = v, *z = scratch, *swap, *f = scratch + n, lo = INFINITY, hi = 0.0, m[2];
+    long s;
+    for (s = 0; s < most && t < target - tol; s++) {
+        double dt, cap = rate * (t_star - t);
+        ks_cfl(n, 2.0 * d, sigma, y, dy, x, m);
+        dt = m[0] > 0 ? cfl / m[0] : INFINITY;
+        if (m[1] > 0 && 0.5 / m[1] < dt)
+            dt = 0.5 / m[1];
+        if (cap < dt)
+            dt = cap;
+        if (!(dt > 0))
+            break;
+        if (!(dt < (target - t) - tol))
+            dt = target - t;
+        if (factor(n, dt, 1, tri, f, ipiv) != 0 || !step(n, d, dt, 0.0, f, ipiv, y, h, dy, w, x, z))
+            break;
+        t += dt;
+        lo = dt < lo ? dt : lo;
+        hi = dt > hi ? dt : hi;
+        swap = x;
+        x = z;
+        z = swap;
+    }
+    if (x != v)
+        memcpy(v, x, n * sizeof *v);
+    out[0] = t;
+    out[1] = lo;
+    out[2] = hi;
+    return s;
 }

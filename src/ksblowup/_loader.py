@@ -1,6 +1,6 @@
 """The compiled passes of _kernel.c, built once and loaded with ctypes.
 
-`sim` (`ks_stretch`, `ks_cfl`) and `diagnostics` (`ks_slice`) take their
+`sim` (`ks_stretch`, `ks_cfl_stretch`, `ks_cfl`) and `diagnostics` (`ks_slice`) take their
 passes from the one library `_library` loads: one source, one set of
 compiler flags, one object in the cache.  Each module falls back to its NumPy
 path where `_library` gives None.
@@ -52,11 +52,13 @@ def _build(cache: Path):
     except (OSError, subprocess.SubprocessError):
         return None
     lib.ks_stretch.restype = lib.ks_factor.restype = lib.ks_slice.restype = ctypes.c_long
+    lib.ks_cfl_stretch.restype = ctypes.c_long
     lib.ks_cfl.restype = None
     lib.ks_stretch.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 9
     lib.ks_factor.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
     lib.ks_slice.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 12
     lib.ks_cfl.argtypes = [ctypes.c_long] + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
+    lib.ks_cfl_stretch.argtypes = [ctypes.c_long] + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 9
     return lib
 
 

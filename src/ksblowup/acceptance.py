@@ -494,7 +494,7 @@ def final_profile_experiment():
     t_end = 1.0 - tau_end
 
     def advance(state, most):
-        return stepper.advance(state, t_end, cfl=0.4, cap=lambda t: 0.1 * (1.0 - t), most=most)
+        return stepper.advance(state, t_end, cfl=0.4, cap=(0.1, 1.0), most=most)
 
     times, sup_w = [], []
     state, error = advance(sim.RadialState("physical", 1.0 - tau0, v0 / tau0, grid, d), 1)

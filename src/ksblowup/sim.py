@@ -20,12 +20,6 @@ The explicit step limit (`Stepper.cfl_dt`) covers only the explicit terms,
 so the far-field drift, |a| ~ y_max / 2, no longer sets dt.  A self-similar
 run without a fixed dt re-evaluates it from the state at every record.
 
-Nothing that depends only on the grid or on dt is recomputed per step: the
-stencil spacings and the two tridiagonals (Laplacian, linear drift) are built
-once per grid, for all its steppers, and the matrix I - (dt/2) Lap - dt D_lin
-is LU-factored (LAPACK gttrf's algorithm) once per dt of a stretch and only
-back-substituted (gttrs) at each step.
-
 A step on a small grid costs a fixed overhead per NumPy call, so the raw-array
 kernel `Stepper._advance` makes few.  Every explicit term is a stencil over one
 gather v[cen_at]: a per-grid (2, 3, N) stack holds E = Lap/2 - sigma I and
@@ -42,14 +36,14 @@ Every caller steps through one call, `Stepper.advance`: `run`, criteria 7 and
 lands on a record or end time, keeps the step record, and takes each stretch
 (a record interval's steps of one dt and the step landing on the record, or
 one CFL step) through `Stepper._stretch`, which runs them in one compiled loop,
-the C source _kernel.c next to this module.  That loop factors each dt and
-repeats `_advance` operation for operation, so the two agree bit for bit.  It
-is built once per source and compiler flags into a cache outside the package
-and loaded with ctypes (`_loader`, which `diagnostics` shares); where no
-compiler is found or the build or load fails, the stretch steps through
-`_advance`, which imports scipy's LAPACK.  Both read the boundary values of
-`Stepper._edges` (zeros for Neumann, else Q at the edge), which the loop forms
-itself at d=4.  `Stepper.cfl_dt` has a compiled pass too.
+the C source _kernel.c next to this module; a Neumann stepper's CFL steps run
+in a second loop, which sets each dt too.  Both factor each dt and repeat
+`_advance` operation for operation, bit for bit.  They are built once per
+source and compiler flags into a cache outside the package and loaded with
+ctypes (`_loader`, which `diagnostics` shares); without them every step goes
+through `_advance`, which imports scipy's LAPACK.  Both read the boundary
+values of `Stepper._edges` (zeros for Neumann, else Q at the edge), which the
+loop forms itself at d=4.  `Stepper.cfl_dt` has a compiled pass too.
 """
 
 from __future__ import annotations
@@ -333,18 +327,20 @@ class Stepper:
     v y v_y and reaction d v^2 - sigma v.
 
     The stencil spacings, the Laplacian and linear-drift tridiagonals and the
-    explicit stack (`_explicit_stack`) are fixed per grid, and the matrix
-    I - (dt/2) Lap - dt D_lin is factored once per dt of a stretch, so a step
-    is one pass over the stack plus one back-substitution.  `cfl_dt` bounds dt
-    by the explicit terms alone.
+    explicit stack (`_explicit_stack`) are fixed per grid and shared by its
+    steppers, and the matrix I - (dt/2) Lap - dt D_lin is LU-factored (LAPACK
+    gttrf's algorithm) once per dt of a stretch, so a step is one tridiagonal
+    solve, whose forward sweep forms b node by node in the compiled loop.
+    `cfl_dt` bounds dt by the explicit terms alone.
 
     `advance` is the one way to step: it checks its state and step size once,
     steps toward a target time and keeps the step record (`step_record`):
-    steps, dt range and the kernel most steps took.  Its one helper `_stretch`
+    steps, dt range and the kernel most steps took.  Its helper `_stretch`
     takes a record interval's steps, landing step included, in one call of
-    the compiled loop, which factors each dt's matrix itself, forms or reads
-    the boundary values (`_edges`) and steps bit for bit as the raw-array
-    kernel `_advance` does from the same boundary values: one gather and the
+    the compiled loop (a Neumann stepper's CFL steps go to a second loop,
+    which sets each dt too).  The loop factors each dt's matrix itself, forms
+    or reads the boundary values (`_edges`) and steps bit for bit as the
+    raw-array kernel `_advance` does from the same boundary values: one gather and the
     stack give b, with D v upwinded at the nodes that need it (`_explicit`),
     and finiteness is checked once, on the solution; when that fails
     `_advance` raises StateCorruptionError naming the first non-finite stage:
@@ -369,12 +365,12 @@ class Stepper:
         self.compiled_steps = 0       # steps taken in the compiled loop
         self.steps = 0                # steps `advance` took, and their dt range
         self.dt_min, self.dt_max = math.inf, 0.0
-        # the compiled passes' per-grid arrays, the loop's scratch (b, two sets
-        # of factors, their pivots) and cfl_dt's two maxima, kept alive here
+        # the compiled passes' per-grid arrays, the loops' scratch (a field, two
+        # sets of factors, their pivots) and ks_cfl's or the CFL loop's output
         st, n = self.stencil, len(grid.nodes)
         self._arrays = [np.ascontiguousarray(a) for a in (
             st.y, st.h, st.dy, self.stack, self._tri, np.zeros(9 * n), np.zeros(2 * n, np.intc),
-            np.zeros(2))]
+            np.zeros(3))]
         self._pointers = [a.ctypes.data for a in self._arrays[:-1]]
 
     def _factored(self, dt: float):
@@ -480,16 +476,17 @@ class Stepper:
         return v, k, None
 
     def advance(self, state: RadialState, target: float, *, dt: float | None = None,
-                cfl: float | None = None, cap=None, most: float = math.inf):
+                cfl: float | None = None, cap: tuple | None = None, most: float = math.inf):
         """Steps of `state` toward target, landing on it exactly
         (`_stretch_times`), at most `most` of them: (the state after the last
         finite step, the StateCorruptionError of a non-finite step or None).
 
         A fixed dt steps in stretches of up to _MAX_STRETCH steps; without one,
-        each step takes `cfl_dt` of its own field at `cfl`, at most cap(t)
-        where a cap is given.  Every stretch goes through `_stretch`, under one
-        np.errstate, and adds to the step record (`step_record`).  The state's
-        frame, grid and d and the step size are checked once, here."""
+        each step takes `cfl_dt` of its own field at `cfl`, at most
+        rate (t_star - t) for a cap (rate, t_star): a Neumann stepper's in one
+        compiled loop up to a step it cannot take, else one stretch each.  All
+        go under one np.errstate and into the step record (`step_record`).
+        The state's frame, grid and d and the step size are checked once."""
         if dt is None and cfl is None:
             raise ConfigError("advance needs a dt or a cfl")
         if dt is not None and not dt > 0:
@@ -502,20 +499,28 @@ class Stepper:
             raise ConfigError("the state's grid differs from the stepper's")
         if state.d != self.d:
             raise ConfigError(f"a d={self.d} stepper got a d={state.d} state")
-        v, t, error = state.values, state.time, None
+        v, t, error, lib = state.values, state.time, None, _library()
+        rate, t_star = cap or (math.nan, 0.0)      # a NaN rate caps nothing
         with np.errstate(over="ignore", invalid="ignore"):
             while most > 0 and t < target - _TIME_TOL:
-                if dt is not None:
-                    h, last, times = _stretch_times(t, dt, target, min(most, _MAX_STRETCH))
-                else:
-                    h = self.cfl_dt(RadialState(self.frame, t, v, self.grid, self.d), cfl)
-                    h, last, times = _stretch_times(t, min(h, cap(t) if cap else h), target, 1)
-                v, done, error = self._stretch(v, times, h, last)
-                t = float(times[done])
+                done = 0
+                if dt is None and lib is not None and self.boundary == "neumann":
+                    v, out = np.array(v, float), self._arrays[-1]
+                    done = lib.ks_cfl_stretch(len(v), most, self.d, self.sigma, cfl, rate, t_star,
+                                              t, target, _TIME_TOL, *self._pointers,
+                                              _address(out), _address(v))
+                    self.compiled_steps += done
+                    t, h, last = out.tolist()       # the time reached and the dt range
+                if not done:        # a fixed-dt stretch, or one CFL step
+                    h = dt or min(self.cfl_dt(RadialState(self.frame, t, v, self.grid, self.d), cfl),
+                                  rate * (t_star - t))
+                    h, last, times = _stretch_times(t, h, target, min(most, _MAX_STRETCH) if dt else 1)
+                    v, done, error = self._stretch(v, times, h, last)
+                    t = float(times[done])
+                    last = last if done == len(times) - 1 else h     # the last step taken
                 if done:
                     self.steps += done
                     most -= done
-                    last = last if done == len(times) - 1 else h     # the last step taken
                     self.dt_min, self.dt_max = min(self.dt_min, h, last), max(self.dt_max, h, last)
                 if error is not None:
                     break
@@ -537,7 +542,7 @@ class Stepper:
         if lib is not None and v.shape == self.grid.nodes.shape:
             lib.ks_cfl(len(v), 2 * self.d, self.sigma, self._pointers[0], self._pointers[2],
                        v.ctypes.data, _address(self._arrays[-1]))
-            amax, react = self._arrays[-1].tolist()
+            amax, react = self._arrays[-1].tolist()[:2]
         else:
             a = np.abs(v * self.grid.nodes)
             amax = float((np.maximum(a[1:], a[:-1]) / self.stencil.dy).max())

@@ -1,4 +1,5 @@
 
+import ctypes
 import math
 import re
 import warnings
@@ -137,6 +138,41 @@ def test_tail_check_counts_positive_entries_and_flags_late_growth():
                 dg.flat_norm(spike, ctx, j=0)
         else:
             assert math.isfinite(dg.flat_norm(spike, ctx, j=0))
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled slice pass")
+def test_compiled_tail_check_anchors_its_windows_as_numpy():
+    # the compiled pass's tail test flags exactly the single integrands that
+    # `_check_tail_decay` raises on: a decaying row with a spike or a rise of
+    # 8 nodes ending at each of its last 12 nodes and at each edge of the two
+    # windows, on supports that start at several nodes, so the windows move
+    # (the last one too short to test).  A spike at the sixth node from the
+    # end flags and one at the fifth does not, in both
+    tail_grows = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_long, ctypes.c_void_p,
+                                  ctypes.c_long)(("ks_tail_grows", sim._library()))
+    n = 400
+    outcomes = {}
+    for first in (0, 37, 300, 370):
+        base = np.exp(-0.01 * np.arange(n))
+        base[:first] = 0.0
+        i1 = n - 6
+        m = i1 - first + 1
+        for end in {*range(n - 12, n), i1 - m // 8, i1 - m // 8 - 1, i1 - m // 4,
+                    i1 - m // 4 - 1}:
+            for width in (1, 8):
+                row = base.copy()
+                row[end - width + 1:end + 1] += np.linspace(1.0 / width, 1.0, width)
+                try:
+                    dg._check_tail_decay(row)
+                    raised = False
+                except dg.NonIntegrableTailError:
+                    raised = True
+                assert tail_grows(n, row.ctypes.data, np.count_nonzero(row > 0)) == raised, (
+                    first, end, width)
+                outcomes[first, end, width] = raised
+    assert outcomes[0, n - 6, 1] and not outcomes[0, n - 5, 1]
+    assert not any(raised for (first, _, _), raised in outcomes.items() if first == 370)
+    assert 0 < sum(outcomes.values()) < len(outcomes) / 2
 
 
 def test_flat_norm_homogeneity(ctx4):

@@ -442,19 +442,25 @@ def _advance_loop(stepper, v, times, dt, last):
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
-@pytest.mark.parametrize("grid, frame, boundary", [
-    (sim.Grid.uniform(32, 10.0), "physical", "neumann"),
-    (sim.Grid.uniform(1024, 110.0), "selfsimilar", "profile"),
-    (sim.Grid.geometric(128, 30.0, 1.03), "physical", "neumann"),
-    (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile"),
-    (sim.Grid.uniform(64, 20.0), "selfsimilar", "neumann"),
-])
-def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
+@pytest.mark.parametrize("grid, frame, boundary, swaps", [pytest.param(
+    *case, id=f"grid{i}-{case[1]}-{case[2]}") for i, case in enumerate([
+        (sim.Grid.uniform(32, 10.0), "physical", "neumann", set()),
+        (sim.Grid.uniform(1024, 110.0), "selfsimilar", "profile", {"interior"}),
+        (sim.Grid.geometric(128, 30.0, 1.03), "physical", "neumann", set()),
+        (sim.Grid.geometric(128, 30.0, 1.03), "selfsimilar", "profile", {"interior"}),
+        (sim.Grid.uniform(64, 20.0), "selfsimilar", "neumann", {"interior"}),
+        (sim.Grid.geometric(16, 5.0, 1.3), "selfsimilar", "neumann", {"interior", "boundary"}),
+    ])])
+def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary, swaps):
     # the compiled loop gives the bytes of k `_advance` calls: all-centered
     # fields, mixed upwind fields of both signs, tiny fields with signed
     # zeros; a NaN or an overflowing field stops both at the same step, at
     # the same state, with `_advance`'s error.  The last step of a stretch
-    # may land at its own dt: a few ulps off dt, or much smaller
+    # may land at its own dt: a few ulps off dt, or much smaller.  The
+    # self-similar factors swap rows (pivots of dgttrf) at dt = 0.05 on the
+    # 1025 nodes and at dt = 200, the last grid's also at the Neumann
+    # boundary row, so the forward sweep's swap branch runs, with the
+    # boundary value as the swapped-in entry there
     rng = np.random.default_rng(5)
     n = len(grid.nodes)
     tiny = rng.uniform(-1e-3, 1e-3, n)
@@ -463,12 +469,14 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
     nan[n // 2] = np.nan
     fields = [0.3 * rng.random(n), rng.uniform(-2.0, 6.0, n), tiny, nan, np.full(n, 3.0)]
     t0 = 50.0 if frame == "selfsimilar" else 0.0
+    swapped = set()
     for d in (3, 4):
         stepper = sim.Stepper(grid, d, frame, boundary)
         for v in fields:
             for k, dt, last in ((1, 1e-3, 1e-3), (7, 1e-3, 1e-3), (40, 0.05, 0.05),
                                 (1, 1e-3, 2.5e-4), (7, 1e-3, 1e-3 + 4e-19),
-                                (7, 1e-3, 1e-3 - 3e-19), (40, 0.05, 3e-6)):
+                                (7, 1e-3, 1e-3 - 3e-19), (3, 200.0, 200.0),
+                                (40, 0.05, 3e-6)):
                 times = np.cumsum(np.r_[t0, np.full(k - 1, dt), last])
                 with np.errstate(over="ignore", invalid="ignore"):
                     want, finite, want_error = _advance_loop(stepper, v, times, dt, last)
@@ -478,8 +486,12 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary):
                 assert done == finite and got.tobytes() == want.tobytes()
                 assert (error is None) == (done == k) == (want_error is None)
                 assert str(error) == str(want_error)
+                for h in (dt, last):
+                    rows = np.flatnonzero(stepper._factored(h)[-1] != np.arange(1, n + 1))
+                    swapped |= {"boundary" if i == n - 2 else "interior" for i in rows}
         # the field of 3s overflows within 40 steps
         assert done < 40
+    assert swapped == swaps
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
@@ -523,8 +535,9 @@ def test_compiled_profile_edge_equals_edges_bit_for_bit():
 
 def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, monkeypatch):
     # a build into an empty cache loads and leaves one object and no
-    # temporary file, with the stretch loop, the factorization, the slice
-    # pass and the step limit's maxima declared; a second load reuses it.
+    # temporary file, with the stretch loop, the CFL loop, the factorization,
+    # the slice pass and the step limit's maxima declared; a second load
+    # reuses it.
     # No compiler, a failing compiler or a cache that cannot be written gives
     # None, not an error
     if shutil.which("cc") is None and shutil.which("gcc") is None:
@@ -535,6 +548,9 @@ def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, mon
     assert lib.ks_slice.argtypes == [ctypes.c_long] * 3 + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 12
     assert lib.ks_cfl.restype is None
     assert lib.ks_cfl.argtypes == [ctypes.c_long] + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
+    assert lib.ks_cfl_stretch.restype is ctypes.c_long
+    assert lib.ks_cfl_stretch.argtypes == (
+        [ctypes.c_long] + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 9)
     (built,) = (tmp_path / "cache").iterdir()
     assert built.name.startswith("kernel-") and built.suffix == ".so"
     assert _loader._build(tmp_path / "cache") is not None
@@ -563,7 +579,9 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 
 # an 8-probe criterion-10 search and a short d=3 run: every compiled pass,
-# d=4's edge values and Q formed in C and d=3's read from NumPy
+# d=4's edge values and Q formed in C and d=3's read from NumPy; a capped CFL
+# drive in the compiled loop, and stretches whose factors swap rows, the
+# Neumann boundary row among them
 _SANITIZED_RUN = """
 import hashlib
 import numpy as np
@@ -581,6 +599,17 @@ def outputs():
     for rec in search.trajectory + run.records:
         h.update(rec.coefficients.tobytes() + repr(rec.measured).encode())
     h.update(run.final_state.values.tobytes())
+    grid = sim.Grid.uniform(64, 10.0)
+    v0 = 0.1 + 0.4 * np.exp(-grid.nodes**2 / 4.0)
+    for frame, t0, target, dt, cap in (("physical", 0.5, 0.9, None, (0.1, 1.0)),
+                                       ("selfsimilar", 50.0, np.inf, 200.0, None)):
+        for grid in ([grid] if dt is None else
+                     [sim.Grid.geometric(16, 5.0, 1.3), sim.Grid.uniform(1024, 110.0)]):
+            stepper = sim.Stepper(grid, 4, frame, "neumann")
+            state, error = stepper.advance(
+                sim.RadialState(frame, t0, np.interp(grid.nodes, np.linspace(0.0, 10.0, 65), v0),
+                                grid, 4), target, dt=dt, cfl=0.2, cap=cap, most=3 if dt else np.inf)
+            h.update(state.values.tobytes() + repr((stepper.step_record(), error)).encode())
     return h.hexdigest()
 """
 
@@ -1145,40 +1174,95 @@ def test_profile_boundary_evaluates_q_once_per_stretch(compiled, monkeypatch):
 
 
 def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
-    # the CFL dt of each step's field capped at cap(t), landing on the target
-    # as `_step_loop` lands: the bytes of an `_advance` loop, each dt at or
-    # below the cap, both bounds binding on the way, and the target reached
+    # the CFL dt of each step's field capped at rate (t_star - t), landing on
+    # the target as `_stretch_times` lands: the bytes, step count and dt
+    # range of an `_advance` loop, each dt at or below the cap, both bounds
+    # binding on the way and the last step cut to land.  The whole drive, one
+    # stopped by `most` short of the target, and one in calls of 1 and 5
+    # steps as criterion 11 takes it, each with and without the compiled
+    # loop: it takes every step itself, the NumPy path one `_stretch` call
+    # per step
     grid = sim.Grid.uniform(64, 10.0)
     v0 = 0.1 + 0.4 * np.exp(-grid.nodes**2 / 4.0)
-    t0, target = 0.5, 0.9
-
-    def cap(t):
-        return 0.3 * (1.0 - t)
-
+    t0, target, (rate, t_star) = 0.5, 0.9, (0.1, 1.0)
     stepper = sim.Stepper(grid, 4, "physical", "neumann")
-    state, dts, bound_by = sim.RadialState("physical", t0, v0, grid, 4), [], set()
-    while state.time < target - sim._TIME_TOL:
-        cfl_dt = stepper.cfl_dt(state, 0.4)
-        dt = min(cfl_dt, cap(state.time))
-        bound_by.add("cfl" if cfl_dt < cap(state.time) else "cap")
+    states, dts, bound_by = [sim.RadialState("physical", t0, v0, grid, 4)], [], set()
+    while states[-1].time < target - sim._TIME_TOL:
+        state = states[-1]
+        cfl_dt, cap = stepper.cfl_dt(state, 0.2), rate * (t_star - state.time)
+        bound_by.add("cfl" if cfl_dt < cap else "cap")
+        dt = min(cfl_dt, cap)
         if dt >= target - state.time - sim._TIME_TOL:
             dt = target - state.time
+            bound_by.add("landing")
         with np.errstate(over="ignore", invalid="ignore"):
             values = stepper._advance(state.values, state.time, dt,
                                       _edge(stepper, state.time + dt))
-        state = sim.RadialState("physical", state.time + dt, values, grid, 4)
+        states.append(sim.RadialState("physical", state.time + dt, values, grid, 4))
         dts.append(dt)
+    assert bound_by == {"cfl", "cap", "landing"} and len(dts) == 18
+    assert states[-1].time == target
     log = _recording_stretch(monkeypatch)
-    driver = sim.Stepper(grid, 4, "physical", "neumann")
-    got, error = driver.advance(sim.RadialState("physical", t0, v0, grid, 4), target,
-                                cfl=0.4, cap=cap)
-    assert bound_by == {"cfl", "cap"} and error is None
-    assert got.values.tobytes() == state.values.tobytes()
-    assert got.time == state.time == target
-    assert [dt for _, _, dt in log] == dts and all(k == 1 for _, k, _ in log)
-    assert all(dt <= cap(s) for s, _, dt in log)
-    record = driver.step_record()
-    assert (record["steps"], record["dt_min"], record["dt_max"]) == (len(dts), min(dts), max(dts))
+    for compiled in ([True] if sim._library() is not None else []) + [False]:
+        if not compiled:
+            monkeypatch.setattr(sim, "_library", lambda: None)
+        for calls in ([math.inf], [7], [1, 5, 5, 5, 5]):
+            log.clear()
+            driver = sim.Stepper(grid, 4, "physical", "neumann")
+            got = states[0]
+            for most in calls:
+                got, error = driver.advance(got, target, cfl=0.2, cap=(rate, t_star), most=most)
+                assert error is None
+            k = min(sum(calls), len(dts))
+            assert got.values.tobytes() == states[k].values.tobytes()
+            assert got.time == states[k].time
+            record = driver.step_record()
+            assert (record["steps"], record["dt_min"], record["dt_max"]) == (
+                k, min(dts[:k]), max(dts[:k]))
+            assert driver.compiled_steps == (k if compiled else 0)
+            assert [dt for _, _, dt in log] == ([] if compiled else dts[:k])
+            assert all(dt <= rate * (t_star - s) for s, _, dt in log)
+        # a zero field's dt is the cap's; one that stops short of the target
+        # by exactly the tolerance lands on it, as `_stretch_times` lands
+        zero = sim.RadialState("physical", 0.0, np.zeros(65), grid, 4)
+        landed, _ = sim.Stepper(grid, 4, "physical", "neumann").advance(
+            zero, 0.5, cfl=0.2, cap=(1.0, 0.5 - sim._TIME_TOL), most=1)
+        assert landed.time == 0.5
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
+def test_compiled_cfl_drive_hands_the_step_it_cannot_take_to_the_per_step_path(monkeypatch):
+    # fields that overflow after hundreds of steps at cfl 5; a NaN field, whose
+    # step limit is infinite; a zero field, whose one landing step of 1e308
+    # overflows the matrix.  The compiled loop stops at or before the step,
+    # the per-step path takes it and raises: the state, steps, dt range and
+    # error of the NumPy path
+    grid = sim.Grid.uniform(64, 10.0)
+    rng = np.random.default_rng(5)
+    nan = np.full(65, 0.1)
+    nan[9] = np.nan
+    cases = [(rng.uniform(-2.0, 6.0, 65), 5.0, 10.0, None),
+             (rng.uniform(-1.0, 1.0, 65), 5.0, 10.0, (0.1, 20.0)),
+             (nan, 0.4, 10.0, (0.1, 1.0)), (np.zeros(65), 0.4, 1e308, None)]
+
+    def drive(v, cfl, target, cap):
+        stepper = sim.Stepper(grid, 4, "physical", "neumann")
+        state, error = stepper.advance(sim.RadialState("physical", 0.0, v, grid, 4), target,
+                                       cfl=cfl, cap=cap)
+        return stepper, state, error
+
+    for v, cfl, target, cap in cases:
+        stepper, got, error = drive(v, cfl, target, cap)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_library", lambda: None)
+            reference, want, want_error = drive(v, cfl, target, cap)
+        assert got.values.tobytes() == want.values.tobytes() and got.time == want.time
+        assert stepper.step_record() == {**reference.step_record(), "kernel":
+                                         stepper.step_record()["kernel"]}
+        assert type(error) is type(want_error) and str(error) == str(want_error)
+        assert stepper.compiled_steps == stepper.steps
+    assert [s.steps for s in (stepper, reference)] == [0, 0]
+    assert str(error) == "Crank-Nicolson matrix overflowed at dt=1e+308"
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled step limit")
@@ -1202,7 +1286,7 @@ def test_compiled_cfl_maxima_equal_numpy(monkeypatch):
         got, maxima = [], []
         for v in fields:
             got.append(stepper.cfl_dt(sim.RadialState(frame, 0.0, v, grid, 4), 0.4))
-            maxima.append(stepper._arrays[-1].copy())
+            maxima.append(stepper._arrays[-1][:2].copy())
         with np.errstate(invalid="ignore"):
             a = [np.abs(v * grid.nodes) for v in fields]
         want = [[np.max(np.maximum(x[1:], x[:-1]) / np.diff(grid.nodes)),
