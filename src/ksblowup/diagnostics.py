@@ -1,9 +1,9 @@
 """Mode projections, bootstrap norms and the discrete spectrum.
 
 Measurements are pure functions of a field sampled on a grid; a
-:class:`DiagnosticsContext` precomputes the eigenfunction samples,
-quadrature weights and exact normalizations for one (dimension, grid)
-pair so that per-slice diagnostics stay cheap inside evolution loops.
+:class:`DiagnosticsContext` holds the quadrature weights for one (dimension,
+grid) pair and builds the eigenfunction samples and exact normalizations on
+first use, so that per-slice diagnostics stay cheap inside evolution loops.
 The Euler derivative y d/dy is y * np.gradient(f, y, edge_order=1).
 
 `decompose` measures one time slice against the shrinking set and returns
@@ -64,6 +64,7 @@ def rho_weight(d: int, y):
     return np.exp(-y * y / (4.0 * ell)) * y ** (d + 1)
 
 
+@functools.cache
 def rho_norm_sq_true(d: int, n: int) -> float:
     """Absolute value of integral phi_{2n}^2 rho dy (carries Gamma factors)."""
     ell = eb.ell_of(d)
@@ -86,7 +87,7 @@ def check_coverage(d: int, y_end: float, tol: float = 1e-10):
 
 @dataclass
 class DiagnosticsContext:
-    """Precomputed tables for mode projections and bootstrap norms."""
+    """Tables for bootstrap norms, and for mode projections on first use."""
 
     d: int
     y: np.ndarray
@@ -107,17 +108,10 @@ class DiagnosticsContext:
             raise ValueError("grid nodes must be nonnegative and strictly increasing")
         check_coverage(self.d, y[-1], self.coverage_tol)
         # trapezoid weights
-        tw = np.zeros_like(y)
+        self._tw = tw = np.zeros_like(y)
         tw[1:-1] = 0.5 * (y[2:] - y[:-2])
         tw[0] = 0.5 * (y[1] - y[0])
         tw[-1] = 0.5 * (y[-1] - y[-2])
-        self.quad_rho = rho_weight(self.d, y) * tw
-        self.phi = np.stack(
-            [eb.partial_mass_eigen(self.d, k).evalf(y) for k in range(2 * self.ell)]
-        )
-        self.phi_norm_sq = np.array(
-            [rho_norm_sq_true(self.d, k) for k in range(2 * self.ell)]
-        )
         # intermediate-region weight: (1 - chi_K(y)) * y^(-4 ell - 3)
         spec = pr.CutoffSpec(K=self.K)
         with np.errstate(divide="ignore"):
@@ -125,6 +119,22 @@ class DiagnosticsContext:
         self.flat_w = (1.0 - pr.cutoff_chi(spec, y)) * wy * tw
         self.cut_spec = spec
         self.compiled_slices = 0      # slices `decompose` measured by ks_slice
+
+    @cached_property
+    def quad_rho(self) -> np.ndarray:
+        """The rho weights times the trapezoid weights."""
+        return rho_weight(self.d, self.y) * self._tw
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """phi_{2k} at the nodes, one row per k < 2 ell."""
+        return np.stack([eb.partial_mass_eigen(self.d, k).evalf(self.y)
+                         for k in range(2 * self.ell)])
+
+    @cached_property
+    def phi_norm_sq(self) -> np.ndarray:
+        """The exact ||phi_{2k}||_rho^2, k < 2 ell."""
+        return np.array([rho_norm_sq_true(self.d, k) for k in range(2 * self.ell)])
 
     # -- basic measurements ------------------------------------------------
     def project_all(self, field_values) -> np.ndarray:

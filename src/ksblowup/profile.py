@@ -18,6 +18,9 @@ plain subtraction would cancel to noise.  Q', Q'' and the radial Laplacian
 follow from the first-order profile equation in one operator-only helper,
 shared by the double-precision and the decimal ansatz.
 
+Both evaluators of the refined ansatz's generated error (double, decimal) form
+its correction psi_hat's terms only on the support xi < 2K of `UNIT_CUTOFF`.
+
 `make_profile_params(d)` builds the float view of the exact constants once
 per dimension; every caller shares that frozen record.
 """
@@ -84,8 +87,9 @@ def cutoff_chi_d2(spec: CutoffSpec, xi):
     return np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t), 0.0) / spec.K**2
 
 
-# the refined ansatz's cutoff, in xi = y s^(-1/(2 ell)); the decimal path hard-codes it
+# the refined ansatz's cutoff in xi = y s^(-1/(2 ell)), and its support's end for both ansatz paths
 UNIT_CUTOFF = CutoffSpec(K=1.0)
+_CUTOFF_END = 2.0 * UNIT_CUTOFF.K
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +311,27 @@ def _ansatz_terms(d: int, ell: int, s, u, y, xi, over_y, sm, q_jet, p_jet, chi_j
 
 
 def _ansatz(params: ProfileParams, y, s):
-    """`_ansatz_terms` in double precision."""
+    """`_ansatz_terms` in double precision, psi_hat's terms formed only where xi <
+    _CUTOFF_END; past it they would add zeros, or NaN where phi_tilde overflows."""
     s = _check_s(s)
-    y = np.asarray(y, float)
+    shape, y = np.shape(y), np.asarray(y, float).ravel()
     sm = s ** (-1.0 / (2 * params.ell))
-    xi = y * sm
-    q, _, qp, _, lap_q = _profile(params, xi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_y = np.where(y > 0, 1.0 / y, 0.0)
-    return _ansatz_terms(
-        params.d, params.ell, s, 1.0 / (params.B * s), y, xi, over_y, sm,
-        (q, qp, lap_q),
+    xi = _as_xi(y * sm)
+    q = _solve_q(params, _t_of_xi(params, xi))
+    qp, _, lap_q = _profile_jet(params.c, params.d, params.ell, xi, q)
+    dpsi_ds = -xi * qp / (2 * params.ell * s)
+    err = -dpsi_ds + sm * sm * lap_q + 0.0     # psi_hat's zero terms make a -0 +0
+    on = xi < _CUTOFF_END
+    y, xi = y[on], xi[on]
+    dpsi_ds[on], err[on] = _ansatz_terms(
+        params.d, params.ell, s, 1.0 / (params.B * s), y, xi,
+        1.0 / np.where(y > 0, y, np.inf), sm, (q[on], qp[on], lap_q[on]),
         (_even_eval(params.phit_coeffs, y), _even_eval_deriv(params.phit_coeffs, y),
          _even_eval(params.phit_lap_coeffs, y)),
         (cutoff_chi(UNIT_CUTOFF, xi), cutoff_chi_d1(UNIT_CUTOFF, xi),
          cutoff_chi_d2(UNIT_CUTOFF, xi)),
     )
+    return dpsi_ds.reshape(shape)[()], err.reshape(shape)[()]
 
 
 def ansatz_time_derivative(params: ProfileParams, y, s):
@@ -336,7 +345,8 @@ def ansatz_residual(params: ProfileParams, y, s):
         E_hat = -d(psi)/ds + Lap_{d+2} Q + H psi_hat + NL(psi_hat),
 
     where H is the linearization of the self-similar flow at Q and
-    NL(v) = d v^2 + y v v_y.  Evaluated analytically (no grid derivatives).
+    NL(v) = d v^2 + y v v_y.  Evaluated analytically (no grid derivatives),
+    psi_hat's terms only on the cutoff's support xi < 2K.
     """
     return _ansatz(params, y, s)[1]
 
@@ -362,7 +372,8 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
     (s ~ 1e8 for d=3).  Here every term is formed with `digits` significant
     digits from the exact constants c, B and the exact coefficients of
     phi_tilde, the profile deficit is Newton-refined from the double-precision
-    value, and only the assembled error is rounded to double.
+    value, and only the assembled error is rounded to double; psi_hat's
+    terms are formed only on the cutoff's support, as in `ansatz_residual`.
     """
     s = _check_s(s)
     y = np.asarray(y, float)
@@ -377,6 +388,7 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
         inv_d = one / d
         s_ = Decimal(s)
         sm = s_ ** (Decimal(-1) / (2 * ell))
+        K, end = Decimal(UNIT_CUTOFF.K), Decimal(_CUTOFF_END)
         c = _to_decimal(params.c_exact)
         u = 1 / (_to_decimal(params.B_exact) * s_)
         p_c = [_to_decimal(a) for a in phit.coeffs]
@@ -397,13 +409,16 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
                 raise ConvergenceError(f"decimal profile deficit did not converge at y={y_f}")
             q = inv_d - delta
             qp, _, lap_q = _profile_jet(c, d, ell, xi, q)
+            if xi >= end:                  # psi_hat's terms are exact zeros
+                out[i] = float(xi * qp / (2 * ell * s_) + sm * sm * lap_q)
+                continue
 
             y2 = yv * yv
-            tc = min(max(xi - 1, zero), one)
+            tc = min(max(xi / K - 1, zero), one)
             chi = 1 - tc * tc * tc * (10 - 15 * tc + 6 * tc * tc)
             if 0 < tc < 1:
-                chi1 = -30 * tc * tc * (1 - tc) ** 2
-                chi2 = -60 * tc * (1 - tc) * (1 - 2 * tc)
+                chi1 = -30 * tc * tc * (1 - tc) ** 2 / K
+                chi2 = -60 * tc * (1 - tc) * (1 - 2 * tc) / (K * K)
             else:
                 chi1 = chi2 = zero
 

@@ -77,6 +77,40 @@ def test_context_rejects_a_grid_out_of_order_or_below_zero():
 # flat norm
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_mode_tables_are_built_on_first_use_with_the_eager_bits(compiled, monkeypatch):
+    # a context that only takes flat norms builds no mode table; built on first
+    # use, the tables have the bits of the eager construction, and a slice of a
+    # criterion-10 field measured through them has the bits of one measured
+    # through tables set eagerly, with the compiled pass and without it
+    if not compiled:
+        monkeypatch.setattr(dg, "_library", lambda: None)
+    elif dg._library() is None:
+        pytest.skip("no compiled slice pass")
+    y = np.linspace(0.0, 200.0, 100001)
+    ctx = dg.DiagnosticsContext(d=3, y=y, K=10.0, coverage_tol=np.inf)
+    dg.flat_norm(pr.ansatz_residual(ctx.params, y, 100.0), ctx, j=0)
+    assert not {"phi", "quad_rho", "phi_norm_sq", "_slice_arrays"} & set(vars(ctx))
+
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, A=20.0, K=10.0,
+                        dvec=(0.4, -0.25))
+    y = cfg.build_grid().nodes
+    v = sim.make_initial_data(cfg).values + 1e-4 * np.exp(-0.02 * (y - 30.0) ** 2)
+    lazy = dg.DiagnosticsContext(d=4, y=y, K=cfg.K)
+    rec = dg.decompose(v, cfg.s0, lazy, cfg.A)
+    assert lazy.compiled_slices == int(compiled)
+    eager = dg.DiagnosticsContext(d=4, y=y, K=cfg.K)
+    tw = np.zeros_like(y)
+    tw[1:-1] = 0.5 * (y[2:] - y[:-2])
+    tw[0], tw[-1] = 0.5 * (y[1] - y[0]), 0.5 * (y[-1] - y[-2])
+    eager.quad_rho = dg.rho_weight(4, y) * tw
+    eager.phi = np.stack([eb.partial_mass_eigen(4, k).evalf(y) for k in range(4)])
+    eager.phi_norm_sq = np.array([dg.rho_norm_sq_true(4, k) for k in range(4)])
+    for name in ("quad_rho", "phi", "phi_norm_sq"):
+        assert getattr(lazy, name).tobytes() == getattr(eager, name).tobytes(), name
+    assert _slice_bits(dg.decompose(v, cfg.s0, eager, cfg.A)) == _slice_bits(rec)
+
+
 def test_flat_norm_zero(ctx4):
     assert dg.flat_norm(np.zeros_like(ctx4.y), ctx4) == 0.0
 

@@ -237,6 +237,98 @@ def test_ansatz_residual_decimal_matches_double(d):
     assert np.max(np.abs(e_dec)) > 1e-3
 
 
+def _whole_grid_ansatz(p, y, s):
+    """The reference: `_ansatz_terms` on every node, with every jet of Q,
+    phi_tilde and chi."""
+    y = np.asarray(y, float)
+    sm = s ** (-1.0 / (2 * p.ell))
+    xi = y * sm
+    q, _, qp, _, lap_q = pr._profile(p, xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        over_y = np.where(y > 0, 1.0 / y, 0.0)
+        return pr._ansatz_terms(
+            p.d, p.ell, s, 1.0 / (p.B * s), y, xi, over_y, sm, (q, qp, lap_q),
+            (pr._even_eval(p.phit_coeffs, y), pr._even_eval_deriv(p.phit_coeffs, y),
+             pr._even_eval(p.phit_lap_coeffs, y)),
+            (pr.cutoff_chi(pr.UNIT_CUTOFF, xi), pr.cutoff_chi_d1(pr.UNIT_CUTOFF, xi),
+             pr.cutoff_chi_d2(pr.UNIT_CUTOFF, xi)))
+
+
+def _asymptotic_s(d):
+    """Criterion 8's tier-1 window {1, 2, 4, 8} (5 sqrt(2l(d+1)))^(2l)."""
+    ell = eb.ell_of(d)
+    return (5.0 * np.sqrt(2 * ell * (d + 1))) ** (2 * ell) * np.array([1.0, 2.0, 4.0, 8.0])
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ansatz_on_the_cutoff_support_has_the_bits_of_the_whole_grid_formula(d):
+    # psi_hat's terms, formed only where xi < 2K, leave both outputs byte-equal,
+    # zeros' signs included, on the flat-norm grid of criterion 8 at its
+    # asymptotic and pinned s, on grids wholly inside and wholly outside the
+    # support, and on nodes at xi = 0, 1, 2 exactly (sm = 1/2 at s = 64 or 16)
+    from ksblowup.acceptance import CRITERION_8_WINDOWS
+    p = pr.make_profile_params(d)
+    cases = [(np.linspace(0.0, 200.0, 100001), s)
+             for s in (*_asymptotic_s(d), *CRITERION_8_WINDOWS[d])]
+    for s in (50.0, 1e6):
+        a = s ** (1.0 / (2 * p.ell))
+        cases += [(np.linspace(0.0, 1.999 * a, 2001), s), (np.linspace(2 * a, 60 * a, 2001), s)]
+    s_half = 64.0 if d == 3 else 16.0
+    assert s_half ** (-1.0 / (2 * p.ell)) == 0.5
+    exact = np.array([0.0, 1.0, 1.5, 2.0, np.nextafter(2.0, 0.0), 3.0, 4.0, 1e3])
+    cases += [(exact, 1.0), (2.0 * exact, s_half)]
+    # Q^(l+1) underflows from y ~ 1e41 (d=3) and 1e55 (d=4): the error is a zero
+    cases.append((np.geomspace(1.0, 1e49 if d == 3 else 1e75, 501), 50.0))
+    for y, s in cases:
+        got, want = pr._ansatz(p, y, s), _whole_grid_ansatz(p, y, s)
+        for g, w in zip(got, want):
+            assert g.view(np.int64).tobytes() == w.view(np.int64).tobytes(), (d, s, y[-1])
+    zeros = pr.ansatz_residual(p, cases[-1][0], 50.0) == 0.0
+    assert zeros.any() and not np.signbit(pr.ansatz_residual(p, cases[-1][0], 50.0)[zeros]).any()
+    # a scalar y gives a scalar with the bits of the same node in an array (at
+    # d=4, s=50, y=7.626959316705246, a 0-d Q**3 once took libm's pow instead)
+    for y in (0.0, 3.0, 7.626959316705246, 40.0):
+        got = pr.ansatz_residual(p, y, 50.0)
+        assert type(got) is np.float64
+        assert got.tobytes() == pr.ansatz_residual(p, np.array([y]), 50.0).tobytes()
+
+
+def test_ansatz_past_the_support_reads_the_profile_where_phi_tilde_overflows():
+    # at d=3, s = 1e160, phi_tilde ~ -(2/3) y^4 overflows from y ~ 1.3e77 while
+    # t = c xi^6 stays finite: the whole-grid formula reads NaN (inf * 0) there
+    p = pr.make_profile_params(3)
+    y = np.array([1e76, 5e77])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_whole_grid_ansatz(p, y, 1e160)[1][1])
+    assert np.isfinite(pr.ansatz_residual(p, y, 1e160)).all()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_decimal_ansatz_on_the_cutoff_support_keeps_its_bits(d, monkeypatch):
+    # with the support's end moved to infinity, the decimal loop forms every
+    # term at every node, as before; the shortcut past xi = 2K leaves its
+    # output, and criterion 8's decimal projections, byte-equal
+    from ksblowup import acceptance as ac
+    p = pr.make_profile_params(d)
+    svals = (50.0, 400.0, _asymptotic_s(d)[0])
+    cases = []
+    for s in svals:
+        a = s ** (1.0 / (2 * p.ell))
+        cases += [(ac._kink_gauss_rule(a)[0], s),
+                  (np.array([0.0, a, 1.5 * a, 2 * a, np.nextafter(2 * a, 0.0), 5 * a, 80.0]), s)]
+    cases.append((2.0 * np.array([0.0, 1.0, 2.0, 3.0]), 64.0 if d == 3 else 16.0))
+
+    def outputs():
+        out = [pr.ansatz_residual_decimal(p, y, s, digits=digits)
+               for y, s in cases for digits in (30, 50)]
+        return out + [ac.ansatz_error_projections(d, svals, digits=30)]
+
+    got = outputs()
+    monkeypatch.setattr(pr, "_CUTOFF_END", np.inf)
+    for g, w in zip(got, outputs(), strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_ansatz_residual_sup_scaling(d):
     # sup |E_hat| decays like s^(-1/ell) over a dyadic range
