@@ -1,11 +1,21 @@
 /* The compiled passes of ksblowup, built with -ffp-contract=off (no product
  * and sum fuse) so that each repeats its NumPy twin bit for bit.
  *
- * ks_stretch is the loop of ksblowup.sim.Stepper._stretch: one record
- * interval's IMEX steps on raw arrays, k - 1 steps at dt and a last one at its
- * own dt (the step landing on a record or end time, or dt again).  Each step
- * (`step`) repeats Stepper._advance operation for operation, in one pass over
- * the nodes and one back:
+ * Each caller hands over its per-grid entries as one uintp array, built once
+ * (counts first, then addresses; the enums below): a stepper
+ * (ksblowup.sim.Stepper), a factor table (sim.FactorTable) and a diagnostics
+ * context (ksblowup.diagnostics.DiagnosticsContext._slice_arrays).
+ *
+ * ks_stretch is the one stepping loop.  It takes Stepper._stretch's record
+ * interval (k - 1 steps at dt and a last one at its own dt, their times or
+ * boundary values given), a Neumann stepper's CFL steps for Stepper.advance
+ * (each dt from ks_cfl's maxima), and ksblowup.sim.run's record interval at
+ * d = 4, whose step times it forms itself: t += dt while t < target - tol
+ * and dt < (target - t) - tol, then the landing step target - t.  On the
+ * field that interval lands on it takes ks_cfl's maxima and ks_slice's
+ * measurements, so a record interval and its record are one call.  Each step
+ * (`step`) repeats Stepper._advance operation for operation, in one pass
+ * over the nodes and one back:
  *   - LAPACK dgtts2's forward sweep for one right-hand side over the dgttrf
  *     factors (dl, df, du, du2, ipiv), as dgttrs solves, which forms each
  *     entry b[i+1] of b = (E v + (D v) v) dt + v just before it eliminates it
@@ -18,21 +28,18 @@
  *   - b[n-1], the boundary value: at d = 4 with the profile boundary, Q at
  *     the edge xi = y_max pow(t, -0.25) of the step's end time t, as
  *     Stepper._edges forms it (Python's ** is libm's pow, and t = c xi^4 is
- *     taken by products in profile and here); else the value Stepper._edges
- *     gave;
+ *     taken by products in profile and here); zero for Neumann; else the
+ *     value Stepper._edges gave;
  *   - dgtts2's back sweep, with the finiteness test folded in.
  * The matrix I - (dt/2) Lap - dt D_lin of each dt is formed as
  * Stepper._factored forms it and factored by ks_factor, a port of LAPACK
- * dgttrf, into scratch.  The loop stops at the first step whose solution is
- * not finite, and before a step whose matrix has a non-finite entry or is
- * singular, or whose t = c xi^4 is not finite (q_of_xi raises there).  It
- * returns the number of steps taken and leaves v at the last finite field;
- * scratch holds 9 n doubles (the step's output, then two sets of factors)
- * and ipiv 2 n ints.
- *
- * ks_cfl_stretch is the loop of Stepper.advance's CFL steps for the Neumann
- * boundary: each step's dt from ks_cfl's maxima, capped and landed as
- * advance sets it, factored, and stepped as above.
+ * dgttrf.  The factors go into a slot of the factor table that a search
+ * shares among its probes, looked up by exact dt, or into the stepper's
+ * scratch where there is no table or no free slot; no slot is evicted.  The
+ * loop stops at the first step whose solution is not finite, and before a
+ * step whose matrix has a non-finite entry or is singular, or whose
+ * t = c xi^4 is not finite (q_of_xi raises there).  It returns the number of
+ * steps taken and leaves v at the last finite field.
  *
  * ks_slice is the arithmetic of ksblowup.diagnostics.decompose's NumPy path:
  * at d = 4 xi and Q(xi) as well, at d = 3 what follows them; then the psi_hat
@@ -47,7 +54,26 @@
  *
  * ks_cfl takes the two maxima of ksblowup.sim.Stepper.cfl_dt. */
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
+#include <time.h>
+
+/* A stepper's entries.  G_SCRATCH: 5 n doubles, a field and one set of
+ * factors; G_IPIV: n ints.  G_CONST: d, sigma, Q's constant c at d = 4 with
+ * the profile boundary (else 0) and the time tolerance.  G_OUT: ks_cfl's
+ * maxima; or the time a loop reached, its smallest and largest dt and the
+ * count of matrices it factored, then at a measured landing ks_cfl's maxima,
+ * ks_slice's flags and its seconds. */
+enum { G_N, G_NEUMANN, G_Y, G_H, G_DY, G_W, G_TRI, G_SCRATCH, G_IPIV, G_CONST, G_OUT };
+/* A factor table's: the slot count, the slots used, the dt of each used
+ * slot, then 4 n doubles of factors and n pivots per slot. */
+enum { T_SLOTS, T_USED, T_DT, T_F, T_IPIV };
+/* A diagnostics context's.  S_CONST: K, B and Q's constant c at d = 4 (else
+ * 0); S_SCRATCH: 6 n doubles; S_OUT: the measurements; S_XI and S_Q: xi and
+ * Q(xi), formed here at d = 4. */
+enum { S_N, S_ROWS, S_UNIFORM, S_Y, S_PHIT, S_QUAD, S_PHI, S_NORM, S_FLAT, S_ST, S_SCRATCH,
+       S_OUT, S_XI, S_Q, S_CONST };
+#define ARR(a, i) ((double *)(a)[i])
 
 /* LAPACK dgttrf: the LU factors of the tridiagonal (dl, d, du) of order n
  * with partial pivoting, in place, the second superdiagonal in du2 and the
@@ -180,41 +206,6 @@ static int step(long n, double d, double dt, double edge, const double *f, const
     return finite;
 }
 
-/* bval holds the k boundary values, or with the profile constant c > 0 (d = 4)
- * the stretch's k + 1 times, from which the loop forms them */
-long ks_stretch(long n, long k, long neumann, double dt, double last, double d, double c,
-                const double *y, const double *h, const double *dy, const double *w,
-                const double *tri, double *scratch, int *ipiv, const double *bval,
-                double *v)
-{
-    double *x = v, *z = scratch, *swap, *fa = scratch + n, *fb = fa;
-    int *pa = ipiv, *pb = ipiv;
-    long s, steps = k;
-    if (k > 1 && factor(n, dt, neumann, tri, fa, pa) != 0)
-        return 0;
-    if (k == 1 || last != dt) {
-        fb = fa + 4 * n;
-        pb = ipiv + n;
-        if (factor(n, last, neumann, tri, fb, pb) != 0)
-            steps = k - 1;
-    }
-    for (s = 0; s < steps; s++) {
-        int at_dt = s < k - 1;
-        double edge = bval[s];
-        if (c > 0.0 && !profile_q(y[n - 1] * pow(bval[s + 1], -0.25), c, &edge))
-            break;
-        if (!step(n, d, at_dt ? dt : last, edge, at_dt ? fa : fb, at_dt ? pa : pb, y, h, dy, w,
-                  x, z))
-            break;
-        swap = x;
-        x = z;
-        z = swap;
-    }
-    if (x != v)
-        memcpy(v, x, n * sizeof *v);
-    return s;
-}
-
 /* numpy's pairwise_sum_DOUBLE of a[0..n-1], each a[i] times b[i] where b is
  * given: below 8 entries in turn from 0.0, up to 128 in 8 accumulators, else
  * split at n/2 - (n/2) % 8 */
@@ -339,23 +330,26 @@ long ks_tail_grows(long n, const double *row, long count)
     return mean > 1e-6 * peak_of(&top);
 }
 
-/* decompose's measurements of the field v at s, from xi, Q(xi) and psi_hat's
- * factor c = -1/(B s), into out: the rows coefficients, the tilde rho-norm,
- * flat norms 0-2, out_sup, out_dysup, out_ysup, sup |v| and sup |v - Q|.
- * With the profile constant cq > 0 (d = 4) the pass first forms xi =
- * y pow(s, -0.25), as y * s ** -0.25 forms it, and Q(xi) into xi and q;
+/* decompose's measurements of the field v at s into S_OUT: the rows
+ * coefficients, the tilde rho-norm, flat norms 0-2, out_sup, out_dysup,
+ * out_ysup, sup |v| and sup |v - Q|, from xi, Q(xi) and psi_hat's factor
+ * c = -1/(B s).  With Q's constant cq > 0 (d = 4) the pass first forms xi =
+ * y pow(s, -0.25), as y * s ** -0.25 forms it, and Q(xi) into S_XI and S_Q;
  * with cq = 0 it reads them.  The grid's arrays are those of
  * DiagnosticsContext: y, phi_tilde, the rho quadrature weights, the rows
  * eigenfunctions phi and their squared norms, the flat weights, and the
- * Euler stencil st; scratch holds 6 n doubles.  Returns 3 when a t = c xi^4
- * is not finite (q_of_xi raises), 1 when the field is unresolved
- * (`_flat_norms` warns), 2 when a flat integrand's tail does not decay (it
- * raises), else 0. */
-long ks_slice(long n, long rows, long uniform, double c, double K, double s, double cq,
-              const double *y, const double *phit, const double *quad, const double *phi,
-              const double *norm_sq, const double *flat_w, const double *st,
-              double *scratch, double *out, double *xi, double *q, const double *v)
+ * Euler stencil st.  Returns 3 when a t = c xi^4 is not finite (q_of_xi
+ * raises), 4 when the grid ends short of xi = 2K (outer_norms raises), 1 when
+ * the field is unresolved (`_flat_norms` warns), 2 when a flat integrand's
+ * tail does not decay (it raises), else 0. */
+long ks_slice(const uintptr_t *a, double s, const double *v)
 {
+    long n = (long)a[S_N], rows = (long)a[S_ROWS], uniform = (long)a[S_UNIFORM];
+    const double *y = ARR(a, S_Y), *phit = ARR(a, S_PHIT), *quad = ARR(a, S_QUAD),
+                 *phi = ARR(a, S_PHI), *norm_sq = ARR(a, S_NORM), *flat_w = ARR(a, S_FLAT),
+                 *st = ARR(a, S_ST), *kbc = ARR(a, S_CONST);
+    double *scratch = ARR(a, S_SCRATCH), *out = ARR(a, S_OUT), *xi = ARR(a, S_XI),
+           *q = ARR(a, S_Q), K = kbc[0], c = -(1.0 / (kbc[1] * s)), cq = kbc[2];
     double *eh = scratch, *ex = scratch + n, *d1 = scratch + 2 * n, *d2 = scratch + 3 * n,
            *w = scratch + 4 * n, *t = scratch + 5 * n, coef[rows];
     const double *chain[3] = {eh, d1, d2};
@@ -372,6 +366,8 @@ long ks_slice(long n, long rows, long uniform, double c, double K, double s, dou
                 return 3;
         }
     }
+    if (xi[n - 1] < 2.0 * K)
+        return 4;
 
     /* eps_hat = v - (Q + psi_hat), psi_hat cut by the unit cutoff; eps =
      * eps_hat + psi_hat cut by 1 - chi_K for the outer norms; the rho-weighted
@@ -444,16 +440,17 @@ long ks_slice(long n, long rows, long uniform, double c, double K, double s, dou
     return flags;
 }
 
-/* Stepper.cfl_dt's two maxima of the field v into out: the nonlinear
- * drift's largest max(|v y|[i], |v y|[i + 1]) / dy[i], and the reaction's
- * largest |d2 v - sigma|, each letting a NaN through as np.max does; a
- * maximum is exact in any order. */
-void ks_cfl(long n, double d2, double sigma, const double *y, const double *dy,
-            const double *v, double *out)
+
+/* Stepper.cfl_dt's two maxima of the field v into m: the nonlinear drift's
+ * largest max(|v y|[i], |v y|[i + 1]) / dy[i], and the reaction's largest
+ * |2 d v - sigma|, each letting a NaN through as np.max does; a maximum is
+ * exact in any order. */
+static void maxima(const uintptr_t *g, const double *v, double *m)
 {
+    long n = (long)g[G_N], i;
+    const double *y = ARR(g, G_Y), *dy = ARR(g, G_DY), *d_sigma = ARR(g, G_CONST);
+    double d2 = 2.0 * d_sigma[0], sigma = d_sigma[1], a0 = fabs(v[0] * y[0]), a1;
     struct peak drift = {0.0, 0.0}, react = {0.0, 0.0};
-    double a0 = fabs(v[0] * y[0]), a1;
-    long i;
     take(&react, fabs(d2 * v[0] - sigma));
     for (i = 1; i < n; i++) {
         a1 = fabs(v[i] * y[i]);
@@ -461,44 +458,107 @@ void ks_cfl(long n, double d2, double sigma, const double *y, const double *dy,
         take(&react, fabs(d2 * v[i] - sigma));
         a0 = a1;
     }
-    out[0] = peak_of(&drift);
-    out[1] = peak_of(&react);
+    m[0] = peak_of(&drift);
+    m[1] = peak_of(&react);
 }
 
-/* A capped CFL run of a Neumann stepper, the steps Stepper.advance takes one
- * at a time without a fixed dt: from v at t toward target, at most `most`
- * steps, each of Stepper.cfl_dt's dt at cfl from ks_cfl's maxima, at most
- * rate (t_star - t) (a NaN rate caps nothing), and landing on target by
- * _stretch_times' rule (a step within tol of target takes it all), the time
- * summed as t += dt.  The loop stops before a step whose dt is not positive
- * or whose matrix cannot be factored, and at a step whose solution is not
- * finite: Stepper.advance takes that one on its per-step path.  Returns the
- * steps taken, and into out the time reached and their smallest and largest
- * dt; v and scratch as ks_stretch leaves them. */
-long ks_cfl_stretch(long n, double most, double d, double sigma, double cfl, double rate,
-                    double t_star, double t, double target, double tol, const double *y,
-                    const double *h, const double *dy, const double *w, const double *tri,
-                    double *scratch, int *ipiv, double *out, double *v)
+/* Stepper.cfl_dt's two maxima of v, into the first two entries of G_OUT */
+void ks_cfl(const uintptr_t *g, const double *v)
 {
-    double *x = v, *z = scratch, *swap, *f = scratch + n, lo = INFINITY, hi = 0.0, m[2];
-    long s;
+    maxima(g, v, ARR(g, G_OUT));
+}
+
+/* The last factors the loop used, and the dt they are of */
+struct lu {
+    double dt, *f;
+    int *p;
+};
+
+/* The factors of dt's matrix into lu: the ones it holds where they are of
+ * dt, else a table slot whose dt equals it, else factored into a free slot,
+ * or into the scratch where there is no table or no free slot, each
+ * factorization counted in G_OUT; 0 where the matrix cannot be factored,
+ * whose slot stays free. */
+static int factors(const uintptr_t *g, uintptr_t *table, double dt, struct lu *lu)
+{
+    long n = (long)g[G_N], used = table ? (long)table[T_USED] : 0, i;
+    double *f = ARR(g, G_SCRATCH) + n;
+    int *p = (int *)g[G_IPIV];
+    if (lu->f && lu->dt == dt)
+        return 1;
+    for (i = 0; i < used && ARR(table, T_DT)[i] != dt; i++)
+        ;
+    if (table && i < (long)table[T_SLOTS]) {
+        f = ARR(table, T_F) + 4 * n * i;
+        p = (int *)table[T_IPIV] + n * i;
+    }
+    lu->f = NULL;
+    if (i == used) {
+        ARR(g, G_OUT)[3] += 1.0;
+        if (factor(n, dt, (long)g[G_NEUMANN], ARR(g, G_TRI), f, p) != 0)
+            return 0;
+        if (table && i < (long)table[T_SLOTS]) {
+            ARR(table, T_DT)[i] = dt;
+            table[T_USED] = (uintptr_t)(i + 1);
+        }
+    }
+    lu->dt = dt;
+    lu->f = f;
+    lu->p = p;
+    return 1;
+}
+
+/* At most `most` steps of v from t toward target, each of dt but the k-th,
+ * which is of `last` (k = 0: none is); with cfl > 0 each of Stepper.cfl_dt's
+ * dt at cfl from ks_cfl's maxima instead, at most rate (t_star - t) (a NaN
+ * rate caps nothing) and positive; any step that would end within tol of
+ * target, or past it, lands on it (_stretch_times' rule), and t sums them as
+ * t += dt.  With the profile constant c > 0 (d = 4) each step's boundary value
+ * is Q at the edge of its end time, which bval gives where the caller formed
+ * the times (bval[0] the start, target infinite), else t; without it bval
+ * holds the k boundary values (NULL: zeros).  Into G_OUT the time reached,
+ * the smallest and largest dt and the matrices factored; where ctx is given
+ * and the loop reached target, ks_cfl's maxima and ks_slice's flags and
+ * seconds of the field it landed on too.  Returns the steps taken; v holds the
+ * last finite field. */
+long ks_stretch(const uintptr_t *g, uintptr_t *table, const uintptr_t *ctx, long k, double most,
+                double dt, double last, double cfl, double rate, double t_star, double t,
+                double target, const double *bval, double *v)
+{
+    long n = (long)g[G_N], s;
+    const double *y = ARR(g, G_Y), *h = ARR(g, G_H), *dy = ARR(g, G_DY), *w = ARR(g, G_W),
+                 *cst = ARR(g, G_CONST);
+    double d = cst[0], c = cst[2], tol = cst[3], *out = ARR(g, G_OUT), *x = v,
+           *z = ARR(g, G_SCRATCH), *swap, lo = INFINITY, hi = 0.0;
+    struct lu lu = {0.0, NULL, NULL};
+    out[3] = 0.0;
     for (s = 0; s < most && t < target - tol; s++) {
-        double dt, cap = rate * (t_star - t);
-        ks_cfl(n, 2.0 * d, sigma, y, dy, x, m);
-        dt = m[0] > 0 ? cfl / m[0] : INFINITY;
-        if (m[1] > 0 && 0.5 / m[1] < dt)
-            dt = 0.5 / m[1];
-        if (cap < dt)
-            dt = cap;
-        if (!(dt > 0))
+        double step_dt = s == k - 1 ? last : dt, edge = 0.0;
+        if (cfl > 0.0) {
+            double m[2], cap = rate * (t_star - t);
+            maxima(g, x, m);
+            step_dt = m[0] > 0 ? cfl / m[0] : INFINITY;
+            if (m[1] > 0 && 0.5 / m[1] < step_dt)
+                step_dt = 0.5 / m[1];
+            if (cap < step_dt)
+                step_dt = cap;
+            if (!(step_dt > 0))
+                break;
+        }
+        if (!(step_dt < (target - t) - tol))
+            step_dt = target - t;
+        if (c > 0.0) {
+            if (!profile_q(y[n - 1] * pow(bval ? bval[s + 1] : t + step_dt, -0.25), c, &edge))
+                break;
+        } else if (bval) {
+            edge = bval[s];
+        }
+        if (!factors(g, table, step_dt, &lu) ||
+            !step(n, d, step_dt, edge, lu.f, lu.p, y, h, dy, w, x, z))
             break;
-        if (!(dt < (target - t) - tol))
-            dt = target - t;
-        if (factor(n, dt, 1, tri, f, ipiv) != 0 || !step(n, d, dt, 0.0, f, ipiv, y, h, dy, w, x, z))
-            break;
-        t += dt;
-        lo = dt < lo ? dt : lo;
-        hi = dt > hi ? dt : hi;
+        t += step_dt;
+        lo = step_dt < lo ? step_dt : lo;
+        hi = step_dt > hi ? step_dt : hi;
         swap = x;
         x = z;
         z = swap;
@@ -508,5 +568,13 @@ long ks_cfl_stretch(long n, double most, double d, double sigma, double cfl, dou
     out[0] = t;
     out[1] = lo;
     out[2] = hi;
+    if (ctx && !(t < target - tol)) {
+        struct timespec a, b;
+        maxima(g, v, out + 4);
+        clock_gettime(CLOCK_MONOTONIC, &a);
+        out[6] = (double)ks_slice(ctx, t, v);
+        clock_gettime(CLOCK_MONOTONIC, &b);
+        out[7] = (double)(b.tv_sec - a.tv_sec) + 1e-9 * (double)(b.tv_nsec - a.tv_nsec);
+    }
     return s;
 }

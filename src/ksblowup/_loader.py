@@ -1,9 +1,11 @@
 """The compiled passes of _kernel.c, built once and loaded with ctypes.
 
-`sim` (`ks_stretch`, `ks_cfl_stretch`, `ks_cfl`) and `diagnostics` (`ks_slice`) take their
+`sim` (`ks_stretch`, `ks_cfl`) and `diagnostics` (`ks_slice`) take their
 passes from the one library `_library` loads: one source, one set of
 compiler flags, one object in the cache.  Each module falls back to its NumPy
-path where `_library` gives None.
+path where `_library` gives None.  A stepper, a factor table and a
+diagnostics context each hand the passes their per-grid entries as one uintp
+array (`_kernel.c`'s enums), built once, so a call converts a few arguments.
 """
 
 from __future__ import annotations
@@ -52,13 +54,12 @@ def _build(cache: Path):
     except (OSError, subprocess.SubprocessError):
         return None
     lib.ks_stretch.restype = lib.ks_factor.restype = lib.ks_slice.restype = ctypes.c_long
-    lib.ks_cfl_stretch.restype = ctypes.c_long
     lib.ks_cfl.restype = None
-    lib.ks_stretch.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 9
+    lib.ks_stretch.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_double] * 8
+                               + [ctypes.c_void_p] * 2)
     lib.ks_factor.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
-    lib.ks_slice.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 12
-    lib.ks_cfl.argtypes = [ctypes.c_long] + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
-    lib.ks_cfl_stretch.argtypes = [ctypes.c_long] + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 9
+    lib.ks_slice.argtypes = [ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
+    lib.ks_cfl.argtypes = [ctypes.c_void_p] * 2
     return lib
 
 

@@ -8,18 +8,22 @@ The Euler derivative y d/dy is y * np.gradient(f, y, edge_order=1).
 
 `decompose` measures one time slice against the shrinking set and returns
 it as a :class:`Slice`, the one record that a run keeps, that `csv_row`
-writes under `csv_header` and that the CLI reports, one of two ways, with
-the same bits.  Where the library of _kernel.c loads (`_loader`), one
-compiled pass, ks_slice, repeats the NumPy path operation for operation,
-with np.add.reduce's pairwise sums and np.maximum.reduce's NaN; at d=4 it
-forms xi and Q(xi) too (d=3's sinh and arcsinh have no bit-equal C twin).
-The NumPy path is the plain forms the pass stands in for: `pr.q_of_xi`,
-`pr.psi_hat`, `pr.cutoff_chi`, np.gradient, np.sum and np.max, through
-`flat_norm`'s and `outer_norms`'s own code.  Where the pass finds a t that
-is not finite, an unresolved field or a non-decaying flat integrand, the
-NumPy path measures the slice again and warns or raises, so errors and
-warnings come from one place; it is also the path where there is no
-compiler.  The context counts the slices the compiled pass measured.
+writes under `csv_header` and that the CLI reports.  It is two steps:
+`_measure` takes the slice's measurements, one of two ways with the same
+bits, and `decompose` builds the slice from them (bounds, ratios, verdict).
+A d=4 run's record call (`sim.Stepper._interval`) measures in its compiled
+loop, and its records come from the same `decompose`.  Where the library of
+_kernel.c loads (`_loader`), one compiled pass, ks_slice, repeats the NumPy
+path operation for operation, with np.add.reduce's pairwise sums and
+np.maximum.reduce's NaN; at d=4 it forms xi and Q(xi) too (d=3's sinh and
+arcsinh have no bit-equal C twin).  The NumPy path is the plain forms the
+pass stands in for: `pr.q_of_xi`, `pr.psi_hat`, `pr.cutoff_chi`,
+np.gradient, np.sum and np.max, through `flat_norm`'s and `outer_norms`'s
+own code.  Where the pass finds a t that is not finite, a grid short of
+xi = 2K, an unresolved field or a non-decaying flat integrand, the NumPy
+path measures the slice again and warns or raises, so errors and warnings
+come from one place; it is also the path where there is no compiler.  The
+context counts the slices the compiled pass measured.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import eigenbasis as eb
 from . import profile as pr
-from ._loader import _address, _library
+from ._loader import _library
 
 
 class CoverageError(ValueError):
@@ -147,14 +151,16 @@ class DiagnosticsContext:
 
     @cached_property
     def _slice_arrays(self):
-        """(uniform, arrays, pointers) of the compiled slice pass (`_kernel.c`'s
-        ks_slice): whether every spacing is equal; the per-grid arrays (y,
-        phi_tilde, the rho weights, phi, its squared norms, the flat weights,
-        the stencil of np.gradient(f, y, edge_order=1)), 6 n doubles of
-        scratch, the output, then xi and Q of d=4, kept alive here; and the
-        addresses of all but xi and Q.  The stencil is numpy's interior weights
-        on f[:-2], f[1:-1], f[2:], or its one doubled spacing when every spacing
-        is equal.  Built on first use; one slice at a time."""
+        """(arrays, entries, address) of the compiled slice pass (`_kernel.c`'s
+        ks_slice).  The per-grid arrays, kept alive here: y, phi_tilde, the rho
+        weights, phi, its squared norms, the flat weights, the stencil of
+        np.gradient(f, y, edge_order=1), 6 n doubles of scratch, the output,
+        xi and Q, and (K, B, Q's constant c at d=4, else 0).  The stencil is
+        numpy's interior weights on f[:-2], f[1:-1], f[2:], or its one doubled
+        spacing when every spacing is equal.  The pass's entries are one uintp
+        array, built here: n, the rows, whether every spacing is equal, then
+        the arrays' addresses; `address` is its own.  Built on first use; one
+        slice at a time."""
         h = np.diff(self.y)
         uniform = bool((h == h[0]).all())
         if uniform:
@@ -163,11 +169,14 @@ class DiagnosticsContext:
             h1, h2 = h[:-1], h[1:]
             stencil = np.stack([-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2),
                                 h1 / (h2 * (h1 + h2))])
+        p, n = self.params, len(self.y)
         arrays = [np.ascontiguousarray(x, float) for x in (
-            self.y, pr._even_eval(self.params.phit_coeffs, self.y), self.quad_rho, self.phi,
-            self.phi_norm_sq, self.flat_w, stencil, np.zeros(6 * len(self.y)),
-            np.zeros(2 * self.ell + 9), *np.zeros((2, len(self.y))))]
-        return uniform, arrays, [x.ctypes.data for x in arrays[:9]]
+            self.y, pr._even_eval(p.phit_coeffs, self.y), self.quad_rho, self.phi,
+            self.phi_norm_sq, self.flat_w, stencil, np.zeros(6 * n), np.zeros(2 * self.ell + 9),
+            *np.zeros((2, n)), [self.K, p.B, p.c if self.ell == 2 else 0.0])]
+        entries = np.array([n, 2 * self.ell, uniform, *(x.ctypes.data for x in arrays)],
+                           np.uintp)
+        return arrays, entries, entries.ctypes.data
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +193,10 @@ def flat_norm(field_values, ctx: DiagnosticsContext, j: int = 0) -> float:
     return _flat_norms(field_values, ctx, (j,))[0]
 
 
-def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
+def _flat_norms(field_values, ctx: DiagnosticsContext, orders, stacklevel: int = 3) -> list:
     """flat_norm of each order in `orders` (ascending), from one chain of
-    Euler derivatives and one resolution check."""
+    Euler derivatives and one resolution check, whose warning names the
+    caller `stacklevel` - 1 frames up."""
     y = ctx.y
     f = np.asarray(field_values, float)
     if orders[-1] >= 1:
@@ -196,7 +206,7 @@ def _flat_norms(field_values, ctx: DiagnosticsContext, orders) -> list:
                 "field varies by >50% between neighbouring nodes; "
                 "(y d/dy)^j is unresolved, refine the grid",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     norms = []
     for j in range(orders[-1] + 1):
@@ -331,56 +341,71 @@ def bound_values(d: int, ell: int, s: float, A: float) -> dict:
 
 
 def _compiled_slice(v, s: float, sm: float, ctx: DiagnosticsContext):
-    """`decompose`'s measurements from one ks_slice call: (the coefficients,
-    then tilde norm, flat norms, outer norms, sup |v| and sup |v - Q|), bit
-    for bit as the NumPy path takes them, xi = y sm and Q formed in it at
-    d=4.  None where there is no compiled pass, where v is not one value per
-    node, where the grid stops short of xi = 2K, or where the pass finds a t
-    that is not finite, an unresolved field or a non-decaying tail: there
-    the NumPy path runs, to raise or warn."""
+    """`_measure`'s measurements from one ks_slice call, bit for bit as the
+    NumPy path takes them, xi = y sm and Q formed in it at d=4.  None where
+    there is no compiled pass, where v is not one value per node, or where the
+    pass finds a t that is not finite, a grid that stops short of xi = 2K, an
+    unresolved field or a non-decaying tail: there the NumPy path runs, to
+    raise or warn."""
     lib = _library()
-    if lib is None or v.shape != ctx.y.shape or ctx.y[-1] * sm < 2 * ctx.K:
+    if lib is None or v.shape != ctx.y.shape:
         return None
-    uniform, arrays, pointers = ctx._slice_arrays
-    p, (xi, q) = ctx.params, arrays[-2:]
+    arrays, _, address = ctx._slice_arrays
     if ctx.ell == 3:        # d=3's Q stays in NumPy
-        xi = ctx.y * sm
-        q = pr.q_of_xi(p, xi)
+        xi, q = arrays[9:11]
+        np.multiply(ctx.y, sm, out=xi)
+        q[:] = pr.q_of_xi(ctx.params, xi)
     v = np.ascontiguousarray(v)
-    if lib.ks_slice(len(v), 2 * ctx.ell, uniform, -(1.0 / (p.B * s)), ctx.K, s,
-                    p.c if ctx.ell == 2 else 0.0, *pointers, _address(xi), _address(q),
-                    v.ctypes.data):
+    if lib.ks_slice(address, s, v.ctypes.data):
         return None
-    out = arrays[8]
-    return out[:2 * ctx.ell].copy(), out[2 * ctx.ell:].tolist()
+    return _taken(ctx)
 
 
-def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float) -> Slice:
-    """Subtract the refined ansatz and evaluate every shrinking-set bound.
+def _taken(ctx: DiagnosticsContext):
+    """The compiled pass's measurements of its last slice, as `_measure`
+    returns them, counted in ctx.compiled_slices."""
+    ctx.compiled_slices += 1
+    out, rows = ctx._slice_arrays[0][8], 2 * ctx.ell
+    return out[:rows].copy(), out[rows:].tolist()
 
-    The verdict is `boundary` when the largest bound ratio lies within
-    BOUNDARY_DELTA of one, and `inside` or `outside` otherwise.
 
-    Returns the `Slice` at time s.
-    """
+def _measure(v_values, s: float, ctx: DiagnosticsContext):
+    """`decompose`'s first step, the measurements of v at s: (the
+    coefficients eps_hat_k, [the tilde norm, flat norms 0-2, the outer norms
+    out_sup, out_dysup and out_ysup, sup |v|, sup |v - Q|]), from the compiled
+    pass or the NumPy path, the one that warns (naming decompose's caller) and
+    raises."""
     p = ctx.params
     s = pr._check_s(s)
     v = np.asarray(v_values, float)
     sm = s ** (-1.0 / (2 * ctx.ell))
     taken = _compiled_slice(v, s, sm, ctx)
-    if taken is None:
-        xi = ctx.y * sm
-        q = pr.q_of_xi(p, xi)
-        ph = pr.psi_hat(p, ctx.y, s)
-        eps_hat = v - (q + ph)                     # v - psi
-        coeffs = ctx.project_all(eps_hat)
-        tilde_norm = ctx.rho_norm(eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0))
-        taken = coeffs, [tilde_norm, *_flat_norms(eps_hat, ctx, (0, 1, 2)),
-                         *outer_norms(eps_hat + ph, ctx, s),      # of v - Q
-                         float(np.max(np.abs(v))), float(np.max(np.abs(v - q)))]
-    else:
-        ctx.compiled_slices += 1
-    coeffs, (tilde_norm, *norms, sup_v, sup_dev) = taken
+    if taken is not None:
+        return taken
+    xi = ctx.y * sm
+    q = pr.q_of_xi(p, xi)
+    ph = pr.psi_hat(p, ctx.y, s)
+    eps_hat = v - (q + ph)                     # v - psi
+    coeffs = ctx.project_all(eps_hat)
+    tilde_norm = ctx.rho_norm(eps_hat - np.sum(coeffs[:, None] * ctx.phi, axis=0))
+    return coeffs, [tilde_norm, *_flat_norms(eps_hat, ctx, (0, 1, 2), stacklevel=4),
+                    *outer_norms(eps_hat + ph, ctx, s),      # of v - Q
+                    float(np.max(np.abs(v))), float(np.max(np.abs(v - q)))]
+
+
+def decompose(v_values, s: float, ctx: DiagnosticsContext, A: float, taken=None) -> Slice:
+    """Subtract the refined ansatz and evaluate every shrinking-set bound.
+
+    The verdict is `boundary` when the largest bound ratio lies within
+    BOUNDARY_DELTA of one, and `inside` or `outside` otherwise.
+
+    Returns the `Slice` at time s, from `_measure`'s measurements of v, or
+    from `taken` where a run's record call took them
+    (`sim.Stepper._interval`): the bounds, ratios and verdict are this one
+    code either way.
+    """
+    s = pr._check_s(s)
+    coeffs, (tilde_norm, *norms, sup_v, sup_dev) = taken or _measure(v_values, s, ctx)
 
     # the measured values in the order of `_bound_names`
     values = [abs(c) for c in coeffs.tolist()]

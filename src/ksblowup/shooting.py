@@ -100,18 +100,20 @@ def _exit_from_run(dvec, result: sim.RunResult, A: float, ell: int) -> ExitRecor
     )
 
 
-def objective(dvec, config: sim.SimConfig,
-              ctx: dg.DiagnosticsContext | None = None) -> ExitRecord:
+def objective(dvec, config: sim.SimConfig, ctx: dg.DiagnosticsContext | None = None,
+              factors: sim.FactorTable | None = None) -> ExitRecord:
     """Run the evolution for one parameter vector and report the exit.
 
     The run stops at the first time any unstable-mode coefficient reaches
     A/s^2 (general bound escapes do not stop it; field blowup does).
     `SimConfig` rejects a vector of the wrong length or outside [-1, 1].
+    A search passes its diagnostics context and factor table, which every
+    probe's run shares.
     """
     ell = eb.ell_of(config.d)
     dvec = tuple(float(x) for x in dvec)
     cfg = replace(config, dvec=dvec, stop_on_unstable=True, escape_factor=np.inf)
-    return _exit_from_run(dvec, sim.run(cfg, ctx=ctx), config.A, ell)
+    return _exit_from_run(dvec, sim.run(cfg, ctx=ctx, factors=factors), config.A, ell)
 
 
 def _feasible_radii(minv: np.ndarray) -> np.ndarray:
@@ -133,19 +135,24 @@ def trap_search(config: sim.SimConfig, budget: int,
     seconds and the probe run's `RunResult.summary()`.
 
     Each round consumes the previous round's verdict, so probes run
-    sequentially.
+    sequentially.  Every probe makes one `sim.run` call, on one grid, with
+    one diagnostics context and one `sim.FactorTable`: the probes share the
+    step sizes of their early records, so a dt one probe factored the next
+    finds in the table.  The table lives as long as the search.
     """
     if budget < 1:
         raise sim.ConfigError("budget must be at least 1")
     ell = eb.ell_of(config.d)
 
     if objective_fn is None:
-        ctx = dg.DiagnosticsContext(d=config.d, y=config.build_grid().nodes, K=config.K)
+        grid = config.build_grid()
+        ctx = dg.DiagnosticsContext(d=config.d, y=grid.nodes, K=config.K)
+        factors = sim.FactorTable(grid, config.d, config.frame, config.boundary)
         m = mixing_matrix(config, ctx=ctx)
 
         def objective_fn(q):
             d = np.clip(np.linalg.solve(m, np.asarray(q, float)), -1.0, 1.0)
-            return objective(d, config, ctx=ctx)
+            return objective(d, config, ctx=ctx, factors=factors)
     else:
         m = np.eye(ell)
 

@@ -36,14 +36,23 @@ Every caller steps through one call, `Stepper.advance`: `run`, criteria 7 and
 lands on a record or end time, keeps the step record, and takes each stretch
 (a record interval's steps of one dt and the step landing on the record, or
 one CFL step) through `Stepper._stretch`, which runs them in one compiled loop,
-the C source _kernel.c next to this module; a Neumann stepper's CFL steps run
-in a second loop, which sets each dt too.  Both factor each dt and repeat
-`_advance` operation for operation, bit for bit.  They are built once per
-source and compiler flags into a cache outside the package and loaded with
-ctypes (`_loader`, which `diagnostics` shares); without them every step goes
-through `_advance`, which imports scipy's LAPACK.  Both read the boundary
-values of `Stepper._edges` (zeros for Neumann, else Q at the edge), which the
-loop forms itself at d=4.  `Stepper.cfl_dt` has a compiled pass too.
+the C source _kernel.c next to this module; the same loop takes a Neumann
+stepper's CFL steps, setting each dt.  It factors each dt and repeats
+`_advance` operation for operation, bit for bit.  It is built once per source
+and compiler flags into a cache outside the package and loaded with ctypes
+(`_loader`, which `diagnostics` shares); without it every step goes through
+`_advance`, which imports scipy's LAPACK.  It reads the boundary values of
+`Stepper._edges` (Q at the edge), which it forms itself at d=4 and for
+Neumann (zeros).  `Stepper.cfl_dt` has a compiled pass too.
+
+A d=4 run that keeps slices takes each record interval in one compiled call
+(`Stepper._interval`): the loop forms the step times itself, by
+`_stretch_times`' rule, and then measures the field it lands on, the next
+record's dt and its slice's measurements, which `run` builds into the record
+with `diagnostics.decompose`.  A stop short of the record, or a slice
+the compiled pass flags, goes back to `advance` or to `decompose`'s NumPy
+path, so errors, verdicts and warnings are theirs.  A search shares the
+factors of its step sizes among its probes through one `FactorTable`.
 """
 
 from __future__ import annotations
@@ -294,6 +303,8 @@ def _grid_tables(grid: Grid, d: int, frame: str):
 _TIME_TOL = 1e-12
 # The most steps in one stretch: the length of its time and boundary arrays.
 _MAX_STRETCH = 4096
+# The slots of a search's factor table: criterion 10's search steps at 42 sizes.
+_FACTOR_SLOTS = 64
 
 
 def _stretch_times(t: float, dt: float, target: float, most: int):
@@ -313,6 +324,33 @@ def _stretch_times(t: float, dt: float, target: float, most: int):
     last = target - float(times[k])
     times[k + 1] = times[k] + last
     return (dt if k else last), last, times[:k + 2]
+
+
+def _cfl_limit(amax: float, react: float, cfl: float) -> float:
+    """`Stepper.cfl_dt` from its two maxima: cfl over the nonlinear drift's
+    largest |v y| / dy, and at most 0.5 over the reaction's rate."""
+    dt = cfl / amax if amax > 0 else math.inf
+    if react > 0:
+        dt = min(dt, 0.5 / react)
+    return dt
+
+
+class FactorTable:
+    """LU factors of the stepper matrix, one slot per step size, shared by
+    the probes of one search (`shooting.trap_search`) on one (grid, d,
+    frame, boundary).  The compiled loop looks each dt up by exact equality
+    and factors a new one into a free slot, or into its stepper's scratch
+    once all are taken; no slot is evicted, so the early records' step sizes,
+    which every probe shares, stay.  A lone run, which never repeats a dt,
+    has none.  Slots are allocated zeroed: only filled ones take memory."""
+
+    def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
+        n, slots = len(grid.nodes), _FACTOR_SLOTS
+        self.kind = grid, d, frame, boundary
+        self._arrays = (np.zeros(slots), np.zeros((slots, 4 * n)), np.zeros((slots, n), np.intc))
+        # the loop's entries (_kernel.c): the slot count, the slots used, the addresses
+        self._entries = np.array([slots, 0, *(a.ctypes.data for a in self._arrays)], np.uintp)
+        self.address = self._entries.ctypes.data
 
 
 def _most(compiled: int, total: int) -> str:
@@ -335,19 +373,23 @@ class Stepper:
 
     `advance` is the one way to step: it checks its state and step size once,
     steps toward a target time and keeps the step record (`step_record`):
-    steps, dt range and the kernel most steps took.  Its helper `_stretch`
-    takes a record interval's steps, landing step included, in one call of
-    the compiled loop (a Neumann stepper's CFL steps go to a second loop,
-    which sets each dt too).  The loop factors each dt's matrix itself, forms
-    or reads the boundary values (`_edges`) and steps bit for bit as the
-    raw-array kernel `_advance` does from the same boundary values: one gather and the
-    stack give b, with D v upwinded at the nodes that need it (`_explicit`),
-    and finiteness is checked once, on the solution; when that fails
-    `_advance` raises StateCorruptionError naming the first non-finite stage:
-    the field, the explicit terms, or the solver.
+    steps, dt range, the kernel most steps took and the matrices factored.
+    Its helper `_stretch` takes a record interval's steps, landing step
+    included, in one call of the compiled loop (which also takes a Neumann
+    stepper's CFL steps, setting each dt).  The loop factors each dt's matrix
+    itself, into a slot of the `FactorTable` a search shares where one is
+    given, forms or reads the boundary values (`_edges`) and steps bit for
+    bit as the raw-array kernel `_advance` does from the same boundary
+    values: one gather and the stack give b, with D v upwinded at the nodes
+    that need it (`_explicit`), and finiteness is checked once, on the
+    solution; when that fails `_advance` raises StateCorruptionError naming
+    the first non-finite stage: the field, the explicit terms, or the solver.
+    `run`'s d=4 record intervals take `_interval`, one call of the same loop
+    that forms its own step times and measures the field it lands on.
     """
 
-    def __init__(self, grid: Grid, d: int, frame: str, boundary: str):
+    def __init__(self, grid: Grid, d: int, frame: str, boundary: str,
+                 factors: FactorTable | None = None):
         if frame not in FRAME_SIGMA:
             raise ConfigError(f"unknown frame {frame!r}")
         if boundary not in ("profile", "neumann"):
@@ -361,17 +403,26 @@ class Stepper:
         self.boundary = boundary
         self.params = pr.make_profile_params(d) if boundary == "profile" else None
         self.stencil, self.stack, self._tri = _grid_tables(grid, d, frame)
+        if factors is not None and factors.kind != (grid, d, frame, boundary):
+            raise ConfigError("the factor table belongs to another grid or stepper")
+        self._table = factors and factors.address
         self._factors = None, None    # (dt, factors) of the last dt `_factored` factored
         self.compiled_steps = 0       # steps taken in the compiled loop
         self.steps = 0                # steps `advance` took, and their dt range
         self.dt_min, self.dt_max = math.inf, 0.0
-        # the compiled passes' per-grid arrays, the loops' scratch (a field, two
-        # sets of factors, their pivots) and ks_cfl's or the CFL loop's output
+        self.factored = 0             # matrices factored, by either kernel
+        # the compiled passes' per-grid arrays: the grid's, the loop's scratch
+        # (a field and one set of factors, its pivots), the constants (d,
+        # sigma, Q's constant at d=4's profile boundary, the time tolerance)
+        # and the output; their entries (_kernel.c) one uintp array
         st, n = self.stencil, len(grid.nodes)
-        self._arrays = [np.ascontiguousarray(a) for a in (
-            st.y, st.h, st.dy, self.stack, self._tri, np.zeros(9 * n), np.zeros(2 * n, np.intc),
-            np.zeros(3))]
-        self._pointers = [a.ctypes.data for a in self._arrays[:-1]]
+        c = self.params.c if boundary == "profile" and self.params.ell == 2 else 0.0
+        self._arrays = [np.ascontiguousarray(a, float) for a in (
+            st.y, st.h, st.dy, self.stack, self._tri, np.zeros(5 * n))]
+        self._arrays += [np.zeros(n, np.intc), np.array([d, self.sigma, c, _TIME_TOL]), np.zeros(8)]
+        self._entries = np.array([n, boundary == "neumann", *(a.ctypes.data for a in self._arrays)],
+                                 np.uintp)
+        self._at = self._entries.ctypes.data
 
     def _factored(self, dt: float):
         """scipy's gttrf factors (dl, d, du, du2, ipiv) of the matrix
@@ -381,6 +432,7 @@ class Stepper:
         overflow raise StateCorruptionError, which `run` reads as a verdict."""
         if self._factors[0] == dt:
             return self._factors[1]
+        self.factored += 1
         from scipy.linalg.lapack import dgttrf
         lo, di, up, dlo, ddi, dup = self._tri
         with np.errstate(over="ignore", invalid="ignore"):
@@ -399,13 +451,21 @@ class Stepper:
         return factors
 
     def step_record(self) -> dict:
-        """The steps `advance` took, their smallest and largest dt, and the
-        kernel that took most of them: "compiled" (the loop of `_stretch`) or
-        "numpy" (`_advance`); all but the count None without steps."""
+        """The steps `advance` took, their smallest and largest dt, the
+        kernel that took most of them, "compiled" (the loop of `_stretch`) or
+        "numpy" (`_advance`), and the matrices the stepper factored itself (a
+        factor table's hits are not counted); the dt range and kernel None
+        without steps."""
         if not self.steps:
-            return {"steps": 0, "dt_min": None, "dt_max": None, "kernel": None}
+            return {"steps": 0, "dt_min": None, "dt_max": None, "kernel": None,
+                    "factored": self.factored}
         return {"steps": self.steps, "dt_min": self.dt_min, "dt_max": self.dt_max,
-                "kernel": _most(self.compiled_steps, self.steps)}
+                "kernel": _most(self.compiled_steps, self.steps), "factored": self.factored}
+
+    def _count(self, done: int, lo: float, hi: float):
+        """Add `done` steps of dt in [lo, hi] to the step record."""
+        self.steps += done
+        self.dt_min, self.dt_max = min(self.dt_min, lo), max(self.dt_max, hi)
 
     def _edges(self, times):
         """The boundary value at each of `times`: zero for Neumann, else the
@@ -450,22 +510,25 @@ class Stepper:
         them, each of dt but the last, which is of `last`: (the field after
         the last finite step, the count of finite steps, the error of the next
         step or None).  The boundary values of all steps come from one
-        `_edges` call, which the compiled loop (`_library`) repeats itself at
-        d=4.  The loop takes the steps in one call as `_advance` would, bit
-        for bit; where it stops, at a non-finite step or before one whose
-        matrix overflows or is singular or whose boundary value `_edges`
-        raises on, `_advance` takes that step again, to raise the error, as it
-        takes every step where there is no compiled loop."""
+        `_edges` call, which the compiled loop (`_library`) does without at
+        d=4 (it forms them from the times) and for Neumann (zeros).  The loop
+        takes the steps in one call as `_advance` would, bit for bit; where it
+        stops, at a non-finite step or before one whose matrix overflows or is
+        singular or whose boundary value `_edges` raises on, `_advance` takes
+        that step again, to raise the error, as it takes every step where
+        there is no compiled loop."""
         k, done = len(times) - 1, 0
         lib = _library()
-        own = lib is not None and self.boundary == "profile" and self.params.ell == 2
+        at_d4 = self.boundary == "profile" and self.params.ell == 2
+        own = lib is not None and (at_d4 or self.boundary == "neumann")
         edges = None if own else self._edges(times[1:])
         if lib is not None and k:
             v = np.array(v, float)
-            done = lib.ks_stretch(len(v), k, self.boundary == "neumann", dt, last, self.d,
-                                  self.params.c if own else 0.0, *self._pointers,
-                                  _address(times if own else edges), _address(v))
+            bval = _address(times) if at_d4 else (None if edges is None else _address(edges))
+            done = lib.ks_stretch(self._at, self._table, None, k, k, dt, last, 0.0, math.nan, 0.0,
+                                  times[0], math.inf, bval, _address(v))
             self.compiled_steps += done
+            self.factored += int(self._arrays[-1][3])
         if done < k and edges is None:
             edges = self._edges(times[1:])
         for j in range(done, k):
@@ -505,12 +568,13 @@ class Stepper:
             while most > 0 and t < target - _TIME_TOL:
                 done = 0
                 if dt is None and lib is not None and self.boundary == "neumann":
-                    v, out = np.array(v, float), self._arrays[-1]
-                    done = lib.ks_cfl_stretch(len(v), most, self.d, self.sigma, cfl, rate, t_star,
-                                              t, target, _TIME_TOL, *self._pointers,
-                                              _address(out), _address(v))
+                    v = np.array(v, float)
+                    done = lib.ks_stretch(self._at, self._table, None, 0, most, 0.0, 0.0, cfl, rate,
+                                          t_star, t, target, None, _address(v))
                     self.compiled_steps += done
-                    t, h, last = out.tolist()       # the time reached and the dt range
+                    # the time reached, the dt range and the matrices factored
+                    t, lo, hi, factored = self._arrays[-1].tolist()[:4]
+                    self.factored += int(factored)
                 if not done:        # a fixed-dt stretch, or one CFL step
                     h = dt or min(self.cfl_dt(RadialState(self.frame, t, v, self.grid, self.d), cfl),
                                   rate * (t_star - t))
@@ -518,13 +582,36 @@ class Stepper:
                     v, done, error = self._stretch(v, times, h, last)
                     t = float(times[done])
                     last = last if done == len(times) - 1 else h     # the last step taken
+                    lo, hi = min(h, last), max(h, last)
                 if done:
-                    self.steps += done
                     most -= done
-                    self.dt_min, self.dt_max = min(self.dt_min, h, last), max(self.dt_max, h, last)
+                    self._count(done, lo, hi)
                 if error is not None:
                     break
         return RadialState(self.frame, t, v, self.grid, self.d), error
+
+    def _interval(self, state: RadialState, target: float, dt: float, cfl: float,
+                  ctx: dg.DiagnosticsContext | None):
+        """`advance(state, target, dt=dt)` for `run` in one call of the
+        compiled loop (a d=4 profile or a Neumann stepper), which forms the
+        step times by `_stretch_times`' rule and, with ctx (a d=4 context on
+        this grid), measures the field it lands on: (the state, None, and
+        with ctx the landing's (`cfl_dt` at cfl, `dg.decompose`'s
+        measurements or None where the slice pass flags the field, that
+        pass's seconds)).  Where the loop stops short, `advance` takes the
+        interval again from `state`: (its state, its error, None)."""
+        v = np.array(state.values, float)
+        done = _library().ks_stretch(self._at, self._table, ctx and ctx._slice_arrays[2], 0,
+                                     math.inf, dt, dt, 0.0, math.nan, 0.0, state.time, target,
+                                     None, _address(v))
+        t, lo, hi, factored, amax, react, flags, slice_s = self._arrays[-1].tolist()
+        self.factored += int(factored)
+        if t < target - _TIME_TOL:
+            return (*self.advance(state, target, dt=dt), None)
+        self.compiled_steps += done
+        self._count(done, lo, hi)
+        landing = ctx and (_cfl_limit(amax, react, cfl), None if flags else dg._taken(ctx), slice_s)
+        return RadialState(self.frame, t, v, self.grid, self.d), None, landing
 
     def _check_inputs(self, v, time: float, b):
         """Raise the error of the first non-finite stage before the solve:
@@ -540,17 +627,13 @@ class Stepper:
         v = np.ascontiguousarray(state.values)
         lib = _library()
         if lib is not None and v.shape == self.grid.nodes.shape:
-            lib.ks_cfl(len(v), 2 * self.d, self.sigma, self._pointers[0], self._pointers[2],
-                       v.ctypes.data, _address(self._arrays[-1]))
+            lib.ks_cfl(self._at, v.ctypes.data)
             amax, react = self._arrays[-1].tolist()[:2]
         else:
             a = np.abs(v * self.grid.nodes)
             amax = float((np.maximum(a[1:], a[:-1]) / self.stencil.dy).max())
             react = float(np.abs(2 * self.d * v - self.sigma).max())
-        dt = cfl / amax if amax > 0 else np.inf
-        if react > 0:
-            dt = min(dt, 0.5 / react)
-        return dt
+        return _cfl_limit(amax, react, cfl)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +757,7 @@ class RunResult:
     dt_min: float | None = None
     dt_max: float | None = None
     kernel: str | None = None
+    factored: int = 0           # matrices the run's stepper factored itself
     slice_kernel: str | None = None     # the code that measured most of `records`
     message: str = ""           # why a non-finite step stopped the run (blowup / unstable)
     step_s: float = 0.0         # wall seconds stepping between records (dt control included)
@@ -689,12 +773,12 @@ class RunResult:
                 "escaped": "escape"}.get(self.verdict.split(":")[0], "horizon")
 
     def summary(self) -> dict:
-        """Verdict, exit time, step record, the code that measured the slices,
-        message, stop reason and wall-time split: criterion 9's `runs` entry
-        and `simulate`'s manifest."""
+        """Verdict, exit time, step record (the matrices factored included),
+        the code that measured the slices, message, stop reason and wall-time
+        split: criterion 9's `runs` entry and `simulate`'s manifest."""
         return {name: getattr(self, name) for name in (
-            "verdict", "exit_time", "steps", "dt_min", "dt_max", "kernel", "slice_kernel",
-            "message", "stop_reason", "step_s", "diag_s")}
+            "verdict", "exit_time", "steps", "dt_min", "dt_max", "kernel", "factored",
+            "slice_kernel", "message", "stop_reason", "step_s", "diag_s")}
 
     def coefficient_table(self):
         s = np.array([r.s for r in self.records])
@@ -702,7 +786,8 @@ class RunResult:
         return s, c
 
 
-def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResult:
+def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None,
+        factors: FactorTable | None = None) -> RunResult:
     """Step from s0 over the horizon, recording at the cadence: a self-similar
     run keeps the `dg.decompose` slice of each record, a physical run sup w.
 
@@ -717,19 +802,27 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
     state at each record until the next one, and a physical run at each step.
 
     Between records `Stepper.advance` steps to the next record or the end,
-    landing on it.
+    landing on it.  A d=4 run that keeps slices takes each record interval
+    in one compiled call, `Stepper._interval`, which also measures the next
+    record: its dt and the measurements its slice is built from
+    (`dg.decompose`'s `taken`).  A search hands every probe's run its
+    `FactorTable` (`factors`); a lone run needs none.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
-    stepper = Stepper(grid, config.d, config.frame, config.boundary)
+    stepper = Stepper(grid, config.d, config.frame, config.boundary, factors)
     ell = eb.ell_of(config.d)
 
     selfsim = config.frame == "selfsimilar"
     track = selfsim and config.track_bounds
+    fused = False
     if track:
         if ctx is None:
             ctx = dg.DiagnosticsContext(d=config.d, y=grid.nodes, K=config.K)
         compiled0 = ctx.compiled_slices     # it may have measured other runs' slices
+        fused = (ell == ctx.ell == 2 and ctx.y.shape == grid.nodes.shape
+                 and _library() is not None)
+    landing = None              # the last record call's (dt, measurements, seconds)
 
     records = []
     times = []
@@ -749,11 +842,12 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
         v, t = state.values, state.time
         if t >= next_record - _TIME_TOL:
             if selfsim and config.dt is None:
-                dt_set = stepper.cfl_dt(state, config.cfl)
+                dt_set = stepper.cfl_dt(state, config.cfl) if landing is None else landing[0]
+            slice_s = 0.0 if landing is None else landing[2]     # the call's slice seconds
             now = perf_counter()
-            step_s += now - mark
+            step_s += now - mark - slice_s
             if track:
-                rec = dg.decompose(v, t, ctx, config.A)
+                rec = dg.decompose(v, t, ctx, config.A, landing and landing[1])
                 records.append(rec)
                 kworst = max(range(ell), key=lambda k: rec.ratios[f"mode_{k}"])
                 if rec.sup_v > blowup_limit:
@@ -770,7 +864,7 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
             n_records += 1
             next_record = config.s0 + n_records * config.cadence
             mark = perf_counter()
-            diag_s += mark - now
+            diag_s += mark - now + slice_s
             if verdict != "completed":      # a record stopped the run
                 break
         if t >= end_time - _TIME_TOL:
@@ -778,8 +872,12 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None) -> RunResul
                 verdict = "trapped"
             break
         # a physical run without a fixed dt takes its own at every step
-        state, error = stepper.advance(state, min(end_time, next_record), dt=dt_set,
-                                       cfl=config.cfl)
+        target = min(end_time, next_record)
+        if fused:
+            state, error, landing = stepper._interval(
+                state, target, dt_set, config.cfl, ctx if target >= next_record - _TIME_TOL else None)
+        else:
+            state, error = stepper.advance(state, target, dt=dt_set, cfl=config.cfl)
         if error is not None:
             message = str(error)
             verdict = "blowup" if np.max(np.abs(state.values)) > blowup_limit else "unstable"

@@ -169,10 +169,13 @@ def test_criterion_10_reports_its_search_probe_by_probe():
     for probe in run["probes"]:
         assert set(probe) == {"q", "d", "exit_mode", "s_exit", "exit_vector", "transverse_ok",
                               "wall_s", "verdict", "exit_time", "steps", "dt_min", "dt_max",
-                              "kernel", "slice_kernel", "message", "stop_reason", "step_s",
-                              "diag_s"}
+                              "kernel", "factored", "slice_kernel", "message", "stop_reason",
+                              "step_s", "diag_s"}
         assert len(probe["q"]) == 2 and probe["steps"] > 0 and probe["s_exit"] > 50.0
         assert probe["wall_s"] >= probe["step_s"] + probe["diag_s"] > 0
+        # the first probe factors its step sizes, the later ones find most in
+        # the search's factor table
+        assert probe["factored"] <= run["probes"][0]["factored"]
         if probe["exit_mode"] is not None:
             assert probe["verdict"] == f"exit:mode_{probe['exit_mode']}"
 

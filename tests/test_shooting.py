@@ -258,6 +258,51 @@ def test_probes_share_the_grid_its_stepper_tables_and_modes(monkeypatch):
     assert not sim.unstable_modes(4, grids[0], 50.0, 1.0).flags.writeable
 
 
+def test_probes_share_their_factors_with_the_same_bits(monkeypatch):
+    # criterion 10's search: its probes step at 42 sizes, which each probe
+    # factored again before the search shared one factor table (1664 in
+    # all); with the table it factors each step size once.  The history is
+    # the same with the table, without one, with one too small for its step
+    # sizes, and without the compiled passes, whose NumPy kernel names every
+    # step size it factors
+    from ksblowup import diagnostics as dg
+
+    cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)
+
+    def search(kernel=True):
+        res = shooting.trap_search(cfg, budget=64)
+        drop = {"wall_s", "step_s", "diag_s", "factored"}
+        drop |= set() if kernel else {"kernel", "slice_kernel"}
+        return ([{k: v for k, v in h.items() if k not in drop} for h in res.history],
+                sum(h["factored"] for h in res.history))
+
+    shared, factored = search()
+    with monkeypatch.context() as m:
+        m.setattr(sim, "FactorTable", lambda *args: None)
+        alone, factored_alone = search()
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_FACTOR_SLOTS", 8)
+        small, factored_small = search()
+    step_sizes = set()
+    factored_by = sim.Stepper._factored
+
+    def naming(self, dt):
+        step_sizes.add(dt)
+        return factored_by(self, dt)
+
+    with monkeypatch.context() as m:
+        for module in (sim, dg):
+            m.setattr(module, "_library", lambda: None)
+        m.setattr(sim.Stepper, "_factored", naming)
+        plain, _ = search(kernel=False)
+    assert shared == alone == small and len(shared) == 64
+    assert [{k: v for k, v in h.items() if k not in ("kernel", "slice_kernel")}
+            for h in shared] == plain
+    assert len(step_sizes) == 42
+    if sim._library() is not None:
+        assert factored <= len(step_sizes) < factored_small < factored_alone == 1664
+
+
 def test_search_history_round_trips_through_plain_json():
     # each probe is logged once, in JSON-native values: no converter needed
     cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)

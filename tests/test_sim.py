@@ -535,8 +535,8 @@ def test_compiled_profile_edge_equals_edges_bit_for_bit():
 
 def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, monkeypatch):
     # a build into an empty cache loads and leaves one object and no
-    # temporary file, with the stretch loop, the CFL loop, the factorization,
-    # the slice pass and the step limit's maxima declared; a second load
+    # temporary file, with the stepping loop, the factorization, the slice
+    # pass and the step limit's maxima declared; a second load
     # reuses it.
     # No compiler, a failing compiler or a cache that cannot be written gives
     # None, not an error
@@ -544,13 +544,16 @@ def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, mon
         pytest.skip("no C compiler")
     lib = _loader._build(tmp_path / "cache")
     assert lib is not None and hasattr(lib, "ks_stretch") and hasattr(lib, "ks_factor")
+    # each pass takes its caller's per-grid entries as one uintp array
     assert lib.ks_slice.restype is ctypes.c_long
-    assert lib.ks_slice.argtypes == [ctypes.c_long] * 3 + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 12
+    assert lib.ks_slice.argtypes == [ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
     assert lib.ks_cfl.restype is None
-    assert lib.ks_cfl.argtypes == [ctypes.c_long] + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
-    assert lib.ks_cfl_stretch.restype is ctypes.c_long
-    assert lib.ks_cfl_stretch.argtypes == (
-        [ctypes.c_long] + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 9)
+    assert lib.ks_cfl.argtypes == [ctypes.c_void_p] * 2
+    assert lib.ks_stretch.restype is ctypes.c_long
+    assert lib.ks_stretch.argtypes == (
+        [ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_double] * 8 + [ctypes.c_void_p] * 2)
+    assert lib.ks_factor.argtypes == [ctypes.c_long] + [ctypes.c_void_p] * 5
+    assert not hasattr(lib, "ks_cfl_stretch")
     (built,) = (tmp_path / "cache").iterdir()
     assert built.name.startswith("kernel-") and built.suffix == ".so"
     assert _loader._build(tmp_path / "cache") is not None
@@ -578,10 +581,11 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert built.returncode == 0, built.stderr
 
 
-# an 8-probe criterion-10 search and a short d=3 run: every compiled pass,
-# d=4's edge values and Q formed in C and d=3's read from NumPy; a capped CFL
-# drive in the compiled loop, and stretches whose factors swap rows, the
-# Neumann boundary row among them
+# an 8-probe criterion-10 search, and one whose factor table it overfills, and
+# a short d=3 run: every compiled pass, the record call, d=4's edge values and
+# Q formed in C and d=3's read from NumPy; a capped CFL drive in the compiled
+# loop, and stretches whose factors swap rows, the Neumann boundary row among
+# them
 _SANITIZED_RUN = """
 import hashlib
 import numpy as np
@@ -591,12 +595,17 @@ def outputs():
     h = hashlib.sha256()
     cfg = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)
     search = shooting.trap_search(cfg, budget=8)
+    slots, sim._FACTOR_SLOTS = sim._FACTOR_SLOTS, 4
+    try:
+        overfilled = shooting.trap_search(cfg, budget=8)
+    finally:
+        sim._FACTOR_SLOTS = slots
     run = sim.run(sim.SimConfig(d=3, n=512, s0=50.0, horizon=0.3, cadence=0.1,
                                 escape_factor=np.inf))
-    for entry in [*search.history, run.summary()]:
+    for entry in [*search.history, *overfilled.history, run.summary()]:
         h.update(repr({k: v for k, v in entry.items()
                        if k not in ("wall_s", "step_s", "diag_s")}).encode())
-    for rec in search.trajectory + run.records:
+    for rec in search.trajectory + overfilled.trajectory + run.records:
         h.update(rec.coefficients.tobytes() + repr(rec.measured).encode())
     h.update(run.final_state.values.tobytes())
     grid = sim.Grid.uniform(64, 10.0)
@@ -1007,20 +1016,28 @@ def test_run_nonfinite_step_labeled_by_the_field_before_it():
 
 
 def test_selfsimilar_dt_set_from_the_state_at_each_record(monkeypatch):
-    calls = []
-    cfl_dt = sim.Stepper.cfl_dt
+    # one step limit per record, from `cfl_dt`'s two maxima of the record's
+    # field: in NumPy or `ks_cfl` at s0, in the record call of each interval
+    # after it (`Stepper._interval`), or in `cfl_dt` again without the
+    # compiled passes
+    cfl_limit, calls = sim._cfl_limit, []
 
-    def recording(self, state, cfl):
-        calls.append((state.time, cfl_dt(self, state, cfl)))
-        return calls[-1][1]
+    def recording(amax, react, cfl):
+        calls.append(cfl_limit(amax, react, cfl))
+        return calls[-1]
 
-    monkeypatch.setattr(sim.Stepper, "cfl_dt", recording)
-    cfg = sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25, escape_factor=np.inf)
-    res = sim.run(cfg)
-    assert [t for t, _ in calls] == [r.s for r in res.records]
-    assert len(set(dt for _, dt in calls)) == len(calls)
-    assert res.dt_max == max(dt for _, dt in calls[:-1])
-    assert res.dt_min < res.dt_max and res.steps >= cfg.horizon / res.dt_max
+    monkeypatch.setattr(sim, "_cfl_limit", recording)
+    for compiled in ([True] if sim._library() is not None else []) + [False]:
+        if not compiled:
+            monkeypatch.setattr(sim, "_library", lambda: None)
+        calls.clear()
+        cfg = sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25,
+                            escape_factor=np.inf)
+        res = sim.run(cfg)
+        assert len(calls) == len(res.records) == 5
+        assert len(set(calls)) == len(calls)
+        assert res.dt_max == max(calls[:-1])
+        assert res.dt_min < res.dt_max and res.steps >= cfg.horizon / res.dt_max
 
 
 def test_unstable_mode_ratios_converge_at_first_order_in_dt():
@@ -1257,8 +1274,11 @@ def test_compiled_cfl_drive_hands_the_step_it_cannot_take_to_the_per_step_path(m
             m.setattr(sim, "_library", lambda: None)
             reference, want, want_error = drive(v, cfl, target, cap)
         assert got.values.tobytes() == want.values.tobytes() and got.time == want.time
-        assert stepper.step_record() == {**reference.step_record(), "kernel":
-                                         stepper.step_record()["kernel"]}
+        # the loop counts the factorizations of the step it stops at, which
+        # the per-step path then takes again
+        compiled = {k: stepper.step_record()[k] for k in ("kernel", "factored")}
+        assert stepper.step_record() == {**reference.step_record(), **compiled}
+        assert stepper.factored >= reference.factored
         assert type(error) is type(want_error) and str(error) == str(want_error)
         assert stepper.compiled_steps == stepper.steps
     assert [s.steps for s in (stepper, reference)] == [0, 0]
@@ -1442,8 +1462,18 @@ def test_numpy_path_factors_once_per_stretch_dt(monkeypatch):
 def test_one_record_interval_is_one_stretch(monkeypatch):
     # a fixed-dt run and a self-similar run at the CFL dt of each record
     # step each record interval, the step landing on the record included,
-    # in one `_stretch` call that starts at the record
+    # in one `_stretch` call that starts at the record; a d=4 run keeping
+    # slices in one `_interval` call, its record call, instead
     log = _recording_stretch(monkeypatch)
+    interval = sim.Stepper._interval
+
+    def recording(self, state, target, dt, cfl, ctx):
+        steps = self.steps
+        out = interval(self, state, target, dt, cfl, ctx)
+        log.append((state.time, self.steps - steps, dt))
+        return out
+
+    monkeypatch.setattr(sim.Stepper, "_interval", recording)
     for cfg in (sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=1000.0, horizon=0.5,
                               cadence=0.01, dt=1e-3, init=np.full(33, 0.1)),
                 sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25,
@@ -1455,6 +1485,139 @@ def test_one_record_interval_is_one_stretch(monkeypatch):
         assert [t for t, _, _ in log] == list(starts[:-1])
         assert sum(k for _, k, _ in log) == res.steps
         assert res.dt_min < res.dt_max      # each interval lands at its own last dt
+
+
+def _stepped_as_before(self, state, target, dt, cfl, ctx):
+    """`Stepper._interval` as `run` stepped a record interval before it had
+    a record call: `advance`, with `cfl_dt` and `decompose` measuring the
+    record afresh."""
+    return (*self.advance(state, target, dt=dt, cfl=cfl), None)
+
+
+def _run_bits(result, kernel=True):
+    """Everything a run reports but its seconds and the matrices it factored
+    (and, for kernel False, which kernels ran): each record's bytes, the final
+    field and time, the summary"""
+    drop = {"step_s", "diag_s", "factored"} | (set() if kernel else {"kernel", "slice_kernel"})
+    return (repr({k: v for k, v in result.summary().items() if k not in drop}),
+            [repr((r.s, r.coefficients.tobytes(), r.tilde_norm, r.measured, r.ratios,
+                   r.verdict, r.worst, r.sup_v, r.sup_dev_profile)) for r in result.records],
+            repr(result.final_state.time), result.final_state.values.tobytes())
+
+
+_CFG10 = sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, cadence=0.1, A=20.0, K=10.0)
+_ROUGH = sim.SimConfig(d=4, n=256, s0=50.0, horizon=0.3, cadence=0.1, A=20.0, K=10.0,
+                       escape_factor=np.inf)
+_CHECKER = (np.where(np.arange(257) % 2, 0.1, -0.1)
+            * np.exp(-0.01 * _ROUGH.build_grid().nodes ** 2))
+_AT_S0 = sim.make_initial_data(replace(_ROUGH, horizon=1.0, cadence=0.25)).values
+
+
+@pytest.mark.parametrize("cfg, verdict, warned", [pytest.param(*case, id=name) for name, case in {
+    # criterion 9's run
+    "criterion-9": (sim.SimConfig(d=4, n=2048, s0=50.0, horizon=10.0, cadence=0.1, A=20.0,
+                                  K=10.0, escape_factor=np.inf, blowup_sup=50.0),
+                    "completed", 0),
+    # a criterion-10 probe that exits mode_0 at s = 50.7
+    "probe-exits": (replace(_CFG10, dvec=(-0.3, 0.0), stop_on_unstable=True,
+                            escape_factor=np.inf), "exit:mode_0", 0),
+    # a run that escapes at s0, and a horizon that is not a multiple of the cadence
+    "escapes-at-s0": (replace(_CFG10, horizon=2.0, dvec=(0.5, 0.5), escape_factor=0.01),
+                      "escaped:l2rho", 0),
+    "ragged-horizon": (sim.SimConfig(d=4, n=512, s0=50.0, horizon=0.53, cadence=0.1,
+                                     A=20.0, K=10.0, escape_factor=np.inf), "completed", 0),
+    # a step that overflows in the second record interval
+    "overflows": (replace(_ROUGH, horizon=1.0, cadence=0.25, blowup_sup=np.inf,
+                          init=_AT_S0 + 2.0 * np.exp(-(_ROUGH.build_grid().nodes - 3.0) ** 2)),
+                  "unstable", 1),
+    # slices unresolved: the compiled pass flags them, the NumPy path warns
+    "unresolved": (replace(_ROUGH, init=sim.make_initial_data(_ROUGH).values + _CHECKER),
+                   "completed", 3),
+}.items()])
+def test_record_call_equals_advance_and_decompose_bit_for_bit(cfg, verdict, warned, monkeypatch):
+    # a d=4 run's record call (`Stepper._interval`) gives the bytes of
+    # `advance` and `decompose` taken apart: every record, the final field,
+    # the step record, verdict and summary, the message of a step that
+    # overflows (the loop stops, `advance` takes the interval again) and the
+    # warnings of the NumPy path; and so does the whole run without the
+    # compiled passes
+    calls = []
+
+    def counting(interval):
+        def call(self, *args):
+            calls.append(interval)
+            return interval(self, *args)
+        return call
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = sim.run(cfg)
+        assert len(caught) == warned
+        return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+    compiled = sim._library() is not None
+    monkeypatch.setattr(sim.Stepper, "_interval", counting(sim.Stepper._interval))
+    fused, fused_warnings = run()
+    intervals = len(calls)
+    assert fused.verdict == verdict and (intervals > 0) == (verdict != "escaped:l2rho")
+    monkeypatch.setattr(sim.Stepper, "_interval", counting(_stepped_as_before))
+    before, before_warnings = run()
+    assert len(calls) == 2 * intervals if compiled else calls == []
+    assert _run_bits(fused) == _run_bits(before) and fused_warnings == before_warnings
+    assert fused.message == before.message and (verdict == "unstable") == bool(fused.message)
+    monkeypatch.setattr(sim, "_library", lambda: None)
+    monkeypatch.setattr(dg, "_library", lambda: None)
+    plain, plain_warnings = run()
+    assert _run_bits(fused, kernel=False) == _run_bits(plain, kernel=False)
+    assert fused_warnings == plain_warnings
+    if compiled:
+        assert fused.slice_kernel == ("numpy" if 2 * warned >= len(fused.records) else "compiled")
+        assert fused.factored <= 2 * intervals or fused.message
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled record call")
+def test_record_call_hands_a_flagged_slice_to_the_numpy_path():
+    # a field whose flat integrand grows toward the end of the domain, and a
+    # context whose cutoff support 2K = 60 lies past the grid's end xi = 40:
+    # the record call lands, its slice pass flags the field and hands no
+    # measurements back, and `decompose` raises from its NumPy path as it
+    # raises on the field alone; the landing's dt is `cfl_dt`'s
+    cfg = sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25)
+    grid = cfg.build_grid()
+    stepper = sim.Stepper(grid, 4, "selfsimilar", "profile")
+    v = sim.make_initial_data(cfg, grid).values
+    for K, tail, raised in ((10.0, 1e-3, dg.NonIntegrableTailError), (30.0, 0.0, dg.CoverageError)):
+        ctx = dg.DiagnosticsContext(d=4, y=grid.nodes, K=K)
+        start = sim.RadialState("selfsimilar", 50.0, v + tail * (grid.nodes / grid.nodes[-1]) ** 20,
+                                grid, 4)
+        landed, error, (dt, taken, seconds) = stepper._interval(start, 50.001, 1e-3, 0.4, ctx)
+        assert error is None and taken is None and seconds >= 0.0
+        assert landed.time == 50.001 and dt == stepper.cfl_dt(landed, 0.4)
+        for measured in (taken, None):
+            with pytest.raises(raised), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dg.decompose(landed.values, landed.time, ctx, 20.0, measured)
+        assert ctx.compiled_slices == 0
+
+
+def test_a_lone_run_allocates_no_factor_table(monkeypatch):
+    # only a search makes a table; a run without one factors each record
+    # interval's dt and landing step once, into the stepper's scratch.  A
+    # table is checked against the stepper it is handed to
+    made = []
+    monkeypatch.setattr(sim.FactorTable, "__init__", lambda self, *args: made.append(args))
+    res = sim.run(replace(_CFG10, horizon=1.0, escape_factor=np.inf))
+    assert made == [] and len(res.records) == 11
+    assert res.factored == 2 * 10
+    monkeypatch.undo()
+    grid = _CFG10.build_grid()
+    table = sim.FactorTable(grid, 4, "selfsimilar", "profile")
+    assert sim.Stepper(grid, 4, "selfsimilar", "profile", table)
+    for other in ((sim.Grid(grid.nodes), 4, "selfsimilar", "profile"),
+                  (grid, 3, "selfsimilar", "profile"), (grid, 4, "selfsimilar", "neumann")):
+        with pytest.raises(sim.ConfigError, match="factor table"):
+            sim.Stepper(*other, table)
 
 
 def test_run_splits_its_wall_time_by_clock_reads_at_records(monkeypatch):
