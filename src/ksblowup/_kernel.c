@@ -52,7 +52,16 @@
  * np.maximum.reduce lets a NaN through.  d = 3's Q stays in NumPy, whose
  * sinh and arcsinh do not round as libm's do.
  *
- * ks_cfl takes the two maxima of ksblowup.sim.Stepper.cfl_dt. */
+ * ks_cfl takes the two maxima of ksblowup.sim.Stepper.cfl_dt.
+ *
+ * ks_ansatz is the arithmetic of ksblowup.profile._ansatz after Q, for
+ * ansatz_residual, ansatz_time_derivative and selfsimilar_rhs_of_ansatz: in
+ * one pass over the nodes, Q' and Lap Q, d(psi)/ds and the generated error,
+ * and on the ansatz cutoff's support xi < 2K phi_tilde's and the cutoff's
+ * jets and psi_hat's terms.  xi, t, Q, Q^(l+1) and at d = 3 xi^4 stay in
+ * NumPy: its sinh, arcsinh and pow (** with an exponent other than 2) are
+ * SIMD code whose last bits libm's do not repeat.  The scalars, among them
+ * s^(-1/(2l)) and K^2, come from Python, so the pass calls no pow. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -68,9 +77,10 @@ enum { G_N, G_NEUMANN, G_Y, G_H, G_DY, G_W, G_TRI, G_SCRATCH, G_IPIV, G_CONST, G
 /* A factor table's: the slot count, the slots used, the dt of each used
  * slot, then 4 n doubles of factors and n pivots per slot. */
 enum { T_SLOTS, T_USED, T_DT, T_F, T_IPIV };
-/* A diagnostics context's.  S_CONST: K, B and Q's constant c at d = 4 (else
- * 0); S_SCRATCH: 6 n doubles; S_OUT: the measurements; S_XI and S_Q: xi and
- * Q(xi), formed here at d = 4. */
+/* A diagnostics context's.  S_CONST: K, B, Q's constant c at d = 4 (else 0)
+ * and the ansatz cutoff's scale (profile.UNIT_CUTOFF.K); S_SCRATCH: 6 n
+ * doubles; S_OUT: the measurements; S_XI and S_Q: xi and Q(xi), formed here
+ * at d = 4. */
 enum { S_N, S_ROWS, S_UNIFORM, S_Y, S_PHIT, S_QUAD, S_PHI, S_NORM, S_FLAT, S_ST, S_SCRATCH,
        S_OUT, S_XI, S_Q, S_CONST };
 #define ARR(a, i) ((double *)(a)[i])
@@ -280,10 +290,15 @@ static void band(long n, const double *xi, double K, long *lo, long *hi)
     *hi = i;
 }
 
+/* profile._smoothstep, 1 - t^3 (10 - 15 t + 6 t^2) */
+static double smooth(double t)
+{
+    return 1.0 - t * t * t * ((10.0 - 15.0 * t) + 6.0 * t * t);
+}
+
 static double chi(double xi, double K)
 {
-    double t = xi / K - 1.0;
-    return 1.0 - t * t * t * ((10.0 - 15.0 * t) + 6.0 * t * t);
+    return smooth(xi / K - 1.0);
 }
 
 /* y df/dy as y * np.gradient(f, y, edge_order=1) forms it, from its stencil
@@ -349,7 +364,7 @@ long ks_slice(const uintptr_t *a, double s, const double *v)
                  *phi = ARR(a, S_PHI), *norm_sq = ARR(a, S_NORM), *flat_w = ARR(a, S_FLAT),
                  *st = ARR(a, S_ST), *kbc = ARR(a, S_CONST);
     double *scratch = ARR(a, S_SCRATCH), *out = ARR(a, S_OUT), *xi = ARR(a, S_XI),
-           *q = ARR(a, S_Q), K = kbc[0], c = -(1.0 / (kbc[1] * s)), cq = kbc[2];
+           *q = ARR(a, S_Q), K = kbc[0], c = -(1.0 / (kbc[1] * s)), cq = kbc[2], Ku = kbc[3];
     double *eh = scratch, *ex = scratch + n, *d1 = scratch + 2 * n, *d2 = scratch + 3 * n,
            *w = scratch + 4 * n, *t = scratch + 5 * n, coef[rows];
     const double *chain[3] = {eh, d1, d2};
@@ -373,14 +388,14 @@ long ks_slice(const uintptr_t *a, double s, const double *v)
      * eps_hat + psi_hat cut by 1 - chi_K for the outer norms; the rho-weighted
      * eps_hat of the projections; the sups of v, v - Q, eps_hat and its
      * jumps, and the resolution test */
-    band(n, xi, 1.0, &lo, &hi);
+    band(n, xi, Ku, &lo, &hi);
     band(n, xi, K, &lo_k, &hi_k);
     for (i = 0; i < n; i++) {
         double ph = c * phit[i], e;
         if (i >= hi)
             ph *= 0.0;
         else if (i >= lo)
-            ph *= chi(xi[i], 1.0);
+            ph *= chi(xi[i], Ku);
         eh[i] = v[i] - (q[i] + ph);
         e = eh[i] + ph;
         if (i < lo_k)
@@ -440,6 +455,72 @@ long ks_slice(const uintptr_t *a, double s, const double *v)
     return flags;
 }
 
+
+/* ks_ansatz's constants: d, l, Q's constant c, sm = s^(-1/(2l)), sm sm,
+ * u = 1/(B s), 2 l s, u / s, the ansatz cutoff's K, K^2 and its support's
+ * end 2K (profile._CUTOFF_END) */
+enum { A_D, A_L, A_C, A_SM, A_SM2, A_U, A_LS, A_US, A_K, A_K2, A_END };
+
+/* Horner's sum of the m ascending coefficients a at y2, from 0.0 as
+ * profile._even_eval sums them */
+static double horner(const double *a, long m, double y2)
+{
+    double acc = 0.0;
+    while (m-- > 0)
+        acc = acc * y2 + a[m];
+    return acc;
+}
+
+/* profile._ansatz's arithmetic after Q: d(psi)/ds into dpsi and the generated
+ * error E_hat into err at each of the n nodes y, from xi = y sm, Q(xi),
+ * Q^(l+1) and xi^(2l-2) (NULL at d = 4: xi xi), which NumPy forms.  First
+ * _profile_jet's Q' and Lap Q; where xi < 2K, _ansatz_terms from
+ * phi_tilde's jets (poly: phi_tilde's m coefficients, then those of its
+ * derivative over y, 2 j a_j, m - 1, then m_lap of its Laplacian) and the
+ * cutoff's (cutoff_chi, cutoff_chi_d1, cutoff_chi_d2); past it the
+ * profile's terms alone and + 0.0, and no phi_tilde, whose overflow stays
+ * out.  Each node repeats NumPy's order of operations. */
+void ks_ansatz(long n, const double *k, const double *poly, long m, long m_lap,
+               const double *y, const double *xi, const double *q, const double *q_l1,
+               const double *xi_2l2, double *dpsi, double *err)
+{
+    double d = k[A_D], two_l = 2.0 * k[A_L], m2c = -2.0 * k[A_C], sm = k[A_SM],
+           sm2 = k[A_SM2], u = k[A_U], ls = k[A_LS], us = k[A_US], K = k[A_K],
+           K2 = k[A_K2], end = k[A_END];
+    long i;
+    for (i = 0; i < n; i++) {
+        double x = xi[i], qi = q[i], omq = 1.0 - 2.0 * qi,
+               qp_xi = m2c * (xi_2l2 ? xi_2l2[i] : x * x) * q_l1[i] / omq, qp = x * qp_xi,
+               g = 2.0 * d * qi - 1.0 + x * qp, lap_q = qp_xi * (2.0 * g / omq + d),
+               yi, y2, p, p1, lap_p, uk, t, c0, c1, c2, ph, ph_y, lap_ph, h_ph, nl;
+        int inside;
+        dpsi[i] = -x * qp / ls;
+        if (!(x < end)) {
+            err[i] = -dpsi[i] + sm2 * lap_q + 0.0;
+            continue;
+        }
+        yi = y[i];
+        y2 = yi * yi;
+        p = horner(poly, m, y2);
+        p1 = horner(poly + m, m - 1, y2) * yi;
+        lap_p = horner(poly + 2 * m - 1, m_lap, y2);
+        uk = x / K;
+        t = uk - 1.0;
+        t = t < 0.0 ? 0.0 : t > 1.0 ? 1.0 : t;
+        inside = uk > 1.0 && uk < 2.0;
+        c0 = smooth(t);
+        c1 = (inside ? -30.0 * t * t * ((1.0 - t) * (1.0 - t)) : 0.0) / K;
+        c2 = (inside ? -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) : 0.0) / K2;
+        ph = -u * p * c0;
+        ph_y = -u * (p1 * c0 + p * c1 * sm);
+        lap_ph = -u * (lap_p * c0 + 2.0 * p1 * c1 * sm + p * c2 * sm * sm
+                       + (d + 1.0) * (yi > 0.0 ? 1.0 / yi : 0.0) * p * c1 * sm);
+        h_ph = lap_ph - omq * yi * ph_y / 2.0 + g * ph;
+        nl = d * ph * ph + yi * ph * ph_y;
+        dpsi[i] = dpsi[i] + us * (p * c0 + p * c1 * x / two_l);
+        err[i] = -dpsi[i] + sm2 * lap_q + h_ph + nl;
+    }
+}
 
 /* Stepper.cfl_dt's two maxima of the field v into m: the nonlinear drift's
  * largest max(|v y|[i], |v y|[i + 1]) / dy[i], and the reaction's largest

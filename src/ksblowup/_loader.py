@@ -1,11 +1,12 @@
 """The compiled passes of _kernel.c, built once and loaded with ctypes.
 
-`sim` (`ks_stretch`, `ks_cfl`) and `diagnostics` (`ks_slice`) take their
-passes from the one library `_library` loads: one source, one set of
-compiler flags, one object in the cache.  Each module falls back to its NumPy
-path where `_library` gives None.  A stepper, a factor table and a
-diagnostics context each hand the passes their per-grid entries as one uintp
-array (`_kernel.c`'s enums), built once, so a call converts a few arguments.
+`sim` (`ks_stretch`, `ks_cfl`), `diagnostics` (`ks_slice`) and `profile`
+(`ks_ansatz`) take their passes from the one library `_library` loads: one
+source, one set of compiler flags, one object in the cache.  Each module
+falls back to its NumPy path where `_library` gives None.  A stepper, a
+factor table and a diagnostics context each hand the passes their per-grid
+entries as one uintp array (`_kernel.c`'s enums), built once, so a call
+converts a few arguments; `ks_ansatz` takes its arrays' addresses per call.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ def _build(cache: Path):
     except (OSError, subprocess.SubprocessError):
         return None
     lib.ks_stretch.restype = lib.ks_factor.restype = lib.ks_slice.restype = ctypes.c_long
-    lib.ks_cfl.restype = None
+    lib.ks_cfl.restype = lib.ks_ansatz.restype = None
     lib.ks_stretch.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_double] * 8
                                + [ctypes.c_void_p] * 2)
     lib.ks_factor.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
     lib.ks_slice.argtypes = [ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
     lib.ks_cfl.argtypes = [ctypes.c_void_p] * 2
+    lib.ks_ansatz.argtypes = ([ctypes.c_long] + [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2
+                              + [ctypes.c_void_p] * 7)
     return lib
 
 

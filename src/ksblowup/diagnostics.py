@@ -155,7 +155,8 @@ class DiagnosticsContext:
         ks_slice).  The per-grid arrays, kept alive here: y, phi_tilde, the rho
         weights, phi, its squared norms, the flat weights, the stencil of
         np.gradient(f, y, edge_order=1), 6 n doubles of scratch, the output,
-        xi and Q, and (K, B, Q's constant c at d=4, else 0).  The stencil is
+        xi and Q, and (K, B, Q's constant c at d=4, else 0, and the ansatz
+        cutoff's scale `profile.UNIT_CUTOFF.K`).  The stencil is
         numpy's interior weights on f[:-2], f[1:-1], f[2:], or its one doubled
         spacing when every spacing is equal.  The pass's entries are one uintp
         array, built here: n, the rows, whether every spacing is equal, then
@@ -173,7 +174,7 @@ class DiagnosticsContext:
         arrays = [np.ascontiguousarray(x, float) for x in (
             self.y, pr._even_eval(p.phit_coeffs, self.y), self.quad_rho, self.phi,
             self.phi_norm_sq, self.flat_w, stencil, np.zeros(6 * n), np.zeros(2 * self.ell + 9),
-            *np.zeros((2, n)), [self.K, p.B, p.c if self.ell == 2 else 0.0])]
+            *np.zeros((2, n)), [self.K, p.B, p.c if self.ell == 2 else 0.0, pr.UNIT_CUTOFF.K])]
         entries = np.array([n, 2 * self.ell, uniform, *(x.ctypes.data for x in arrays)],
                            np.uintp)
         return arrays, entries, entries.ctypes.data

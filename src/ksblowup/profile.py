@@ -19,7 +19,11 @@ follow from the first-order profile equation in one operator-only helper,
 shared by the double-precision and the decimal ansatz.
 
 Both evaluators of the refined ansatz's generated error (double, decimal) form
-its correction psi_hat's terms only on the support xi < 2K of `UNIT_CUTOFF`.
+its correction psi_hat's terms only on the support xi < 2K of `UNIT_CUTOFF`,
+and take y alike: a scalar or any shape, checked nonnegative.  The double one
+forms xi, Q and Q's powers in NumPy and the rest in one compiled pass
+(`_kernel.c`'s ks_ansatz) that repeats the NumPy path, `_numpy_ansatz`, bit
+for bit; that path is the fallback without a compiler and the tests' reference.
 
 `make_profile_params(d)` builds the float view of the exact constants once
 per dimension; every caller shares that frozen record.
@@ -35,6 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import eigenbasis as eb
+from ._loader import _library
 
 
 class ConvergenceError(RuntimeError):
@@ -312,12 +317,40 @@ def _ansatz_terms(d: int, ell: int, s, u, y, xi, over_y, sm, q_jet, p_jet, chi_j
 
 def _ansatz(params: ProfileParams, y, s):
     """`_ansatz_terms` in double precision, psi_hat's terms formed only where xi <
-    _CUTOFF_END; past it they would add zeros, or NaN where phi_tilde overflows."""
+    _CUTOFF_END; past it they would add zeros, or NaN where phi_tilde overflows.
+    xi, Q and the powers come from NumPy; the rest from the compiled pass
+    (`_kernel.c`'s ks_ansatz) where there is one, else from `_numpy_ansatz`,
+    with the same bits."""
     s = _check_s(s)
     shape, y = np.shape(y), np.asarray(y, float).ravel()
     sm = s ** (-1.0 / (2 * params.ell))
     xi = _as_xi(y * sm)
     q = _solve_q(params, _t_of_xi(params, xi))
+    lib = _library()
+    if lib is None:
+        dpsi_ds, err = _numpy_ansatz(params, y, s, sm, xi, q)
+    else:
+        dpsi_ds, err, u = np.empty_like(y), np.empty_like(y), 1.0 / (params.B * s)
+        consts = np.array([params.d, params.ell, params.c, sm, sm * sm, u, 2 * params.ell * s,
+                           u / s, UNIT_CUTOFF.K, UNIT_CUTOFF.K**2, _CUTOFF_END])
+        # phi_tilde's coefficients, its derivative's over y as `_even_eval_deriv`
+        # forms them, and its Laplacian's
+        a, lap = params.phit_coeffs, params.phit_lap_coeffs
+        poly = np.array([*a, *(2 * k * a[k] for k in range(1, len(a))), *lap])
+        # Q**(l+1), and xi**4 at d=3, are NumPy's SIMD pow, whose bits libm's pow
+        # does not repeat; xi**2 at d=4 is xi*xi, which the pass forms
+        q_l1 = q ** (params.ell + 1)
+        xi_2l2 = xi ** (2 * params.ell - 2) if params.ell == 3 else None
+        lib.ks_ansatz(len(y), consts.ctypes.data, poly.ctypes.data, len(a), len(lap), y.ctypes.data,
+                      xi.ctypes.data, q.ctypes.data, q_l1.ctypes.data,
+                      None if xi_2l2 is None else xi_2l2.ctypes.data,
+                      dpsi_ds.ctypes.data, err.ctypes.data)
+    return dpsi_ds.reshape(shape)[()], err.reshape(shape)[()]
+
+
+def _numpy_ansatz(params: ProfileParams, y, s, sm, xi, q):
+    """`_ansatz` after Q in NumPy: the fallback without a compiled pass and the
+    reference it is tested against."""
     qp, _, lap_q = _profile_jet(params.c, params.d, params.ell, xi, q)
     dpsi_ds = -xi * qp / (2 * params.ell * s)
     err = -dpsi_ds + sm * sm * lap_q + 0.0     # psi_hat's zero terms make a -0 +0
@@ -331,7 +364,7 @@ def _ansatz(params: ProfileParams, y, s):
         (cutoff_chi(UNIT_CUTOFF, xi), cutoff_chi_d1(UNIT_CUTOFF, xi),
          cutoff_chi_d2(UNIT_CUTOFF, xi)),
     )
-    return dpsi_ds.reshape(shape)[()], err.reshape(shape)[()]
+    return dpsi_ds, err
 
 
 def ansatz_time_derivative(params: ProfileParams, y, s):
@@ -374,11 +407,13 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
     phi_tilde, the profile deficit is Newton-refined from the double-precision
     value, and only the assembled error is rounded to double; psi_hat's
     terms are formed only on the cutoff's support, as in `ansatz_residual`.
+    y is taken as `ansatz_residual` takes it: a scalar or any shape, checked
+    nonnegative; the output has its shape.
     """
     s = _check_s(s)
-    y = np.asarray(y, float)
+    shape, y = np.shape(y), np.asarray(y, float).ravel()
     d, ell = params.d, params.ell
-    _, delta0 = _solve_profile(params, params.c * (y * s ** (-1.0 / (2 * ell))) ** (2 * ell))
+    _, delta0 = _solve_profile(params, params.c * _as_xi(y * s ** (-1.0 / (2 * ell))) ** (2 * ell))
     phit = eb.phi_tilde(d)
     out = np.empty_like(y)
     with localcontext() as ctx:
@@ -430,7 +465,7 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
                 (chi, chi1, chi2),
             )
             out[i] = float(residual)
-    return out
+    return out.reshape(shape)[()]
 
 
 def selfsimilar_rhs_of_ansatz(params: ProfileParams, y, s):

@@ -303,6 +303,109 @@ def test_ansatz_past_the_support_reads_the_profile_where_phi_tilde_overflows():
     assert np.isfinite(pr.ansatz_residual(p, y, 1e160)).all()
 
 
+def _numpy_ansatz(p, y, s):
+    """`_ansatz` with no compiled pass: the NumPy path, the reference."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pr, "_library", lambda: None)
+        return pr._ansatz(p, y, s)
+
+
+def _same_bits(got, want):
+    assert [np.shape(g) for g in got] == [np.shape(w) for w in want]
+    assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+
+
+@pytest.mark.skipif(pr._library() is None, reason="no compiled ansatz pass")
+@pytest.mark.parametrize("d", [3, 4])
+def test_compiled_ansatz_has_the_bits_of_the_numpy_path(d):
+    # d(psi)/ds and the error, byte for byte, on criterion 8's Gauss rules and
+    # flat-norm grid at its pinned and tier-1 windows; on nodes at xi = 0, 1
+    # and 2 exactly (sm = 1/2 at s = 64 or 16); at s = 1e160, where phi_tilde
+    # overflows past the support; for a scalar, a 2-D and an empty y
+    from ksblowup import acceptance as ac
+    p = pr.make_profile_params(d)
+    flat = np.linspace(0.0, 200.0, 100001)
+    cases = []
+    for s in (*ac.CRITERION_8_WINDOWS[d], *_asymptotic_s(d)):
+        cases += [(ac._kink_gauss_rule(s ** (1.0 / (2 * p.ell)))[0], s), (flat, s)]
+    s_half = 64.0 if d == 3 else 16.0
+    exact = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 1.5, np.nextafter(2.0, 0.0), 2.0,
+                      2.5, 40.0])
+    cases += [(2.0 * exact, s_half), (exact, 1.0), (np.linspace(0.0, 80.0, 4001), 3.7),
+              (np.array([0.0, 1e39, 1e76, 5e77]), 1e160), (7.0, 50.0), (0.0, 50.0),
+              (np.linspace(0.0, 12.0, 24).reshape(4, 6), 50.0), (np.zeros((0, 3)), 50.0),
+              (np.array([]), 50.0)]
+    for y, s in cases:
+        got = pr._ansatz(p, y, s)
+        _same_bits(got, _numpy_ansatz(p, y, s))
+        assert np.isfinite(got).all()
+        assert all(type(g) is np.float64 for g in got) == (np.ndim(y) == 0)
+        _same_bits((pr.ansatz_residual(p, y, s), pr.ansatz_time_derivative(p, y, s),
+                    pr.selfsimilar_rhs_of_ansatz(p, y, s)), (got[1], got[0], got[1] + got[0]))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_compiled_and_numpy_ansatz_raise_the_same_errors(d, monkeypatch):
+    # a negative y, a t that is not finite and a nonpositive s raise before
+    # either path runs, with the same message
+    p = pr.make_profile_params(d)
+    cases = [([-1.0, 2.0], 50.0), (-1e-3, 50.0), ([0.0, 1e300], 1.0), ([np.nan], 50.0),
+             ([1.0, np.inf], 50.0), ([1.0], 0.0)]
+
+    def errors():
+        out = []
+        for y, s in cases:
+            with pytest.raises(ValueError) as raised, np.errstate(over="ignore"):
+                pr.ansatz_residual(p, y, s)
+            out.append(str(raised.value))
+        return out
+
+    compiled = errors()
+    monkeypatch.setattr(pr, "_library", lambda: None)
+    assert errors() == compiled
+    assert compiled == ["similarity coordinate must be nonnegative"] * 2 + [
+        "similarity coordinate out of range (t not finite)"] * 3 + [
+        "self-similar time must be positive"]
+
+
+def test_ansatz_without_a_compiler_takes_the_numpy_path(monkeypatch):
+    # `_library` giving None runs `_numpy_ansatz`; with a library it does not
+    p = pr.make_profile_params(4)
+    compiled = pr._library() is not None
+    calls = []
+    numpy_path = pr._numpy_ansatz
+    monkeypatch.setattr(pr, "_numpy_ansatz", lambda *a: calls.append(1) or numpy_path(*a))
+    y = np.linspace(0.0, 20.0, 101)
+    first = pr.ansatz_residual(p, y, 50.0)
+    assert len(calls) == (not compiled)
+    monkeypatch.setattr(pr, "_library", lambda: None)
+    assert pr.ansatz_residual(p, y, 50.0).tobytes() == first.tobytes()
+    assert len(calls) == 1 + (not compiled)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_decimal_ansatz_takes_y_as_the_double_one_does(d):
+    # a negative y raises the double path's error; a scalar gives a scalar
+    # with the bits of the same node in an array, a 2-D y its own shape with
+    # the bits of its flat nodes, and an empty y an empty array
+    p = pr.make_profile_params(d)
+    for y in ([-1.0, 2.0], -0.5):
+        with pytest.raises(ValueError, match="similarity coordinate must be nonnegative"):
+            pr.ansatz_residual_decimal(p, y, 50.0, digits=30)
+        with pytest.raises(ValueError, match="similarity coordinate must be nonnegative"):
+            pr.ansatz_residual(p, y, 50.0)
+    for y in (0.0, 2.0, 7.5):
+        got = pr.ansatz_residual_decimal(p, y, 50.0, digits=30)
+        assert type(got) is np.float64
+        assert got.tobytes() == pr.ansatz_residual_decimal(p, [y], 50.0, digits=30).tobytes()
+    y = np.linspace(0.0, 12.0, 12).reshape(3, 4)
+    got = pr.ansatz_residual_decimal(p, y, 50.0, digits=30)
+    assert got.shape == (3, 4)
+    assert got.tobytes() == pr.ansatz_residual_decimal(p, y.ravel(), 50.0, digits=30).tobytes()
+    assert abs(got - pr.ansatz_residual(p, y, 50.0)).max() < 1e-15
+    assert pr.ansatz_residual_decimal(p, np.zeros((0, 2)), 50.0).shape == (0, 2)
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_decimal_ansatz_on_the_cutoff_support_keeps_its_bits(d, monkeypatch):
     # with the support's end moved to infinity, the decimal loop forms every

@@ -536,7 +536,7 @@ def test_compiled_profile_edge_equals_edges_bit_for_bit():
 def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, monkeypatch):
     # a build into an empty cache loads and leaves one object and no
     # temporary file, with the stepping loop, the factorization, the slice
-    # pass and the step limit's maxima declared; a second load
+    # pass, the step limit's maxima and the ansatz pass declared; a second load
     # reuses it.
     # No compiler, a failing compiler or a cache that cannot be written gives
     # None, not an error
@@ -553,6 +553,9 @@ def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, mon
     assert lib.ks_stretch.argtypes == (
         [ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_double] * 8 + [ctypes.c_void_p] * 2)
     assert lib.ks_factor.argtypes == [ctypes.c_long] + [ctypes.c_void_p] * 5
+    assert lib.ks_ansatz.restype is None
+    assert lib.ks_ansatz.argtypes == ([ctypes.c_long] + [ctypes.c_void_p] * 2
+                                      + [ctypes.c_long] * 2 + [ctypes.c_void_p] * 7)
     assert not hasattr(lib, "ks_cfl_stretch")
     (built,) = (tmp_path / "cache").iterdir()
     assert built.name.startswith("kernel-") and built.suffix == ".so"
@@ -585,11 +588,12 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # a short d=3 run: every compiled pass, the record call, d=4's edge values and
 # Q formed in C and d=3's read from NumPy; a capped CFL drive in the compiled
 # loop, and stretches whose factors swap rows, the Neumann boundary row among
-# them
+# them; the ansatz's error at d=3 and d=4 on a grid from y = 0 across xi = 1
+# and xi = 2
 _SANITIZED_RUN = """
 import hashlib
 import numpy as np
-from ksblowup import _loader, shooting, sim
+from ksblowup import _loader, profile, shooting, sim
 
 def outputs():
     h = hashlib.sha256()
@@ -619,6 +623,10 @@ def outputs():
                 sim.RadialState(frame, t0, np.interp(grid.nodes, np.linspace(0.0, 10.0, 65), v0),
                                 grid, 4), target, dt=dt, cfl=0.2, cap=cap, most=3 if dt else np.inf)
             h.update(state.values.tobytes() + repr((stepper.step_record(), error)).encode())
+    for d in (3, 4):
+        p = profile.make_profile_params(d)
+        for out in profile._ansatz(p, np.linspace(0.0, 3.0 * 50.0 ** (0.5 / p.ell), 61), 50.0):
+            h.update(out.tobytes())
     return h.hexdigest()
 """
 
