@@ -6,16 +6,14 @@
  * (ksblowup.sim.Stepper), a factor table (sim.FactorTable) and a diagnostics
  * context (ksblowup.diagnostics.DiagnosticsContext._slice_arrays).
  *
- * ks_stretch is the one stepping loop.  It takes Stepper._stretch's record
- * interval (k - 1 steps at dt and a last one at its own dt, their times or
- * boundary values given), a Neumann stepper's CFL steps for Stepper.advance
- * (each dt from ks_cfl's maxima), and ksblowup.sim.run's record interval at
- * d = 4, whose step times it forms itself: t += dt while t < target - tol
- * and dt < (target - t) - tol, then the landing step target - t.  On the
- * field that interval lands on it takes ks_cfl's maxima and ks_slice's
- * measurements, so a record interval and its record are one call.  Each step
- * (`step`) repeats Stepper._advance operation for operation, in one pass
- * over the nodes and one back:
+ * ks_stretch is the one stepping loop, and Stepper._loop its one caller.  It
+ * always forms its step times itself, by sim._stretch_times' rule: t += dt
+ * while t < target - tol and dt < (target - t) - tol, then the landing step
+ * target - t; with a cfl each dt comes from ks_cfl's maxima instead.  On the
+ * field a d = 4 record interval lands on it can take ks_cfl's maxima and
+ * ks_slice's measurements too, so a record interval and its record are one
+ * call.  Each step (`step`) repeats Stepper._advance operation for operation,
+ * in one pass over the nodes and one back:
  *   - LAPACK dgtts2's forward sweep for one right-hand side over the dgttrf
  *     factors (dl, df, du, du2, ipiv), as dgttrs solves, which forms each
  *     entry b[i+1] of b = (E v + (D v) v) dt + v just before it eliminates it
@@ -28,8 +26,8 @@
  *   - b[n-1], the boundary value: at d = 4 with the profile boundary, Q at
  *     the edge xi = y_max pow(t, -0.25) of the step's end time t, as
  *     Stepper._edges forms it (Python's ** is libm's pow, and t = c xi^4 is
- *     taken by products in profile and here); zero for Neumann; else the
- *     value Stepper._edges gave;
+ *     taken by products in profile and here); zero for Neumann; at d = 3
+ *     the value Stepper._edges gave;
  *   - dgtts2's back sweep, with the finiteness test folded in.
  * The matrix I - (dt/2) Lap - dt D_lin of each dt is formed as
  * Stepper._factored forms it and factored by ks_factor, a port of LAPACK
@@ -589,22 +587,20 @@ static int factors(const uintptr_t *g, uintptr_t *table, double dt, struct lu *l
     return 1;
 }
 
-/* At most `most` steps of v from t toward target, each of dt but the k-th,
- * which is of `last` (k = 0: none is); with cfl > 0 each of Stepper.cfl_dt's
- * dt at cfl from ks_cfl's maxima instead, at most rate (t_star - t) (a NaN
- * rate caps nothing) and positive; any step that would end within tol of
- * target, or past it, lands on it (_stretch_times' rule), and t sums them as
- * t += dt.  With the profile constant c > 0 (d = 4) each step's boundary value
- * is Q at the edge of its end time, which bval gives where the caller formed
- * the times (bval[0] the start, target infinite), else t; without it bval
- * holds the k boundary values (NULL: zeros).  Into G_OUT the time reached,
- * the smallest and largest dt and the matrices factored; where ctx is given
- * and the loop reached target, ks_cfl's maxima and ks_slice's flags and
- * seconds of the field it landed on too.  Returns the steps taken; v holds the
- * last finite field. */
-long ks_stretch(const uintptr_t *g, uintptr_t *table, const uintptr_t *ctx, long k, double most,
-                double dt, double last, double cfl, double rate, double t_star, double t,
-                double target, const double *bval, double *v)
+/* At most `most` steps of v from t toward target, each of dt, or with cfl > 0
+ * of Stepper.cfl_dt's dt at cfl from ks_cfl's maxima, at most rate (t_star -
+ * t) (a NaN rate caps nothing) and positive; any step that would end within
+ * tol of target, or past it, lands on it (_stretch_times' rule), and t sums
+ * them as t += dt.  The s-th step's boundary value is bval[s] where bval is
+ * given (d = 3's profile values, at least `most` of them); else, with the
+ * profile constant c > 0 (d = 4), Q at the edge of its end time, or zero
+ * (Neumann).  Into G_OUT the time reached, the smallest and largest dt
+ * and the matrices factored; where ctx is given and the loop reached target,
+ * ks_cfl's maxima and ks_slice's flags and seconds of the field it landed on
+ * too.  Returns the steps taken; v holds the last finite field. */
+long ks_stretch(const uintptr_t *g, uintptr_t *table, const uintptr_t *ctx, double most,
+                double dt, double cfl, double rate, double t_star, double t, double target,
+                const double *bval, double *v)
 {
     long n = (long)g[G_N], s;
     const double *y = ARR(g, G_Y), *h = ARR(g, G_H), *dy = ARR(g, G_DY), *w = ARR(g, G_W),
@@ -614,7 +610,7 @@ long ks_stretch(const uintptr_t *g, uintptr_t *table, const uintptr_t *ctx, long
     struct lu lu = {0.0, NULL, NULL};
     out[3] = 0.0;
     for (s = 0; s < most && t < target - tol; s++) {
-        double step_dt = s == k - 1 ? last : dt, edge = 0.0;
+        double step_dt = dt, edge = 0.0;
         if (cfl > 0.0) {
             double m[2], cap = rate * (t_star - t);
             maxima(g, x, m);
@@ -628,12 +624,10 @@ long ks_stretch(const uintptr_t *g, uintptr_t *table, const uintptr_t *ctx, long
         }
         if (!(step_dt < (target - t) - tol))
             step_dt = target - t;
-        if (c > 0.0) {
-            if (!profile_q(y[n - 1] * pow(bval ? bval[s + 1] : t + step_dt, -0.25), c, &edge))
-                break;
-        } else if (bval) {
+        if (bval)
             edge = bval[s];
-        }
+        else if (c > 0.0 && !profile_q(y[n - 1] * pow(t + step_dt, -0.25), c, &edge))
+            break;
         if (!factors(g, table, step_dt, &lu) ||
             !step(n, d, step_dt, edge, lu.f, lu.p, y, h, dy, w, x, z))
             break;

@@ -56,8 +56,7 @@ def _build(cache: Path):
         return None
     lib.ks_stretch.restype = lib.ks_factor.restype = lib.ks_slice.restype = ctypes.c_long
     lib.ks_cfl.restype = lib.ks_ansatz.restype = None
-    lib.ks_stretch.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_double] * 8
-                               + [ctypes.c_void_p] * 2)
+    lib.ks_stretch.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 2
     lib.ks_factor.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
     lib.ks_slice.argtypes = [ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
     lib.ks_cfl.argtypes = [ctypes.c_void_p] * 2

@@ -306,12 +306,12 @@ def _kink_gauss_rule(a: float):
 def ansatz_error_projections(d: int, svals, digits=None):
     """Normalized rho-projections of the analytic ansatz error at each s.
 
-    The error is smooth on [0, 80] except at the unit cutoff's C^2 kinks,
-    y = a and 2a with a = s^(1/(2l)), so each s gets its own composite
-    Gauss-Legendre rule: 128 nodes on each of [0, a], [a, 2a] and [2a, 80]
-    (clipped to [0, 80]), so 384 nodes, or 256 once 2a > 80.  The mode
-    samples and the exact norms `diagnostics.rho_norm_sq_true` do the
-    projection.
+    The error is smooth on [0, 80] except at the ansatz cutoff's C^2 kinks,
+    y = a and 2a with a = K s^(1/(2l)), K = `profile.UNIT_CUTOFF.K`, so each
+    s gets its own composite Gauss-Legendre rule: 128 nodes on each of
+    [0, a], [a, 2a] and [2a, 80] (clipped to [0, 80]), so 384 nodes, or 256
+    once 2a > 80.  The mode samples and the exact norms
+    `diagnostics.rho_norm_sq_true` do the projection.
 
     With `digits` the error is evaluated in decimal arithmetic at that many
     significant digits (`profile.ansatz_residual_decimal`) before projecting.
@@ -323,7 +323,7 @@ def ansatz_error_projections(d: int, svals, digits=None):
     norm_sq = np.array([dg.rho_norm_sq_true(d, k) for k in range(2 * ell)])
     out = np.empty((len(svals), 2 * ell))
     for i, s in enumerate(svals):
-        y, w = _kink_gauss_rule(float(s) ** (1.0 / (2 * ell)))
+        y, w = _kink_gauss_rule(pr.UNIT_CUTOFF.K * float(s) ** (1.0 / (2 * ell)))
         if digits is None:
             err = pr.ansatz_residual(p, y, s)
         else:

@@ -31,34 +31,35 @@ that failed.  `rhs` is built from the same stack, so the step and the
 semi-discrete operator stay one operator; both match the per-node select of
 the textbook stencils to rounding, not bit for bit.
 
-Every caller steps through one call, `Stepper.advance`: `run`, criteria 7 and
-11 (`acceptance`) and the tests alike.  It checks the state and step size once,
-lands on a record or end time, keeps the step record, and takes each stretch
-(a record interval's steps of one dt and the step landing on the record, or
-one CFL step) through `Stepper._stretch`, which runs them in one compiled loop,
-the C source _kernel.c next to this module; the same loop takes a Neumann
-stepper's CFL steps, setting each dt.  It factors each dt and repeats
-`_advance` operation for operation, bit for bit.  It is built once per source
-and compiler flags into a cache outside the package and loaded with ctypes
-(`_loader`, which `diagnostics` shares); without it every step goes through
-`_advance`, which imports scipy's LAPACK.  It reads the boundary values of
-`Stepper._edges` (Q at the edge), which it forms itself at d=4 and for
-Neumann (zeros).  `Stepper.cfl_dt` has a compiled pass too.
+Every caller steps through one call, `Stepper.advance`: `run` (one call per
+record interval, through `Stepper._interval`), criteria 7 and 11
+(`acceptance`) and the tests alike.  It checks the state and step size once,
+lands on a record or end time and keeps the step record.  The steps run in
+one compiled loop, the C source _kernel.c next to this module, which only
+`Stepper._loop` calls: it forms the step times itself, by `_stretch_times`'
+rule, takes steps of a fixed dt or sets each CFL dt, factors each dt and
+repeats `_advance` operation for operation, bit for bit.  It forms the
+boundary values (`Stepper._edges`, Q at the edge) itself at d=4 and for
+Neumann (zeros), and reads d=3's from NumPy.  It is built once per source and
+compiler flags into a cache outside the package and loaded with ctypes
+(`_loader`, which `diagnostics` and `profile` share); without it every step
+goes through `_advance`, which imports scipy's LAPACK.  `Stepper.cfl_dt` has
+a compiled pass too.
 
-A d=4 run that keeps slices takes each record interval in one compiled call
-(`Stepper._interval`): the loop forms the step times itself, by
-`_stretch_times`' rule, and then measures the field it lands on, the next
-record's dt and its slice's measurements, which `run` builds into the record
-with `diagnostics.decompose`.  A stop short of the record, or a slice
-the compiled pass flags, goes back to `advance` or to `decompose`'s NumPy
-path, so errors, verdicts and warnings are theirs.  A search shares the
-factors of its step sizes among its probes through one `FactorTable`.
+A d=4 run that keeps slices measures each record in the call of the loop that
+lands on it: the next record's dt and its slice's measurements, which `run`
+builds into the record with `diagnostics.decompose`.  A stop short of the
+record, or a slice the compiled pass flags, goes back to `advance` or to
+`decompose`'s NumPy path, so errors, verdicts and warnings are theirs.  A
+search shares the factors of its step sizes among its probes through one
+`FactorTable`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -353,6 +354,13 @@ class FactorTable:
         self.address = self._entries.ctypes.data
 
 
+# What one call of the compiled loop (`Stepper._loop`) reports: the steps it
+# took, then its output row (_kernel.c's G_OUT): the time reached, the dt range
+# and the matrices factored, and at a measured landing `cfl_dt`'s two maxima
+# and the slice pass's flags and seconds.
+_Reached = namedtuple("_Reached", "steps t dt_min dt_max factored amax react flags slice_s")
+
+
 def _most(compiled: int, total: int) -> str:
     """The kernel that took most of `total` operations, `compiled` of them
     in a compiled pass: "compiled" or "numpy"."""
@@ -374,18 +382,17 @@ class Stepper:
     `advance` is the one way to step: it checks its state and step size once,
     steps toward a target time and keeps the step record (`step_record`):
     steps, dt range, the kernel most steps took and the matrices factored.
-    Its helper `_stretch` takes a record interval's steps, landing step
-    included, in one call of the compiled loop (which also takes a Neumann
-    stepper's CFL steps, setting each dt).  The loop factors each dt's matrix
-    itself, into a slot of the `FactorTable` a search shares where one is
-    given, forms or reads the boundary values (`_edges`) and steps bit for
-    bit as the raw-array kernel `_advance` does from the same boundary
-    values: one gather and the stack give b, with D v upwinded at the nodes
-    that need it (`_explicit`), and finiteness is checked once, on the
-    solution; when that fails `_advance` raises StateCorruptionError naming
-    the first non-finite stage: the field, the explicit terms, or the solver.
-    `run`'s d=4 record intervals take `_interval`, one call of the same loop
-    that forms its own step times and measures the field it lands on.
+    `_loop` is the one call of the compiled loop, which forms its own step
+    times, factors each dt's matrix itself, into a slot of the `FactorTable`
+    a search shares where one is given, forms or reads the boundary values
+    (`_edges`) and steps bit for bit as the raw-array kernel `_advance` does
+    from the same boundary values: one gather and the stack give b, with D v
+    upwinded at the nodes that need it (`_explicit`), and finiteness is
+    checked once, on the solution; when that fails `_advance` raises
+    StateCorruptionError naming the first non-finite stage: the field, the
+    explicit terms, or the solver.  `run` steps each record interval through
+    `_interval`, whose call of the loop at a d=4 record measures the field
+    it lands on too.
     """
 
     def __init__(self, grid: Grid, d: int, frame: str, boundary: str,
@@ -452,7 +459,7 @@ class Stepper:
 
     def step_record(self) -> dict:
         """The steps `advance` took, their smallest and largest dt, the
-        kernel that took most of them, "compiled" (the loop of `_stretch`) or
+        kernel that took most of them, "compiled" (the loop, `_loop`) or
         "numpy" (`_advance`), and the matrices the stepper factored itself (a
         factor table's hits are not counted); the dt range and kernel None
         without steps."""
@@ -463,7 +470,8 @@ class Stepper:
                 "kernel": _most(self.compiled_steps, self.steps), "factored": self.factored}
 
     def _count(self, done: int, lo: float, hi: float):
-        """Add `done` steps of dt in [lo, hi] to the step record."""
+        """Add `done` steps of dt in [lo, hi] to the step record (none: no
+        change, for lo = inf and hi = 0)."""
         self.steps += done
         self.dt_min, self.dt_max = min(self.dt_min, lo), max(self.dt_max, hi)
 
@@ -505,38 +513,27 @@ class Stepper:
             raise StateCorruptionError(f"solver produced non-finite values at t={time}")
         return v_new
 
-    def _stretch(self, v, times, dt: float, last: float):
-        """Steps from v at times[0] through times[1:], summed as t += dt sums
-        them, each of dt but the last, which is of `last`: (the field after
-        the last finite step, the count of finite steps, the error of the next
-        step or None).  The boundary values of all steps come from one
-        `_edges` call, which the compiled loop (`_library`) does without at
-        d=4 (it forms them from the times) and for Neumann (zeros).  The loop
-        takes the steps in one call as `_advance` would, bit for bit; where it
-        stops, at a non-finite step or before one whose matrix overflows or is
-        singular or whose boundary value `_edges` raises on, `_advance` takes
-        that step again, to raise the error, as it takes every step where
-        there is no compiled loop."""
-        k, done = len(times) - 1, 0
-        lib = _library()
-        at_d4 = self.boundary == "profile" and self.params.ell == 2
-        own = lib is not None and (at_d4 or self.boundary == "neumann")
-        edges = None if own else self._edges(times[1:])
-        if lib is not None and k:
-            v = np.array(v, float)
-            bval = _address(times) if at_d4 else (None if edges is None else _address(edges))
-            done = lib.ks_stretch(self._at, self._table, None, k, k, dt, last, 0.0, math.nan, 0.0,
-                                  times[0], math.inf, bval, _address(v))
-            self.compiled_steps += done
-            self.factored += int(self._arrays[-1][3])
-        if done < k and edges is None:
-            edges = self._edges(times[1:])
-        for j in range(done, k):
-            try:
-                v = self._advance(v, float(times[j]), dt if j < k - 1 else last, edges[j])
-            except StateCorruptionError as exc:
-                return v, j, exc
-        return v, k, None
+    def _loop(self, v, t: float, target: float, *, dt: float = 0.0, cfl: float = 0.0,
+              cap=(math.nan, 0.0), most: float = math.inf, edges=None, ctx=None):
+        """Steps of v from t toward target, landing on it (`_stretch_times`'
+        rule), at most `most` of them, in the one call of the compiled loop
+        (`ks_stretch`): each of dt, or with a cfl of `cfl_dt`'s dt of its own
+        field, at most rate (t_star - t) for cap (rate, t_star).  `edges`
+        holds d=3's profile boundary values (`_edges`), one per step, so the
+        call takes at most that many; the loop forms the others.  With ctx (a
+        d=4 context on this grid) it measures the field it lands on too.
+        Counts the steps and matrices factored; returns (the field after the
+        last finite step, `_Reached`)."""
+        v, bval = np.array(v, float), None
+        if edges is not None:
+            most, bval = min(most, len(edges)), _address(edges)
+        steps = _library().ks_stretch(self._at, self._table, ctx and ctx._slice_arrays[2], most,
+                                      dt, cfl, *cap, t, target, bval, _address(v))
+        out = _Reached(steps, *self._arrays[-1].tolist())
+        self.compiled_steps += steps
+        self.factored += int(out.factored)
+        self._count(steps, out.dt_min, out.dt_max)
+        return v, out
 
     def advance(self, state: RadialState, target: float, *, dt: float | None = None,
                 cfl: float | None = None, cap: tuple | None = None, most: float = math.inf):
@@ -544,12 +541,16 @@ class Stepper:
         (`_stretch_times`), at most `most` of them: (the state after the last
         finite step, the StateCorruptionError of a non-finite step or None).
 
-        A fixed dt steps in stretches of up to _MAX_STRETCH steps; without one,
-        each step takes `cfl_dt` of its own field at `cfl`, at most
-        rate (t_star - t) for a cap (rate, t_star): a Neumann stepper's in one
-        compiled loop up to a step it cannot take, else one stretch each.  All
-        go under one np.errstate and into the step record (`step_record`).
-        The state's frame, grid and d and the step size are checked once."""
+        Each step is of the fixed dt or, without one, of `cfl_dt`'s dt of its
+        own field at `cfl`, at most rate (t_star - t) for a cap (rate, t_star).
+        Where the compiled loop forms the boundary values itself (d=4's
+        profile boundary, Neumann) it takes all the steps in one call
+        (`_loop`); else NumPy forms each stretch, a fixed dt's up to
+        _MAX_STRETCH steps or one CFL step, and its boundary values (`_edges`),
+        which the loop reads at d=3.  `_advance` takes every step without the
+        loop, and the step the loop stops at, to raise its error.  All go under
+        one np.errstate and into the step record (`step_record`).  The state's
+        frame, grid and d and the step size are checked once."""
         if dt is None and cfl is None:
             raise ConfigError("advance needs a dt or a cfl")
         if dt is not None and not dt > 0:
@@ -562,56 +563,56 @@ class Stepper:
             raise ConfigError("the state's grid differs from the stepper's")
         if state.d != self.d:
             raise ConfigError(f"a d={self.d} stepper got a d={state.d} state")
-        v, t, error, lib = state.values, state.time, None, _library()
+        v, t, error, compiled = state.values, state.time, None, _library() is not None
         rate, t_star = cap or (math.nan, 0.0)      # a NaN rate caps nothing
+        fed = compiled and self.boundary == "profile" and self.params.ell == 3
         with np.errstate(over="ignore", invalid="ignore"):
+            if compiled and not fed:
+                # one call, which ends at target, at `most`, or short of a step
+                # it cannot take, which the NumPy path takes next, raising its error
+                v, out = self._loop(v, t, target, dt=dt or 0.0, cfl=0.0 if dt else cfl,
+                                    cap=(rate, t_star), most=most)
+                t, most = out.t, most - out.steps
             while most > 0 and t < target - _TIME_TOL:
-                done = 0
-                if dt is None and lib is not None and self.boundary == "neumann":
-                    v = np.array(v, float)
-                    done = lib.ks_stretch(self._at, self._table, None, 0, most, 0.0, 0.0, cfl, rate,
-                                          t_star, t, target, None, _address(v))
-                    self.compiled_steps += done
-                    # the time reached, the dt range and the matrices factored
-                    t, lo, hi, factored = self._arrays[-1].tolist()[:4]
-                    self.factored += int(factored)
-                if not done:        # a fixed-dt stretch, or one CFL step
-                    h = dt or min(self.cfl_dt(RadialState(self.frame, t, v, self.grid, self.d), cfl),
-                                  rate * (t_star - t))
-                    h, last, times = _stretch_times(t, h, target, min(most, _MAX_STRETCH) if dt else 1)
-                    v, done, error = self._stretch(v, times, h, last)
-                    t = float(times[done])
-                    last = last if done == len(times) - 1 else h     # the last step taken
-                    lo, hi = min(h, last), max(h, last)
-                if done:
-                    most -= done
-                    self._count(done, lo, hi)
+                # a fixed-dt stretch, or one CFL step; the loop reads d=3's edges
+                h = dt or min(self.cfl_dt(RadialState(self.frame, t, v, self.grid, self.d), cfl),
+                              rate * (t_star - t))
+                h, last, times = _stretch_times(t, h, target, min(most, _MAX_STRETCH) if dt else 1)
+                edges, done = self._edges(times[1:]), 0
+                if fed:
+                    v, out = self._loop(v, t, target, dt=h, edges=edges)
+                    done = out.steps
+                for j in range(done, len(edges)):
+                    step = h if j < len(edges) - 1 else last
+                    try:
+                        v = self._advance(v, float(times[j]), step, edges[j])
+                    except StateCorruptionError as exc:
+                        error = exc
+                        break
+                    done += 1
+                    self._count(1, step, step)
+                t, most = float(times[done]), most - done
                 if error is not None:
                     break
         return RadialState(self.frame, t, v, self.grid, self.d), error
 
-    def _interval(self, state: RadialState, target: float, dt: float, cfl: float,
+    def _interval(self, state: RadialState, target: float, dt: float | None, cfl: float,
                   ctx: dg.DiagnosticsContext | None):
-        """`advance(state, target, dt=dt)` for `run` in one call of the
-        compiled loop (a d=4 profile or a Neumann stepper), which forms the
-        step times by `_stretch_times`' rule and, with ctx (a d=4 context on
-        this grid), measures the field it lands on: (the state, None, and
-        with ctx the landing's (`cfl_dt` at cfl, `dg.decompose`'s
-        measurements or None where the slice pass flags the field, that
-        pass's seconds)).  Where the loop stops short, `advance` takes the
-        interval again from `state`: (its state, its error, None)."""
-        v = np.array(state.values, float)
-        done = _library().ks_stretch(self._at, self._table, ctx and ctx._slice_arrays[2], 0,
-                                     math.inf, dt, dt, 0.0, math.nan, 0.0, state.time, target,
-                                     None, _address(v))
-        t, lo, hi, factored, amax, react, flags, slice_s = self._arrays[-1].tolist()
-        self.factored += int(factored)
-        if t < target - _TIME_TOL:
-            return (*self.advance(state, target, dt=dt), None)
-        self.compiled_steps += done
-        self._count(done, lo, hi)
-        landing = ctx and (_cfl_limit(amax, react, cfl), None if flags else dg._taken(ctx), slice_s)
-        return RadialState(self.frame, t, v, self.grid, self.d), None, landing
+        """`advance(state, target, dt=dt, cfl=cfl)` for `run`, one call per
+        record interval: (the state, the error or None, the landing or None).
+        With ctx (a d=4 context on this grid) and the compiled loop, the
+        interval is one call of the loop (`_loop`) that also measures the
+        field it lands on; the landing is then (`cfl_dt` at cfl,
+        `dg.decompose`'s measurements or None where the slice pass flags the
+        field, that pass's seconds).  Where that call stops short, `advance`
+        takes the rest of the interval, and there is no landing."""
+        if ctx is not None and _library() is not None:
+            v, out = self._loop(state.values, state.time, target, dt=dt, ctx=ctx)
+            state = RadialState(self.frame, out.t, v, self.grid, self.d)
+            if not out.t < target - _TIME_TOL:
+                return state, None, (_cfl_limit(out.amax, out.react, cfl),
+                                     None if out.flags else dg._taken(ctx), out.slice_s)
+        return (*self.advance(state, target, dt=dt, cfl=cfl), None)
 
     def _check_inputs(self, v, time: float, b):
         """Raise the error of the first non-finite stage before the solve:
@@ -691,6 +692,8 @@ class SimConfig:
             self.boundary = "profile" if self.frame == "selfsimilar" else "neumann"
         if self.dvec and len(self.dvec) != ell:
             raise ConfigError(f"dvec needs {ell} components for d={self.d}")
+        if self.dvec and not (isinstance(self.init, str) and self.init == "ansatz"):
+            raise ConfigError("dvec perturbs only the ansatz initial data")
         if not all(abs(float(x)) <= 1.0 for x in self.dvec):      # NaN included
             raise ConfigError("perturbation coefficients must lie in [-1, 1]")
 
@@ -729,12 +732,12 @@ def make_initial_data(config: SimConfig, grid: Grid | None = None) -> RadialStat
     if config.frame != "selfsimilar":
         raise ConfigError("ansatz initial data lives in the self-similar frame")
     s0 = config.s0
-    # both the ansatz's unit cutoff and the bump's cutoff must fit on the grid
-    support = 2.0 * max(1.0, config.bump_K) * s0 ** (1.0 / (2 * ell))
+    # both the ansatz's cutoff and the bump's cutoff must fit on the grid
+    support = 2.0 * max(pr.UNIT_CUTOFF.K, config.bump_K) * s0 ** (1.0 / (2 * ell))
     if y[-1] < support:
         raise ConfigError(
             f"the grid ends at y={y[-1]:.3g}, short of the cutoff support "
-            f"2*max(1, bump_K)*s0^(1/(2 ell)) = {support:.3g}"
+            f"2*max(K, bump_K)*s0^(1/(2 ell)) = {support:.3g}"
         )
     v = pr.psi(pr.make_profile_params(d), y, s0)
     if config.dvec:
@@ -801,12 +804,11 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None,
     Without a fixed `dt`, a self-similar run takes `Stepper.cfl_dt` of the
     state at each record until the next one, and a physical run at each step.
 
-    Between records `Stepper.advance` steps to the next record or the end,
-    landing on it.  A d=4 run that keeps slices takes each record interval
-    in one compiled call, `Stepper._interval`, which also measures the next
-    record: its dt and the measurements its slice is built from
-    (`dg.decompose`'s `taken`).  A search hands every probe's run its
-    `FactorTable` (`factors`); a lone run needs none.
+    Between records one `Stepper._interval` call steps to the next record or
+    the end, landing on it.  A d=4 run that keeps slices measures the record
+    in that call's one call of the compiled loop: its dt and the measurements
+    its slice is built from (`dg.decompose`'s `taken`).  A search hands every
+    probe's run its `FactorTable` (`factors`); a lone run needs none.
     """
     grid = config.build_grid()
     state = make_initial_data(config, grid)
@@ -815,13 +817,12 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None,
 
     selfsim = config.frame == "selfsimilar"
     track = selfsim and config.track_bounds
-    fused = False
     if track:
         if ctx is None:
             ctx = dg.DiagnosticsContext(d=config.d, y=grid.nodes, K=config.K)
         compiled0 = ctx.compiled_slices     # it may have measured other runs' slices
-        fused = (ell == ctx.ell == 2 and ctx.y.shape == grid.nodes.shape
-                 and _library() is not None)
+    # a d=4 context on this grid, which the record calls measure with
+    measured = ctx if track and ell == ctx.ell == 2 and ctx.y.shape == grid.nodes.shape else None
     landing = None              # the last record call's (dt, measurements, seconds)
 
     records = []
@@ -873,11 +874,8 @@ def run(config: SimConfig, ctx: dg.DiagnosticsContext | None = None,
             break
         # a physical run without a fixed dt takes its own at every step
         target = min(end_time, next_record)
-        if fused:
-            state, error, landing = stepper._interval(
-                state, target, dt_set, config.cfl, ctx if target >= next_record - _TIME_TOL else None)
-        else:
-            state, error = stepper.advance(state, target, dt=dt_set, cfl=config.cfl)
+        state, error, landing = stepper._interval(
+            state, target, dt_set, config.cfl, measured if target >= next_record - _TIME_TOL else None)
         if error is not None:
             message = str(error)
             verdict = "blowup" if np.max(np.abs(state.values)) > blowup_limit else "unstable"

@@ -83,6 +83,20 @@ def test_config_validation():
     assert cfg.boundary == "profile"
 
 
+@pytest.mark.parametrize("init", ["array", "steady", "zero"])
+def test_a_dvec_that_initial_data_would_drop_is_refused(init):
+    # only the ansatz initial data takes the unstable-mode bump, so a dvec
+    # with an array, "steady" or "zero" is refused, not dropped: a search
+    # from such a config would run identical probes
+    cfg = sim.SimConfig(d=4, n=64, s0=50.0, horizon=1.0)
+    start = sim.make_initial_data(cfg).values if init == "array" else init
+    assert sim.SimConfig(d=4, n=64, s0=50.0, horizon=1.0, init=start).dvec == ()
+    with pytest.raises(sim.ConfigError, match="dvec perturbs only the ansatz initial data"):
+        sim.SimConfig(d=4, n=64, s0=50.0, horizon=1.0, init=start, dvec=(0.5, 0.5))
+    with pytest.raises(sim.ConfigError, match="dvec perturbs only"):
+        replace(cfg, init=start, dvec=(0.5, 0.0))
+    assert sim.SimConfig(d=4, n=64, s0=50.0, horizon=1.0, dvec=(0.5, 0.5)).init == "ansatz"
+
 
 # ---------------------------------------------------------------------------
 # right-hand side
@@ -428,9 +442,10 @@ def _edge(stepper, t):
 
 
 def _advance_loop(stepper, v, times, dt, last):
-    """`Stepper._stretch` written over `_advance`, one boundary value per
-    step: the field after the last finite step, the number of finite steps
-    and the next step's error."""
+    """A stretch of `_stretch_times` (steps from times[0] through times[1:],
+    each of dt but the last, which is of `last`) written over `_advance`, one
+    boundary value per step: the field after the last finite step, the number
+    of finite steps and the next step's error."""
     k = len(times) - 1
     for j in range(k):
         try:
@@ -452,13 +467,15 @@ def _advance_loop(stepper, v, times, dt, last):
         (sim.Grid.geometric(16, 5.0, 1.3), "selfsimilar", "neumann", {"interior", "boundary"}),
     ])])
 def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary, swaps):
-    # the compiled loop gives the bytes of k `_advance` calls: all-centered
-    # fields, mixed upwind fields of both signs, tiny fields with signed
-    # zeros; a NaN or an overflowing field stops both at the same step, at
-    # the same state, with `_advance`'s error.  The last step of a stretch
-    # may land at its own dt: a few ulps off dt, or much smaller.  The
-    # self-similar factors swap rows (pivots of dgttrf) at dt = 0.05 on the
-    # 1025 nodes and at dt = 200, the last grid's also at the Neumann
+    # the compiled loop (`Stepper._loop`) gives the bytes of `_advance` calls
+    # over the steps of `_stretch_times`: all-centered fields, mixed upwind
+    # fields of both signs, tiny fields with signed zeros; a NaN or an
+    # overflowing field stops both at the same step, at the same state, and
+    # `advance` raises `_advance`'s error there.  The last step of a stretch
+    # may land at its own dt: a few ulps off dt, or much smaller.  Each case
+    # (k steps, dt, last) is the stretch from t0 to the target its steps sum
+    # to.  The self-similar factors swap rows (pivots of dgttrf) at dt = 0.05
+    # on the 1025 nodes and at dt = 200, the last grid's also at the Neumann
     # boundary row, so the forward sweep's swap branch runs, with the
     # boundary value as the swapped-in entry there
     rng = np.random.default_rng(5)
@@ -477,32 +494,83 @@ def test_stretch_equals_advance_bit_for_bit(grid, frame, boundary, swaps):
                                 (1, 1e-3, 2.5e-4), (7, 1e-3, 1e-3 + 4e-19),
                                 (7, 1e-3, 1e-3 - 3e-19), (3, 200.0, 200.0),
                                 (40, 0.05, 3e-6)):
-                times = np.cumsum(np.r_[t0, np.full(k - 1, dt), last])
+                target = float(np.cumsum(np.r_[t0, np.full(k - 1, dt), last])[-1])
+                h, last, times = sim._stretch_times(t0, dt, target, sim._MAX_STRETCH)
+                assert len(times) == k + 1
                 with np.errstate(over="ignore", invalid="ignore"):
-                    want, finite, want_error = _advance_loop(stepper, v, times, dt, last)
-                    compiled = stepper.compiled_steps
-                    got, done, error = stepper._stretch(v, times, dt, last)
-                assert stepper.compiled_steps == compiled + done
-                assert done == finite and got.tobytes() == want.tobytes()
-                assert (error is None) == (done == k) == (want_error is None)
+                    want, finite, want_error = _advance_loop(stepper, v, times, h, last)
+                compiled = stepper.compiled_steps
+                fed = stepper._edges(times[1:]) if boundary == "profile" and d == 3 else None
+                got, out = stepper._loop(v, t0, target, dt=dt, most=k, edges=fed)
+                assert stepper.compiled_steps == compiled + out.steps
+                assert out.steps == finite and got.tobytes() == want.tobytes()
+                assert out.t == times[finite]
+                state, error = stepper.advance(sim.RadialState(frame, t0, v, grid, d), target, dt=dt)
+                assert state.values.tobytes() == want.tobytes() and state.time == times[finite]
+                assert (error is None) == (finite == k) == (want_error is None)
                 assert str(error) == str(want_error)
-                for h in (dt, last):
+                for h in (h, last):
                     rows = np.flatnonzero(stepper._factored(h)[-1] != np.arange(1, n + 1))
                     swapped |= {"boundary" if i == n - 2 else "interior" for i in rows}
         # the field of 3s overflows within 40 steps
-        assert done < 40
+        assert out.steps < 40
     assert swapped == swaps
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
+def test_compiled_loop_lands_as_stretch_times_lands():
+    # the compiled loop forms its step times itself, and d=3's boundary
+    # values are formed in NumPy from `_stretch_times`' times: over 2000
+    # random (t, dt, target, most) the loop reaches the time, the step count
+    # and the dt range of `_stretch_times` taken as `advance` takes it, bit
+    # for bit.  The cases include late starts, where t += dt drifts from
+    # t + k dt by more than the tolerance, targets within a few tolerances
+    # of a step, and a `most` that stops short of the landing step
+    stepper = sim.Stepper(sim.Grid.uniform(15, 10.0), 4, "physical", "neumann")
+    tol = sim._TIME_TOL
+
+    def reference(t, dt, target, most):
+        steps, lo, hi = 0, math.inf, 0.0
+        while steps < most and t < target - tol:
+            h, last, times = sim._stretch_times(t, dt, target, min(most - steps, sim._MAX_STRETCH))
+            steps, t = steps + len(times) - 1, float(times[-1])
+            lo, hi = min(lo, h, last), max(hi, h, last)
+        return t, steps, lo, hi
+
+    rng = np.random.default_rng(7)
+    seen = {"drift": 0, "near": 0, "cut": 0, "landed": 0}
+    for _ in range(2000):
+        t = float(rng.choice([0.0, 50.0, 1.0 - 1e-4, 1e3, 1e4]) + rng.uniform(0.0, 10.0))
+        dt = float(10.0 ** rng.uniform(-6.0, -1.0))
+        k = int(rng.integers(0, 200))
+        near = rng.random() < 0.5
+        # a target a few tolerances off t + k dt, or anywhere in the last step
+        gap = float(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])) * tol if near else rng.uniform(0.0, dt)
+        target = t + k * dt + gap
+        if not t < target - tol:
+            continue
+        most = int(rng.choice([1, 7, k, k + 1, sim._MAX_STRETCH])) or 1
+        want = reference(t, dt, target, most)
+        v, out = stepper._loop(np.zeros(16), t, target, dt=dt, most=most)
+        assert (out.t, out.steps, out.dt_min, out.dt_max) == want
+        # steps of dt alone whose sum drifted from t + k dt past the tolerance
+        seen["drift"] += out.dt_min == out.dt_max == dt and abs(t + out.steps * dt - out.t) > tol
+        seen["near"] += near
+        seen["cut"] += out.steps == most and out.t < target - tol
+        seen["landed"] += out.dt_min != out.dt_max
+    assert min(seen.values()) > 50, seen
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
 def test_compiled_profile_edge_equals_edges_bit_for_bit():
     # at d=4 the compiled loop forms each step's boundary value from the
     # step's time; the solution of one step ends in it (the boundary row is
-    # v_N = value), so one-step stretches read it back.  Over 12000 times,
-    # the steps of record intervals with their landing steps and times
-    # spread over twelve decades, it has the bits of `_edges`.  A time whose
-    # t = c xi^4 overflows, or t = 0, stops the loop, and `_edges` raises
-    # as it does without the loop
+    # v_N = value), so one-step calls, each a landing step from 1e-7 before
+    # the time, read it back.  Over 12000 times, the steps of record
+    # intervals with their landing steps and times spread over twelve
+    # decades, it has the bits of `_edges`.  A time whose t = c xi^4
+    # overflows, or t = 0, stops the loop, and `advance` raises as `_edges`
+    # does without the loop
     grid = sim.Grid.uniform(16, 10.0)
     stepper = sim.Stepper(grid, 4, "selfsimilar", "profile")
     times = []
@@ -516,21 +584,24 @@ def test_compiled_profile_edge_equals_edges_bit_for_bit():
     times += (10.0 ** rng.uniform(-3.0, 9.0, 12000 - len(times))).tolist()
     v0 = pr.psi(stepper.params, grid.nodes, 50.0)
     got = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in times:
-            v, done, error = stepper._stretch(v0, np.array([t - 1e-7, t]), 1e-7, 1e-7)
-            assert done == 1 and error is None
-            got.append(v[-1])
+    for t in times:
+        v, out = stepper._loop(v0, t - 1e-7, t, dt=1.0)
+        assert out.steps == 1 and out.t == t
+        got.append(v[-1])
     assert np.array(got).tobytes() == stepper._edges(np.array(times)).tobytes()
     assert stepper.compiled_steps == len(times)
-    for t in (0.0, 1e-310):
+    for t, y_max in ((0.0, 10.0), (1.0, 1e80)):
+        stepper = sim.Stepper(sim.Grid.uniform(16, y_max), 4, "selfsimilar", "profile")
+        start = sim.RadialState("selfsimilar", t - 0.5, np.full(17, 0.1), stepper.grid, 4)
         with pytest.raises((ZeroDivisionError, ValueError)) as numpy_error, \
                 np.errstate(over="ignore"):
             stepper._edges(np.array([t]))
+        v, out = stepper._loop(start.values, start.time, t, dt=1.0)
+        assert out.steps == 0 and v.tobytes() == start.values.tobytes()
         with pytest.raises(numpy_error.type, match=re.escape(str(numpy_error.value))), \
                 np.errstate(over="ignore"):
-            stepper._stretch(v0, np.array([1.0, t]), 1e-7, 1e-7)
-    assert stepper.compiled_steps == len(times)
+            stepper.advance(start, t, dt=1.0)
+        assert stepper.compiled_steps == 0
 
 
 def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, monkeypatch):
@@ -551,7 +622,7 @@ def test_kernel_builds_into_a_cache_and_falls_back_without_raising(tmp_path, mon
     assert lib.ks_cfl.argtypes == [ctypes.c_void_p] * 2
     assert lib.ks_stretch.restype is ctypes.c_long
     assert lib.ks_stretch.argtypes == (
-        [ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_double] * 8 + [ctypes.c_void_p] * 2)
+        [ctypes.c_void_p] * 3 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 2)
     assert lib.ks_factor.argtypes == [ctypes.c_long] + [ctypes.c_void_p] * 5
     assert lib.ks_ansatz.restype is None
     assert lib.ks_ansatz.argtypes == ([ctypes.c_long] + [ctypes.c_void_p] * 2
@@ -588,8 +659,10 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # a short d=3 run: every compiled pass, the record call, d=4's edge values and
 # Q formed in C and d=3's read from NumPy; a capped CFL drive in the compiled
 # loop, and stretches whose factors swap rows, the Neumann boundary row among
-# them; the ansatz's error at d=3 and d=4 on a grid from y = 0 across xi = 1
-# and xi = 2
+# them; a fixed-dt physical run whose one record interval is longer than
+# _MAX_STRETCH steps, and a d=3 profile drive at a fixed dt across it, whose
+# calls of the loop each read all of one NumPy stretch's boundary values; the
+# ansatz's error at d=3 and d=4 on a grid from y = 0 across xi = 1 and xi = 2
 _SANITIZED_RUN = """
 import hashlib
 import numpy as np
@@ -623,6 +696,17 @@ def outputs():
                 sim.RadialState(frame, t0, np.interp(grid.nodes, np.linspace(0.0, 10.0, 65), v0),
                                 grid, 4), target, dt=dt, cfl=0.2, cap=cap, most=3 if dt else np.inf)
             h.update(state.values.tobytes() + repr((stepper.step_record(), error)).encode())
+    long = sim.run(sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=0.0, horizon=0.5,
+                                 cadence=0.5, dt=1e-4, init=np.full(33, 0.1)))
+    assert long.steps == 5000 > sim._MAX_STRETCH and len(long.times) == 2
+    h.update(long.final_state.values.tobytes() + long.sup_w.tobytes())
+    grid = sim.Grid.uniform(32, 10.0)
+    stepper = sim.Stepper(grid, 3, "selfsimilar", "profile")
+    state, error = stepper.advance(
+        sim.RadialState("selfsimilar", 50.0, profile.psi(stepper.params, grid.nodes, 50.0), grid, 3),
+        np.inf, dt=1e-4, most=5000)
+    assert stepper.compiled_steps == 5000 and error is None
+    h.update(state.values.tobytes() + repr(stepper.step_record()).encode())
     for d in (3, 4):
         p = profile.make_profile_params(d)
         for out in profile._ansatz(p, np.linspace(0.0, 3.0 * 50.0 ** (0.5 / p.ell), 61), 50.0):
@@ -737,28 +821,32 @@ def test_compiled_factor_equals_lapack_dgttrf(monkeypatch):
 @pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
 def test_stretch_hands_an_unfactorable_step_to_advance():
     # a dt whose matrix overflows and a singular matrix stop the compiled
-    # loop before that step, as the first or the landing step; `_advance`
-    # then takes it and raises its own error with its own message
+    # loop before that step, a step of dt or the landing step; `advance`'s
+    # `_advance` then takes it and raises its own error with its own message.
+    # A landing step is never longer than dt + _TIME_TOL, so an unfactorable
+    # step is the first one
     g = sim.Grid.uniform(32, 10.0)
     stepper = sim.Stepper(g, 4, "physical", "neumann")
     v = np.full(33, 0.1)
     alternating = 0.1 * np.where(np.arange(33) % 2, 1.0, -1.0)
     singular = 0
-    for values, dt, last in ((v, 1e307, 1e307), (v, 1e-3, 1e307),
-                             (alternating, 1e300, 1e300), (alternating, 1e-3, 1e300)):
-        times = np.cumsum(np.r_[0.5, np.full(3 if dt != last else 0, dt), last])
+    for values, dt, target in ((v, 1e307, 0.5 + 1e307), (v, 1e307, math.inf),
+                               (alternating, 1e300, 0.5 + 1e300), (alternating, 1e300, math.inf)):
+        h, last, times = sim._stretch_times(0.5, dt, target, 1)
+        start = sim.RadialState("physical", 0.5, values, g, 4)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                want = _advance_loop(stepper, values, times, dt, last)
+                want = _advance_loop(stepper, values, times, h, last)
             except np.linalg.LinAlgError as exc:
                 with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
-                    stepper._stretch(values, times, dt, last)
+                    stepper.advance(start, target, dt=dt)
                 singular += 1
                 continue
-            compiled = stepper.compiled_steps
-            got, done, error = stepper._stretch(values, times, dt, last)
-        assert stepper.compiled_steps == compiled + done
-        assert done == want[1] == len(times) - 2 and got.tobytes() == want[0].tobytes()
+        compiled = stepper.compiled_steps
+        got, out = stepper._loop(values, 0.5, target, dt=dt)
+        state, error = stepper.advance(start, target, dt=dt)
+        assert stepper.compiled_steps == compiled and out.steps == want[1] == 0
+        assert got.tobytes() == state.values.tobytes() == want[0].tobytes()
         assert str(error) == str(want[2]) == "Crank-Nicolson matrix overflowed at dt=1e+307"
     assert singular == 2
 
@@ -1102,57 +1190,64 @@ def test_stretch_times_equal_the_cumsum_of_a_prepended_time():
 @pytest.mark.parametrize("t0", [100.0, 1000.0])
 def test_run_fixed_dt_lands_on_record_times(monkeypatch, t0):
     # a late start time makes the float sum of the steps drift from the
-    # record times by more than 1e-12 within a few thousand steps
-    dts = []
-    stretch = sim.Stepper._stretch
-
-    def counting_stretch(self, v, times, dt, last):
-        out = stretch(self, v, times, dt, last)
-        dts.extend(([dt] * (len(times) - 2) + [last])[:out[1]])
-        return out
-
-    monkeypatch.setattr(sim.Stepper, "_stretch", counting_stretch)
+    # record times by more than 1e-12 within a few thousand steps; each
+    # record interval is one stretch, whose landing step is no shorter than
+    # dt / 2
+    log = _recording_stretches(monkeypatch)
     dt, horizon, cadence = 1e-3, 2.0, 0.01
     cfg = sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=t0,
                         horizon=horizon, cadence=cadence, dt=dt,
                         init=np.full(33, 0.1))
     res = sim.run(cfg)
     assert res.verdict == "completed" and res.stop_reason == "horizon"
-    assert len(dts) == round(horizon / dt)
-    assert min(dts) > dt / 2
+    assert res.steps == sum(k for _, _, k, _ in log) == round(horizon / dt)
+    assert res.dt_min > dt / 2
+    assert len(log) == round(horizon / cadence) and {kind for kind, *_ in log} == {res.kernel}
     assert len(res.times) == round(horizon / cadence) + 1
 
 
-def _recording_stretch(monkeypatch):
-    """Patch `Stepper._stretch` to log (first time, steps asked, dt) per call."""
+def _recording_stretches(monkeypatch):
+    """Log each stretch as (kernel, first time, steps, dt): "compiled" per
+    call of the compiled loop (`Stepper._loop`: the steps it took, its dt or
+    None for CFL steps), "numpy" per stretch NumPy forms (`_stretch_times`:
+    its steps and first dt)."""
     log = []
-    stretch = sim.Stepper._stretch
+    loop, stretch_times = sim.Stepper._loop, sim._stretch_times
 
-    def recording(self, v, times, dt, last):
-        log.append((float(times[0]), len(times) - 1, dt))
-        return stretch(self, v, times, dt, last)
+    def recording_loop(self, v, t, target, **kwargs):
+        v, out = loop(self, v, t, target, **kwargs)
+        log.append(("compiled", t, out.steps, kwargs.get("dt") or None))
+        return v, out
 
-    monkeypatch.setattr(sim.Stepper, "_stretch", recording)
+    def recording_times(t, dt, target, most):
+        h, last, times = stretch_times(t, dt, target, most)
+        log.append(("numpy", t, len(times) - 1, h))
+        return h, last, times
+
+    monkeypatch.setattr(sim.Stepper, "_loop", recording_loop)
+    monkeypatch.setattr(sim, "_stretch_times", recording_times)
     return log
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
 def test_drive_by_count_crosses_stretches_as_advance_steps(compiled, monkeypatch):
-    # 10000 steps toward no end time run as stretches of 4096, 4096 and 1808
-    # and give the bytes of 10000 `_advance` calls, with or without the
-    # compiled loop; the record holds the count, the one dt and the kernel
+    # 10000 steps toward no end time run in one call of the compiled loop, or
+    # without it as NumPy stretches of 4096, 4096 and 1808, and give the
+    # bytes of 10000 `_advance` calls; the record holds the count, the one dt
+    # and the kernel
     if compiled and sim._library() is None:
         pytest.skip("no compiled stretch loop")
     if not compiled:
         monkeypatch.setattr(sim, "_library", lambda: None)
-    log = _recording_stretch(monkeypatch)
+    log = _recording_stretches(monkeypatch)
     grid = sim.Grid.uniform(32, 10.0)
     stepper = sim.Stepper(grid, 4, "selfsimilar", "profile")
     v0 = 0.25 + 0.01 * np.cos(grid.nodes)
     dt = 1e-4
     state, error = stepper.advance(sim.RadialState("selfsimilar", 50.0, v0, grid, 4), math.inf,
                                    dt=dt, most=10000)
-    assert [k for _, k, _ in log] == [4096, 4096, 1808]
+    assert [(kind, k) for kind, _, k, _ in log] == (
+        [("compiled", 10000)] if compiled else [("numpy", 4096), ("numpy", 4096), ("numpy", 1808)])
     want, t_want = v0, 50.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(10000):
@@ -1170,8 +1265,9 @@ def test_profile_boundary_evaluates_q_once_per_stretch(compiled, monkeypatch):
     # the NumPy kernel reads a stretch's boundary values from one array call
     # of Q: 5000 steps in stretches of 4096 and 904 are two calls, not one
     # per step.  At d=4 the compiled loop forms them from the step times
-    # itself and calls Q not at all; at d=3 it reads the one array too.  A
-    # Neumann stretch evaluates no Q at all
+    # itself, takes all 5000 steps in one call and calls Q not at all; at d=3
+    # it reads each NumPy stretch's one array in one call.  A Neumann stepper
+    # evaluates no Q at all, and the loop takes its steps in one call
     if compiled and sim._library() is None:
         pytest.skip("no compiled stretch loop")
     if not compiled:
@@ -1184,7 +1280,7 @@ def test_profile_boundary_evaluates_q_once_per_stretch(compiled, monkeypatch):
         return q_of_xi(params, xi)
 
     monkeypatch.setattr(pr, "q_of_xi", counting)
-    log = _recording_stretch(monkeypatch)
+    log = _recording_stretches(monkeypatch)
     grid = sim.Grid.uniform(32, 10.0)
     v0 = 0.25 + 0.01 * np.cos(grid.nodes)
     for d in (4, 3):
@@ -1195,7 +1291,10 @@ def test_profile_boundary_evaluates_q_once_per_stretch(compiled, monkeypatch):
                                            math.inf, dt=1e-4, most=5000)
             assert error is None and stepper.steps == 5000
         assert calls == ([] if compiled and d == 4 else [4096, 904]), d
-    assert [k for _, k, _ in log] == [4096, 904] * 4
+    numpy = [("numpy", 4096), ("numpy", 904)]
+    one = [("compiled", 5000)]
+    fed = [("numpy", 4096), ("compiled", 4096), ("numpy", 904), ("compiled", 904)]
+    assert [(kind, k) for kind, _, k, _ in log] == (one + one + fed + one if compiled else numpy * 4)
 
 
 def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
@@ -1205,8 +1304,8 @@ def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
     # binding on the way and the last step cut to land.  The whole drive, one
     # stopped by `most` short of the target, and one in calls of 1 and 5
     # steps as criterion 11 takes it, each with and without the compiled
-    # loop: it takes every step itself, the NumPy path one `_stretch` call
-    # per step
+    # loop: it takes every step of a call in one call of its own, the NumPy
+    # path one stretch per step
     grid = sim.Grid.uniform(64, 10.0)
     v0 = 0.1 + 0.4 * np.exp(-grid.nodes**2 / 4.0)
     t0, target, (rate, t_star) = 0.5, 0.9, (0.1, 1.0)
@@ -1227,7 +1326,7 @@ def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
         dts.append(dt)
     assert bound_by == {"cfl", "cap", "landing"} and len(dts) == 18
     assert states[-1].time == target
-    log = _recording_stretch(monkeypatch)
+    log = _recording_stretches(monkeypatch)
     for compiled in ([True] if sim._library() is not None else []) + [False]:
         if not compiled:
             monkeypatch.setattr(sim, "_library", lambda: None)
@@ -1245,14 +1344,42 @@ def test_capped_cfl_drive_equals_a_step_loop(monkeypatch):
             assert (record["steps"], record["dt_min"], record["dt_max"]) == (
                 k, min(dts[:k]), max(dts[:k]))
             assert driver.compiled_steps == (k if compiled else 0)
-            assert [dt for _, _, dt in log] == ([] if compiled else dts[:k])
-            assert all(dt <= rate * (t_star - s) for s, _, dt in log)
+            assert [kind for kind, *_ in log] == (["compiled"] * len(calls) if compiled else
+                                                  ["numpy"] * k)
+            assert sum(steps for _, _, steps, _ in log) == k
+            assert [dt for _, _, _, dt in log] == ([None] * len(calls) if compiled else dts[:k])
+            assert all(dt <= rate * (t_star - s) for _, s, _, dt in log if dt)
         # a zero field's dt is the cap's; one that stops short of the target
         # by exactly the tolerance lands on it, as `_stretch_times` lands
         zero = sim.RadialState("physical", 0.0, np.zeros(65), grid, 4)
         landed, _ = sim.Stepper(grid, 4, "physical", "neumann").advance(
             zero, 0.5, cfl=0.2, cap=(1.0, 0.5 - sim._TIME_TOL), most=1)
         assert landed.time == 0.5
+
+
+@pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
+@pytest.mark.parametrize("d", [3, 4])
+def test_profile_cfl_drive_equals_the_numpy_path(d, monkeypatch):
+    # a profile-boundary stepper's capped CFL steps, in calls of 1 and 5
+    # steps and one to the target: at d=4 the compiled loop takes each call
+    # and forms every step's boundary value from its CFL dt, at d=3 it takes
+    # one step per call of its own with the value from `_edges`; both give
+    # the bytes, time and step record of the NumPy path
+    start = sim.make_initial_data(sim.SimConfig(d=d, n=256, s0=50.0, horizon=1.0))
+    runs = []
+    for compiled in (True, False):
+        if not compiled:
+            monkeypatch.setattr(sim, "_library", lambda: None)
+        stepper = sim.Stepper(start.grid, d, "selfsimilar", "profile")
+        state = start
+        for most in (1, 5, math.inf):
+            state, error = stepper.advance(state, 51.0, cfl=0.4, cap=(0.1, 51.2), most=most)
+            assert error is None
+        assert state.time == 51.0
+        runs.append((state.values.tobytes(), stepper.step_record(), stepper.compiled_steps))
+    (got, record, compiled_steps), (want, want_record, numpy_steps) = runs
+    assert got == want and record == {**want_record, "kernel": "compiled"}
+    assert compiled_steps == record["steps"] > 10 and numpy_steps == 0
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled stretch loop")
@@ -1468,31 +1595,41 @@ def test_numpy_path_factors_once_per_stretch_dt(monkeypatch):
 
 
 def test_one_record_interval_is_one_stretch(monkeypatch):
-    # a fixed-dt run and a self-similar run at the CFL dt of each record
-    # step each record interval, the step landing on the record included,
-    # in one `_stretch` call that starts at the record; a d=4 run keeping
-    # slices in one `_interval` call, its record call, instead
-    log = _recording_stretch(monkeypatch)
-    interval = sim.Stepper._interval
+    # a run makes one stepper call per record interval (`_interval`), and a
+    # fixed-dt run and a self-similar run at the CFL dt of each record step
+    # each record interval, the step landing on the record included, in one
+    # stretch that starts at the record: one call of the compiled loop (a
+    # d=4 run keeping slices measures its record in it too), or one NumPy
+    # stretch without it
+    for compiled in ([True] if sim._library() is not None else []) + [False]:
+        if not compiled:
+            monkeypatch.setattr(sim, "_library", lambda: None)
+        log = _recording_stretches(monkeypatch)
+        intervals = []
+        interval = sim.Stepper._interval
 
-    def recording(self, state, target, dt, cfl, ctx):
-        steps = self.steps
-        out = interval(self, state, target, dt, cfl, ctx)
-        log.append((state.time, self.steps - steps, dt))
-        return out
+        def recording(self, state, target, dt, cfl, ctx):
+            steps = self.steps
+            out = interval(self, state, target, dt, cfl, ctx)
+            intervals.append((state.time, self.steps - steps))
+            return out
 
-    monkeypatch.setattr(sim.Stepper, "_interval", recording)
-    for cfg in (sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=1000.0, horizon=0.5,
-                              cadence=0.01, dt=1e-3, init=np.full(33, 0.1)),
-                sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25,
-                              escape_factor=np.inf)):
-        log.clear()
-        res = sim.run(cfg)
-        starts = res.times if res.records == [] else [r.s for r in res.records]
-        assert len(log) == len(starts) - 1 > 3
-        assert [t for t, _, _ in log] == list(starts[:-1])
-        assert sum(k for _, k, _ in log) == res.steps
-        assert res.dt_min < res.dt_max      # each interval lands at its own last dt
+        monkeypatch.setattr(sim.Stepper, "_interval", recording)
+        for cfg in (sim.SimConfig(d=4, frame="physical", n=32, y_max=10.0, s0=1000.0,
+                                  horizon=0.5, cadence=0.01, dt=1e-3, init=np.full(33, 0.1)),
+                    sim.SimConfig(d=4, n=256, s0=50.0, horizon=1.0, cadence=0.25,
+                                  escape_factor=np.inf)):
+            log.clear()
+            intervals.clear()
+            res = sim.run(cfg)
+            starts = res.times if res.records == [] else [r.s for r in res.records]
+            assert len(intervals) == len(starts) - 1 > 3
+            assert [t for t, _ in intervals] == list(starts[:-1])
+            assert [(kind, t, k) for kind, t, k, _ in log] == [
+                ("compiled" if compiled else "numpy", t, k) for t, k in intervals]
+            assert sum(k for _, k in intervals) == res.steps
+            assert res.dt_min < res.dt_max      # each interval lands at its own last dt
+        monkeypatch.undo()
 
 
 def _stepped_as_before(self, state, target, dt, cfl, ctx):
@@ -1566,22 +1703,23 @@ def test_record_call_equals_advance_and_decompose_bit_for_bit(cfg, verdict, warn
 
     compiled = sim._library() is not None
     monkeypatch.setattr(sim.Stepper, "_interval", counting(sim.Stepper._interval))
-    fused, fused_warnings = run()
+    recorded, recorded_warnings = run()
     intervals = len(calls)
-    assert fused.verdict == verdict and (intervals > 0) == (verdict != "escaped:l2rho")
+    assert recorded.verdict == verdict and (intervals > 0) == (verdict != "escaped:l2rho")
     monkeypatch.setattr(sim.Stepper, "_interval", counting(_stepped_as_before))
     before, before_warnings = run()
-    assert len(calls) == 2 * intervals if compiled else calls == []
-    assert _run_bits(fused) == _run_bits(before) and fused_warnings == before_warnings
-    assert fused.message == before.message and (verdict == "unstable") == bool(fused.message)
+    assert len(calls) == 2 * intervals
+    assert _run_bits(recorded) == _run_bits(before) and recorded_warnings == before_warnings
+    assert recorded.message == before.message and (verdict == "unstable") == bool(recorded.message)
     monkeypatch.setattr(sim, "_library", lambda: None)
     monkeypatch.setattr(dg, "_library", lambda: None)
     plain, plain_warnings = run()
-    assert _run_bits(fused, kernel=False) == _run_bits(plain, kernel=False)
-    assert fused_warnings == plain_warnings
+    assert _run_bits(recorded, kernel=False) == _run_bits(plain, kernel=False)
+    assert recorded_warnings == plain_warnings
     if compiled:
-        assert fused.slice_kernel == ("numpy" if 2 * warned >= len(fused.records) else "compiled")
-        assert fused.factored <= 2 * intervals or fused.message
+        assert recorded.slice_kernel == (
+            "numpy" if 2 * warned >= len(recorded.records) else "compiled")
+        assert recorded.factored <= 2 * intervals or recorded.message
 
 
 @pytest.mark.skipif(sim._library() is None, reason="no compiled record call")
