@@ -356,6 +356,7 @@ def criterion_8(windows=None, digits=None) -> CriterionResult:
     digits = {} if digits is None else digits
     parts = []
     ok = True
+    yb = np.linspace(0.0, 200.0, 100001)
     for d in (3, 4):
         ell = eb.ell_of(d)
         svals = np.asarray(windows[d], float)
@@ -369,7 +370,6 @@ def criterion_8(windows=None, digits=None) -> CriterionResult:
             parts.append(f"d={d} k={k}: {sl:.2f} (want {target}+-0.3)")
         # intermediate-region norm of the error field
         p = pr.make_profile_params(d)
-        yb = np.linspace(0.0, 200.0, 100001)
         ctxb = dg.DiagnosticsContext(d=d, y=yb, K=10.0, params=p, coverage_tol=np.inf)
         fn = [dg.flat_norm(pr.ansatz_residual(p, yb, s), ctxb, j=0) for s in svals]
         slb = np.polyfit(logs, np.log(fn), 1)[0]

@@ -28,6 +28,7 @@ context counts the slices the compiled pass measured.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -89,9 +90,23 @@ def check_coverage(d: int, y_end: float, tol: float = 1e-10):
         )
 
 
+def _cutoff_band(y, K: float):
+    """(lo, hi) for ascending nodes y: y[lo:hi] are the nodes whose y / K, as
+    `profile.cutoff_chi` rounds it, lies in (1, 2), so that chi_K is exactly
+    1.0 before lo and exactly 0.0 from hi."""
+    lo = bisect.bisect_right(y, 1.0, key=lambda v: v / K)
+    return lo, bisect.bisect_left(y, 2.0, lo, key=lambda v: v / K)
+
+
 @dataclass
 class DiagnosticsContext:
-    """Tables for bootstrap norms, and for mode projections on first use."""
+    """Tables for bootstrap norms, and for mode projections on first use.
+
+    Construction keeps two arrays of the grid's length, the trapezoid weights
+    and the flat weights (1 - chi_K(y)) y^(-4 ell - 3) tw, and forms both in
+    place: the flat weights are zero before the cutoff's band, where 1 - chi_K
+    is exactly 0.0, y^(-4 ell - 3) tw from its end, where it is exactly 1.0,
+    and only the band takes cutoff_chi's smoothstep (`_cutoff_band`)."""
 
     d: int
     y: np.ndarray
@@ -112,15 +127,18 @@ class DiagnosticsContext:
             raise ValueError("grid nodes must be nonnegative and strictly increasing")
         check_coverage(self.d, y[-1], self.coverage_tol)
         # trapezoid weights
-        self._tw = tw = np.zeros_like(y)
-        tw[1:-1] = 0.5 * (y[2:] - y[:-2])
+        self._tw = tw = np.empty_like(y)
+        np.subtract(y[2:], y[:-2], out=tw[1:-1])
+        tw[1:-1] *= 0.5
         tw[0] = 0.5 * (y[1] - y[0])
         tw[-1] = 0.5 * (y[-1] - y[-2])
-        # intermediate-region weight: (1 - chi_K(y)) * y^(-4 ell - 3)
+        # intermediate-region weight (1 - chi_K(y)) * y^(-4 ell - 3) * tw
         spec = pr.CutoffSpec(K=self.K)
-        with np.errstate(divide="ignore"):
-            wy = np.where(y > 0, y ** (-4.0 * self.ell - 3.0), 0.0)
-        self.flat_w = (1.0 - pr.cutoff_chi(spec, y)) * wy * tw
+        power, (lo, hi) = -4.0 * self.ell - 3.0, _cutoff_band(y, self.K)
+        self.flat_w = w = np.zeros_like(y)
+        w[lo:hi] = (1.0 - pr.cutoff_chi(spec, y[lo:hi])) * y[lo:hi] ** power * tw[lo:hi]
+        np.power(y[hi:], power, out=w[hi:])
+        w[hi:] *= tw[hi:]
         self.cut_spec = spec
         self.compiled_slices = 0      # slices `decompose` measured by ks_slice
 

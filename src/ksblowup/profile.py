@@ -20,10 +20,13 @@ shared by the double-precision and the decimal ansatz.
 
 Both evaluators of the refined ansatz's generated error (double, decimal) form
 its correction psi_hat's terms only on the support xi < 2K of `UNIT_CUTOFF`,
-and take y alike: a scalar or any shape, checked nonnegative.  The double one
-forms xi, Q and Q's powers in NumPy and the rest in one compiled pass
-(`_kernel.c`'s ks_ansatz) that repeats the NumPy path, `_numpy_ansatz`, bit
-for bit; that path is the fallback without a compiler and the tests' reference.
+and take y alike: a scalar or any shape, checked nonnegative.  Both call one
+formula, `_ansatz_terms`, with the constants of one s formed once
+(`_per_s`).  The double one takes a grid in blocks of `_BLOCK` nodes: per
+block xi, Q and Q's powers in NumPy, into temporaries of one block, and the
+rest in one call of a compiled pass (`_kernel.c`'s ks_ansatz) that repeats
+the NumPy path, `_numpy_ansatz`, bit for bit; that path forms the whole grid
+at once and is the fallback without a compiler and the tests' reference.
 
 `make_profile_params(d)` builds the float view of the exact constants once
 per dimension; every caller shares that frozen record.
@@ -39,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import eigenbasis as eb
-from ._loader import _library
+from ._loader import _address, _library
 
 
 class ConvergenceError(RuntimeError):
@@ -183,8 +186,9 @@ def _solve_profile(params: ProfileParams, t):
     return q, np.asarray(t, float) * q**params.ell / params.d
 
 
-def _profile_jet(c, d: int, ell: int, xi, q):
-    """(Q', Q'', Lap_{d+2} Q) at xi from the value Q there.
+def _profile_jet(m2c, d: int, ell: int, xi, q):
+    """(Q', Q'/xi, Lap_{d+2} Q) at xi from the value Q there and m2c = -2c;
+    Q'' is Lap_{d+2} Q - (d+1) Q'/xi.
 
     The first-order profile equation d Q (1/d - Q) = (Q - 1/2) xi Q' with the
     deficit d (1/d - Q) = c xi^(2 ell) Q^ell gives Q' with its factor
@@ -192,10 +196,9 @@ def _profile_jet(c, d: int, ell: int, xi, q):
     operators are used, so the same code runs on floats, arrays and Decimal.
     """
     one_m_2q = 1 - 2 * q
-    qp_xi = -2 * c * xi ** (2 * ell - 2) * q ** (ell + 1) / one_m_2q
+    qp_xi = m2c * xi ** (2 * ell - 2) * q ** (ell + 1) / one_m_2q
     qp = xi * qp_xi
-    lap = qp_xi * (2 * (2 * d * q - 1 + xi * qp) / one_m_2q + d)
-    return qp, lap - (d + 1) * qp_xi, lap
+    return qp, qp_xi, qp_xi * (2 * (2 * d * q - 1 + xi * qp) / one_m_2q + d)
 
 
 def _t_of_xi(params: ProfileParams, xi):
@@ -204,10 +207,10 @@ def _t_of_xi(params: ProfileParams, xi):
 
 
 def _profile(params: ProfileParams, xi):
-    """(Q, 1/d - Q, Q', Q'', Lap_{d+2} Q) at xi."""
+    """(Q, 1/d - Q, Q', Q'/xi, Lap_{d+2} Q) at xi."""
     xi = _as_xi(xi)
     q, delta = _solve_profile(params, _t_of_xi(params, xi))
-    return (q, delta) + _profile_jet(params.c, params.d, params.ell, xi, q)
+    return (q, delta) + _profile_jet(-2 * params.c, params.d, params.ell, xi, q)
 
 
 def _as_xi(xi):
@@ -248,7 +251,8 @@ def q_prime(params: ProfileParams, xi):
 
 def q_second(params: ProfileParams, xi):
     """d^2 Q/dxi^2 from differentiating the first-order profile equation."""
-    out = _profile(params, xi)[3]
+    _, _, _, qp_xi, lap = _profile(params, xi)
+    out = lap - (params.d + 1) * qp_xi
     return out if out.ndim else float(out)
 
 
@@ -292,16 +296,24 @@ def psi(params: ProfileParams, y, s):
     return out if np.ndim(out) else float(out)
 
 
-def _ansatz_terms(d: int, ell: int, s, u, y, xi, over_y, sm, q_jet, p_jet, chi_jet):
+def _per_s(d: int, ell: int, s, u, sm):
+    """`_ansatz_terms`' per-s constants (d, 2 ell, 2 ell s, u, u/s, sm, sm^2)
+    in the number type of s, formed once per s rather than once per node."""
+    num = type(s)
+    return num(d), num(2 * ell), num(2 * ell) * s, u, u / s, sm, sm * sm
+
+
+def _ansatz_terms(consts, y, xi, over_y, q_jet, p_jet, chi_jet):
     """(d(psi)/ds, E_hat): the exact time derivative of psi at fixed y and the
     generated error of `ansatz_residual`.
 
-    From the jets q_jet = (Q, Q', Lap_{d+2} Q) at xi = y*sm, p_jet =
+    From the per-s constants (`_per_s`, u = 1/(B s), sm = s^(-1/(2 ell)))
+    and the jets q_jet = (Q, Q', Lap_{d+2} Q) at xi = y*sm, p_jet =
     (phi_tilde, phi_tilde', Lap_{d+2} phi_tilde) at y and chi_jet =
-    (chi, chi', chi'') at xi, with u = 1/(B s) and over_y = 1/y (0 at y=0).
-    Only arithmetic operators are used, so the same code runs on arrays and
-    on Decimal scalars.
+    (chi, chi', chi'') at xi, with over_y = 1/y (0 at y=0).  Only arithmetic
+    operators are used, so the same code runs on arrays and on Decimal scalars.
     """
+    d, two_l, ls, u, us, sm, sm2 = consts
     q, qp, lap_q = q_jet
     p, p1, lap_p = p_jet
     chi, chi1, chi2 = chi_jet
@@ -311,54 +323,77 @@ def _ansatz_terms(d: int, ell: int, s, u, y, xi, over_y, sm, q_jet, p_jet, chi_j
                    + (d + 1) * over_y * p * chi1 * sm)
     h_ph = lap_ph - (1 - 2 * q) * y * ph_y / 2 + (2 * d * q - 1 + xi * qp) * ph
     nl = d * ph * ph + y * ph * ph_y
-    dpsi_ds = -xi * qp / (2 * ell * s) + (u / s) * (p * chi + p * chi1 * xi / (2 * ell))
-    return dpsi_ds, -dpsi_ds + sm * sm * lap_q + h_ph + nl
+    dpsi_ds = -xi * qp / ls + us * (p * chi + p * chi1 * xi / two_l)
+    return dpsi_ds, -dpsi_ds + sm2 * lap_q + h_ph + nl
 
 
-def _ansatz(params: ProfileParams, y, s):
+# nodes per block of the compiled ansatz pass: each NumPy temporary is 64 KiB
+_BLOCK = 8192
+
+
+def _ansatz(params: ProfileParams, y, s, dpsi: bool = True):
     """`_ansatz_terms` in double precision, psi_hat's terms formed only where xi <
     _CUTOFF_END; past it they would add zeros, or NaN where phi_tilde overflows.
-    xi, Q and the powers come from NumPy; the rest from the compiled pass
-    (`_kernel.c`'s ks_ansatz) where there is one, else from `_numpy_ansatz`,
-    with the same bits."""
+    Returns (d(psi)/ds, or None unless `dpsi`, E_hat).
+
+    Where there is a compiled pass (`_kernel.c`'s ks_ansatz) the grid goes
+    through it in blocks of _BLOCK nodes: xi, t, Q and the powers of each block
+    come from NumPy, into temporaries of one block, and one call writes the
+    block's outputs; without `dpsi`, d(psi)/ds fills one block's scratch.
+    Else `_numpy_ansatz` forms the whole grid, with the same bits."""
     s = _check_s(s)
     shape, y = np.shape(y), np.asarray(y, float).ravel()
     sm = s ** (-1.0 / (2 * params.ell))
-    xi = _as_xi(y * sm)
-    q = _solve_q(params, _t_of_xi(params, xi))
     lib = _library()
     if lib is None:
-        dpsi_ds, err = _numpy_ansatz(params, y, s, sm, xi, q)
+        xi = _as_xi(y * sm)
+        dpsi_ds, err = _numpy_ansatz(params, y, s, sm, xi, _solve_q(params, _t_of_xi(params, xi)))
     else:
-        dpsi_ds, err, u = np.empty_like(y), np.empty_like(y), 1.0 / (params.B * s)
-        consts = np.array([params.d, params.ell, params.c, sm, sm * sm, u, 2 * params.ell * s,
-                           u / s, UNIT_CUTOFF.K, UNIT_CUTOFF.K**2, _CUTOFF_END])
-        # phi_tilde's coefficients, its derivative's over y as `_even_eval_deriv`
-        # forms them, and its Laplacian's
-        a, lap = params.phit_coeffs, params.phit_lap_coeffs
-        poly = np.array([*a, *(2 * k * a[k] for k in range(1, len(a))), *lap])
+        if (y < 0).any():       # xi's sign test on the whole grid before any block's t test
+            _as_xi(y * sm)
+        dpsi_ds, err = _compiled_ansatz(lib, params, y, s, sm, dpsi)
+    return (dpsi_ds.reshape(shape)[()] if dpsi else None), err.reshape(shape)[()]
+
+
+def _compiled_ansatz(lib, params: ProfileParams, y, s, sm, dpsi: bool):
+    """`_ansatz`'s blocks through ks_ansatz: (d(psi)/ds, or one block's scratch
+    for it, E_hat)."""
+    d, _, ls, u, us, _, sm2 = _per_s(params.d, params.ell, s, 1.0 / (params.B * s), sm)
+    consts = np.array([d, params.ell, params.c, sm, sm2, u, ls, us, UNIT_CUTOFF.K,
+                       UNIT_CUTOFF.K**2, _CUTOFF_END])
+    # phi_tilde's coefficients, its derivative's over y as `_even_eval_deriv`
+    # forms them, and its Laplacian's
+    a, lap = params.phit_coeffs, params.phit_lap_coeffs
+    poly = np.array([*a, *(2 * k * a[k] for k in range(1, len(a))), *lap])
+    err = np.empty_like(y)
+    dpsi_ds = np.empty_like(y) if dpsi else np.empty(min(len(y), _BLOCK))
+    y_at, err_at, dpsi_at, consts_at, poly_at = (
+        x.ctypes.data for x in (y, err, dpsi_ds, consts, poly))
+    for i in range(0, len(y), _BLOCK):
+        xi = y[i:i + _BLOCK] * sm
+        q = _solve_q(params, _t_of_xi(params, xi))
         # Q**(l+1), and xi**4 at d=3, are NumPy's SIMD pow, whose bits libm's pow
         # does not repeat; xi**2 at d=4 is xi*xi, which the pass forms
         q_l1 = q ** (params.ell + 1)
-        xi_2l2 = xi ** (2 * params.ell - 2) if params.ell == 3 else None
-        lib.ks_ansatz(len(y), consts.ctypes.data, poly.ctypes.data, len(a), len(lap), y.ctypes.data,
-                      xi.ctypes.data, q.ctypes.data, q_l1.ctypes.data,
-                      None if xi_2l2 is None else xi_2l2.ctypes.data,
-                      dpsi_ds.ctypes.data, err.ctypes.data)
-    return dpsi_ds.reshape(shape)[()], err.reshape(shape)[()]
+        xi_2l2 = xi ** 4 if params.ell == 3 else None
+        lib.ks_ansatz(len(xi), consts_at, poly_at, len(a), len(lap), y_at + 8 * i,
+                      _address(xi), _address(q), _address(q_l1),
+                      None if xi_2l2 is None else _address(xi_2l2),
+                      dpsi_at + (8 * i if dpsi else 0), err_at + 8 * i)
+    return dpsi_ds, err
 
 
 def _numpy_ansatz(params: ProfileParams, y, s, sm, xi, q):
-    """`_ansatz` after Q in NumPy: the fallback without a compiled pass and the
-    reference it is tested against."""
-    qp, _, lap_q = _profile_jet(params.c, params.d, params.ell, xi, q)
+    """`_ansatz` after Q in NumPy on the whole grid: the fallback without a
+    compiled pass and the reference it is tested against."""
+    qp, _, lap_q = _profile_jet(-2 * params.c, params.d, params.ell, xi, q)
     dpsi_ds = -xi * qp / (2 * params.ell * s)
     err = -dpsi_ds + sm * sm * lap_q + 0.0     # psi_hat's zero terms make a -0 +0
     on = xi < _CUTOFF_END
     y, xi = y[on], xi[on]
     dpsi_ds[on], err[on] = _ansatz_terms(
-        params.d, params.ell, s, 1.0 / (params.B * s), y, xi,
-        1.0 / np.where(y > 0, y, np.inf), sm, (q[on], qp[on], lap_q[on]),
+        _per_s(params.d, params.ell, s, 1.0 / (params.B * s), sm), y, xi,
+        1.0 / np.where(y > 0, y, np.inf), (q[on], qp[on], lap_q[on]),
         (_even_eval(params.phit_coeffs, y), _even_eval_deriv(params.phit_coeffs, y),
          _even_eval(params.phit_lap_coeffs, y)),
         (cutoff_chi(UNIT_CUTOFF, xi), cutoff_chi_d1(UNIT_CUTOFF, xi),
@@ -381,7 +416,7 @@ def ansatz_residual(params: ProfileParams, y, s):
     NL(v) = d v^2 + y v v_y.  Evaluated analytically (no grid derivatives),
     psi_hat's terms only on the cutoff's support xi < 2K.
     """
-    return _ansatz(params, y, s)[1]
+    return _ansatz(params, y, s, dpsi=False)[1]
 
 
 def _to_decimal(x: Fraction) -> Decimal:
@@ -408,7 +443,8 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
     value, and only the assembled error is rounded to double; psi_hat's
     terms are formed only on the cutoff's support, as in `ansatz_residual`.
     y is taken as `ansatz_residual` takes it: a scalar or any shape, checked
-    nonnegative; the output has its shape.
+    nonnegative; the output has its shape.  The constants of one s, the
+    integers among them, are made Decimal once, not at every node.
     """
     s = _check_s(s)
     shape, y = np.shape(y), np.asarray(y, float).ravel()
@@ -424,42 +460,46 @@ def ansatz_residual_decimal(params: ProfileParams, y, s, digits: int = 50):
         s_ = Decimal(s)
         sm = s_ ** (Decimal(-1) / (2 * ell))
         K, end = Decimal(UNIT_CUTOFF.K), Decimal(_CUTOFF_END)
+        K2 = K * K
         c = _to_decimal(params.c_exact)
-        u = 1 / (_to_decimal(params.B_exact) * s_)
+        m2c = -2 * c
+        consts = _per_s(d, ell, s_, 1 / (_to_decimal(params.B_exact) * s_), sm)
+        d_, _, ls, _, _, _, sm2 = consts
+        ell_, two, c6, c10, c15, c30, c60 = map(Decimal, (ell, 2, 6, 10, 15, 30, 60))
         p_c = [_to_decimal(a) for a in phit.coeffs]
         p1_c = [2 * k * a for k, a in enumerate(p_c)][1:]
         lap_c = [_to_decimal(a) for a in phit.laplacian(d + 2).coeffs]
-        for i, (y_f, delta_f) in enumerate(zip(y, delta0)):
+        for i, (y_f, delta_f) in enumerate(zip(y.tolist(), delta0.tolist())):
             yv = Decimal(y_f)
             xi = yv * sm
             t = c * xi ** (2 * ell)
             delta = Decimal(delta_f)
             for _ in range(20):
-                tq = t * (inv_d - delta) ** (ell - 1)
-                step = (d * delta - tq * (inv_d - delta)) / (d + ell * tq)
+                q = inv_d - delta
+                tq = t * q ** (ell - 1)
+                step = (d_ * delta - tq * q) / (d_ + ell_ * tq)
                 delta -= step
                 if abs(step) <= tol:
                     break
             else:
                 raise ConvergenceError(f"decimal profile deficit did not converge at y={y_f}")
             q = inv_d - delta
-            qp, _, lap_q = _profile_jet(c, d, ell, xi, q)
+            qp, _, lap_q = _profile_jet(m2c, d_, ell, xi, q)
             if xi >= end:                  # psi_hat's terms are exact zeros
-                out[i] = float(xi * qp / (2 * ell * s_) + sm * sm * lap_q)
+                out[i] = float(xi * qp / ls + sm2 * lap_q)
                 continue
 
             y2 = yv * yv
-            tc = min(max(xi / K - 1, zero), one)
-            chi = 1 - tc * tc * tc * (10 - 15 * tc + 6 * tc * tc)
-            if 0 < tc < 1:
-                chi1 = -30 * tc * tc * (1 - tc) ** 2 / K
-                chi2 = -60 * tc * (1 - tc) * (1 - 2 * tc) / (K * K)
+            tc = min(max(xi / K - one, zero), one)
+            chi = one - tc * tc * tc * (c10 - c15 * tc + c6 * tc * tc)
+            if zero < tc < one:
+                chi1 = -c30 * tc * tc * (one - tc) ** 2 / K
+                chi2 = -c60 * tc * (one - tc) * (one - two * tc) / K2
             else:
                 chi1 = chi2 = zero
 
             _, residual = _ansatz_terms(
-                d, ell, s_, u, yv, xi, 1 / yv if yv > 0 else zero, sm,
-                (q, qp, lap_q),
+                consts, yv, xi, one / yv if yv > zero else zero, (q, qp, lap_q),
                 (_even_eval_decimal(p_c, y2), yv * _even_eval_decimal(p1_c, y2),
                  _even_eval_decimal(lap_c, y2)),
                 (chi, chi1, chi2),

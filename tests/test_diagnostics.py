@@ -111,6 +111,51 @@ def test_mode_tables_are_built_on_first_use_with_the_eager_bits(compiled, monkey
     assert _slice_bits(dg.decompose(v, cfg.s0, eager, cfg.A)) == _slice_bits(rec)
 
 
+@pytest.mark.parametrize("K", [10.0, 3.0, 0.7])
+def test_flat_weights_have_the_bits_of_the_whole_grid_formula(K):
+    # the context forms flat_w only on and past the cutoff's band; it equals
+    # (1 - chi_K) y^(-4l-3) tw formed on the whole grid, byte for byte, with
+    # nodes at K and 2K and their neighbours, on a geometric grid, the
+    # criterion-9 and criterion-10 grids and criterion 8's flat grid
+    edges = [K, 2.0 * K, *(np.nextafter(e, lim) for e in (K, 2.0 * K) for lim in (0.0, np.inf))]
+    grids = [np.unique(np.r_[np.linspace(0.0, 60.0, 601), edges]),
+             np.r_[0.0, np.geomspace(1e-3, 120.0, 3000)],
+             sim.SimConfig(d=4, n=2048, s0=50.0, horizon=10.0, K=10.0).build_grid().nodes,
+             sim.SimConfig(d=4, n=1024, s0=50.0, horizon=20.0, K=10.0).build_grid().nodes,
+             np.linspace(0.0, 200.0, 100001)]
+    spec = pr.CutoffSpec(K=K)
+    for d in (3, 4):
+        ell = eb.ell_of(d)
+        for y in grids:
+            ctx = dg.DiagnosticsContext(d=d, y=y, K=K, coverage_tol=np.inf)
+            tw = np.zeros_like(y)
+            tw[1:-1] = 0.5 * (y[2:] - y[:-2])
+            tw[0], tw[-1] = 0.5 * (y[1] - y[0]), 0.5 * (y[-1] - y[-2])
+            with np.errstate(divide="ignore"):
+                wy = np.where(y > 0, y ** (-4.0 * ell - 3.0), 0.0)
+            want = (1.0 - pr.cutoff_chi(spec, y)) * wy * tw
+            assert ctx._tw.tobytes() == tw.tobytes()
+            assert ctx.flat_w.tobytes() == want.tobytes(), (d, len(y))
+    assert set(edges) <= set(grids[0])
+
+
+def test_context_construction_keeps_its_temporaries_small():
+    # tracemalloc sees NumPy's buffers: building a context on criterion 8's
+    # flat grid peaks below the arrays it keeps (tw and flat_w) and 1 MiB
+    import tracemalloc
+    y = np.linspace(0.0, 200.0, 100001)
+    for d in (3, 4):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ctx = dg.DiagnosticsContext(d=d, y=y, K=10.0, coverage_tol=np.inf)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept >= ctx._tw.nbytes + ctx.flat_w.nbytes
+        assert peak < ctx._tw.nbytes + ctx.flat_w.nbytes + 2**20
+
+
 def test_flat_norm_zero(ctx4):
     assert dg.flat_norm(np.zeros_like(ctx4.y), ctx4) == 0.0
 

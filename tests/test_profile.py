@@ -247,7 +247,7 @@ def _whole_grid_ansatz(p, y, s):
     with np.errstate(divide="ignore", invalid="ignore"):
         over_y = np.where(y > 0, 1.0 / y, 0.0)
         return pr._ansatz_terms(
-            p.d, p.ell, s, 1.0 / (p.B * s), y, xi, over_y, sm, (q, qp, lap_q),
+            pr._per_s(p.d, p.ell, s, 1.0 / (p.B * s), sm), y, xi, over_y, (q, qp, lap_q),
             (pr._even_eval(p.phit_coeffs, y), pr._even_eval_deriv(p.phit_coeffs, y),
              pr._even_eval(p.phit_lap_coeffs, y)),
             (pr.cutoff_chi(pr.UNIT_CUTOFF, xi), pr.cutoff_chi_d1(pr.UNIT_CUTOFF, xi),
@@ -319,22 +319,26 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("d", [3, 4])
 def test_compiled_ansatz_has_the_bits_of_the_numpy_path(d):
     # d(psi)/ds and the error, byte for byte, on criterion 8's Gauss rules and
-    # flat-norm grid at its pinned and tier-1 windows; on nodes at xi = 0, 1
-    # and 2 exactly (sm = 1/2 at s = 64 or 16); at s = 1e160, where phi_tilde
-    # overflows past the support; for a scalar, a 2-D and an empty y
+    # flat-norm grid at its pinned and tier-1 windows, and there on grids the
+    # compiled path takes in blocks of _BLOCK nodes: one node short of a
+    # block, one block, one node over, and two blocks and a last one of 1..17
+    # nodes; on nodes at xi = 0, 1 and 2 exactly (sm = 1/2 at s = 64 or 16);
+    # at s = 1e160, where phi_tilde overflows past the support; for a scalar,
+    # a 2-D y (one across blocks) and an empty y
     from ksblowup import acceptance as ac
-    p = pr.make_profile_params(d)
-    flat = np.linspace(0.0, 200.0, 100001)
+    p, block = pr.make_profile_params(d), pr._BLOCK
+    grids = [np.linspace(0.0, 200.0, n) for n in (
+        block - 1, block, block + 1, *(2 * block + k for k in range(1, 18)), 100001)]
     cases = []
     for s in (*ac.CRITERION_8_WINDOWS[d], *_asymptotic_s(d)):
-        cases += [(ac._kink_gauss_rule(s ** (1.0 / (2 * p.ell)))[0], s), (flat, s)]
+        cases += [(ac._kink_gauss_rule(s ** (1.0 / (2 * p.ell)))[0], s)] + [(y, s) for y in grids]
     s_half = 64.0 if d == 3 else 16.0
     exact = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 1.5, np.nextafter(2.0, 0.0), 2.0,
                       2.5, 40.0])
     cases += [(2.0 * exact, s_half), (exact, 1.0), (np.linspace(0.0, 80.0, 4001), 3.7),
               (np.array([0.0, 1e39, 1e76, 5e77]), 1e160), (7.0, 50.0), (0.0, 50.0),
               (np.linspace(0.0, 12.0, 24).reshape(4, 6), 50.0), (np.zeros((0, 3)), 50.0),
-              (np.array([]), 50.0)]
+              (np.array([]), 50.0), (np.linspace(0.0, 60.0, 3 * (block + 3)).reshape(3, -1), 50.0)]
     for y, s in cases:
         got = pr._ansatz(p, y, s)
         _same_bits(got, _numpy_ansatz(p, y, s))
@@ -347,10 +351,17 @@ def test_compiled_ansatz_has_the_bits_of_the_numpy_path(d):
 @pytest.mark.parametrize("d", [3, 4])
 def test_compiled_and_numpy_ansatz_raise_the_same_errors(d, monkeypatch):
     # a negative y, a t that is not finite and a nonpositive s raise before
-    # either path runs, with the same message
+    # either path runs, with the same message; so do a negative y and a t that
+    # is not finite in the last of three compiled blocks, and with a t that is
+    # not finite in the first block and a negative y in the last, the whole
+    # grid's sign test goes first
     p = pr.make_profile_params(d)
     cases = [([-1.0, 2.0], 50.0), (-1e-3, 50.0), ([0.0, 1e300], 1.0), ([np.nan], 50.0),
              ([1.0, np.inf], 50.0), ([1.0], 0.0)]
+    for bad in ({-1: -1.0}, {-1: 1e300}, {-1: np.nan}, {-1: np.inf}, {3: np.inf, -2: -1.0}):
+        y = np.linspace(0.0, 200.0, 2 * pr._BLOCK + 5)
+        y[list(bad)] = list(bad.values())
+        cases.append((y, 1.0))
 
     def errors():
         out = []
@@ -365,7 +376,28 @@ def test_compiled_and_numpy_ansatz_raise_the_same_errors(d, monkeypatch):
     assert errors() == compiled
     assert compiled == ["similarity coordinate must be nonnegative"] * 2 + [
         "similarity coordinate out of range (t not finite)"] * 3 + [
-        "self-similar time must be positive"]
+        "self-similar time must be positive", "similarity coordinate must be nonnegative"] + [
+        "similarity coordinate out of range (t not finite)"] * 3 + [
+        "similarity coordinate must be nonnegative"]
+
+
+@pytest.mark.skipif(pr._library() is None, reason="no compiled ansatz pass")
+@pytest.mark.parametrize("d", [3, 4])
+def test_ansatz_residual_on_criterion_8_grid_keeps_its_temporaries_small(d):
+    # tracemalloc sees NumPy's buffers: the error on the 100001-node flat grid
+    # peaks below its output and 1 MiB, since its temporaries are one block's
+    # and no d(psi)/ds is kept for the whole grid
+    import tracemalloc
+    p, y = pr.make_profile_params(d), np.linspace(0.0, 200.0, 100001)
+    pr.ansatz_residual(p, y, 400.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = pr.ansatz_residual(p, y, 400.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2**20
 
 
 def test_ansatz_without_a_compiler_takes_the_numpy_path(monkeypatch):
